@@ -14,6 +14,10 @@ use diners_sim::fault::Health;
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::predicate::Snapshot;
 
+#[path = "../../sim/tests/support/reference_bfs.rs"]
+mod reference_bfs;
+use reference_bfs::{assert_bit_identical, reference_bfs};
+
 fn families() -> Vec<Topology> {
     vec![
         Topology::line(4),
@@ -80,11 +84,17 @@ fn exclusion_greedy(snap: &Snapshot<'_, GreedyDiners>) -> bool {
     })
 }
 
+fn exclusion_hygienic(snap: &Snapshot<'_, HygienicDiners>) -> bool {
+    snap.topo.edges().iter().all(|&(a, b)| {
+        !(*snap.state.local(a) == Phase::Eating && *snap.state.local(b) == Phase::Eating)
+    })
+}
+
 fn run<A, F>(alg: &A, topo: &Topology, safety: F, reduction: Reduction) -> ExplorationReport
 where
     A: diners_sim::codec::StateCodec + Sync,
-    A::Local: std::hash::Hash + Eq + Send + Sync,
-    A::Edge: std::hash::Hash + Eq + Send + Sync,
+    A::Local: Send + Sync,
+    A::Edge: Send + Sync,
     F: Fn(&Snapshot<'_, A>) -> bool,
 {
     let n = topo.len();
@@ -122,14 +132,19 @@ fn greedy_symmetry_quotient_agrees_and_shrinks() {
 
 #[test]
 fn hygienic_symmetry_quotient_agrees_and_shrinks() {
-    let exclusion = |snap: &Snapshot<'_, HygienicDiners>| {
-        snap.topo.edges().iter().all(|&(a, b)| {
-            !(*snap.state.local(a) == Phase::Eating && *snap.state.local(b) == Phase::Eating)
-        })
-    };
     for topo in [Topology::ring(4), Topology::line(4)] {
-        let full = run(&HygienicDiners, &topo, exclusion, Reduction::Packed);
-        let sym = run(&HygienicDiners, &topo, exclusion, Reduction::Symmetry);
+        let full = run(
+            &HygienicDiners,
+            &topo,
+            exclusion_hygienic,
+            Reduction::Packed,
+        );
+        let sym = run(
+            &HygienicDiners,
+            &topo,
+            exclusion_hygienic,
+            Reduction::Symmetry,
+        );
         assert_eq!(full.violation.is_some(), sym.violation.is_some());
         assert_eq!(full.truncated, sym.truncated);
         assert_eq!(full.deadlocks == 0, sym.deadlocks == 0);
@@ -145,17 +160,56 @@ fn hygienic_symmetry_quotient_agrees_and_shrinks() {
 
 #[test]
 fn greedy_violation_traces_agree_between_representations() {
-    // "p0 never eats" is *not* symmetric, so only Packed-vs-None
-    // comparison is legitimate here — and they must be bit-identical.
+    // "p0 never eats" is *not* symmetric, so only the packed search is
+    // comparable — against the cloned-state reference, bit for bit.
     let p0_eats =
         |snap: &Snapshot<'_, GreedyDiners>| *snap.state.local(ProcessId(0)) != Phase::Eating;
     let topo = Topology::ring(5);
-    let cloned = run(&GreedyDiners, &topo, p0_eats, Reduction::None);
+    let cloned = reference_bfs(
+        &GreedyDiners,
+        &topo,
+        SystemState::initial(&GreedyDiners, &topo),
+        &[Health::Live; 5],
+        &[true; 5],
+        p0_eats,
+        Limits::default(),
+    );
     let packed = run(&GreedyDiners, &topo, p0_eats, Reduction::Packed);
     assert!(cloned.violation.is_some());
-    assert_eq!(cloned.violation, packed.violation);
-    assert_eq!(cloned.states, packed.states);
-    assert_eq!(cloned.transitions, packed.transitions);
+    assert_bit_identical(&cloned, &packed, "greedy ring(5)");
+}
+
+#[test]
+fn hygienic_packed_is_bit_identical_to_cloned() {
+    // The full (unreduced) hygienic space against the cloned-state
+    // reference, field for field, with the packed arena at least 4×
+    // smaller.
+    for topo in [Topology::ring(4), Topology::ring(5)] {
+        let n = topo.len();
+        let cloned = reference_bfs(
+            &HygienicDiners,
+            &topo,
+            SystemState::initial(&HygienicDiners, &topo),
+            &vec![Health::Live; n],
+            &vec![true; n],
+            exclusion_hygienic,
+            Limits::default(),
+        );
+        let packed = run(
+            &HygienicDiners,
+            &topo,
+            exclusion_hygienic,
+            Reduction::Packed,
+        );
+        assert_bit_identical(&cloned, &packed, topo.name());
+        assert!(
+            packed.bytes_interned * 4 <= cloned.bytes_interned,
+            "{}: packed {} vs cloned {} bytes",
+            topo.name(),
+            packed.bytes_interned,
+            cloned.bytes_interned
+        );
+    }
 }
 
 /// Width-fit audit for the baseline codecs: every value of the

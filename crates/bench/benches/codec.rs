@@ -1,5 +1,5 @@
 //! Codec and symmetry micro-benchmarks: encode/decode round-trip cost,
-//! canonicalization cost, and full packed vs cloned explorations.
+//! canonicalization cost, and full vs quotient explorations.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -11,7 +11,6 @@ use diners_sim::fault::Health;
 use diners_sim::graph::Topology;
 use diners_sim::predicate::Snapshot;
 use diners_sim::symmetry::{canonicalize_into, SymmetryGroup};
-use diners_sim::toy::ToyDiners;
 
 fn roundtrip(c: &mut Criterion) {
     let topo = Topology::ring(12);
@@ -61,41 +60,6 @@ fn canonicalize(c: &mut Criterion) {
     });
 }
 
-fn explore_representations(c: &mut Criterion) {
-    let topo = Topology::ring(10);
-    let n = topo.len();
-    let health = vec![Health::Live; n];
-    let needs = vec![true; n];
-    let safety = |_: &Snapshot<'_, ToyDiners>| true;
-
-    let mut group = c.benchmark_group("explore-toy-ring10-repr");
-    group.sample_size(10);
-    for (label, reduction) in [("cloned", Reduction::None), ("packed", Reduction::Packed)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let initial = SystemState::initial(&ToyDiners, &topo);
-                black_box(
-                    explore_with(
-                        &ToyDiners,
-                        &topo,
-                        initial,
-                        &health,
-                        &needs,
-                        safety,
-                        ExploreConfig {
-                            limits: Limits::default(),
-                            reduction,
-                            threads: 1,
-                        },
-                    )
-                    .states,
-                )
-            });
-        });
-    }
-    group.finish();
-}
-
 fn explore_symmetry(c: &mut Criterion) {
     let alg = MaliciousCrashDiners::paper();
     let topo = Topology::ring(4);
@@ -135,11 +99,5 @@ fn explore_symmetry(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    roundtrip,
-    canonicalize,
-    explore_representations,
-    explore_symmetry
-);
+criterion_group!(benches, roundtrip, canonicalize, explore_symmetry);
 criterion_main!(benches);

@@ -8,111 +8,60 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use diners_core::MaliciousCrashDiners;
 use diners_sim::algorithm::SystemState;
-use diners_sim::explore::{explore, explore_parallel, Limits};
+use diners_sim::codec::StateCodec;
+use diners_sim::explore::{available_parallelism, explore_with, ExploreConfig};
 use diners_sim::fault::Health;
 use diners_sim::graph::Topology;
 use diners_sim::predicate::Snapshot;
 use diners_sim::toy::ToyDiners;
 
-fn explore_toy(c: &mut Criterion) {
-    let topo = Topology::ring(10);
+/// States of a full search of `alg` on `topo` with `threads` workers.
+fn search<A>(alg: &A, topo: &Topology, threads: usize) -> usize
+where
+    A: StateCodec + Sync,
+    A::Local: Send + Sync,
+    A::Edge: Send + Sync,
+{
     let n = topo.len();
-    let health = vec![Health::Live; n];
-    let needs = vec![true; n];
-    let safety = |_: &Snapshot<'_, ToyDiners>| true;
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1);
+    explore_with(
+        alg,
+        topo,
+        SystemState::initial(alg, topo),
+        &vec![Health::Live; n],
+        &vec![true; n],
+        |_: &Snapshot<'_, A>| true,
+        ExploreConfig {
+            threads,
+            ..ExploreConfig::default()
+        },
+    )
+    .states
+}
 
-    let mut group = c.benchmark_group("explore-toy-ring10");
+/// One group per case: a sequential and an all-cores run.
+fn bench_case<A>(c: &mut Criterion, name: &str, alg: &A, topo: &Topology)
+where
+    A: StateCodec + Sync,
+    A::Local: Send + Sync,
+    A::Edge: Send + Sync,
+{
+    let threads = available_parallelism();
+    let mut group = c.benchmark_group(name);
     group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            let initial = SystemState::initial(&ToyDiners, &topo);
-            black_box(
-                explore(
-                    &ToyDiners,
-                    &topo,
-                    initial,
-                    &health,
-                    &needs,
-                    safety,
-                    Limits::default(),
-                )
-                .states,
-            )
-        });
-    });
+    group.bench_function("sequential", |b| b.iter(|| black_box(search(alg, topo, 1))));
     group.bench_function(format!("parallel-{threads}"), |b| {
-        b.iter(|| {
-            let initial = SystemState::initial(&ToyDiners, &topo);
-            black_box(
-                explore_parallel(
-                    &ToyDiners,
-                    &topo,
-                    initial,
-                    &health,
-                    &needs,
-                    safety,
-                    Limits::default(),
-                    threads,
-                )
-                .states,
-            )
-        });
+        b.iter(|| black_box(search(alg, topo, threads)))
     });
     group.finish();
 }
 
+fn explore_toy(c: &mut Criterion) {
+    bench_case(c, "explore-toy-ring10", &ToyDiners, &Topology::ring(10));
+}
+
 fn explore_mca(c: &mut Criterion) {
     let alg = MaliciousCrashDiners::paper();
-    let topo = Topology::line(4);
-    let n = topo.len();
-    let health = vec![Health::Live; n];
-    let needs = vec![true; n];
-    let safety = |_: &Snapshot<'_, MaliciousCrashDiners>| true;
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1);
-
-    let mut group = c.benchmark_group("explore-mca-line4");
-    group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            let initial = SystemState::initial(&alg, &topo);
-            black_box(
-                explore(
-                    &alg,
-                    &topo,
-                    initial,
-                    &health,
-                    &needs,
-                    safety,
-                    Limits::default(),
-                )
-                .states,
-            )
-        });
-    });
-    group.bench_function(format!("parallel-{threads}"), |b| {
-        b.iter(|| {
-            let initial = SystemState::initial(&alg, &topo);
-            black_box(
-                explore_parallel(
-                    &alg,
-                    &topo,
-                    initial,
-                    &health,
-                    &needs,
-                    safety,
-                    Limits::default(),
-                    threads,
-                )
-                .states,
-            )
-        });
-    });
-    group.finish();
+    bench_case(c, "explore-mca-line4", &alg, &Topology::line(4));
 }
 
 criterion_group!(benches, explore_toy, explore_mca);

@@ -18,10 +18,12 @@ use std::time::{Duration, Instant};
 
 use diners_core::MaliciousCrashDiners;
 use diners_sim::algorithm::{DinerAlgorithm, SystemState};
+use diners_sim::codec::StateCodec;
 use diners_sim::engine::{Engine, EnumerationMode};
-use diners_sim::explore::{explore, explore_parallel, ExplorationReport, Limits};
+use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig};
 use diners_sim::fault::Health;
 use diners_sim::graph::Topology;
+use diners_sim::predicate::Snapshot;
 use diners_sim::scheduler::RandomScheduler;
 use diners_sim::table::{fmt_f64, Table};
 use diners_sim::toy::ToyDiners;
@@ -74,63 +76,27 @@ fn engine_for(topo: &Topology, mode: EnumerationMode) -> Engine<MaliciousCrashDi
         .build()
 }
 
-fn explore_toy(topo: &Topology, threads: Option<usize>) -> ExplorationReport {
+/// Full search of `alg` on `topo` from the initial state, everyone live
+/// and hungry, with `threads` workers.
+fn explore_initial<A>(alg: &A, topo: &Topology, threads: usize) -> ExplorationReport
+where
+    A: StateCodec + Sync,
+    A::Local: Send + Sync,
+    A::Edge: Send + Sync,
+{
     let n = topo.len();
-    let initial = SystemState::initial(&ToyDiners, topo);
-    let health = vec![Health::Live; n];
-    let needs = vec![true; n];
-    let safety = |_: &diners_sim::predicate::Snapshot<'_, ToyDiners>| true;
-    match threads {
-        None => explore(
-            &ToyDiners,
-            topo,
-            initial,
-            &health,
-            &needs,
-            safety,
-            Limits::default(),
-        ),
-        Some(t) => explore_parallel(
-            &ToyDiners,
-            topo,
-            initial,
-            &health,
-            &needs,
-            safety,
-            Limits::default(),
-            t,
-        ),
-    }
-}
-
-fn explore_mca(topo: &Topology, threads: Option<usize>) -> ExplorationReport {
-    let n = topo.len();
-    let alg = MaliciousCrashDiners::paper();
-    let initial = SystemState::initial(&alg, topo);
-    let health = vec![Health::Live; n];
-    let needs = vec![true; n];
-    let safety = |_: &diners_sim::predicate::Snapshot<'_, MaliciousCrashDiners>| true;
-    match threads {
-        None => explore(
-            &alg,
-            topo,
-            initial,
-            &health,
-            &needs,
-            safety,
-            Limits::default(),
-        ),
-        Some(t) => explore_parallel(
-            &alg,
-            topo,
-            initial,
-            &health,
-            &needs,
-            safety,
-            Limits::default(),
-            t,
-        ),
-    }
+    explore_with(
+        alg,
+        topo,
+        SystemState::initial(alg, topo),
+        &vec![Health::Live; n],
+        &vec![true; n],
+        |_: &Snapshot<'_, A>| true,
+        ExploreConfig {
+            threads,
+            ..ExploreConfig::default()
+        },
+    )
 }
 
 /// Run the T10 sweep. `quick` shrinks sizes and time budgets so the
@@ -196,7 +162,7 @@ pub fn run(quick: bool) -> PerfReport {
     // "quick" shrinks the engine time budgets, which dominate).
     let toy_topo = Topology::ring(12);
     let mca_topo = Topology::line(4);
-    // On a single-core host `explore_parallel` clamps to the sequential
+    // On a single-core host `explore_with` clamps to the sequential
     // path, so a second measurement would only record noise (the committed
     // baseline once showed a fictitious 0.86x "slowdown" this way): reuse
     // the sequential report and report the honest 1.0 speedup.
@@ -207,10 +173,11 @@ pub fn run(quick: bool) -> PerfReport {
             run(threads)
         }
     };
-    let toy_seq = explore_toy(&toy_topo, None);
-    let toy_par = par_run(&toy_seq, &|t| explore_toy(&toy_topo, Some(t)));
-    let mca_seq = explore_mca(&mca_topo, None);
-    let mca_par = par_run(&mca_seq, &|t| explore_mca(&mca_topo, Some(t)));
+    let mca = MaliciousCrashDiners::paper();
+    let toy_seq = explore_initial(&ToyDiners, &toy_topo, 1);
+    let toy_par = par_run(&toy_seq, &|t| explore_initial(&ToyDiners, &toy_topo, t));
+    let mca_seq = explore_initial(&mca, &mca_topo, 1);
+    let mca_par = par_run(&mca_seq, &|t| explore_initial(&mca, &mca_topo, t));
     let cases: [(String, ExplorationReport, ExplorationReport); 2] = [
         (format!("toy-{}", toy_topo.name()), toy_seq, toy_par),
         (format!("mca-{}", mca_topo.name()), mca_seq, mca_par),

@@ -17,7 +17,7 @@ use diners_core::MaliciousCrashDiners;
 use diners_mp::{AdversaryPlan, SimNet};
 use diners_sim::algorithm::SystemState;
 use diners_sim::engine::{Engine, EnumerationMode};
-use diners_sim::explore::{explore, ExplorationReport, Limits};
+use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig};
 use diners_sim::fault::{FaultKind, FaultPlan, Health};
 use diners_sim::graph::Topology;
 use diners_sim::scheduler::RandomScheduler;
@@ -237,14 +237,14 @@ fn explorer_section(quick: bool, json: &mut Vec<String>) -> Table {
     let initial = SystemState::initial(&ToyDiners, &topo);
     let health = vec![Health::Live; topo.len()];
     let needs = vec![true; topo.len()];
-    let report: ExplorationReport = explore(
+    let report: ExplorationReport = explore_with(
         &ToyDiners,
         &topo,
         initial,
         &health,
         &needs,
         |_| true,
-        Limits::default(),
+        ExploreConfig::default(),
     );
     let mut table = Table::new(
         "T11: explorer layer statistics (toy diners, full state space)",

@@ -16,14 +16,32 @@ use diners_core::predicates::{e_holds, nc_holds};
 use diners_core::redgreen::{affected_radius, Colors};
 use diners_core::{MaliciousCrashDiners, PriorityVar};
 use diners_sim::algorithm::{Phase, SystemState};
-use diners_sim::explore::{explore, Limits};
+use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig, Limits};
 use diners_sim::fault::Health;
 use diners_sim::graph::{ProcessId, Topology};
+use diners_sim::predicate::Snapshot;
 
 fn big() -> Limits {
     Limits {
         max_states: 3_000_000,
     }
+}
+
+/// Sequential packed search of the paper's algorithm, bounded by `limits`.
+fn search(
+    alg: &MaliciousCrashDiners,
+    topo: &Topology,
+    initial: SystemState<MaliciousCrashDiners>,
+    health: &[Health],
+    needs: &[bool],
+    safety: impl Fn(&Snapshot<'_, MaliciousCrashDiners>) -> bool,
+    limits: Limits,
+) -> ExplorationReport {
+    let config = ExploreConfig {
+        limits,
+        ..ExploreConfig::default()
+    };
+    explore_with(alg, topo, initial, health, needs, safety, config)
 }
 
 #[test]
@@ -39,7 +57,7 @@ fn exclusion_and_acyclicity_verified_on_small_topologies() {
         let n = topo.len();
         let initial = SystemState::initial(&alg, &topo);
         let health = vec![Health::Live; n];
-        let report = explore(
+        let report = search(
             &alg,
             &topo,
             initial,
@@ -79,7 +97,7 @@ fn locality_radius_verified_exhaustively_with_a_dead_eater() {
     let mut health = vec![Health::Live; 5];
     health[0] = Health::Dead;
 
-    let report = explore(
+    let report = search(
         &alg,
         &topo,
         initial,
@@ -115,7 +133,7 @@ fn far_processes_are_never_red_in_any_reachable_state() {
     let mut health = vec![Health::Live; 6];
     health[0] = Health::Dead;
 
-    let report = explore(
+    let report = search(
         &alg,
         &topo,
         initial,
@@ -148,7 +166,7 @@ fn seeded_cycle_bounded_search_finds_no_violation() {
         initial.local_mut(a).phase = Phase::Hungry;
     }
     let health = vec![Health::Live; 3];
-    let report = explore(
+    let report = search(
         &alg,
         &topo,
         initial,

@@ -5,66 +5,64 @@
 //! stronger check than any sampled schedule: a safety property verified
 //! here holds for all weakly fair computations (and all unfair ones).
 //!
-//! [`explore`] runs a BFS over global states from a given initial state,
-//! following every enabled move of every live process, checking a safety
-//! predicate in each state and reporting deadlocks (states with no
-//! enabled move). The search is bounded by [`Limits::max_states`]; the
-//! report says whether it was truncated, so "verified" is only claimed
-//! for complete searches.
+//! [`explore_with`] runs a BFS over global states from a given initial
+//! state, following every enabled move of every live process, checking a
+//! safety predicate in each state and reporting deadlocks (states with no
+//! enabled move). The search visits at most [`Limits::max_states`]
+//! states; the report says whether a state beyond that bound exists, so
+//! "verified" is only claimed for complete searches.
 //!
-//! # Performance architecture
+//! # Representation
 //!
-//! States are identified by a 64-bit [`crate::fingerprint`] instead of a
-//! full cloned key; fingerprint collisions are resolved by comparing the
-//! candidate against the states already interned in that fingerprint's
-//! bucket, so deduplication is exact, not probabilistic.
+//! The visited set is a flat `Vec<u64>` arena of fixed-stride bit-packed
+//! states ([`crate::codec`]); states are decoded only for the safety
+//! check and for their own expansion. States are identified by a 64-bit
+//! [`crate::fingerprint`] of their packed words; fingerprint collisions
+//! are resolved by comparing windows word for word within the
+//! fingerprint's bucket, so deduplication is exact, not probabilistic.
+//! [`Reduction`] picks the dedup rule:
 //!
-//! The visited set itself comes in three flavours ([`Reduction`]):
+//! * [`Reduction::Packed`] (the default) — one arena entry per concrete
+//!   state.
+//! * [`Reduction::Symmetry`] — dedup by *canonical form* under the
+//!   topology's automorphism subgroup ([`crate::symmetry`]), storing one
+//!   representative per orbit. Sound only for equivariant algorithms
+//!   ([`StateCodec::respects_symmetry`]) and symmetric safety predicates;
+//!   non-equivariant algorithms silently degrade to the identity group
+//!   (= `Packed` behaviour). Counterexample traces are *rehydrated*
+//!   through the stored permutations, so the reported trace is a valid
+//!   concrete trace of the original (unpermuted) system.
 //!
-//! * [`Reduction::None`] — the arena stores full cloned [`SystemState`]s
-//!   (the historical baseline, kept for differential testing and for
-//!   algorithms without a codec-friendly representation).
-//! * [`Reduction::Packed`] (the default) — the arena is a flat `Vec<u64>`
-//!   of fixed-stride bit-packed states ([`crate::codec`]); states are
-//!   decoded only on collision compare, safety checks and trace rebuild.
-//!   Discovery order and dedup decisions are representation-independent,
-//!   so every report field except the memory accounting is identical to
-//!   `None`'s.
-//! * [`Reduction::Symmetry`] — additionally dedups by *canonical form*
-//!   under the topology's automorphism subgroup ([`crate::symmetry`]),
-//!   storing one representative per orbit. Sound only for equivariant
-//!   algorithms ([`StateCodec::respects_symmetry`]) and symmetric safety
-//!   predicates; non-equivariant algorithms silently degrade to the
-//!   identity group (= `Packed` behaviour). Counterexample traces are
-//!   *rehydrated* through the stored permutations, so the reported trace
-//!   is a valid concrete trace of the original (unpermuted) system.
+//! The differential suites check `Packed` field for field against a plain
+//! FIFO search over cloned states that lives in the crate's test support.
+//!
+//! # One driver
 //!
 //! The BFS is *layered*: the frontier at depth `d` is fully expanded
-//! (moves enumerated, successors and fingerprints computed — the
-//! expensive part), then merged sequentially in frontier order into the
-//! visited set. Layering leaves the discovery order, transition counts,
-//! deadlock counts, and early-exit points identical to the classic
-//! FIFO-queue formulation, but makes the expansion embarrassingly
-//! parallel: [`explore_parallel`] shards each frontier across scoped
-//! worker threads and reassembles the per-shard results in shard order,
-//! so its report is bit-identical to [`explore`]'s. Thread counts are
-//! clamped to the host's available parallelism — on a single-core host
-//! the sequential path is taken directly, with no spawn or chunk-merge
-//! overhead.
+//! (moves enumerated, successors packed and fingerprinted — the expensive
+//! part), then merged sequentially in frontier order into the visited
+//! set. Layering leaves the discovery order, transition counts, deadlock
+//! counts, and early-exit points identical to the classic FIFO-queue
+//! formulation, and makes the expansion embarrassingly parallel: a
+//! frontier of at least `threads * 4` states is sharded across scoped
+//! worker threads and the shards' results are concatenated in shard
+//! order, so the report is bit-identical at every thread count.
+//! [`ExploreConfig::threads`] is clamped to `[1, available_parallelism]`:
+//! the default `0` means sequential, and a single-core host never spawns
+//! a worker.
 //!
 //! The workload must be state-independent for the state space to be
 //! well-defined: each process either always or never "needs" to eat
 //! (the per-process `needs` mask).
 
-use std::hash::Hash;
 use std::time::{Duration, Instant};
 
-use crossbeam::{channel, thread};
+use crossbeam::thread;
 
 use crate::algorithm::{Algorithm, Move, SystemState, View, Write};
 use crate::codec::{Codec, StateCodec};
 use crate::fault::Health;
-use crate::fingerprint::{fingerprint, fingerprint_words, FingerprintMap};
+use crate::fingerprint::{fingerprint_words, FingerprintMap};
 use crate::graph::Topology;
 use crate::predicate::Snapshot;
 use crate::symmetry::{canonicalize_into, Perm, SymmetryGroup};
@@ -72,7 +70,11 @@ use crate::symmetry::{canonicalize_into, Perm, SymmetryGroup};
 /// Exploration bounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Limits {
-    /// Stop after visiting this many distinct states.
+    /// State cap. [`explore_with`] visits at most this many distinct
+    /// states and stops as truncated on discovering one more. The lasso
+    /// search of [`crate::liveness`] stops as truncated once its graph
+    /// holds more than this many, after interning every successor of the
+    /// state it was expanding.
     pub max_states: usize,
 }
 
@@ -84,13 +86,11 @@ impl Default for Limits {
     }
 }
 
-/// How the visited set stores and deduplicates states. See the
-/// [module docs](self) for the trade-offs and soundness conditions.
+/// How the visited set deduplicates states. See the [module docs](self)
+/// for the soundness conditions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Reduction {
-    /// Full cloned states (baseline).
-    None,
-    /// Bit-packed states in a flat arena (default).
+    /// One packed entry per concrete state (default).
     #[default]
     Packed,
     /// Packed, plus orbit dedup under the topology's automorphism
@@ -103,11 +103,11 @@ pub enum Reduction {
 pub struct ExploreConfig {
     /// Exploration bounds.
     pub limits: Limits,
-    /// Visited-set representation.
+    /// Dedup rule.
     pub reduction: Reduction,
-    /// Worker threads for frontier expansion: `0` = one per available
-    /// core; values above the available parallelism are clamped down, so
-    /// a single-core host always takes the sequential path.
+    /// Worker threads for frontier expansion, clamped to
+    /// `[1, available_parallelism()]`: `0` (the default) and `1` are
+    /// sequential.
     pub threads: usize,
 }
 
@@ -125,7 +125,8 @@ pub struct ExplorationReport {
     /// a valid concrete trace of the *original* system, even under
     /// symmetry reduction.
     pub violation: Option<Vec<Move>>,
-    /// Whether the search hit [`Limits::max_states`] before completing.
+    /// Whether a state beyond [`Limits::max_states`] was discovered, so
+    /// the search stopped before completing.
     pub truncated: bool,
     /// Wall-clock time the search took.
     pub elapsed: Duration,
@@ -140,9 +141,7 @@ pub struct ExplorationReport {
     /// Successor states already interned when reached again (dedup
     /// rate = `dedup_hits / transitions`).
     pub dedup_hits: u64,
-    /// Bytes held by the visited-set arena at termination: exact packed
-    /// words under `Packed`/`Symmetry`, a per-state heap estimate under
-    /// `None`.
+    /// Bytes held by the packed visited-set arena at termination.
     pub bytes_interned: usize,
     /// High-water mark of simultaneously materialized states: interned
     /// states plus the largest batch of successor candidates held during
@@ -194,23 +193,6 @@ impl ExplorationReport {
     }
 }
 
-fn empty_report(threads: usize) -> ExplorationReport {
-    ExplorationReport {
-        states: 0,
-        transitions: 0,
-        deadlocks: 0,
-        violation: None,
-        truncated: false,
-        elapsed: Duration::ZERO,
-        threads,
-        layers: 0,
-        peak_frontier: 0,
-        dedup_hits: 0,
-        bytes_interned: 0,
-        peak_states: 0,
-    }
-}
-
 /// The host's available parallelism (≥ 1).
 pub fn available_parallelism() -> usize {
     std::thread::available_parallelism()
@@ -218,112 +200,10 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolve a requested thread count: `0` means one per available core,
-/// and anything above the available parallelism is clamped down (extra
-/// threads on an oversubscribed host only add spawn and merge overhead —
-/// the committed single-core benchmarks showed "parallel" runs *slower*
-/// than sequential before this clamp).
-fn resolve_threads(requested: usize) -> usize {
-    let avail = available_parallelism();
-    if requested == 0 {
-        avail
-    } else {
-        requested.min(avail)
-    }
-}
-
-/// Heap bytes one cloned state occupies in the `Reduction::None` arena
-/// (struct + its two vectors' payloads; allocator slack not counted).
-fn cloned_state_bytes<A: Algorithm>(topo: &Topology) -> usize {
-    std::mem::size_of::<SystemState<A>>()
-        + topo.len() * std::mem::size_of::<A::Local>()
-        + topo.edge_count() * std::mem::size_of::<A::Edge>()
-}
-
 /// Exhaustively explore the reachable state space of `alg` on `topo`
 /// from `initial` with the given health vector and per-process `needs`
-/// mask, checking `safety` in every reachable state. Sequential, using
-/// the default [`Reduction::Packed`] representation; see [`explore_with`]
-/// for the full configuration surface.
-///
-/// # Panics
-///
-/// Panics if `needs` or `health` length differs from the topology size.
-pub fn explore<A, F>(
-    alg: &A,
-    topo: &Topology,
-    initial: SystemState<A>,
-    health: &[Health],
-    needs: &[bool],
-    safety: F,
-    limits: Limits,
-) -> ExplorationReport
-where
-    A: StateCodec,
-    A::Local: Hash + Eq,
-    A::Edge: Hash + Eq,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-{
-    assert_eq!(needs.len(), topo.len(), "needs mask size mismatch");
-    assert_eq!(health.len(), topo.len(), "health vector size mismatch");
-    run_sequential(
-        alg,
-        topo,
-        initial,
-        health,
-        needs,
-        safety,
-        Limits {
-            max_states: limits.max_states,
-        },
-        Reduction::Packed,
-    )
-}
-
-/// [`explore`] with frontier expansion sharded across `threads` scoped
-/// worker threads (`0` = one per available core, more than available
-/// clamped down). The report — discovery order, counts, violation trace,
-/// truncation point — is bit-identical to the sequential search's; only
-/// the wall-clock time changes.
-///
-/// # Panics
-///
-/// Panics if `needs` or `health` length differs from the topology size,
-/// or if a worker thread panics.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_parallel<A, F>(
-    alg: &A,
-    topo: &Topology,
-    initial: SystemState<A>,
-    health: &[Health],
-    needs: &[bool],
-    safety: F,
-    limits: Limits,
-    threads: usize,
-) -> ExplorationReport
-where
-    A: StateCodec + Sync,
-    A::Local: Hash + Eq + Send + Sync,
-    A::Edge: Hash + Eq + Send + Sync,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-{
-    explore_with(
-        alg,
-        topo,
-        initial,
-        health,
-        needs,
-        safety,
-        ExploreConfig {
-            limits,
-            reduction: Reduction::Packed,
-            threads,
-        },
-    )
-}
-
-/// Fully configurable exploration: representation ([`Reduction`]),
-/// bounds and thread count in one [`ExploreConfig`].
+/// mask, checking `safety` in every reachable state, under the bounds,
+/// dedup rule and thread count of `config`.
 ///
 /// Under [`Reduction::Symmetry`] the caller asserts that the safety
 /// predicate is *symmetric* (invariant under the topology's automorphism
@@ -346,52 +226,71 @@ pub fn explore_with<A, F>(
 ) -> ExplorationReport
 where
     A: StateCodec + Sync,
-    A::Local: Hash + Eq + Send + Sync,
-    A::Edge: Hash + Eq + Send + Sync,
+    A::Local: Send + Sync,
+    A::Edge: Send + Sync,
     F: Fn(&Snapshot<'_, A>) -> bool,
 {
     assert_eq!(needs.len(), topo.len(), "needs mask size mismatch");
     assert_eq!(health.len(), topo.len(), "health vector size mismatch");
-    let threads = resolve_threads(config.threads);
-    if threads <= 1 {
-        return run_sequential(
-            alg,
-            topo,
-            initial,
-            health,
-            needs,
-            safety,
-            config.limits,
-            config.reduction,
-        );
-    }
-    match config.reduction {
-        Reduction::None => run_parallel_cloned(
-            alg,
-            topo,
-            initial,
-            health,
-            needs,
-            safety,
-            config.limits,
-            threads,
-        ),
-        Reduction::Packed | Reduction::Symmetry => {
-            let codec = Codec::new(alg, topo);
-            let group = effective_group(alg, topo, needs, health, config.reduction);
-            run_parallel_packed(
-                alg,
-                &codec,
-                &group,
-                initial,
-                health,
-                needs,
-                safety,
-                config.limits,
-                threads,
-            )
-        }
-    }
+    let threads = config.threads.clamp(1, available_parallelism());
+    let codec = Codec::new(alg, topo);
+    let group = effective_group(alg, topo, needs, health, config.reduction);
+    let template = initial.clone();
+    let new_expander = || PackedExpander::new(alg, &codec, &group, health, needs, template.clone());
+    let mut inline = new_expander();
+    search_loop_packed(
+        &codec,
+        &group,
+        initial,
+        health,
+        safety,
+        config.limits,
+        threads,
+        |frontier, arena| {
+            // Small frontiers are not worth a spawn: expand them inline.
+            // Either way the result is the same sequence.
+            if threads == 1 || frontier.len() < threads * 4 {
+                frontier.iter().map(|&i| inline.expand(arena, i)).collect()
+            } else {
+                expand_sharded(frontier, arena, threads, &new_expander)
+            }
+        },
+    )
+}
+
+/// Expand `frontier` on `threads` scoped workers, one contiguous shard
+/// and one expander each, joining the workers in shard order so the
+/// concatenated result equals an inline expansion's.
+fn expand_sharded<'a, A, N>(
+    frontier: &[usize],
+    arena: &[u64],
+    threads: usize,
+    new_expander: &N,
+) -> Vec<PackedExpansion>
+where
+    A: StateCodec + 'a,
+    N: Fn() -> PackedExpander<'a, A> + Sync,
+{
+    let shard = frontier.len().div_ceil(threads);
+    thread::scope(|s| {
+        let workers: Vec<_> = frontier
+            .chunks(shard)
+            .map(|chunk| {
+                s.spawn(move |_| {
+                    let mut expander = new_expander();
+                    chunk
+                        .iter()
+                        .map(|&i| expander.expand(arena, i))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("explore worker panicked"))
+            .collect()
+    })
+    .expect("explore worker panicked")
 }
 
 /// The symmetry group actually used for a reduction mode: trivial unless
@@ -410,226 +309,6 @@ pub(crate) fn effective_group<A: StateCodec>(
         }
         _ => SymmetryGroup::identity(topo),
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sequential<A, F>(
-    alg: &A,
-    topo: &Topology,
-    initial: SystemState<A>,
-    health: &[Health],
-    needs: &[bool],
-    safety: F,
-    limits: Limits,
-    reduction: Reduction,
-) -> ExplorationReport
-where
-    A: StateCodec,
-    A::Local: Hash + Eq,
-    A::Edge: Hash + Eq,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-{
-    match reduction {
-        Reduction::None => search_loop_cloned(
-            topo,
-            initial,
-            health,
-            safety,
-            limits,
-            1,
-            |frontier, states| {
-                frontier
-                    .iter()
-                    .map(|&i| expand_state(alg, topo, states, i, health, needs))
-                    .collect()
-            },
-        ),
-        Reduction::Packed | Reduction::Symmetry => {
-            let codec = Codec::new(alg, topo);
-            let group = effective_group(alg, topo, needs, health, reduction);
-            let template = initial.clone();
-            let mut expander = PackedExpander::new(alg, &codec, &group, health, needs, template);
-            search_loop_packed(
-                &codec,
-                &group,
-                initial,
-                health,
-                safety,
-                limits,
-                1,
-                |frontier, arena| {
-                    frontier
-                        .iter()
-                        .map(|&i| expander.expand(arena, i))
-                        .collect()
-                },
-            )
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_cloned<A, F>(
-    alg: &A,
-    topo: &Topology,
-    initial: SystemState<A>,
-    health: &[Health],
-    needs: &[bool],
-    safety: F,
-    limits: Limits,
-    threads: usize,
-) -> ExplorationReport
-where
-    A: Algorithm + Sync,
-    A::Local: Hash + Eq + Send + Sync,
-    A::Edge: Hash + Eq + Send + Sync,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-{
-    search_loop_cloned(
-        topo,
-        initial,
-        health,
-        safety,
-        limits,
-        threads,
-        |frontier, states| {
-            // Tiny frontiers aren't worth the spawn cost; expand inline.
-            // (Same results either way — only the wall-clock differs.)
-            if frontier.len() < threads * 4 {
-                return frontier
-                    .iter()
-                    .map(|&i| expand_state(alg, topo, states, i, health, needs))
-                    .collect();
-            }
-            let chunk_size = frontier.len().div_ceil(threads);
-            let nchunks = frontier.len().div_ceil(chunk_size);
-            let (tx, rx) = channel::unbounded();
-            let parts = thread::scope(|s| {
-                for (ci, chunk) in frontier.chunks(chunk_size).enumerate() {
-                    let tx = tx.clone();
-                    s.spawn(move |_| {
-                        let out: Vec<Expansion<A>> = chunk
-                            .iter()
-                            .map(|&i| expand_state(alg, topo, states, i, health, needs))
-                            .collect();
-                        // The receiver outlives the scope; send can't fail
-                        // unless the merge side already panicked.
-                        let _ = tx.send((ci, out));
-                    });
-                }
-                drop(tx);
-                let mut parts: Vec<Option<Vec<Expansion<A>>>> =
-                    (0..nchunks).map(|_| None).collect();
-                while let Ok((ci, out)) = rx.recv() {
-                    parts[ci] = Some(out);
-                }
-                parts
-            })
-            .expect("explore worker panicked");
-            // Reassemble in shard order: identical to sequential expansion.
-            parts
-                .into_iter()
-                .flat_map(|p| p.expect("missing shard result"))
-                .collect()
-        },
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_packed<A, F>(
-    alg: &A,
-    codec: &Codec<'_, A>,
-    group: &SymmetryGroup,
-    initial: SystemState<A>,
-    health: &[Health],
-    needs: &[bool],
-    safety: F,
-    limits: Limits,
-    threads: usize,
-) -> ExplorationReport
-where
-    A: StateCodec + Sync,
-    A::Local: Hash + Eq + Send + Sync,
-    A::Edge: Hash + Eq + Send + Sync,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-{
-    let template = initial.clone();
-    // Inline expander for frontiers too small to shard.
-    let mut inline = PackedExpander::new(alg, codec, group, health, needs, template.clone());
-    search_loop_packed(
-        codec,
-        group,
-        initial,
-        health,
-        safety,
-        limits,
-        threads,
-        |frontier, arena| {
-            if frontier.len() < threads * 4 {
-                return frontier.iter().map(|&i| inline.expand(arena, i)).collect();
-            }
-            let chunk_size = frontier.len().div_ceil(threads);
-            let nchunks = frontier.len().div_ceil(chunk_size);
-            let (tx, rx) = channel::unbounded();
-            let template = &template;
-            let parts = thread::scope(|s| {
-                for (ci, chunk) in frontier.chunks(chunk_size).enumerate() {
-                    let tx = tx.clone();
-                    s.spawn(move |_| {
-                        let mut expander =
-                            PackedExpander::new(alg, codec, group, health, needs, template.clone());
-                        let out: Vec<PackedExpansion> =
-                            chunk.iter().map(|&i| expander.expand(arena, i)).collect();
-                        let _ = tx.send((ci, out));
-                    });
-                }
-                drop(tx);
-                let mut parts: Vec<Option<Vec<PackedExpansion>>> =
-                    (0..nchunks).map(|_| None).collect();
-                while let Ok((ci, out)) = rx.recv() {
-                    parts[ci] = Some(out);
-                }
-                parts
-            })
-            .expect("explore worker panicked");
-            parts
-                .into_iter()
-                .flat_map(|p| p.expect("missing shard result"))
-                .collect()
-        },
-    )
-}
-
-/// All successors of one frontier state: the enabled moves applied, with
-/// each successor's fingerprint precomputed (in the worker, when
-/// parallel). An empty `succs` marks a deadlock state.
-struct Expansion<A: Algorithm> {
-    parent: usize,
-    succs: Vec<(Move, SystemState<A>, u64)>,
-}
-
-fn expand_state<A: Algorithm>(
-    alg: &A,
-    topo: &Topology,
-    states: &[SystemState<A>],
-    idx: usize,
-    health: &[Health],
-    needs: &[bool],
-) -> Expansion<A>
-where
-    A::Local: Hash,
-    A::Edge: Hash,
-{
-    let state = &states[idx];
-    let succs = enabled_moves(alg, topo, state, health, needs)
-        .into_iter()
-        .map(|mv| {
-            let next = apply(alg, topo, state, mv, needs);
-            let fp = fingerprint_state(&next);
-            (mv, next, fp)
-        })
-        .collect();
-    Expansion { parent: idx, succs }
 }
 
 /// Successors of one packed frontier state. `words` holds the packed
@@ -744,97 +423,12 @@ impl<'a, A: StateCodec> PackedExpander<'a, A> {
     }
 }
 
-/// The layered BFS driver for the cloned-state (`Reduction::None`)
-/// representation. `expand_layer` turns a frontier (indices into the
-/// state arena) into one `Expansion` per frontier state, *in frontier
-/// order*; the merge below is sequential either way, which is what makes
-/// the sequential and parallel searches produce identical reports.
-fn search_loop_cloned<A, F, E>(
-    topo: &Topology,
-    initial: SystemState<A>,
-    health: &[Health],
-    safety: F,
-    limits: Limits,
-    threads: usize,
-    mut expand_layer: E,
-) -> ExplorationReport
-where
-    A: Algorithm,
-    A::Local: Hash + Eq,
-    A::Edge: Hash + Eq,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-    E: FnMut(&[usize], &[SystemState<A>]) -> Vec<Expansion<A>>,
-{
-    let start = Instant::now();
-    let mut report = empty_report(threads);
-    let per_state = cloned_state_bytes::<A>(topo);
-
-    let check = |state: &SystemState<A>| -> bool {
-        let snap = Snapshot::new(topo, state, health);
-        safety(&snap)
-    };
-
-    if !check(&initial) {
-        report.states = 1;
-        report.peak_states = 1;
-        report.bytes_interned = per_state;
-        report.violation = Some(Vec::new());
-        report.elapsed = start.elapsed();
-        return report;
-    }
-
-    let mut search = Search::new();
-    let fp = fingerprint_state(&initial);
-    search.intern(initial, fp, None);
-    report.peak_states = 1;
-    let mut frontier = vec![0usize];
-
-    'bfs: while !frontier.is_empty() {
-        // Per-layer stats run in the sequential merge, so the sequential
-        // and parallel paths populate them identically.
-        report.layers += 1;
-        report.peak_frontier = report.peak_frontier.max(frontier.len());
-        let expansions = expand_layer(&frontier, &search.states);
-        let in_flight: usize = expansions.iter().map(|e| e.succs.len()).sum();
-        report.peak_states = report.peak_states.max(search.states.len() + in_flight);
-        let mut next_frontier = Vec::new();
-        for exp in expansions {
-            if exp.succs.is_empty() {
-                report.deadlocks += 1;
-                continue;
-            }
-            for (mv, next, fp) in exp.succs {
-                report.transitions += 1;
-                let (idx, is_new) = search.intern(next, fp, Some((exp.parent, mv)));
-                if !is_new {
-                    report.dedup_hits += 1;
-                    continue;
-                }
-                if !check(&search.states[idx]) {
-                    report.violation = Some(rebuild_trace(&search.parents, idx));
-                    break 'bfs;
-                }
-                if search.states.len() >= limits.max_states {
-                    report.truncated = true;
-                    break 'bfs;
-                }
-                next_frontier.push(idx);
-            }
-        }
-        frontier = next_frontier;
-    }
-
-    report.states = search.states.len();
-    report.bytes_interned = search.states.len() * per_state;
-    report.peak_states = report.peak_states.max(report.states);
-    report.elapsed = start.elapsed();
-    report
-}
-
-/// The layered BFS driver for the packed representations. Same merge
-/// discipline as [`search_loop_cloned`]; the arena is a flat fixed-stride
-/// `Vec<u64>` and states are only decoded for the safety check (and on
-/// fingerprint collisions, inside `intern`'s window compare).
+/// The layered BFS driver. `expand_layer` turns a frontier (indices into
+/// the arena) into one [`PackedExpansion`] per frontier state, *in
+/// frontier order*; the merge below is sequential whatever the expansion
+/// did, which is what makes every thread count produce the same report.
+/// States are decoded only for the safety check (and on fingerprint
+/// collisions, inside `intern`'s window compare).
 #[allow(clippy::too_many_arguments)]
 fn search_loop_packed<A, F, E>(
     codec: &Codec<'_, A>,
@@ -853,8 +447,21 @@ where
 {
     let topo = codec.topology();
     let start = Instant::now();
-    let mut report = empty_report(threads);
     let stride = codec.words();
+    let mut report = ExplorationReport {
+        states: 1,
+        transitions: 0,
+        deadlocks: 0,
+        violation: None,
+        truncated: false,
+        elapsed: Duration::ZERO,
+        threads,
+        layers: 0,
+        peak_frontier: 0,
+        dedup_hits: 0,
+        bytes_interned: stride * 8,
+        peak_states: 1,
+    };
 
     let check = |state: &SystemState<A>| -> bool {
         let snap = Snapshot::new(topo, state, health);
@@ -865,9 +472,6 @@ where
     // canonicalization: a violation at depth 0 reports the empty trace of
     // the unpermuted system.
     if !check(&initial) {
-        report.states = 1;
-        report.peak_states = 1;
-        report.bytes_interned = stride * 8;
         report.violation = Some(Vec::new());
         report.elapsed = start.elapsed();
         return report;
@@ -884,7 +488,6 @@ where
         canonicalize_into(codec, group, &packed, &mut canon, &mut scratch)
     };
     search.intern(&canon, fingerprint_words(&canon), None, root_perm);
-    report.peak_states = 1;
     // `initial` is recycled as the decode scratch for safety checks.
     let mut check_state = initial;
     let mut frontier = vec![0usize];
@@ -904,6 +507,12 @@ where
             for (k, &(mv, fp, pi)) in exp.moves.iter().enumerate() {
                 report.transitions += 1;
                 let cand = &exp.words[k * stride..(k + 1) * stride];
+                if search.len() >= limits.max_states && search.find(cand, fp).is_none() {
+                    // A state beyond the bound: the space is larger than
+                    // the search may visit.
+                    report.truncated = true;
+                    break 'bfs;
+                }
                 let (idx, is_new) = search.intern(cand, fp, Some((exp.parent, mv)), pi);
                 if !is_new {
                     report.dedup_hits += 1;
@@ -911,11 +520,7 @@ where
                 }
                 codec.decode_into(cand, &mut check_state);
                 if !check(&check_state) {
-                    report.violation = Some(rebuild_trace_packed(topo, group, &search, idx));
-                    break 'bfs;
-                }
-                if search.len() >= limits.max_states {
-                    report.truncated = true;
+                    report.violation = Some(rehydrate_path(topo, group, &search, idx).1);
                     break 'bfs;
                 }
                 next_frontier.push(idx);
@@ -931,56 +536,9 @@ where
     report
 }
 
-/// The visited set for [`Reduction::None`]: a cloned-state arena plus a
-/// fingerprint index into it.
-struct Search<A: Algorithm> {
-    /// fingerprint -> indices of interned states with that fingerprint.
-    ids: FingerprintMap<Vec<usize>>,
-    /// (parent index, move from parent) per state, for trace rebuild.
-    parents: Vec<Option<(usize, Move)>>,
-    states: Vec<SystemState<A>>,
-}
-
-impl<A: Algorithm> Search<A>
-where
-    A::Local: Eq,
-    A::Edge: Eq,
-{
-    fn new() -> Self {
-        Search {
-            ids: FingerprintMap::default(),
-            parents: Vec::new(),
-            states: Vec::new(),
-        }
-    }
-
-    /// Intern `next` under fingerprint `fp`: returns its arena index and
-    /// whether it was new. Collisions are resolved exactly, by comparing
-    /// against every state already in the fingerprint's bucket.
-    fn intern(
-        &mut self,
-        next: SystemState<A>,
-        fp: u64,
-        parent: Option<(usize, Move)>,
-    ) -> (usize, bool) {
-        let bucket = self.ids.entry(fp).or_default();
-        for &i in bucket.iter() {
-            let s = &self.states[i];
-            if s.locals() == next.locals() && s.edges() == next.edges() {
-                return (i, false);
-            }
-        }
-        let idx = self.states.len();
-        bucket.push(idx);
-        self.parents.push(parent);
-        self.states.push(next);
-        (idx, true)
-    }
-}
-
-/// The visited set for the packed representations: a flat fixed-stride
-/// word arena plus a fingerprint index, parent links and (under
-/// symmetry) the permutation that canonicalized each state.
+/// The visited set: a flat fixed-stride word arena plus a fingerprint
+/// index, parent links and (under symmetry) the permutation that
+/// canonicalized each state.
 pub(crate) struct PackedSearch {
     pub(crate) stride: usize,
     pub(crate) ids: FingerprintMap<Vec<usize>>,
@@ -1005,6 +563,12 @@ impl PackedSearch {
         self.parents.len()
     }
 
+    /// The index of an interned window, if any.
+    pub(crate) fn find(&self, cand: &[u64], fp: u64) -> Option<usize> {
+        let bucket = self.ids.get(&fp)?;
+        find_in(bucket, &self.words, self.stride, cand)
+    }
+
     /// Intern a packed window: exact dedup by word-for-word compare
     /// within the fingerprint's bucket.
     pub(crate) fn intern(
@@ -1016,10 +580,8 @@ impl PackedSearch {
     ) -> (usize, bool) {
         debug_assert_eq!(cand.len(), self.stride);
         let bucket = self.ids.entry(fp).or_default();
-        for &i in bucket.iter() {
-            if &self.words[i * self.stride..(i + 1) * self.stride] == cand {
-                return (i, false);
-            }
+        if let Some(i) = find_in(bucket, &self.words, self.stride, cand) {
+            return (i, false);
         }
         let idx = self.parents.len();
         bucket.push(idx);
@@ -1030,12 +592,15 @@ impl PackedSearch {
     }
 }
 
-fn fingerprint_state<A: Algorithm>(state: &SystemState<A>) -> u64
-where
-    A::Local: Hash,
-    A::Edge: Hash,
-{
-    fingerprint(&(state.locals(), state.edges()))
+/// The index, among a fingerprint bucket's entries, of the stored window
+/// equal to `cand`: one lookup routine for `find` and `intern`, which
+/// holds the bucket through the map's entry so a new state costs a
+/// single probe.
+fn find_in(bucket: &[usize], words: &[u64], stride: usize, cand: &[u64]) -> Option<usize> {
+    bucket
+        .iter()
+        .copied()
+        .find(|&i| &words[i * stride..(i + 1) * stride] == cand)
 }
 
 pub(crate) fn enabled_moves<A: Algorithm>(
@@ -1107,68 +672,48 @@ pub(crate) fn apply<A: Algorithm>(
     next
 }
 
-fn rebuild_trace(parents: &[Option<(usize, Move)>], mut idx: usize) -> Vec<Move> {
-    let mut trace = Vec::new();
-    while let Some((parent, mv)) = parents[idx] {
-        trace.push(mv);
-        idx = parent;
-    }
-    trace.reverse();
-    trace
-}
-
-/// Rehydrate a violation trace from a packed (possibly symmetry-reduced)
-/// search into a concrete trace of the original system.
+/// Rehydrate the parent-link path that ends at `idx` into a concrete
+/// trace of the original system. Returns the index of the path's root,
+/// the concrete moves from that root, and the frame map `σ` at `idx`.
 ///
 /// Each stored state `C` satisfies `C = ρ · S`, where `S` is the raw
 /// successor reached from its canonical parent by the stored move and
-/// `ρ` the canonicalizing permutation (for the root, `S` is the original
-/// initial state). Walking root→violation, maintain the frame map
+/// `ρ` the canonicalizing permutation (for a root, `S` is the original
+/// initial state). Walking root→`idx`, maintain the frame map
 /// `σ` = "canonical coordinates → original coordinates": at the root
 /// `σ₀ = ρ₀⁻¹`; each stored move (expressed in the canonical parent's
 /// frame) becomes the concrete move `σ(m)`; and after descending through
 /// a child with permutation `ρ`, the frame composes as `σ ← σ ∘ ρ⁻¹`.
 /// By equivariance the resulting moves are enabled in the original
-/// system and end in a state that violates the (symmetric) predicate.
-/// With the identity group every `σ` is the identity and this reduces to
-/// plain parent-link walking.
-pub(crate) fn rebuild_trace_packed(
+/// system and end in the image of the stored state under `σ`. With the
+/// identity group every `σ` is the identity and this reduces to plain
+/// parent-link walking.
+pub(crate) fn rehydrate_path(
     topo: &Topology,
     group: &SymmetryGroup,
     search: &PackedSearch,
-    violating: usize,
-) -> Vec<Move> {
-    // Collect the path root..=violating as (state index, move-from-parent).
-    let mut chain: Vec<(usize, Option<Move>)> = Vec::new();
-    let mut i = violating;
-    loop {
-        match search.parents[i] {
-            Some((p, mv)) => {
-                chain.push((i, Some(mv)));
-                i = p;
-            }
-            None => {
-                chain.push((i, None));
-                break;
-            }
-        }
+    idx: usize,
+) -> (usize, Vec<Move>, Perm) {
+    let mut chain = Vec::new();
+    let mut root = idx;
+    while let Some((parent, mv)) = search.parents[root] {
+        chain.push((root, mv));
+        root = parent;
     }
     chain.reverse();
 
     if group.is_trivial() {
-        return chain.iter().filter_map(|&(_, mv)| mv).collect();
+        let moves = chain.into_iter().map(|(_, mv)| mv).collect();
+        return (root, moves, Perm::identity(topo));
     }
-
     let inverses: Vec<Perm> = group.perms().iter().map(|p| p.inverse(topo)).collect();
-    let root_perm = search.perms[chain[0].0] as usize;
-    let mut sigma = inverses[root_perm].clone();
-    let mut trace = Vec::with_capacity(chain.len() - 1);
-    for &(idx, mv) in &chain[1..] {
-        let mv = mv.expect("non-root state has a parent move");
-        trace.push(sigma.permute_move(topo, mv));
-        sigma = sigma.compose(topo, &inverses[search.perms[idx] as usize]);
+    let mut sigma = inverses[search.perms[root] as usize].clone();
+    let mut moves = Vec::with_capacity(chain.len());
+    for (i, mv) in chain {
+        moves.push(sigma.permute_move(topo, mv));
+        sigma = sigma.compose(topo, &inverses[search.perms[i] as usize]);
     }
-    trace
+    (root, moves, sigma)
 }
 
 #[cfg(test)]
@@ -1189,19 +734,39 @@ mod tests {
         })
     }
 
+    fn nobody_eats(snap: &Snapshot<'_, ToyDiners>) -> bool {
+        snap.topo
+            .processes()
+            .all(|p| *snap.state.local(p) != Phase::Eating)
+    }
+
+    /// The toy diners on `topo` from the initial state, every process live.
+    fn toy(
+        topo: &Topology,
+        needs: &[bool],
+        safety: fn(&Snapshot<'_, ToyDiners>) -> bool,
+        limits: Limits,
+        threads: usize,
+    ) -> ExplorationReport {
+        explore_with(
+            &ToyDiners,
+            topo,
+            SystemState::initial(&ToyDiners, topo),
+            &live(topo.len()),
+            needs,
+            safety,
+            ExploreConfig {
+                limits,
+                reduction: Reduction::Packed,
+                threads,
+            },
+        )
+    }
+
     #[test]
     fn toy_diners_exclusion_verified_on_a_line() {
         let topo = Topology::line(3);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let report = explore(
-            &ToyDiners,
-            &topo,
-            initial,
-            &live(3),
-            &[true; 3],
-            exclusion,
-            Limits::default(),
-        );
+        let report = toy(&topo, &[true; 3], exclusion, Limits::default(), 1);
         assert!(report.verified(), "{report:?}");
         assert_eq!(report.deadlocks, 0);
         // 3 processes x 3 phases = up to 27 states; all reachable except
@@ -1214,16 +779,7 @@ mod tests {
     #[test]
     fn toy_diners_exclusion_verified_on_a_ring() {
         let topo = Topology::ring(4);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let report = explore(
-            &ToyDiners,
-            &topo,
-            initial,
-            &live(4),
-            &[true; 4],
-            exclusion,
-            Limits::default(),
-        );
+        let report = toy(&topo, &[true; 4], exclusion, Limits::default(), 1);
         assert!(report.verified(), "{report:?}");
     }
 
@@ -1235,14 +791,14 @@ mod tests {
         let mut initial = SystemState::initial(&ToyDiners, &topo);
         *initial.local_mut(ProcessId(0)) = Phase::Eating;
         *initial.local_mut(ProcessId(1)) = Phase::Eating;
-        let report = explore(
+        let report = explore_with(
             &ToyDiners,
             &topo,
             initial,
             &live(2),
             &[true; 2],
             exclusion,
-            Limits::default(),
+            ExploreConfig::default(),
         );
         assert!(!report.verified());
         assert_eq!(report.violation, Some(Vec::new()), "violated at depth 0");
@@ -1253,16 +809,7 @@ mod tests {
         // Nobody needs to eat: the all-thinking state has no enabled
         // move; it is the single (expected) "deadlock".
         let topo = Topology::line(2);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let report = explore(
-            &ToyDiners,
-            &topo,
-            initial,
-            &live(2),
-            &[false; 2],
-            exclusion,
-            Limits::default(),
-        );
+        let report = toy(&topo, &[false; 2], exclusion, Limits::default(), 1);
         assert!(report.verified());
         assert_eq!(report.states, 1);
         assert_eq!(report.deadlocks, 1);
@@ -1271,18 +818,33 @@ mod tests {
     #[test]
     fn truncation_is_reported() {
         let topo = Topology::ring(4);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let report = explore(
-            &ToyDiners,
-            &topo,
-            initial,
-            &live(4),
-            &[true; 4],
-            exclusion,
-            Limits { max_states: 3 },
-        );
+        let report = toy(&topo, &[true; 4], exclusion, Limits { max_states: 3 }, 1);
         assert!(report.truncated);
         assert!(!report.verified());
+        assert_eq!(report.states, 3, "the bound is visited, not exceeded");
+    }
+
+    #[test]
+    fn a_space_of_exactly_max_states_is_complete() {
+        // Regression: the search used to report truncation as soon as the
+        // bound was *reached*, so a space with exactly `max_states` states
+        // was never verified.
+        let topo = Topology::line(3);
+        let full = toy(&topo, &[true; 3], exclusion, Limits::default(), 1);
+        assert!(full.verified());
+        let exact = Limits {
+            max_states: full.states,
+        };
+        let rerun = toy(&topo, &[true; 3], exclusion, exact, 1);
+        assert!(rerun.verified(), "{rerun:?}");
+        assert_eq!(rerun.states, full.states);
+        assert_eq!(rerun.transitions, full.transitions);
+        let short = Limits {
+            max_states: full.states - 1,
+        };
+        let cut = toy(&topo, &[true; 3], exclusion, short, 1);
+        assert!(cut.truncated);
+        assert_eq!(cut.states, full.states - 1);
     }
 
     #[test]
@@ -1292,38 +854,19 @@ mod tests {
         *initial.local_mut(ProcessId(0)) = Phase::Eating; // dead while eating
         let mut health = live(2);
         health[0] = Health::Dead;
-        let report = explore(
+        let report = explore_with(
             &ToyDiners,
             &topo,
             initial,
             &health,
             &[true; 2],
             exclusion,
-            Limits::default(),
+            ExploreConfig::default(),
         );
         // p1 can only join (enter blocked by the dead eater): states are
         // {E,T}, {E,H}.
         assert!(report.verified(), "{report:?}");
         assert_eq!(report.states, 2);
-    }
-
-    #[test]
-    fn interning_resolves_forced_fingerprint_collisions() {
-        let topo = Topology::line(2);
-        let mut search: Search<ToyDiners> = Search::new();
-        let a = SystemState::initial(&ToyDiners, &topo);
-        let mut b = SystemState::initial(&ToyDiners, &topo);
-        *b.local_mut(ProcessId(0)) = Phase::Hungry;
-        // Force both distinct states into the same bucket: interning must
-        // still tell them apart by full-state comparison.
-        let (ia, new_a) = search.intern(a.clone(), 42, None);
-        let (ib, new_b) = search.intern(b, 42, None);
-        assert!(new_a && new_b);
-        assert_ne!(ia, ib);
-        let (ia2, new_a2) = search.intern(a, 42, None);
-        assert_eq!(ia2, ia);
-        assert!(!new_a2, "re-interning an existing state is a no-op");
-        assert_eq!(search.states.len(), 2);
     }
 
     #[test]
@@ -1337,6 +880,9 @@ mod tests {
         assert_eq!(ia2, ia);
         assert!(!new_a2);
         assert_eq!(search.len(), 2);
+        assert_eq!(search.find(&[5], 42), Some(ib));
+        assert_eq!(search.find(&[7], 42), None);
+        assert_eq!(search.find(&[3], 43), None);
     }
 
     /// Reports must agree field-for-field (modulo wall-clock and thread
@@ -1355,16 +901,7 @@ mod tests {
     #[test]
     fn layer_stats_populated_in_sequential_path() {
         let topo = Topology::ring(5);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let rep = explore(
-            &ToyDiners,
-            &topo,
-            initial,
-            &live(5),
-            &[true; 5],
-            exclusion,
-            Limits::default(),
-        );
+        let rep = toy(&topo, &[true; 5], exclusion, Limits::default(), 1);
         assert!(rep.layers > 1, "expected multiple BFS layers");
         assert!(rep.peak_frontier >= 1);
         assert!(rep.dedup_hits > 0, "a ring search must revisit states");
@@ -1381,27 +918,9 @@ mod tests {
     #[test]
     fn parallel_search_matches_sequential() {
         let topo = Topology::ring(5);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let seq = explore(
-            &ToyDiners,
-            &topo,
-            initial.clone(),
-            &live(5),
-            &[true; 5],
-            exclusion,
-            Limits::default(),
-        );
+        let seq = toy(&topo, &[true; 5], exclusion, Limits::default(), 1);
         for threads in [2, 4] {
-            let par = explore_parallel(
-                &ToyDiners,
-                &topo,
-                initial.clone(),
-                &live(5),
-                &[true; 5],
-                exclusion,
-                Limits::default(),
-                threads,
-            );
+            let par = toy(&topo, &[true; 5], exclusion, Limits::default(), threads);
             assert_same_search(&seq, &par);
             // Requested threads are clamped to the host's parallelism.
             assert_eq!(par.threads, threads.min(available_parallelism()));
@@ -1411,172 +930,44 @@ mod tests {
     #[test]
     fn parallel_search_matches_sequential_on_truncation() {
         let topo = Topology::ring(5);
-        let initial = SystemState::initial(&ToyDiners, &topo);
         let limits = Limits { max_states: 17 };
-        let seq = explore(
-            &ToyDiners,
-            &topo,
-            initial.clone(),
-            &live(5),
-            &[true; 5],
-            exclusion,
-            limits,
-        );
-        let par = explore_parallel(
-            &ToyDiners,
-            &topo,
-            initial,
-            &live(5),
-            &[true; 5],
-            exclusion,
-            limits,
-            3,
-        );
+        let seq = toy(&topo, &[true; 5], exclusion, limits, 1);
+        let par = toy(&topo, &[true; 5], exclusion, limits, 3);
         assert!(seq.truncated);
         assert_same_search(&seq, &par);
     }
 
     #[test]
     fn parallel_search_finds_the_same_violation_trace() {
-        // Exclusion violations are reachable when a "safety" predicate
-        // forbids something the toy algorithm actually does: claim no
-        // process ever eats.
-        let nobody_eats = |snap: &Snapshot<'_, ToyDiners>| {
-            snap.topo
-                .processes()
-                .all(|p| *snap.state.local(p) != Phase::Eating)
-        };
+        // Violations are reachable when a "safety" predicate forbids
+        // something the toy algorithm actually does: claim no process
+        // ever eats.
         let topo = Topology::line(4);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let seq = explore(
-            &ToyDiners,
-            &topo,
-            initial.clone(),
-            &live(4),
-            &[true; 4],
-            nobody_eats,
-            Limits::default(),
-        );
-        let par = explore_parallel(
-            &ToyDiners,
-            &topo,
-            initial,
-            &live(4),
-            &[true; 4],
-            nobody_eats,
-            Limits::default(),
-            4,
-        );
+        let seq = toy(&topo, &[true; 4], nobody_eats, Limits::default(), 1);
+        let par = toy(&topo, &[true; 4], nobody_eats, Limits::default(), 4);
         assert!(seq.violation.is_some());
         assert_same_search(&seq, &par);
     }
 
     #[test]
-    fn zero_threads_means_available_parallelism() {
+    fn zero_threads_means_sequential() {
         let topo = Topology::line(3);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let report = explore_parallel(
-            &ToyDiners,
-            &topo,
-            initial,
-            &live(3),
-            &[true; 3],
-            exclusion,
-            Limits::default(),
-            0,
-        );
+        let report = toy(&topo, &[true; 3], exclusion, Limits::default(), 0);
         assert!(report.verified());
-        assert_eq!(report.threads, available_parallelism());
+        assert_eq!(report.threads, 1);
+        assert_eq!(ExploreConfig::default().threads, 0);
     }
 
     #[test]
     fn oversubscribed_threads_are_clamped_to_the_host() {
         // Requesting more workers than cores must not pessimize: the
-        // report reflects the clamp, and on a single-core host the result
-        // is the sequential report itself.
+        // report reflects the clamp, and the result is the sequential
+        // report itself.
         let topo = Topology::ring(4);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let par = explore_parallel(
-            &ToyDiners,
-            &topo,
-            initial.clone(),
-            &live(4),
-            &[true; 4],
-            exclusion,
-            Limits::default(),
-            1024,
-        );
+        let par = toy(&topo, &[true; 4], exclusion, Limits::default(), 1024);
         assert_eq!(par.threads, available_parallelism());
-        let seq = explore(
-            &ToyDiners,
-            &topo,
-            initial,
-            &live(4),
-            &[true; 4],
-            exclusion,
-            Limits::default(),
-        );
+        let seq = toy(&topo, &[true; 4], exclusion, Limits::default(), 1);
         assert_same_search(&seq, &par);
-    }
-
-    #[test]
-    fn packed_matches_cloned_baseline_exactly() {
-        // Reduction::Packed changes only the representation: every
-        // search-shaped report field must equal the cloned baseline's.
-        let topo = Topology::ring(5);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let run = |reduction| {
-            explore_with(
-                &ToyDiners,
-                &topo,
-                initial.clone(),
-                &live(5),
-                &[true; 5],
-                exclusion,
-                ExploreConfig {
-                    reduction,
-                    ..ExploreConfig::default()
-                },
-            )
-        };
-        let cloned = run(Reduction::None);
-        let packed = run(Reduction::Packed);
-        assert_same_search(&cloned, &packed);
-        assert!(
-            packed.bytes_interned * 4 <= cloned.bytes_interned,
-            "packed arena ({}) must be ≥4x smaller than cloned ({})",
-            packed.bytes_interned,
-            cloned.bytes_interned
-        );
-    }
-
-    #[test]
-    fn packed_matches_cloned_on_violation_traces() {
-        let nobody_eats = |snap: &Snapshot<'_, ToyDiners>| {
-            snap.topo
-                .processes()
-                .all(|p| *snap.state.local(p) != Phase::Eating)
-        };
-        let topo = Topology::line(4);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let run = |reduction| {
-            explore_with(
-                &ToyDiners,
-                &topo,
-                initial.clone(),
-                &live(4),
-                &[true; 4],
-                nobody_eats,
-                ExploreConfig {
-                    reduction,
-                    ..ExploreConfig::default()
-                },
-            )
-        };
-        let cloned = run(Reduction::None);
-        let packed = run(Reduction::Packed);
-        assert!(cloned.violation.is_some());
-        assert_same_search(&cloned, &packed);
     }
 
     #[test]
@@ -1584,12 +975,11 @@ mod tests {
         // ToyDiners breaks ties by absolute id, so respects_symmetry is
         // false and Reduction::Symmetry must behave exactly like Packed.
         let topo = Topology::ring(5);
-        let initial = SystemState::initial(&ToyDiners, &topo);
         let run = |reduction| {
             explore_with(
                 &ToyDiners,
                 &topo,
-                initial.clone(),
+                SystemState::initial(&ToyDiners, &topo),
                 &live(5),
                 &[true; 5],
                 exclusion,
@@ -1607,16 +997,7 @@ mod tests {
     #[test]
     fn states_per_sec_is_finite() {
         let topo = Topology::ring(4);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let report = explore(
-            &ToyDiners,
-            &topo,
-            initial,
-            &live(4),
-            &[true; 4],
-            exclusion,
-            Limits::default(),
-        );
+        let report = toy(&topo, &[true; 4], exclusion, Limits::default(), 1);
         let rate = report.states_per_sec();
         assert!(rate.is_finite() && rate >= 0.0);
         assert!(report.bytes_per_state() > 0.0);

@@ -65,7 +65,8 @@ use std::time::{Duration, Instant};
 use crate::algorithm::{Move, SystemState};
 use crate::codec::{Codec, StateCodec};
 use crate::explore::{
-    apply, effective_group, enabled_moves, Limits, PackedExpander, PackedSearch, Reduction,
+    apply, effective_group, enabled_moves, rehydrate_path, Limits, PackedExpander, PackedSearch,
+    Reduction,
 };
 use crate::fault::Health;
 use crate::fingerprint::fingerprint_words;
@@ -76,13 +77,14 @@ use crate::symmetry::{canonicalize_into, permute_packed, Perm, SymmetryGroup};
 /// Configuration for a liveness search.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LivenessConfig {
-    /// Exploration bounds (shared with the safety explorer).
+    /// Exploration bounds. A state is expanded whole, so the graph may
+    /// overshoot [`Limits::max_states`] by one state's successors before
+    /// the search stops as truncated.
     pub limits: Limits,
-    /// Visited-set representation. [`Reduction::None`] is promoted to
-    /// [`Reduction::Packed`] — the lasso search always runs on the
-    /// packed arena; [`Reduction::Symmetry`] additionally quotients by
-    /// the topology's automorphisms (equivariant algorithms only, same
-    /// contract as the explorer).
+    /// Dedup rule of the packed arena the lasso search runs on:
+    /// [`Reduction::Symmetry`] additionally quotients by the topology's
+    /// automorphisms (equivariant algorithms only, same contract as the
+    /// explorer).
     pub reduction: Reduction,
 }
 
@@ -240,10 +242,6 @@ where
         topo.len() <= 64,
         "liveness checking tracks process sets in u64 masks (n <= 64)"
     );
-    let reduction = match config.reduction {
-        Reduction::None => Reduction::Packed,
-        r => r,
-    };
     let mut roots = initials.into_iter().enumerate();
     match run(
         alg,
@@ -253,7 +251,7 @@ where
         needs,
         &legit,
         config.limits,
-        reduction,
+        config.reduction,
     ) {
         Ok(report) => report,
         Err(fallback_roots) => {
@@ -401,8 +399,7 @@ where
     // fragment is valid regardless of what lies beyond the horizon
     // (only certification is blocked by truncation).
     if let Some(idx) = stuck_idx {
-        let (root, chain) = parent_chain(&search, idx);
-        let trace = rehydrate_path(topo, &group, &search, root, &chain).0;
+        let (root, trace, _) = rehydrate_path(topo, &group, &search, idx);
         report.stuck = Some(StuckTrace {
             root: root_ordinal[root],
             trace,
@@ -619,8 +616,7 @@ fn cover_candidate(
             let (si, g) = (c / order, c % order);
             let s = scc[si];
             let frame = *chain_frame.entry(s).or_insert_with(|| {
-                let (root, chain) = parent_chain(search, s);
-                let (_, sigma) = rehydrate_path(topo, group, search, root, &chain);
+                let (_, _, sigma) = rehydrate_path(topo, group, search, s);
                 index_of[&key(&sigma)]
             });
             frame == g
@@ -640,49 +636,6 @@ fn cover_candidate(
     } else {
         CoverOutcome::Unfair
     }
-}
-
-/// Walk parent links from `idx` to its root. Returns the root index and
-/// the root-exclusive chain of `(state, move-from-parent)` pairs in
-/// root→idx order.
-fn parent_chain(search: &PackedSearch, idx: usize) -> (usize, Vec<(usize, Move)>) {
-    let mut chain = Vec::new();
-    let mut i = idx;
-    while let Some((parent, mv)) = search.parents[i] {
-        chain.push((i, mv));
-        i = parent;
-    }
-    chain.reverse();
-    (i, chain)
-}
-
-/// Rehydrate a canonical parent-link chain into concrete moves of the
-/// original system, returning the moves and the frame map `σ` (canonical
-/// → original coordinates) at the chain's end. Same scheme as the
-/// explorer's trace rebuild: `σ₀ = ρ_root⁻¹`, each stored move `m`
-/// becomes `σ(m)`, and descending through a child canonicalized by `ρ`
-/// composes `σ ← σ ∘ ρ⁻¹`.
-fn rehydrate_path(
-    topo: &Topology,
-    group: &SymmetryGroup,
-    search: &PackedSearch,
-    root: usize,
-    chain: &[(usize, Move)],
-) -> (Vec<Move>, Perm) {
-    if group.is_trivial() {
-        return (
-            chain.iter().map(|&(_, mv)| mv).collect(),
-            Perm::identity(topo),
-        );
-    }
-    let inverses: Vec<Perm> = group.perms().iter().map(|p| p.inverse(topo)).collect();
-    let mut sigma = inverses[search.perms[root] as usize].clone();
-    let mut trace = Vec::with_capacity(chain.len());
-    for &(idx, mv) in chain {
-        trace.push(sigma.permute_move(topo, mv));
-        sigma = sigma.compose(topo, &inverses[search.perms[idx] as usize]);
-    }
-    (trace, sigma)
 }
 
 /// Iterative Tarjan over the `¬I`-induced subgraph, returning only the
@@ -934,8 +887,7 @@ where
 {
     let stride = codec.words();
     let n = topo.len();
-    let (root, chain) = parent_chain(search, entry);
-    let (stem, _sigma_entry) = rehydrate_path(topo, group, search, root, &chain);
+    let (root, stem, _) = rehydrate_path(topo, group, search, entry);
 
     // Reconstruct the concrete root: stored root window is ρ·S, so
     // S = ρ⁻¹ · stored.

@@ -18,7 +18,7 @@ use diners_core::predicates::{e_holds, nc_holds};
 use diners_core::MaliciousCrashDiners;
 use diners_sim::algorithm::{DinerAlgorithm, Phase, SystemState};
 use diners_sim::engine::{Engine, EnumerationMode};
-use diners_sim::explore::{explore, explore_parallel, ExplorationReport, Limits};
+use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig, Limits};
 use diners_sim::fault::{FaultPlan, Health};
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::scheduler::{LeastRecentScheduler, RandomScheduler};
@@ -163,6 +163,34 @@ fn modes_agree_with_a_quota_workload_through_quiescence() {
     }
 }
 
+/// Explore the paper's algorithm with `threads` workers.
+fn explore_mca<F>(
+    topo: &Topology,
+    initial: SystemState<MaliciousCrashDiners>,
+    health: &[Health],
+    needs: &[bool],
+    safety: F,
+    limits: Limits,
+    threads: usize,
+) -> ExplorationReport
+where
+    F: Fn(&diners_sim::predicate::Snapshot<'_, MaliciousCrashDiners>) -> bool,
+{
+    explore_with(
+        &MaliciousCrashDiners::paper(),
+        topo,
+        initial,
+        health,
+        needs,
+        safety,
+        ExploreConfig {
+            limits,
+            threads,
+            ..ExploreConfig::default()
+        },
+    )
+}
+
 fn assert_same_search(a: &ExplorationReport, b: &ExplorationReport, label: &str) {
     assert_eq!(a.states, b.states, "{label}: states");
     assert_eq!(a.transitions, b.transitions, "{label}: transitions");
@@ -182,19 +210,18 @@ fn parallel_explore_matches_sequential_on_mca() {
         let initial = SystemState::initial(&alg, &topo);
         let health = vec![Health::Live; n];
         let needs = vec![true; n];
-        let seq = explore(
-            &alg,
+        let seq = explore_mca(
             &topo,
             initial.clone(),
             &health,
             &needs,
             |snap| e_holds(snap) && nc_holds(snap),
             Limits::default(),
+            1,
         );
         assert!(seq.verified(), "{:?}", seq);
         for threads in [2, 4] {
-            let par = explore_parallel(
-                &alg,
+            let par = explore_mca(
                 &topo,
                 initial.clone(),
                 &health,
@@ -221,17 +248,16 @@ fn parallel_explore_matches_sequential_with_a_dead_eater() {
     let mut health = vec![Health::Live; 5];
     health[0] = Health::Dead;
 
-    let seq = explore(
-        &alg,
+    let seq = explore_mca(
         &topo,
         initial.clone(),
         &health,
         &[true; 5],
         e_holds,
         Limits::default(),
+        1,
     );
-    let par = explore_parallel(
-        &alg,
+    let par = explore_mca(
         &topo,
         initial,
         &health,
@@ -257,18 +283,17 @@ fn parallel_explore_matches_sequential_on_violations_and_truncation() {
     let p0_starves = |snap: &diners_sim::predicate::Snapshot<'_, MaliciousCrashDiners>| {
         snap.state.local(ProcessId(0)).phase != Phase::Eating
     };
-    let seq = explore(
-        &alg,
+    let seq = explore_mca(
         &topo,
         initial.clone(),
         &health,
         &needs,
         p0_starves,
         Limits::default(),
+        1,
     );
     assert!(seq.violation.is_some(), "p0 must eventually eat");
-    let par = explore_parallel(
-        &alg,
+    let par = explore_mca(
         &topo,
         initial.clone(),
         &health,
@@ -281,16 +306,8 @@ fn parallel_explore_matches_sequential_on_violations_and_truncation() {
 
     // Truncation in mid-layer must stop both searches at the same state.
     let limits = Limits { max_states: 123 };
-    let seq = explore(
-        &alg,
-        &topo,
-        initial.clone(),
-        &health,
-        &needs,
-        |_| true,
-        limits,
-    );
+    let seq = explore_mca(&topo, initial.clone(), &health, &needs, |_| true, limits, 1);
     assert!(seq.truncated);
-    let par = explore_parallel(&alg, &topo, initial, &health, &needs, |_| true, limits, 4);
+    let par = explore_mca(&topo, initial, &health, &needs, |_| true, limits, 4);
     assert_same_search(&seq, &par, "truncation");
 }

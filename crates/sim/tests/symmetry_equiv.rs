@@ -2,10 +2,10 @@
 //!
 //! [`Reduction::Packed`] is a pure representation change: the packed
 //! search must produce a **bit-identical report** (states, transitions,
-//! deadlocks, layers, dedup, violation trace, truncation point) to the
-//! cloned-state baseline, on every algorithm × topology family. The
-//! suites here sweep that equivalence, plus codec round-trips from
-//! randomly corrupted states.
+//! deadlocks, layers, dedup, violation trace, truncation point) to a
+//! plain FIFO search over cloned states ([`reference_bfs`]), on every
+//! algorithm × topology family. The suites here sweep that equivalence,
+//! plus codec round-trips from randomly corrupted states.
 //!
 //! [`Reduction::Symmetry`] changes the *quotient* that is explored, so
 //! only verdicts are comparable: verified / violation-found / truncated
@@ -22,6 +22,10 @@ use diners_sim::fault::Health;
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::predicate::Snapshot;
 use diners_sim::toy::ToyDiners;
+
+#[path = "support/reference_bfs.rs"]
+mod reference_bfs;
+use reference_bfs::{assert_bit_identical, reference_bfs};
 
 fn live(n: usize) -> Vec<Health> {
     vec![Health::Live; n]
@@ -40,8 +44,8 @@ fn run<A, F>(
 ) -> ExplorationReport
 where
     A: StateCodec + Sync,
-    A::Local: std::hash::Hash + Eq + Send + Sync,
-    A::Edge: std::hash::Hash + Eq + Send + Sync,
+    A::Local: Send + Sync,
+    A::Edge: Send + Sync,
     F: Fn(&Snapshot<'_, A>) -> bool,
 {
     explore_with(
@@ -59,21 +63,6 @@ where
     )
 }
 
-/// Packed vs cloned must agree on every search-shaped field.
-fn assert_bit_identical(cloned: &ExplorationReport, packed: &ExplorationReport, ctx: &str) {
-    assert_eq!(cloned.states, packed.states, "{ctx}: states");
-    assert_eq!(cloned.transitions, packed.transitions, "{ctx}: transitions");
-    assert_eq!(cloned.deadlocks, packed.deadlocks, "{ctx}: deadlocks");
-    assert_eq!(cloned.violation, packed.violation, "{ctx}: violation");
-    assert_eq!(cloned.truncated, packed.truncated, "{ctx}: truncated");
-    assert_eq!(cloned.layers, packed.layers, "{ctx}: layers");
-    assert_eq!(
-        cloned.peak_frontier, packed.peak_frontier,
-        "{ctx}: peak_frontier"
-    );
-    assert_eq!(cloned.dedup_hits, packed.dedup_hits, "{ctx}: dedup_hits");
-}
-
 fn sweep_topologies() -> Vec<Topology> {
     vec![
         Topology::line(3),
@@ -86,25 +75,39 @@ fn sweep_topologies() -> Vec<Topology> {
     ]
 }
 
+fn toy_exclusion(snap: &Snapshot<'_, ToyDiners>) -> bool {
+    snap.topo.edges().iter().all(|&(a, b)| {
+        !(*snap.state.local(a) == Phase::Eating && *snap.state.local(b) == Phase::Eating)
+    })
+}
+
+fn toy_nobody_eats(snap: &Snapshot<'_, ToyDiners>) -> bool {
+    snap.topo
+        .processes()
+        .all(|p| *snap.state.local(p) != Phase::Eating)
+}
+
 #[test]
 fn packed_is_bit_identical_to_cloned_for_toy_everywhere() {
-    let exclusion = |snap: &Snapshot<'_, ToyDiners>| {
-        snap.topo.edges().iter().all(|&(a, b)| {
-            !(*snap.state.local(a) == Phase::Eating && *snap.state.local(b) == Phase::Eating)
-        })
-    };
-    for topo in sweep_topologies() {
+    // Exclusion holds on every swept topology; "nobody eats" is violated,
+    // so line(4) also compares the counterexample traces.
+    type Safety = fn(&Snapshot<'_, ToyDiners>) -> bool;
+    let cases: Vec<(Topology, Safety, bool)> = sweep_topologies()
+        .into_iter()
+        .map(|topo| (topo, toy_exclusion as Safety, true))
+        .chain([(Topology::line(4), toy_nobody_eats as Safety, false)])
+        .collect();
+    for (topo, safety, holds) in cases {
         let n = topo.len();
         let initial = SystemState::initial(&ToyDiners, &topo);
-        let cloned = run(
+        let cloned = reference_bfs(
             &ToyDiners,
             &topo,
             initial.clone(),
             &live(n),
             &vec![true; n],
-            exclusion,
+            safety,
             Limits::default(),
-            Reduction::None,
         );
         let packed = run(
             &ToyDiners,
@@ -112,11 +115,12 @@ fn packed_is_bit_identical_to_cloned_for_toy_everywhere() {
             initial,
             &live(n),
             &vec![true; n],
-            exclusion,
+            safety,
             Limits::default(),
             Reduction::Packed,
         );
-        assert!(cloned.verified(), "{}: {cloned:?}", topo.name());
+        assert_eq!(cloned.verified(), holds, "{}: {cloned:?}", topo.name());
+        assert_eq!(cloned.violation.is_some(), !holds, "{}", topo.name());
         assert_bit_identical(&cloned, &packed, topo.name());
         assert!(
             packed.bytes_interned * 4 <= cloned.bytes_interned,
@@ -134,7 +138,7 @@ fn packed_is_bit_identical_to_cloned_for_the_paper_algorithm() {
     for topo in [Topology::line(3), Topology::ring(3), Topology::ring(4)] {
         let n = topo.len();
         let initial = SystemState::initial(&alg, &topo);
-        let cloned = run(
+        let cloned = reference_bfs(
             &alg,
             &topo,
             initial.clone(),
@@ -142,7 +146,6 @@ fn packed_is_bit_identical_to_cloned_for_the_paper_algorithm() {
             &vec![true; n],
             |_| true,
             Limits::default(),
-            Reduction::None,
         );
         let packed = run(
             &alg,
@@ -164,7 +167,7 @@ fn packed_agrees_on_truncation_points() {
     let topo = Topology::ring(4);
     let initial = SystemState::initial(&alg, &topo);
     let limits = Limits { max_states: 500 };
-    let cloned = run(
+    let cloned = reference_bfs(
         &alg,
         &topo,
         initial.clone(),
@@ -172,7 +175,6 @@ fn packed_agrees_on_truncation_points() {
         &[true; 4],
         |_| true,
         limits,
-        Reduction::None,
     );
     let packed = run(
         &alg,
@@ -185,6 +187,7 @@ fn packed_agrees_on_truncation_points() {
         Reduction::Packed,
     );
     assert!(cloned.truncated);
+    assert_eq!(cloned.states, 500);
     assert_bit_identical(&cloned, &packed, "truncated ring(4)");
 }
 
@@ -201,7 +204,7 @@ fn packed_agrees_with_a_dead_eater_in_the_mix() {
     initial.local_mut(ProcessId(0)).phase = Phase::Eating;
     let mut health = live(4);
     health[0] = Health::Dead;
-    let cloned = run(
+    let cloned = reference_bfs(
         &alg,
         &topo,
         initial.clone(),
@@ -209,7 +212,6 @@ fn packed_agrees_with_a_dead_eater_in_the_mix() {
         &[true; 4],
         |_| true,
         Limits::default(),
-        Reduction::None,
     );
     let packed = run(
         &alg,

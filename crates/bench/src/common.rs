@@ -17,6 +17,9 @@ pub struct Scale {
     pub window: u64,
     /// System sizes swept.
     pub sizes: &'static [usize],
+    /// Whether this is the reduced test/CI scale; experiments whose
+    /// sweeps are not expressed in the fields above shrink on this flag.
+    pub quick: bool,
 }
 
 impl Scale {
@@ -28,6 +31,7 @@ impl Scale {
             settle: 30_000,
             window: 60_000,
             sizes: &[8, 16, 32, 64],
+            quick: false,
         }
     }
 
@@ -39,6 +43,7 @@ impl Scale {
             settle: 8_000,
             window: 20_000,
             sizes: &[8, 16],
+            quick: true,
         }
     }
 }

@@ -4,7 +4,7 @@
 //! tracer and symmetry reduction rest on (`sim::footprint`).
 //!
 //! Unlike the perf sweeps this experiment's primary output is a
-//! *verdict*: `--check` (the CI gate) fails if any shipped algorithm
+//! *verdict*: the run fails if any shipped algorithm
 //! violates a contract, if any declared `respects_symmetry` is refuted,
 //! if toy's pid tie-break is *not* rediscovered with a witness, or if
 //! any deliberately ill-behaved `testbad` fixture escapes refutation.
@@ -14,44 +14,20 @@
 use diners_sim::footprint::testbad::{
     FalselySymmetric, FarWriter, FlickerGuard, PeekingGuard, RogueMalicious,
 };
-use diners_sim::footprint::{analyze, AccessSummary, AnalysisConfig, ContractReport};
+use diners_sim::footprint::{
+    analyze, AccessSummary, AnalysisConfig, CertifierVerdict, ContractReport,
+};
 use diners_sim::graph::Topology;
 use diners_sim::table::{fmt_f64, Table};
+use diners_sim::telemetry::json_escape;
 use diners_sim::toy::ToyDiners;
 use diners_sim::StateCodec;
 
 use diners_baselines::{GreedyDiners, HygienicDiners};
 use diners_core::MaliciousCrashDiners;
 
-/// Everything T17 produces: human tables, the CI gate verdict and the
-/// JSON blob (`BENCH_analysis.json`).
-pub struct AnalyzeReport {
-    /// Per-algorithm certifier summary.
-    pub contracts: Table,
-    /// Per-(algorithm × action) inferred footprints.
-    pub footprints: Table,
-    /// Negative-control fixtures and the certifier that refuted each.
-    pub refutations: Table,
-    /// Human-readable gate failures; empty iff the `--check` gate passes.
-    pub failures: Vec<String>,
-    /// The same content as machine-readable JSON (`BENCH_analysis.json`).
-    pub json: String,
-}
-
-/// Minimal JSON string escaping for witness texts.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use super::{json_object, json_rows, Report};
+use crate::common::Scale;
 
 /// Compact `own,needs,nbrs,edges` read-set descriptor.
 fn reads_of(s: &AccessSummary) -> String {
@@ -166,7 +142,8 @@ fn case_json(label: &str, r: &ContractReport) -> String {
 
 /// Run the T17 certification sweep. `quick` shrinks the corpus and the
 /// topologies so the sweep fits in integration tests and CI smoke runs.
-pub fn run(quick: bool) -> AnalyzeReport {
+pub fn run(scale: &Scale) -> Report {
+    let quick = scale.quick;
     let cfg = if quick {
         AnalysisConfig::quick()
     } else {
@@ -204,6 +181,13 @@ pub fn run(quick: bool) -> AnalyzeReport {
     // Negative controls: each fixture must be refuted by its certifier.
     let bad_topo = Topology::line(3);
     let bad_cfg = AnalysisConfig::quick();
+    let refutation = |fixture, certifier, refuted: bool, witness: Option<String>| Refutation {
+        fixture,
+        certifier,
+        refuted,
+        witness: witness.unwrap_or_default(),
+    };
+    let first = |c: &CertifierVerdict| c.witnesses.first().map(|w| w.to_string());
     let refutations = {
         let peek = analyze(&PeekingGuard, &bad_topo, &bad_cfg);
         let far = analyze(&FarWriter, &bad_topo, &bad_cfg);
@@ -211,56 +195,36 @@ pub fn run(quick: bool) -> AnalyzeReport {
         let rogue = analyze(&RogueMalicious, &bad_topo, &bad_cfg);
         let falsely = analyze(&FalselySymmetric, &Topology::ring(5), &bad_cfg);
         vec![
-            Refutation {
-                fixture: "peeking-guard",
-                certifier: "locality",
-                refuted: !peek.locality.ok(),
-                witness: peek
-                    .locality
-                    .witnesses
-                    .first()
-                    .map(|w| w.to_string())
-                    .unwrap_or_default(),
-            },
-            Refutation {
-                fixture: "far-writer",
-                certifier: "locality",
-                refuted: !far.locality.ok(),
-                witness: far
-                    .locality
-                    .witnesses
-                    .first()
-                    .map(|w| w.to_string())
-                    .unwrap_or_default(),
-            },
-            Refutation {
-                fixture: "flicker-guard",
-                certifier: "purity",
-                refuted: !flicker.purity.ok(),
-                witness: flicker
-                    .purity
-                    .witnesses
-                    .first()
-                    .map(|w| w.to_string())
-                    .unwrap_or_default(),
-            },
-            Refutation {
-                fixture: "rogue-malicious",
-                certifier: "locality (capability)",
-                refuted: !rogue.locality.ok(),
-                witness: rogue
-                    .locality
-                    .witnesses
-                    .first()
-                    .map(|w| w.to_string())
-                    .unwrap_or_default(),
-            },
-            Refutation {
-                fixture: "falsely-symmetric",
-                certifier: "equivariance",
-                refuted: !falsely.equivariance.matches_declaration(),
-                witness: falsely.equivariance.witness.clone().unwrap_or_default(),
-            },
+            refutation(
+                "peeking-guard",
+                "locality",
+                !peek.locality.ok(),
+                first(&peek.locality),
+            ),
+            refutation(
+                "far-writer",
+                "locality",
+                !far.locality.ok(),
+                first(&far.locality),
+            ),
+            refutation(
+                "flicker-guard",
+                "purity",
+                !flicker.purity.ok(),
+                first(&flicker.purity),
+            ),
+            refutation(
+                "rogue-malicious",
+                "locality (capability)",
+                !rogue.locality.ok(),
+                first(&rogue.locality),
+            ),
+            refutation(
+                "falsely-symmetric",
+                "equivariance",
+                !falsely.equivariance.matches_declaration(),
+                falsely.equivariance.witness.clone(),
+            ),
         ]
     };
 
@@ -272,22 +236,14 @@ pub fn run(quick: bool) -> AnalyzeReport {
             failures.push(format!(
                 "{}: locality violated — {}",
                 c.label,
-                r.locality
-                    .witnesses
-                    .first()
-                    .map(|w| w.to_string())
-                    .unwrap_or_default()
+                first(&r.locality).unwrap_or_default()
             ));
         }
         if !r.purity.ok() {
             failures.push(format!(
                 "{}: purity violated — {}",
                 c.label,
-                r.purity
-                    .witnesses
-                    .first()
-                    .map(|w| w.to_string())
-                    .unwrap_or_default()
+                first(&r.purity).unwrap_or_default()
             ));
         }
         if !r.equivariance.matches_declaration() {
@@ -440,45 +396,37 @@ pub fn run(quick: bool) -> AnalyzeReport {
             )
         })
         .collect();
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n",
-            "  \"check_failures\": [{}],\n",
-            "  \"cases\": [\n    {}\n  ],\n",
-            "  \"refutations\": [\n    {}\n  ]\n}}\n"
-        ),
-        quick,
-        failures
-            .iter()
-            .map(|f| format!("\"{}\"", json_escape(f)))
-            .collect::<Vec<_>>()
-            .join(","),
-        case_blobs.join(",\n    "),
-        ref_blobs.join(",\n    "),
-    );
-
-    AnalyzeReport {
-        contracts,
-        footprints,
-        refutations: refs_table,
+    let check_failures: Vec<String> = failures
+        .iter()
+        .map(|f| format!("\"{}\"", json_escape(f)))
+        .collect();
+    let json = json_object(&[
+        ("check_failures", format!("[{}]", check_failures.join(","))),
+        ("cases", json_rows(&case_blobs)),
+        ("refutations", json_rows(&ref_blobs)),
+    ]);
+    Report {
+        tables: vec![contracts, footprints, refs_table],
+        json: Some(("BENCH_analysis.json", json)),
         failures,
-        json,
+        ..Report::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::assert_json_has;
 
     #[test]
     fn quick_sweep_certifies_all_shipped_algorithms() {
-        let report = run(true);
+        let report = run(&Scale::quick());
         assert!(
             report.failures.is_empty(),
             "gate failures:\n{}",
             report.failures.join("\n")
         );
-        let t = report.contracts.render();
+        let t = report.tables[0].render();
         for case in ["toy", "greedy", "hygienic", "mca"] {
             assert!(t.contains(case), "{t}");
         }
@@ -489,8 +437,8 @@ mod tests {
 
     #[test]
     fn refutation_table_shows_all_five_fixtures() {
-        let report = run(true);
-        let t = report.refutations.render();
+        let report = run(&Scale::quick());
+        let t = report.tables[2].render();
         for fixture in [
             "peeking-guard",
             "far-writer",
@@ -513,28 +461,21 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_and_carries_the_artifacts() {
-        let report = run(true);
-        let json = &report.json;
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        for key in [
-            "\"quick\": true",
-            "\"check_failures\": []",
-            "\"cases\":",
-            "\"refutations\":",
-            "\"locality_ok\":true",
-            "\"purity_ok\":true",
-            "\"equivariance_witness\":",
-            "\"independence_density\":",
-            "\"independence\":",
-            "\"corpus_ms\":",
-            "\"pairs\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
+        let (_, json) = run(&Scale::quick()).json.expect("analyze writes JSON");
+        assert_json_has(
+            &json,
+            &[
+                "\"check_failures\": []",
+                "\"cases\":",
+                "\"refutations\":",
+                "\"locality_ok\":true",
+                "\"purity_ok\":true",
+                "\"equivariance_witness\":",
+                "\"independence_density\":",
+                "\"independence\":",
+                "\"corpus_ms\":",
+                "\"pairs\":",
+            ],
         );
         // toy's witness made it into the artifact.
         assert!(json.contains("automorphism"), "{json}");
@@ -542,8 +483,8 @@ mod tests {
 
     #[test]
     fn footprint_table_includes_the_malicious_pseudo_action() {
-        let report = run(true);
-        let t = report.footprints.render();
+        let report = run(&Scale::quick());
+        let t = report.tables[1].render();
         assert!(t.contains("malicious"), "{t}");
         assert!(t.contains("fixdepth"), "{t}");
     }

@@ -12,7 +12,8 @@
 //!   every (needy) process eats in the measurement window.
 //!
 //! The schedules are generated deterministically from the case index, so
-//! any failing run is reproducible from its table row alone.
+//! any failing run is reproducible from its table row alone. Any
+//! violation step or post-heal starvation fails the experiment.
 
 use diners_mp::{AdversaryPlan, SimNet};
 use diners_sim::fault::FaultPlan;
@@ -22,6 +23,7 @@ use diners_sim::table::Table;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use super::Report;
 use crate::common::{families, Scale};
 
 /// Outcome of a single chaos run.
@@ -33,24 +35,6 @@ pub struct ChaosOutcome {
     pub starved: Vec<ProcessId>,
     /// The schedule, for reproduction.
     pub plan: String,
-}
-
-/// Aggregate over the whole sweep.
-#[derive(Clone, Debug, Default)]
-pub struct ChaosTotals {
-    /// Total (config x seed) runs executed.
-    pub runs: u64,
-    /// Total violation steps across all runs.
-    pub violations: u64,
-    /// Total starved-after-heal processes across all runs.
-    pub starved: u64,
-}
-
-impl ChaosTotals {
-    /// Whether the sweep upheld both chaos properties.
-    pub fn clean(&self) -> bool {
-        self.violations == 0 && self.starved == 0
-    }
 }
 
 /// Draw a randomized adversary schedule for `topo`. Probabilistic rates
@@ -113,7 +97,7 @@ pub fn chaos_run(
 
 /// The full sweep: per topology family, `plans_per_topo` randomized
 /// schedules x `scale.seeds` seeds.
-pub fn sweep(scale: &Scale) -> (Table, ChaosTotals) {
+pub fn run(scale: &Scale) -> Report {
     let mut t = Table::new(
         "T9: chaos soak (randomized link-fault schedules, SimNet)",
         [
@@ -128,7 +112,7 @@ pub fn sweep(scale: &Scale) -> (Table, ChaosTotals) {
     let plans_per_topo = if scale.seeds >= 5 { 10 } else { 3 };
     let n = scale.sizes[0].max(8);
     let steps = scale.settle + scale.window;
-    let mut totals = ChaosTotals::default();
+    let (mut total_runs, mut total_violations, mut total_starved) = (0u64, 0u64, 0u64);
     for (ti, topo) in families(n, 0xC0FFEE).into_iter().enumerate() {
         let mut violations = 0;
         let mut starved = 0;
@@ -147,9 +131,9 @@ pub fn sweep(scale: &Scale) -> (Table, ChaosTotals) {
                 }
             }
         }
-        totals.runs += runs;
-        totals.violations += violations;
-        totals.starved += starved;
+        total_runs += runs;
+        total_violations += violations;
+        total_starved += starved;
         t.row([
             topo.name().to_string(),
             runs.to_string(),
@@ -158,12 +142,14 @@ pub fn sweep(scale: &Scale) -> (Table, ChaosTotals) {
             worst.unwrap_or_else(|| "safe + live".into()),
         ]);
     }
-    (t, totals)
-}
-
-/// Run the sweep and produce the result table.
-pub fn run(scale: &Scale) -> Table {
-    sweep(scale).0
+    let mut report = Report::of([t]);
+    report.check(total_violations == 0 && total_starved == 0, || {
+        format!(
+            "chaos: {total_violations} violation steps and {total_starved} starved \
+             post-heal over {total_runs} runs"
+        )
+    });
+    report
 }
 
 #[cfg(test)]

@@ -33,15 +33,8 @@ use diners_sim::toy::ToyDiners;
 use diners_baselines::HygienicDiners;
 use diners_core::MaliciousCrashDiners;
 
-/// Everything T14 produces: human tables plus the JSON blob for CI.
-pub struct CodecReport {
-    /// Bytes/state, cloned vs packed, and packed states/sec, per case.
-    pub repr: Table,
-    /// Visited states, full vs symmetry quotient, per ring size.
-    pub symmetry: Table,
-    /// The same numbers as machine-readable JSON (`BENCH_codec.json`).
-    pub json: String,
-}
+use super::{json_object, json_rows, Report};
+use crate::common::Scale;
 
 fn run_one<A>(alg: &A, topo: &Topology, reduction: Reduction, limits: Limits) -> ExplorationReport
 where
@@ -88,8 +81,10 @@ where
 }
 
 /// Run the T14 sweep. `quick` shrinks the topologies so the sweep fits
-/// in integration tests and CI smoke runs.
-pub fn run(quick: bool) -> CodecReport {
+/// in integration tests and CI smoke runs. A truncated search or a
+/// quotient below the `n/2` floor fails the experiment.
+pub fn run(scale: &Scale) -> Report {
+    let quick = scale.quick;
     let toy_topo = if quick {
         Topology::ring(9)
     } else {
@@ -163,6 +158,7 @@ pub fn run(quick: bool) -> CodecReport {
         ],
     );
     let mut json_sym = Vec::new();
+    let mut failures = Vec::new();
     let alg = MaliciousCrashDiners::paper();
     for &n in ring_sizes {
         let topo = Topology::ring(n);
@@ -174,16 +170,16 @@ pub fn run(quick: bool) -> CodecReport {
         };
         let full = run_one(&alg, &topo, Reduction::Packed, limits);
         let sym = run_one(&alg, &topo, Reduction::Symmetry, limits);
-        assert!(
-            !full.truncated && !sym.truncated,
-            "ring({n}) exceeded the state cap"
-        );
+        if full.truncated || sym.truncated {
+            failures.push(format!("ring({n}) exceeded the state cap"));
+        }
         let reduction = full.states as f64 / sym.states as f64;
         let floor = n as f64 / 2.0;
-        assert!(
-            reduction >= floor,
-            "ring({n}): reduction {reduction:.2} below the n/2 floor"
-        );
+        if reduction < floor {
+            failures.push(format!(
+                "ring({n}): reduction {reduction:.2} below the n/2 floor"
+            ));
+        }
         sym_table.row([
             format!("mca-{}", topo.name()),
             full.states.to_string(),
@@ -207,55 +203,46 @@ pub fn run(quick: bool) -> CodecReport {
         ));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n",
-            "  \"repr\": [\n    {}\n  ],\n",
-            "  \"symmetry\": [\n    {}\n  ]\n}}\n"
-        ),
-        quick,
-        json_repr.join(",\n    "),
-        json_sym.join(",\n    "),
-    );
-
-    CodecReport {
-        repr: repr_table,
-        symmetry: sym_table,
-        json,
+    let json = json_object(&[
+        ("repr", json_rows(&json_repr)),
+        ("symmetry", json_rows(&json_sym)),
+    ]);
+    Report {
+        tables: vec![repr_table, sym_table],
+        json: Some(("BENCH_codec.json", json)),
+        failures,
+        ..Report::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::assert_json_has;
+    use crate::experiments::{json_number, json_objects};
 
     #[test]
     fn quick_sweep_produces_tables_and_well_formed_json() {
-        let report = run(true);
-        let repr = report.repr.render();
+        let report = run(&Scale::quick());
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        let repr = report.tables[0].render();
         assert!(repr.contains("toy-ring"), "{repr}");
         assert!(repr.contains("mca-ring"), "{repr}");
-        let sym = report.symmetry.render();
+        let sym = report.tables[1].render();
         assert!(sym.contains("mca-ring"), "{sym}");
-        let json = &report.json;
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        for key in [
-            "\"quick\": true",
-            "\"repr\":",
-            "\"symmetry\":",
-            "\"cloned_bytes_per_state\"",
-            "\"packed_bytes_per_state\"",
-            "\"bytes_reduction\"",
-            "\"full_states\"",
-            "\"sym_states\"",
-            "\"reduction\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
+        let (_, json) = report.json.expect("codec writes JSON");
+        assert_json_has(
+            &json,
+            &[
+                "\"repr\":",
+                "\"symmetry\":",
+                "\"cloned_bytes_per_state\"",
+                "\"packed_bytes_per_state\"",
+                "\"bytes_reduction\"",
+                "\"full_states\"",
+                "\"sym_states\"",
+                "\"reduction\"",
+            ],
         );
     }
 
@@ -263,32 +250,12 @@ mod tests {
     fn packed_representation_always_shrinks_bytes_by_4x() {
         // The headline claim at test size: the packed arena must be at
         // least 4x denser than the cloned one on every swept case.
-        let report = run(true);
-        for (case, red) in json_pairs(&report.json, "\"bytes_reduction\":") {
+        let (_, json) = run(&Scale::quick()).json.expect("codec writes JSON");
+        for (case, obj) in json_objects(&json, "case") {
+            let Some(red) = json_number(obj, "bytes_reduction") else {
+                continue;
+            };
             assert!(red >= 4.0, "{case}: bytes_reduction {red:.2} < 4");
         }
-    }
-
-    /// Extract (case, number) pairs for a key from the hand-rolled JSON.
-    fn json_pairs(json: &str, key: &str) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        let mut rest = json;
-        while let Some(i) = rest.find("\"case\":\"") {
-            let after = &rest[i + 8..];
-            let Some(q) = after.find('"') else { break };
-            let case = after[..q].to_string();
-            let obj = &after[..after.find('}').unwrap_or(after.len())];
-            if let Some(j) = obj.find(key) {
-                let tail = &obj[j + key.len()..];
-                let end = tail
-                    .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-                    .unwrap_or(tail.len());
-                if let Ok(v) = tail[..end].parse() {
-                    out.push((case.clone(), v));
-                }
-            }
-            rest = &after[q..];
-        }
-        out
     }
 }

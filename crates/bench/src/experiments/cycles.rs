@@ -28,6 +28,7 @@ use diners_sim::scheduler::{
 };
 use diners_sim::table::{fmt_opt, Table};
 
+use super::Report;
 use crate::common::{max_opt, median_opt, Scale};
 
 /// Fairness bound for the adversarial daemon.
@@ -173,7 +174,7 @@ pub fn measure_adversarial(
 }
 
 /// Run the sweep and produce the result table.
-pub fn run(scale: &Scale) -> Table {
+pub fn run(scale: &Scale) -> Report {
     let mut t = Table::new(
         "T4: breaking a seeded priority cycle on ring(L), enter-avoiding adversary",
         [
@@ -239,7 +240,7 @@ pub fn run(scale: &Scale) -> Table {
             ablation_meals.to_string(),
         ]);
     }
-    t
+    Report::of([t])
 }
 
 #[cfg(test)]

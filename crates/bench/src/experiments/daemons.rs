@@ -24,6 +24,7 @@ use diners_sim::sync::SyncEngine;
 use diners_sim::table::Table;
 use diners_sim::toy::ToyDiners;
 
+use super::Report;
 use crate::common::Scale;
 
 fn measure<A: DinerAlgorithm>(alg: A, topo: Topology, rounds: u64, seed: u64) -> (u64, u64) {
@@ -34,7 +35,7 @@ fn measure<A: DinerAlgorithm>(alg: A, topo: Topology, rounds: u64, seed: u64) ->
 }
 
 /// Run the sweep and produce the result table.
-pub fn run(scale: &Scale) -> Table {
+pub fn run(scale: &Scale) -> Report {
     let rounds = scale.window;
     let n = scale.sizes[scale.sizes.len() / 2];
     let mut t = Table::new(
@@ -67,7 +68,7 @@ pub fn run(scale: &Scale) -> Table {
     seeds_total("greedy (naive guard)", &mut |s| {
         measure(GreedyDiners, topo.clone(), rounds, s)
     });
-    t
+    Report::of([t])
 }
 
 #[cfg(test)]

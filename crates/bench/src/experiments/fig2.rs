@@ -1,11 +1,15 @@
 //! FIG2 — exact reproduction of the paper's Figure 2 computation.
 
-use diners_core::figures::{run_figure2, Figure2Report};
+use diners_core::figures::run_figure2;
 use diners_sim::table::Table;
 
+use super::Report;
+use crate::common::Scale;
+
 /// Replay Figure 2 and tabulate each depicted property against what our
-/// implementation did.
-pub fn run() -> (Figure2Report, Table) {
+/// implementation did, followed by the replayed computation itself. The
+/// scenario is fixed, so `scale` is unused.
+pub fn run(_scale: &Scale) -> Report {
     let report = run_figure2();
     let mut t = Table::new(
         "FIG2: dining with a malicious crash (7 processes, D = 3)",
@@ -37,15 +41,25 @@ pub fn run() -> (Figure2Report, Table) {
                 .unwrap_or_else(|| "-".into())
         ),
     ]);
-    (report, t)
+    let mut narrative = Table::new("FIG2: replayed computation", ["event"]);
+    for line in &report.narrative {
+        narrative.row([line.as_str()]);
+    }
+    let mut out = Report::of([t, narrative]);
+    out.check(report.all_reproduced(), || {
+        "FIG2 failed to reproduce (see the NO rows)".into()
+    });
+    out
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
     #[test]
     fn figure_2_fully_reproduces() {
-        let (report, table) = super::run();
-        assert!(report.all_reproduced(), "{}", table.render());
-        assert!(!table.render().contains("NO"));
+        let report = run(&Scale::quick());
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert!(!report.tables[0].render().contains("NO"));
     }
 }

@@ -26,6 +26,7 @@ use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::scheduler::RandomScheduler;
 use diners_sim::table::Table;
 
+use super::Report;
 use crate::common::Scale;
 
 const VICTIM: ProcessId = ProcessId(0);
@@ -116,7 +117,7 @@ fn hygienic(n: usize, scale: &Scale) -> u32 {
 }
 
 /// Run the sweep and produce the result table.
-pub fn run(scale: &Scale) -> Table {
+pub fn run(scale: &Scale) -> Report {
     let mut t = Table::new(
         "T2: failure locality — radius of starvation around a crashed eater, line(n)",
         [
@@ -146,7 +147,7 @@ pub fn run(scale: &Scale) -> Table {
             fmt_radius(Some(hb)),
         ]);
     }
-    t
+    Report::of([t])
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use diners_sim::rng::subseed;
 use diners_sim::scheduler::RandomScheduler;
 use diners_sim::table::Table;
 
+use super::Report;
 use crate::common::{grid_for, Scale};
 
 /// The malicious-step budgets swept.
@@ -40,7 +41,7 @@ fn one(topo: Topology, k: u32, seed: u64, scale: &Scale) -> McaReport {
 }
 
 /// Run the sweep and produce the result table.
-pub fn run(scale: &Scale) -> Table {
+pub fn run(scale: &Scale) -> Report {
     let mut t = Table::new(
         "T3: malicious crashes from arbitrary states — MCA(m=2) conformance",
         [
@@ -77,7 +78,7 @@ pub fn run(scale: &Scale) -> Table {
             }
         }
     }
-    t
+    Report::of([t])
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@ use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::scheduler::RandomScheduler;
 use diners_sim::table::{fmt_f64, Table};
 
+use super::Report;
 use crate::common::Scale;
 
 /// Per-distance service ratio (after-crash rate / before-crash rate).
@@ -60,7 +61,7 @@ pub fn service_ratios(n: usize, seed: u64, window: u64) -> Vec<(u32, f64)> {
 }
 
 /// Run the experiment and produce the result table.
-pub fn run(scale: &Scale) -> Table {
+pub fn run(scale: &Scale) -> Report {
     let n = *scale.sizes.last().unwrap_or(&32);
     let mut t = Table::new(
         format!("T6: masking — service ratio after/before a benign crash, line({n})"),
@@ -87,7 +88,7 @@ pub fn run(scale: &Scale) -> Table {
             ratios.len().to_string(),
         ]);
     }
-    t
+    Report::of([t])
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use diners_sim::fault::FaultPlan;
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::table::Table;
 
+use super::Report;
 use crate::common::Scale;
 
 /// Outcome of one SimNet scenario.
@@ -72,7 +73,7 @@ pub fn scenario(
 }
 
 /// Run the suite and produce the result table.
-pub fn run(scale: &Scale) -> Table {
+pub fn run(scale: &Scale) -> Report {
     let mut t = Table::new(
         "T7: message-passing transformation (SimNet + thread runtime)",
         [
@@ -153,7 +154,7 @@ pub fn run(scale: &Scale) -> Table {
             format!("{violations} sampled")
         },
     ]);
-    t
+    Report::of([t])
 }
 
 #[cfg(test)]

@@ -17,44 +17,24 @@
 //! 3. **Watching is cheap** — the full plane (vector-clock stamping,
 //!    snapshot epochs, cut assembly, predicate evaluation) costs ≤ 5% of
 //!    [`SimNet`] throughput on the large ring, so it can stay on.
+//!
+//! `exp monitor --watch` is the interactive side: a live status line per
+//! chunk of a monitored, adversary-ridden ring, optionally served as
+//! Prometheus text over HTTP.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::table::{fmt_f64, Table};
 use diners_sim::telemetry::AlertKind;
-use diners_sim::Phase;
+use diners_sim::{MetricsServer, Phase};
 
 use diners_mp::{AdversaryPlan, MonitorSetup, SimNet};
 
-/// Everything T16 produces: human tables plus the JSON blob for CI
-/// (`BENCH_monitor.json`).
-pub struct MonitorReport {
-    /// Detection latency per injected-violation scenario.
-    pub detection: Table,
-    /// False-positive sweep per link plan × fault variant.
-    pub fp: Table,
-    /// Monitoring overhead on the hot [`SimNet`] loop.
-    pub overhead: Table,
-    /// Injected-violation scenarios run.
-    pub injected: usize,
-    /// Scenarios whose violation was never alerted (must be 0).
-    pub undetected: usize,
-    /// Sweep runs that finished with zero genuine violations — the
-    /// denominator of the false-positive rate (must be ≥ 100 full-scale).
-    pub healthy_runs: usize,
-    /// Hard alerts raised on those healthy runs (must be 0).
-    pub false_positives: usize,
-    /// Sweep runs that completed no snapshot epoch (quietness would be
-    /// vacuous; must be 0).
-    pub cutless_runs: usize,
-    /// Relative slowdown (%) of the net with the full monitoring plane
-    /// at the default epoch cadence vs no plane attached.
-    pub overhead_pct: f64,
-    /// Machine-readable mirror of the tables.
-    pub json: String,
-}
+use super::perf::steps_per_sec;
+use super::{json_object, json_rows, known_flags, opt, Report};
+use crate::common::Scale;
 
 /// Build one monitored net for the detection section.
 fn detection_net(topo: &Topology, plan: AdversaryPlan, slo_wait: u64, seed: u64) -> SimNet {
@@ -356,23 +336,6 @@ fn fp_section(quick: bool, json: &mut Vec<String>) -> (Table, usize, usize, usiz
     (table, healthy_runs, false_positives, cutless_runs)
 }
 
-/// Sustained [`SimNet`] throughput over a wall-clock budget, after a
-/// warmup chunk (mirrors `perf::steps_per_sec`, which is engine-typed).
-fn net_steps_per_sec(net: &mut SimNet, budget: Duration) -> f64 {
-    const CHUNK: u64 = 1_000;
-    net.run(CHUNK); // warmup: queues, caches, fault state
-    let start = Instant::now();
-    let mut steps = 0u64;
-    loop {
-        net.run(CHUNK);
-        steps += CHUNK;
-        let elapsed = start.elapsed();
-        if elapsed >= budget {
-            return steps as f64 / elapsed.as_secs_f64();
-        }
-    }
-}
-
 fn overhead_net(topo: &Topology, epoch_every: Option<u64>) -> SimNet {
     let mut net = SimNet::new(topo.clone(), FaultPlan::none(), 7);
     if let Some(every) = epoch_every {
@@ -411,7 +374,7 @@ fn overhead_section(quick: bool, json: &mut Vec<String>) -> (Table, f64) {
     let mut peak = [0.0f64; 3];
     for _ in 0..reps {
         for (slot, every) in configs.iter().enumerate() {
-            let rate = net_steps_per_sec(&mut overhead_net(&topo, *every), budget);
+            let rate = steps_per_sec(&mut overhead_net(&topo, *every), budget).0;
             peak[slot] = peak[slot].max(rate);
         }
     }
@@ -457,7 +420,11 @@ fn overhead_section(quick: bool, json: &mut Vec<String>) -> (Table, f64) {
 
 /// Run the T16 sweep. `quick` shrinks topologies, horizons, seed counts
 /// and budgets so the sweep fits in integration tests and CI smoke runs.
-pub fn run(quick: bool) -> MonitorReport {
+/// An unalerted injection, a hard alert on a healthy run or a run with
+/// no completed epoch fails the experiment; at full scale so do fewer
+/// than 100 healthy runs and an operating-cadence overhead above 5%.
+pub fn run(scale: &Scale) -> Report {
+    let quick = scale.quick;
     let mut det_json = Vec::new();
     let mut fp_json = Vec::new();
     let mut ovh_json = Vec::new();
@@ -470,93 +437,186 @@ pub fn run(quick: bool) -> MonitorReport {
     let (detection, injected, undetected) = detection_section(quick, &mut det_json);
     let (fp, healthy_runs, false_positives, cutless_runs) = fp_section(quick, &mut fp_json);
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n  \"injected\": {},\n  \"undetected\": {},\n",
-            "  \"healthy_runs\": {},\n  \"false_positives\": {},\n",
-            "  \"cutless_runs\": {},\n  \"monitor_overhead_pct\": {:.2},\n",
-            "  \"detection\": [\n    {}\n  ],\n",
-            "  \"fp_sweep\": [\n    {}\n  ],\n",
-            "  \"overhead\": {}\n}}\n"
-        ),
-        quick,
-        injected,
-        undetected,
-        healthy_runs,
-        false_positives,
-        cutless_runs,
-        overhead_pct,
-        det_json.join(",\n    "),
-        fp_json.join(",\n    "),
-        ovh_json.join(","),
-    );
+    let json = json_object(&[
+        ("injected", injected.to_string()),
+        ("undetected", undetected.to_string()),
+        ("healthy_runs", healthy_runs.to_string()),
+        ("false_positives", false_positives.to_string()),
+        ("cutless_runs", cutless_runs.to_string()),
+        ("monitor_overhead_pct", format!("{overhead_pct:.2}")),
+        ("detection", json_rows(&det_json)),
+        ("fp_sweep", json_rows(&fp_json)),
+        ("overhead", ovh_json.join(",")),
+    ]);
+    let mut report = Report {
+        tables: vec![detection, fp, overhead],
+        json: Some(("BENCH_monitor.json", json)),
+        ..Report::default()
+    };
+    report.check(injected > 0 && undetected == 0, || {
+        format!("{undetected} of {injected} injected violations went unalerted")
+    });
+    report.check(false_positives == 0, || {
+        format!("the monitor raised a hard alert on {false_positives} healthy runs")
+    });
+    report.check(cutless_runs == 0, || {
+        format!("{cutless_runs} sweep runs completed no epochs")
+    });
+    report.check(quick || healthy_runs >= 100, || {
+        format!("only {healthy_runs} healthy runs in the sweep (need ≥ 100)")
+    });
+    report.check(quick || overhead_pct <= 5.0, || {
+        format!("monitoring costs {overhead_pct:.2}% (budget 5%)")
+    });
+    report
+}
 
-    MonitorReport {
-        detection,
-        fp,
-        overhead,
-        injected,
-        undetected,
-        healthy_runs,
-        false_positives,
-        cutless_runs,
-        overhead_pct,
-        json,
+/// The `exp monitor` tool's usage, for the driver's usage text.
+pub const CLI_USAGE: &str = "\
+exp monitor --watch [--quick] [--chunks N] [--serve ADDR]
+                   step a monitored ring(16) under crashes, a malicious crash and a
+                   kitchen-sink link adversary, printing a status line per 500-step
+                   chunk (default 20, 5 with --quick); --serve also exposes the
+                   monitor's metrics as Prometheus text at http://ADDR/metrics";
+
+/// Run the `exp monitor --watch` live dashboard.
+pub fn cli(args: &[String]) -> Result<(), String> {
+    known_flags(args, &["--watch", "--quick", "--chunks", "--serve"])?;
+    if !args.iter().any(|a| a == "--watch" || a == "--serve") {
+        return Err("the monitor tool expects --watch".into());
+    }
+    let chunks: u64 = match opt(args, "--chunks") {
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--chunks expects an integer, got {v:?}"))?,
+        None if args.iter().any(|a| a == "--quick") => 5,
+        None => 20,
+    };
+    let server = match opt(args, "--serve") {
+        Some(addr) => {
+            let s = MetricsServer::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+            println!("serving metrics at http://{}/metrics", s.addr());
+            Some(s)
+        }
+        None => None,
+    };
+    watch(chunks, server);
+    Ok(())
+}
+
+/// A ring(16) under the kitchen-sink link adversary with a malicious
+/// crash, a benign crash and a rebirth scheduled — enough going on that
+/// the status table shows epochs aborting and membership changing.
+fn watch_net(seed: u64) -> SimNet {
+    let mut net = SimNet::with_adversary(
+        Topology::ring(16),
+        FaultPlan::new()
+            .malicious_crash(3_000, 3, 6)
+            .crash(6_000, 9)
+            .restart_fresh(12_000, 9),
+        AdversaryPlan::new()
+            .loss(150)
+            .duplication(150)
+            .delay(150, 4)
+            .reorder(150),
+        seed,
+    );
+    net.enable_monitor(MonitorSetup {
+        epoch_every: 200,
+        slo_wait: 5_000,
+        ..MonitorSetup::default()
+    });
+    net
+}
+
+fn watch(chunks: u64, server: Option<MetricsServer>) {
+    let chunk_steps = 500u64;
+    let mut net = watch_net(11);
+    println!(
+        "watching monitored ring(16) under the kitchen-sink adversary \
+         ({chunks} chunks × {chunk_steps} steps)\n"
+    );
+    println!(
+        "{:>8}  {:>6}  {:>5}  {:>6}  {:>5}  {:>5}  {:>4}  {:>8}  {:>8}",
+        "step", "epoch", "cuts", "aborts", "hard", "soft", "dead", "wait p50", "wait p99"
+    );
+    for _ in 0..chunks {
+        net.run(chunk_steps);
+        let mon = net.monitor().expect("monitor attached");
+        let waits = mon.cluster_waits();
+        let q = |p: f64| waits.quantile(p).map_or("-".into(), |v| v.to_string());
+        println!(
+            "{:>8}  {:>6}  {:>5}  {:>6}  {:>5}  {:>5}  {:>4}  {:>8}  {:>8}",
+            net.step_count(),
+            net.snapshot_epoch(),
+            mon.cuts(),
+            mon.aborts(),
+            mon.hard_alerts(),
+            mon.alerts().len() as u64 - mon.hard_alerts(),
+            net.dead_processes().len(),
+            q(0.5),
+            q(0.99),
+        );
+        if let Some(s) = &server {
+            s.publish(mon.registry());
+        }
+    }
+    let mon = net.monitor().expect("monitor attached");
+    println!(
+        "\nfinal: {} cuts, {} aborts, alerts:",
+        mon.cuts(),
+        mon.aborts()
+    );
+    if mon.alerts().is_empty() {
+        println!("  (none)");
+    }
+    for a in mon.alerts() {
+        println!(
+            "  step {:>6} epoch {:>4} {}: {:?}",
+            a.step, a.epoch, a.pid, a.kind
+        );
+    }
+    if let Some(s) = server {
+        s.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::assert_json_has;
 
     #[test]
     fn quick_sweep_detects_injections_with_no_false_positives() {
-        let report = run(true);
-        assert!(report.injected > 0);
-        assert_eq!(
-            report.undetected,
-            0,
-            "an injected violation went unalerted:\n{}",
-            report.detection.render()
-        );
-        assert!(report.healthy_runs > 0, "{}", report.fp.render());
-        assert_eq!(
-            report.false_positives,
-            0,
-            "hard alert on a healthy run:\n{}",
-            report.fp.render()
-        );
-        assert_eq!(
-            report.cutless_runs,
-            0,
-            "a sweep run completed no epochs:\n{}",
-            report.fp.render()
+        let report = run(&Scale::quick());
+        // Detection, quietness and non-vacuity are the report's own checks.
+        assert!(
+            report.failures.is_empty(),
+            "{:?}\n{}\n{}",
+            report.failures,
+            report.tables[0].render(),
+            report.tables[1].render()
         );
         for (table, key) in [
-            (&report.detection, "neighbors-eating"),
-            (&report.detection, "slo-starvation"),
-            (&report.fp, "kitchen-sink"),
-            (&report.overhead, "unmonitored"),
+            (&report.tables[0], "neighbors-eating"),
+            (&report.tables[0], "slo-starvation"),
+            (&report.tables[1], "kitchen-sink"),
+            (&report.tables[2], "unmonitored"),
         ] {
             assert!(table.render().contains(key), "{}", table.render());
         }
-        let json = &report.json;
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        for key in [
-            "\"quick\": true",
-            "\"undetected\": 0",
-            "\"false_positives\": 0",
-            "\"monitor_overhead_pct\"",
-            "\"detection\":",
-            "\"fp_sweep\":",
-            "\"overhead\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
+        let (_, json) = report.json.expect("monitor writes JSON");
+        assert!(!json.contains("\"healthy_runs\": 0,"), "{json}");
+        assert_json_has(
+            &json,
+            &[
+                "\"undetected\": 0",
+                "\"false_positives\": 0",
+                "\"monitor_overhead_pct\"",
+                "\"detection\":",
+                "\"fp_sweep\":",
+                "\"overhead\":",
+            ],
         );
     }
 }

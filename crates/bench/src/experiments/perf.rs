@@ -17,9 +17,10 @@
 use std::time::{Duration, Instant};
 
 use diners_core::MaliciousCrashDiners;
+use diners_mp::SimNet;
 use diners_sim::algorithm::{DinerAlgorithm, SystemState};
 use diners_sim::codec::StateCodec;
-use diners_sim::engine::{Engine, EnumerationMode};
+use diners_sim::engine::{Engine, EngineBuilder, EnumerationMode};
 use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig};
 use diners_sim::fault::Health;
 use diners_sim::graph::Topology;
@@ -29,17 +30,8 @@ use diners_sim::table::{fmt_f64, Table};
 use diners_sim::toy::ToyDiners;
 use diners_sim::workload::AlwaysHungry;
 
-use crate::common::families;
-
-/// Everything T10 produces: human tables plus the JSON blob for CI.
-pub struct PerfReport {
-    /// Engine steps/sec per family × size × enumeration mode.
-    pub engine: Table,
-    /// Explorer states/sec, sequential vs parallel.
-    pub explore: Table,
-    /// The same numbers as machine-readable JSON (`BENCH_engine.json`).
-    pub json: String,
-}
+use super::{json_number, json_object, json_objects, json_rows, Report};
+use crate::common::{families, Scale};
 
 /// Topology family label: the `name()` prefix before the parameters,
 /// e.g. `"ring(16)"` → `"ring"`.
@@ -47,18 +39,33 @@ fn family_of(topo: &Topology) -> &str {
     topo.name().split('(').next().unwrap_or("?")
 }
 
-/// Steps/sec of `engine`, measured adaptively: chunks of `CHUNK` steps
+/// A system that runs in bulk steps: the engine or the message-passing net.
+pub(crate) trait Steps {
+    /// Run `n` steps.
+    fn steps(&mut self, n: u64);
+}
+
+impl<A: DinerAlgorithm> Steps for Engine<A> {
+    fn steps(&mut self, n: u64) {
+        self.run(n);
+    }
+}
+
+impl Steps for SimNet {
+    fn steps(&mut self, n: u64) {
+        self.run(n);
+    }
+}
+
+/// Steps/sec of `sys`, measured adaptively: chunks of `CHUNK` steps
 /// until at least `budget` wall-clock has elapsed (always ≥ 1 chunk).
-pub(crate) fn steps_per_sec<A: DinerAlgorithm>(
-    engine: &mut Engine<A>,
-    budget: Duration,
-) -> (f64, u64) {
+pub(crate) fn steps_per_sec(sys: &mut impl Steps, budget: Duration) -> (f64, u64) {
     const CHUNK: u64 = 1_000;
-    engine.run(CHUNK); // warmup: populate caches, fault state, branch predictors
+    sys.steps(CHUNK); // warmup: populate caches, fault state, branch predictors
     let start = Instant::now();
     let mut steps = 0u64;
     loop {
-        engine.run(CHUNK);
+        sys.steps(CHUNK);
         steps += CHUNK;
         let elapsed = start.elapsed();
         if elapsed >= budget {
@@ -67,13 +74,17 @@ pub(crate) fn steps_per_sec<A: DinerAlgorithm>(
     }
 }
 
-fn engine_for(topo: &Topology, mode: EnumerationMode) -> Engine<MaliciousCrashDiners> {
+/// The hot loop every throughput measurement shares: the paper's
+/// algorithm, everyone hungry, a seeded random daemon.
+pub(crate) fn bench_engine(topo: &Topology) -> EngineBuilder<MaliciousCrashDiners> {
     Engine::builder(MaliciousCrashDiners::paper(), topo.clone())
         .workload(AlwaysHungry)
         .scheduler(RandomScheduler::new(7))
         .seed(7)
-        .enumeration(mode)
-        .build()
+}
+
+fn engine_for(topo: &Topology, mode: EnumerationMode) -> Engine<MaliciousCrashDiners> {
+    bench_engine(topo).enumeration(mode).build()
 }
 
 /// Full search of `alg` on `topo` from the initial state, everyone live
@@ -101,7 +112,8 @@ where
 
 /// Run the T10 sweep. `quick` shrinks sizes and time budgets so the
 /// sweep fits in integration tests and CI smoke runs.
-pub fn run(quick: bool) -> PerfReport {
+pub fn run(scale: &Scale) -> Report {
+    let quick = scale.quick;
     let budget = if quick {
         Duration::from_millis(100)
     } else {
@@ -182,8 +194,14 @@ pub fn run(quick: bool) -> PerfReport {
         (format!("toy-{}", toy_topo.name()), toy_seq, toy_par),
         (format!("mca-{}", mca_topo.name()), mca_seq, mca_par),
     ];
+    let mut failures = Vec::new();
     for (case, seq, par) in cases {
-        assert_eq!(seq.states, par.states, "{case}: searches must agree");
+        if seq.states != par.states {
+            failures.push(format!(
+                "{case}: sequential and parallel searches disagree ({} vs {} states)",
+                seq.states, par.states
+            ));
+        }
         let speedup = if seq.states_per_sec() > 0.0 {
             par.states_per_sec() / seq.states_per_sec()
         } else {
@@ -214,22 +232,15 @@ pub fn run(quick: bool) -> PerfReport {
         ));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n  \"available_parallelism\": {},\n",
-            "  \"engine\": [\n    {}\n  ],\n",
-            "  \"explore\": [\n    {}\n  ]\n}}\n"
-        ),
-        quick,
-        threads,
-        json_engine.join(",\n    "),
-        json_explore.join(",\n    "),
-    );
-
-    PerfReport {
-        engine: engine_table,
-        explore: explore_table,
-        json,
+    let json = json_object(&[
+        ("engine", json_rows(&json_engine)),
+        ("explore", json_rows(&json_explore)),
+    ]);
+    Report {
+        tables: vec![engine_table, explore_table],
+        json: Some(("BENCH_engine.json", json)),
+        failures,
+        ..Report::default()
     }
 }
 
@@ -237,61 +248,28 @@ pub fn run(quick: bool) -> PerfReport {
 // Baseline regression guard
 // ---------------------------------------------------------------------------
 
-/// Outcome of comparing a fresh perf run against a committed baseline.
-pub struct BaselineCheck {
-    /// Per-configuration comparison rows.
-    pub table: Table,
-    /// Human-readable description of each regression (empty = pass).
-    pub regressions: Vec<String>,
-}
+/// How far a speedup may fall below its baseline before the gate fails.
+const TOLERANCE: f64 = 0.25;
 
-/// Parse the first number following `key` inside `obj`.
-fn num_after(obj: &str, key: &str) -> Option<f64> {
-    let i = obj.find(key)? + key.len();
-    let tail = &obj[i..];
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Extract `(family, n, speedup)` triples from the `engine` section of a
-/// `BENCH_engine.json` blob. Tolerant of whitespace differences; only
-/// engine entries carry a `"family"` key, so no section tracking is
-/// needed.
+/// `(family, n, speedup)` for every row of the `engine` section (only
+/// engine rows carry a `"family"` key).
 fn engine_entries(json: &str) -> Vec<(String, usize, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("\"family\":\"") {
-        let after = &rest[i + 10..];
-        let Some(q) = after.find('"') else { break };
-        let family = after[..q].to_string();
-        let obj = &after[..after.find('}').unwrap_or(after.len())];
-        if let (Some(n), Some(s)) = (num_after(obj, "\"n\":"), num_after(obj, "\"speedup\":")) {
-            out.push((family, n as usize, s));
-        }
-        rest = &after[q..];
-    }
-    out
+    json_objects(json, "family")
+        .into_iter()
+        .filter_map(|(family, obj)| {
+            let n = json_number(obj, "n")? as usize;
+            Some((family, n, json_number(obj, "speedup")?))
+        })
+        .collect()
 }
 
-/// Extract `(case, speedup)` pairs from the `explore` section of a
-/// `BENCH_engine.json` blob (explore entries are the ones keyed by
-/// `"case"`).
+/// `(case, speedup)` for every row of the `explore` section (the rows
+/// keyed by `"case"`).
 fn explore_entries(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("\"case\":\"") {
-        let after = &rest[i + 8..];
-        let Some(q) = after.find('"') else { break };
-        let case = after[..q].to_string();
-        let obj = &after[..after.find('}').unwrap_or(after.len())];
-        if let Some(s) = num_after(obj, "\"speedup\":") {
-            out.push((case, s));
-        }
-        rest = &after[q..];
-    }
-    out
+    json_objects(json, "case")
+        .into_iter()
+        .filter_map(|(case, obj)| Some((case, json_number(obj, "speedup")?)))
+        .collect()
 }
 
 /// Compare a fresh T10 run against a committed baseline and flag
@@ -304,91 +282,105 @@ fn explore_entries(json: &str) -> Vec<(String, f64)> {
 /// away while still catching anything that slows the incremental hot
 /// path (e.g. accidental work on the telemetry-disabled branch). A
 /// configuration regresses when its current speedup falls below
-/// `1 - tolerance` of the baseline's.
+/// `1 - TOLERANCE` of the baseline's.
 ///
-/// Explorer throughput is guarded the same way: the `explore` section's
-/// parallel/sequential speedup per case is a machine-independent ratio,
-/// and a regression there (e.g. a parallel merge pessimization sneaking
-/// back in) fails the check just as an engine regression does.
+/// Explorer throughput is guarded the same way through the `explore`
+/// section's parallel/sequential speedup per case — but that ratio
+/// depends on the host's core count (a 1-core baseline is 1.00 by
+/// construction), so explorer rows are compared only when both files
+/// record the same `available_parallelism`, and skipped otherwise.
 ///
 /// Only configurations present in both blobs are compared (a `--quick`
-/// run checks against a full baseline's intersection); it is an error
-/// for the intersection to be empty.
-pub fn check_against_baseline(
-    current: &str,
-    baseline: &str,
-    tolerance: f64,
-) -> Result<BaselineCheck, String> {
-    let cur = engine_entries(current);
+/// run checks against a full baseline's intersection); an empty
+/// intersection is a failure, not a silent pass.
+pub fn check_against_baseline(current: &str, baseline: &str) -> Report {
+    let mut report = Report::default();
     let base = engine_entries(baseline);
     if base.is_empty() {
-        return Err("baseline JSON has no engine entries".to_string());
+        report
+            .failures
+            .push("baseline JSON has no engine entries".into());
+        return report;
     }
-    let mut table = Table::new(
-        format!(
-            "T10 regression check: incremental/naive speedup vs baseline (tolerance {:.0}%)",
-            tolerance * 100.0
-        ),
-        ["family", "n", "base", "current", "ratio", "verdict"],
-    );
-    let mut regressions = Vec::new();
-    let mut compared = 0;
-    for (family, n, b) in &base {
-        let Some((_, _, c)) = cur.iter().find(|(f, m, _)| f == family && m == n) else {
-            continue;
-        };
-        compared += 1;
-        let ratio = c / b;
-        let ok = ratio >= 1.0 - tolerance;
-        if !ok {
-            regressions.push(format!(
-                "{family}(n={n}): speedup {c:.2} is {:.0}% of baseline {b:.2}",
-                ratio * 100.0
-            ));
-        }
-        table.row([
-            family.clone(),
-            n.to_string(),
-            fmt_f64(*b, 2),
-            fmt_f64(*c, 2),
-            fmt_f64(ratio, 2),
-            if ok { "ok" } else { "REGRESSED" }.to_string(),
-        ]);
-    }
-    // Explorer cases ride in the same table: "case" in the family column,
-    // "-" for the size (cases are matched by name alone).
+    let cur = engine_entries(current);
+    // (label, size column, baseline speedup, current speedup, skip reason)
+    let mut rows: Vec<(String, String, f64, f64, Option<String>)> = base
+        .iter()
+        .filter_map(|(family, n, b)| {
+            let (_, _, c) = cur.iter().find(|(f, m, _)| f == family && m == n)?;
+            Some((family.clone(), n.to_string(), *b, *c, None))
+        })
+        .collect();
+    let cores = |json: &str| json_number(json, "available_parallelism");
+    let (base_cores, cur_cores) = (cores(baseline), cores(current));
     let cur_ex = explore_entries(current);
     for (case, b) in explore_entries(baseline) {
         let Some((_, c)) = cur_ex.iter().find(|(k, _)| *k == case) else {
             continue;
         };
-        compared += 1;
+        let skip = (base_cores != cur_cores).then(|| {
+            let show = |c: Option<f64>| c.map_or("?".to_string(), |c| c.to_string());
+            format!(
+                "skipped (baseline {} cores, run {})",
+                show(base_cores),
+                show(cur_cores)
+            )
+        });
+        rows.push((case, "-".to_string(), b, *c, skip));
+    }
+
+    let mut table = Table::new(
+        format!(
+            "T10 regression check: speedup vs baseline (tolerance {:.0}%)",
+            TOLERANCE * 100.0
+        ),
+        ["case", "n", "base", "current", "ratio", "verdict"],
+    );
+    let mut compared = 0;
+    for (case, size, b, c, skip) in rows {
         let ratio = c / b;
-        let ok = ratio >= 1.0 - tolerance;
-        if !ok {
-            regressions.push(format!(
-                "{case}: explorer speedup {c:.2} is {:.0}% of baseline {b:.2}",
-                ratio * 100.0
-            ));
-        }
+        let verdict = match skip {
+            Some(why) => why,
+            None => {
+                compared += 1;
+                if ratio >= 1.0 - TOLERANCE {
+                    "ok".to_string()
+                } else {
+                    let label = if size == "-" {
+                        case.clone()
+                    } else {
+                        format!("{case}(n={size})")
+                    };
+                    report.failures.push(format!(
+                        "{label}: speedup {c:.2} is {:.0}% of baseline {b:.2}",
+                        ratio * 100.0
+                    ));
+                    "REGRESSED".to_string()
+                }
+            }
+        };
         table.row([
-            case.clone(),
-            "-".to_string(),
+            case,
+            size,
             fmt_f64(b, 2),
-            fmt_f64(*c, 2),
+            fmt_f64(c, 2),
             fmt_f64(ratio, 2),
-            if ok { "ok" } else { "REGRESSED" }.to_string(),
+            verdict,
         ]);
     }
     if compared == 0 {
-        return Err("no overlapping (family, n) configurations between run and baseline".into());
+        report
+            .failures
+            .push("no overlapping configurations between run and baseline".into());
     }
-    Ok(BaselineCheck { table, regressions })
+    report.tables.push(table);
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::assert_json_has;
 
     fn entry(family: &str, n: usize, speedup: f64) -> String {
         format!("{{\"family\":\"{family}\",\"n\":{n},\"speedup\":{speedup:.3}}}")
@@ -409,9 +401,9 @@ mod tests {
             entry("line", 64, 8.5),
             entry("grid", 64, 3.0)
         );
-        let check = check_against_baseline(&ok, &baseline, 0.25).unwrap();
-        assert!(check.regressions.is_empty(), "{:?}", check.regressions);
-        assert_eq!(check.table.len(), 2);
+        let check = check_against_baseline(&ok, &baseline);
+        assert!(check.failures.is_empty(), "{:?}", check.failures);
+        assert_eq!(check.tables[0].len(), 2);
 
         // ring collapses below 75% of baseline.
         let bad = format!(
@@ -419,42 +411,70 @@ mod tests {
             entry("ring", 64, 7.0),
             entry("line", 64, 8.0)
         );
-        let check = check_against_baseline(&bad, &baseline, 0.25).unwrap();
-        assert_eq!(check.regressions.len(), 1);
-        assert!(check.regressions[0].contains("ring(n=64)"));
-        assert!(check.table.render().contains("REGRESSED"));
+        let check = check_against_baseline(&bad, &baseline);
+        assert_eq!(check.failures.len(), 1);
+        assert!(check.failures[0].contains("ring(n=64)"));
+        assert!(check.tables[0].render().contains("REGRESSED"));
 
-        // Disjoint configurations are an error, not a silent pass.
+        // Disjoint configurations fail rather than pass silently.
         let disjoint = format!("{{\"engine\":[{}]}}", entry("star", 8, 2.0));
-        assert!(check_against_baseline(&disjoint, &baseline, 0.25).is_err());
-        assert!(check_against_baseline("{}", &baseline, 0.25).is_err());
-        assert!(check_against_baseline(&ok, "{}", 0.25).is_err());
+        assert!(!check_against_baseline(&disjoint, &baseline)
+            .failures
+            .is_empty());
+        assert!(!check_against_baseline("{}", &baseline).failures.is_empty());
+        assert!(!check_against_baseline(&ok, "{}").failures.is_empty());
+    }
+
+    /// A run blob with one engine row and the explorer case at `speedup`,
+    /// recorded on a host with `cores` cores.
+    fn explorer_run(cores: usize, speedup: f64) -> String {
+        format!(
+            concat!(
+                "{{\n  \"available_parallelism\": {},\n  \"engine\":[{}],",
+                "\"explore\":[{{\"case\":\"mca-line(n=4)\",\"speedup\":{:.3}}}]}}"
+            ),
+            cores,
+            entry("ring", 64, 10.0),
+            speedup
+        )
     }
 
     #[test]
     fn baseline_check_guards_explorer_speedups_too() {
-        let baseline = format!(
-            "{{\"engine\":[{}],\"explore\":[{{\"case\":\"toy-ring(n=12)\",\"speedup\":2.000}}]}}",
-            entry("ring", 64, 10.0)
-        );
-        let ok = format!(
-            "{{\"engine\":[{}],\"explore\":[{{\"case\":\"toy-ring(n=12)\",\"speedup\":1.800}}]}}",
-            entry("ring", 64, 10.0)
-        );
-        let check = check_against_baseline(&ok, &baseline, 0.25).unwrap();
-        assert!(check.regressions.is_empty(), "{:?}", check.regressions);
-        assert_eq!(check.table.len(), 2, "engine row + explore row");
+        let baseline = explorer_run(2, 2.0);
+        let check = check_against_baseline(&explorer_run(2, 1.8), &baseline);
+        assert!(check.failures.is_empty(), "{:?}", check.failures);
+        assert_eq!(check.tables[0].len(), 2, "engine row + explore row");
 
-        let bad = format!(
-            "{{\"engine\":[{}],\"explore\":[{{\"case\":\"toy-ring(n=12)\",\"speedup\":1.000}}]}}",
-            entry("ring", 64, 10.0)
-        );
-        let check = check_against_baseline(&bad, &baseline, 0.25).unwrap();
-        assert_eq!(check.regressions.len(), 1);
+        let check = check_against_baseline(&explorer_run(2, 1.0), &baseline);
+        assert_eq!(check.failures.len(), 1);
         assert!(
-            check.regressions[0].contains("toy-ring"),
+            check.failures[0].contains("mca-line"),
             "{:?}",
-            check.regressions
+            check.failures
+        );
+    }
+
+    #[test]
+    fn explorer_rows_compare_only_at_equal_parallelism() {
+        // The committed baseline was recorded on one core (speedup 1.00 by
+        // construction); a 2-vCPU host reads anywhere in 0.73–1.15.
+        let baseline = explorer_run(1, 1.0);
+        let check = check_against_baseline(&explorer_run(2, 0.73), &baseline);
+        assert!(check.failures.is_empty(), "{:?}", check.failures);
+        let table = check.tables[0].render();
+        assert!(
+            table.contains("skipped (baseline 1 cores, run 2)"),
+            "{table}"
+        );
+
+        // The same two readings at equal parallelism are a regression.
+        let check = check_against_baseline(&explorer_run(2, 0.73), &explorer_run(2, 1.0));
+        assert_eq!(check.failures.len(), 1, "{:?}", check.failures);
+        assert!(
+            check.failures[0].contains("mca-line"),
+            "{:?}",
+            check.failures
         );
     }
 
@@ -469,8 +489,9 @@ mod tests {
         {
             return; // only meaningfully testable on a single-core host
         }
-        let report = run(true);
-        for (case, speedup) in explore_entries(&report.json) {
+        let report = run(&Scale::quick());
+        let (_, json) = report.json.expect("perf writes JSON");
+        for (case, speedup) in explore_entries(&json) {
             assert_eq!(speedup, 1.0, "{case}: {speedup}");
         }
     }
@@ -494,30 +515,26 @@ mod tests {
 
     #[test]
     fn quick_sweep_produces_tables_and_well_formed_json() {
-        let report = run(true);
-        let engine = report.engine.render();
+        let report = run(&Scale::quick());
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        let engine = report.tables[0].render();
         assert!(engine.contains("ring"), "{engine}");
-        let explore = report.explore.render();
+        let explore = report.tables[1].render();
         assert!(explore.contains("toy-ring"), "{explore}");
         // Hand-rolled JSON: check the shape without a parser dependency.
-        let json = &report.json;
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        for key in [
-            "\"quick\": true",
-            "\"engine\":",
-            "\"explore\":",
-            "\"naive_steps_per_sec\"",
-            "\"incremental_steps_per_sec\"",
-            "\"seq_states_per_sec\"",
-            "\"par_states_per_sec\"",
-            "\"speedup\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
+        let (file, json) = report.json.expect("perf writes JSON");
+        assert_eq!(file, "BENCH_engine.json");
+        assert_json_has(
+            &json,
+            &[
+                "\"engine\":",
+                "\"explore\":",
+                "\"naive_steps_per_sec\"",
+                "\"incremental_steps_per_sec\"",
+                "\"seq_states_per_sec\"",
+                "\"par_states_per_sec\"",
+                "\"speedup\"",
+            ],
         );
     }
 

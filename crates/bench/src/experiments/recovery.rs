@@ -30,40 +30,8 @@ use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::table::{fmt_f64, fmt_opt, Table};
 use diners_sim::telemetry::Histogram;
 
+use super::{json_object, json_rows, Report};
 use crate::common::Scale;
-
-/// Everything T13 produces: human tables plus the JSON blob for CI
-/// (`BENCH_recovery.json`).
-pub struct RecoveryReport {
-    /// Engine-level incident sweep: MTTR and disturbance radius per
-    /// topology × resurrection mode.
-    pub incidents: Table,
-    /// Supervised SimNet restart storms.
-    pub supervised: Table,
-    /// Restart-budget exhaustion containment.
-    pub budget: Table,
-    /// Largest disturbance radius over every incident (claim: ≤ 2).
-    pub max_radius: u32,
-    /// Incidents that failed to reconverge inside the horizon.
-    pub unrecovered: u64,
-    /// Supervised runs with a post-settle exclusion violation or a
-    /// starved process.
-    pub storm_failures: u64,
-    /// Give-ups observed outside the budget-exhaustion scenario.
-    pub unexpected_giveups: u64,
-    /// Machine-readable mirror of the tables.
-    pub json: String,
-}
-
-impl RecoveryReport {
-    /// Whether every recovery claim held.
-    pub fn clean(&self) -> bool {
-        self.max_radius <= 2
-            && self.unrecovered == 0
-            && self.storm_failures == 0
-            && self.unexpected_giveups == 0
-    }
-}
 
 /// The T13 topology set (≥ 3 families; sizes keep exhaustive
 /// site-rotation affordable).
@@ -95,7 +63,8 @@ fn modes(seed: u64) -> [(&'static str, Resurrection); 3] {
     ]
 }
 
-fn incident_section(scale: &Scale, quick: bool, json: &mut Vec<String>) -> (Table, u32, u64) {
+fn incident_section(scale: &Scale, json: &mut Vec<String>) -> (Table, u32, u64) {
+    let quick = scale.quick;
     let seeds = if quick { 2 } else { scale.seeds.max(8) };
     let (crash_step, restart_step) = (1_000u64, 3_000u64);
     let dist_steps: u64 = if quick { 2_500 } else { 5_000 };
@@ -207,7 +176,8 @@ fn storm_policy(resurrection: Resurrection, max_restarts: u32) -> RestartPolicy 
     }
 }
 
-fn storm_section(scale: &Scale, quick: bool, json: &mut Vec<String>) -> (Table, u64, u64) {
+fn storm_section(scale: &Scale, json: &mut Vec<String>) -> (Table, u64, u64) {
+    let quick = scale.quick;
     let seeds = if quick { 2 } else { scale.seeds.max(8) };
     let settle = scale.settle.max(8_000);
     let window = scale.window;
@@ -353,95 +323,71 @@ fn budget_section(quick: bool, json: &mut Vec<String>) -> (Table, u64) {
 }
 
 /// Run the T13 sweep. `quick` shrinks seeds and horizons so the sweep
-/// fits in integration tests and CI smoke runs.
-pub fn run_report(scale: &Scale, quick: bool) -> RecoveryReport {
+/// fits in integration tests and CI smoke runs. An incident radius above
+/// 2, an unrecovered incident, a failed storm or budget run, or a
+/// give-up inside a storm (whose budget of 8 is never exhausted, so any
+/// give-up there is a watchdog bug) fails the experiment.
+pub fn run(scale: &Scale) -> Report {
     let mut inc_json = Vec::new();
     let mut storm_json = Vec::new();
     let mut budget_json = Vec::new();
 
-    let (incidents, max_radius, unrecovered) = incident_section(scale, quick, &mut inc_json);
-    let (supervised, storm_failures, storm_giveups) = storm_section(scale, quick, &mut storm_json);
-    let (budget, budget_failures) = budget_section(quick, &mut budget_json);
+    let (incidents, max_radius, unrecovered) = incident_section(scale, &mut inc_json);
+    let (supervised, storm_failures, storm_giveups) = storm_section(scale, &mut storm_json);
+    let (budget, budget_failures) = budget_section(scale.quick, &mut budget_json);
+    let storm_failures = storm_failures + budget_failures;
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n  \"max_incident_radius\": {},\n",
-            "  \"unrecovered_incidents\": {},\n  \"storm_failures\": {},\n",
-            "  \"incidents\": [\n    {}\n  ],\n",
-            "  \"supervised\": [\n    {}\n  ],\n",
-            "  \"budget_exhaustion\": [\n    {}\n  ]\n}}\n"
-        ),
-        quick,
-        max_radius,
-        unrecovered,
-        storm_failures + budget_failures,
-        inc_json.join(",\n    "),
-        storm_json.join(",\n    "),
-        budget_json.join(",\n    "),
-    );
-
-    RecoveryReport {
-        incidents,
-        supervised,
-        budget,
-        max_radius,
-        unrecovered,
-        storm_failures: storm_failures + budget_failures,
-        // The storm scenarios never exhaust their budget of 8; every
-        // give-up there is a watchdog bug.
-        unexpected_giveups: storm_giveups,
-        json,
-    }
-}
-
-/// Run the sweep and produce the headline table (the `exp-all` entry
-/// point keeps the full report).
-pub fn run(scale: &Scale) -> Table {
-    run_report(scale, *scale == Scale::quick()).incidents
+    let json = json_object(&[
+        ("max_incident_radius", max_radius.to_string()),
+        ("unrecovered_incidents", unrecovered.to_string()),
+        ("storm_failures", storm_failures.to_string()),
+        ("incidents", json_rows(&inc_json)),
+        ("supervised", json_rows(&storm_json)),
+        ("budget_exhaustion", json_rows(&budget_json)),
+    ]);
+    let mut report = Report {
+        tables: vec![incidents, supervised, budget],
+        json: Some(("BENCH_recovery.json", json)),
+        ..Report::default()
+    };
+    report.check(max_radius <= 2, || {
+        format!("incident disturbance radius {max_radius} exceeds the locality bound of 2")
+    });
+    report.check(unrecovered == 0, || {
+        format!("{unrecovered} incidents failed to reconverge")
+    });
+    report.check(storm_failures == 0, || {
+        format!("{storm_failures} supervised runs violated, starved or left a node dead")
+    });
+    report.check(storm_giveups == 0, || {
+        format!("{storm_giveups} unexpected give-ups in the restart storms")
+    });
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::assert_json_has;
 
     #[test]
     fn quick_sweep_recovers_everywhere_and_emits_well_formed_json() {
-        let report = run_report(&Scale::quick(), true);
-        assert!(
-            report.clean(),
-            "recovery sweep failed: radius {}, unrecovered {}, storm failures {}, \
-             unexpected giveups {}\n{}\n{}\n{}",
-            report.max_radius,
-            report.unrecovered,
-            report.storm_failures,
-            report.unexpected_giveups,
-            report.incidents.render(),
-            report.supervised.render(),
-            report.budget.render(),
-        );
-        for (table, key) in [
-            (&report.incidents, "arbitrary"),
-            (&report.supervised, "snapshot"),
-            (&report.budget, "0"),
-        ] {
+        let report = run(&Scale::quick());
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        for (table, key) in report.tables.iter().zip(["arbitrary", "snapshot", "0"]) {
             assert!(table.render().contains(key), "{}", table.render());
         }
-        let json = &report.json;
-        for key in [
-            "\"quick\": true",
-            "\"max_incident_radius\"",
-            "\"unrecovered_incidents\": 0",
-            "\"incidents\":",
-            "\"supervised\":",
-            "\"budget_exhaustion\":",
-            "\"mttr_mean\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
+        let (_, json) = report.json.expect("recovery writes JSON");
+        assert_json_has(
+            &json,
+            &[
+                "\"max_incident_radius\"",
+                "\"unrecovered_incidents\": 0",
+                "\"incidents\":",
+                "\"supervised\":",
+                "\"budget_exhaustion\":",
+                "\"mttr_mean\"",
+            ],
         );
     }
 }

@@ -31,6 +31,7 @@ use diners_sim::graph::Topology;
 use diners_sim::rng::subseed;
 use diners_sim::table::{fmt_opt, Table};
 
+use super::Report;
 use crate::common::{grid_for, max_opt, median_opt, Scale};
 
 fn samples_for(
@@ -62,8 +63,12 @@ fn stable(sample: Option<u64>, horizon: u64) -> Option<u64> {
     sample.filter(|&s| s < horizon - horizon / 5)
 }
 
-/// Run the main sweep and produce the result table.
-pub fn run(scale: &Scale) -> Table {
+/// Run the main sweep (T1) and the dense-graph finding (T1b).
+pub fn run(scale: &Scale) -> Report {
+    Report::of([main_sweep(scale), dense(scale)])
+}
+
+fn main_sweep(scale: &Scale) -> Table {
     let mut t = Table::new(
         "T1: stabilization to I from arbitrary states (median / max over seeds)",
         [
@@ -125,7 +130,7 @@ pub fn run(scale: &Scale) -> Table {
 }
 
 /// T1b: the depth-bound finding on dense topologies.
-pub fn run_dense(scale: &Scale) -> Table {
+fn dense(scale: &Scale) -> Table {
     let mut t = Table::new(
         "T1b: dense graphs — paper's depth>D churns forever; corrected n bound stabilizes",
         [

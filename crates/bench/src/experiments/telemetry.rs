@@ -7,8 +7,9 @@
 //! failure locality ≤ 2 as a meal-shortfall radius) without perturbing
 //! the runs it observes. The overhead section quantifies the cost of the
 //! enabled path; the disabled path is a single branch on a `None`
-//! option, and the machine-normalized guard in `exp-perf --check`
-//! watches for regressions of the bare engine across commits.
+//! option, and the machine-normalized guard in `exp perf --check`
+//! watches for regressions of the bare engine across commits. A
+//! single-crash disturbance radius above 2 fails the experiment.
 
 use std::time::Duration;
 
@@ -16,41 +17,17 @@ use diners_core::harness::{crash_disturbance, service_shortfall, stabilization_w
 use diners_core::MaliciousCrashDiners;
 use diners_mp::{AdversaryPlan, SimNet};
 use diners_sim::algorithm::SystemState;
-use diners_sim::engine::{Engine, EnumerationMode};
+use diners_sim::engine::Engine;
 use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig};
 use diners_sim::fault::{FaultKind, FaultPlan, Health};
 use diners_sim::graph::Topology;
-use diners_sim::scheduler::RandomScheduler;
 use diners_sim::table::{fmt_f64, fmt_opt, Table};
 use diners_sim::telemetry::{Histogram, RingSink, Telemetry};
 use diners_sim::toy::ToyDiners;
-use diners_sim::workload::AlwaysHungry;
 
-use crate::experiments::perf::steps_per_sec;
-
-/// Everything T11 produces: human tables plus the JSON blob for CI
-/// (`BENCH_telemetry.json`).
-pub struct TelemetryReport {
-    /// Convergence-time telemetry per topology.
-    pub convergence: Table,
-    /// Disturbance radius per topology × crash kind.
-    pub disturbance: Table,
-    /// Network counters under benign and adversarial links.
-    pub network: Table,
-    /// Explorer layer statistics.
-    pub explorer: Table,
-    /// Telemetry overhead on the hot engine loop.
-    pub overhead: Table,
-    /// Largest disturbance radius observed across every single-crash
-    /// scenario (the paper predicts ≤ 2).
-    pub max_radius: u32,
-    /// Relative slowdown (%) of the engine with telemetry *enabled*
-    /// (registry, no sink) vs none attached — an upper bound on the
-    /// disabled-path cost.
-    pub overhead_pct: f64,
-    /// Machine-readable mirror of the tables.
-    pub json: String,
-}
+use super::perf::{bench_engine, steps_per_sec};
+use super::{json_object, json_rows, Report};
+use crate::common::Scale;
 
 /// The T11 topology set: small instances of each family, sized so every
 /// crash site can be swept exhaustively.
@@ -274,18 +251,15 @@ fn explorer_section(quick: bool, json: &mut Vec<String>) -> Table {
 }
 
 fn overhead_engine(topo: &Topology, tele: Option<Telemetry>) -> Engine<MaliciousCrashDiners> {
-    let mut b = Engine::builder(MaliciousCrashDiners::paper(), topo.clone())
-        .workload(AlwaysHungry)
-        .scheduler(RandomScheduler::new(7))
-        .seed(7)
-        .enumeration(EnumerationMode::Incremental);
-    if let Some(t) = tele {
-        b = b.telemetry(t);
+    match tele {
+        Some(t) => bench_engine(topo).telemetry(t).build(),
+        None => bench_engine(topo).build(),
     }
-    b.build()
 }
 
-fn overhead_section(quick: bool, json: &mut Vec<String>) -> (Table, f64) {
+/// The overhead table; the JSON row carries the registry-only slowdown,
+/// an upper bound on the disabled-path cost.
+fn overhead_section(quick: bool, json: &mut Vec<String>) -> Table {
     let budget = if quick {
         Duration::from_millis(120)
     } else {
@@ -334,12 +308,13 @@ fn overhead_section(quick: bool, json: &mut Vec<String>) -> (Table, f64) {
         pct(registry),
         pct(sink),
     ));
-    (table, pct(registry))
+    table
 }
 
 /// Run the T11 sweep. `quick` shrinks topologies, seeds and budgets so
 /// the sweep fits in integration tests and CI smoke runs.
-pub fn run(quick: bool) -> TelemetryReport {
+pub fn run(scale: &Scale) -> Report {
+    let quick = scale.quick;
     let mut conv_json = Vec::new();
     let mut dist_json = Vec::new();
     let mut net_json = Vec::new();
@@ -350,80 +325,62 @@ pub fn run(quick: bool) -> TelemetryReport {
     let (disturbance, max_radius) = disturbance_section(quick, &mut dist_json);
     let network = network_section(quick, &mut net_json);
     let explorer = explorer_section(quick, &mut exp_json);
-    let (overhead, overhead_pct) = overhead_section(quick, &mut ovh_json);
+    let overhead = overhead_section(quick, &mut ovh_json);
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n  \"max_single_crash_radius\": {},\n",
-            "  \"convergence\": [\n    {}\n  ],\n",
-            "  \"disturbance\": [\n    {}\n  ],\n",
-            "  \"network\": [\n    {}\n  ],\n",
-            "  \"explore\": [\n    {}\n  ],\n",
-            "  \"overhead\": {}\n}}\n"
-        ),
-        quick,
-        max_radius,
-        conv_json.join(",\n    "),
-        dist_json.join(",\n    "),
-        net_json.join(",\n    "),
-        exp_json.join(",\n    "),
-        ovh_json.join(","),
-    );
-
-    TelemetryReport {
-        convergence,
-        disturbance,
-        network,
-        explorer,
-        overhead,
-        max_radius,
-        overhead_pct,
-        json,
-    }
+    let json = json_object(&[
+        ("max_single_crash_radius", max_radius.to_string()),
+        ("convergence", json_rows(&conv_json)),
+        ("disturbance", json_rows(&dist_json)),
+        ("network", json_rows(&net_json)),
+        ("explore", json_rows(&exp_json)),
+        ("overhead", ovh_json.join(",")),
+    ]);
+    let mut report = Report {
+        tables: vec![convergence, disturbance, network, explorer, overhead],
+        json: Some(("BENCH_telemetry.json", json)),
+        ..Report::default()
+    };
+    report.check(max_radius <= 2, || {
+        format!("disturbance radius {max_radius} exceeds the paper's locality bound of 2")
+    });
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::assert_json_has;
 
     #[test]
     fn quick_sweep_observes_locality_and_well_formed_json() {
-        let report = run(true);
+        let report = run(&Scale::quick());
         // The paper's failure-locality theorem, measured: no single
         // crash disturbs service beyond distance 2.
         assert!(
-            report.max_radius <= 2,
-            "disturbance radius {} > 2:\n{}",
-            report.max_radius,
-            report.disturbance.render()
+            report.failures.is_empty(),
+            "{:?}\n{}",
+            report.failures,
+            report.tables[1].render()
         );
-        for (table, key) in [
-            (&report.convergence, "ring"),
-            (&report.disturbance, "crash"),
-            (&report.network, "lossy"),
-            (&report.explorer, "toy-ring"),
-            (&report.overhead, "registry"),
-        ] {
+        for (table, key) in report
+            .tables
+            .iter()
+            .zip(["ring", "crash", "lossy", "toy-ring", "registry"])
+        {
             assert!(table.render().contains(key), "{}", table.render());
         }
-        let json = &report.json;
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        for key in [
-            "\"quick\": true",
-            "\"max_single_crash_radius\"",
-            "\"convergence\":",
-            "\"disturbance\":",
-            "\"network\":",
-            "\"explore\":",
-            "\"overhead\":",
-            "\"registry_overhead_pct\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
+        let (_, json) = report.json.expect("telemetry writes JSON");
+        assert_json_has(
+            &json,
+            &[
+                "\"max_single_crash_radius\"",
+                "\"convergence\":",
+                "\"disturbance\":",
+                "\"network\":",
+                "\"explore\":",
+                "\"overhead\":",
+                "\"registry_overhead_pct\"",
+            ],
         );
     }
 }

@@ -16,6 +16,7 @@ use diners_sim::scheduler::RandomScheduler;
 use diners_sim::table::{fmt_f64, Table};
 use diners_sim::toy::ToyDiners;
 
+use super::Report;
 use crate::common::{families, Scale};
 
 fn stats_for<A: DinerAlgorithm>(alg: A, topo: Topology, steps: u64, seed: u64) -> ServiceStats {
@@ -45,7 +46,7 @@ fn push_row(t: &mut Table, name: &str, topo: &Topology, steps: u64, s: ServiceSt
 }
 
 /// Run the sweep and produce the result table.
-pub fn run(scale: &Scale) -> Table {
+pub fn run(scale: &Scale) -> Report {
     let steps = scale.window;
     let n = scale.sizes[scale.sizes.len() / 2];
     let mut t = Table::new(
@@ -115,7 +116,7 @@ pub fn run(scale: &Scale) -> Table {
             stats_for(ToyDiners, topo.clone(), steps, 1),
         );
     }
-    t
+    Report::of([t])
 }
 
 #[cfg(test)]

@@ -32,31 +32,12 @@ use diners_sim::telemetry::Histogram;
 use diners_sim::workload::AlwaysHungry;
 use diners_sim::Phase;
 
-use crate::experiments::perf::steps_per_sec;
+use super::perf::{bench_engine, steps_per_sec};
+use super::{json_object, json_rows, Report};
+use crate::common::Scale;
 
-/// Everything T12 produces: human tables plus the JSON blob for CI
-/// (`BENCH_trace.json`).
-pub struct TraceReport {
-    /// Replay verification per topology × scheduler × fault plan.
-    pub replay: Table,
-    /// Blame-chain statistics per single-crash scenario.
-    pub blame: Table,
-    /// Flight-recorder overhead on the hot engine loop.
-    pub overhead: Table,
-    /// Cells whose replay diverged or whose round trip drifted (must be 0).
-    pub replay_failures: usize,
-    /// Budget-2 blame chains found across all single-crash scenarios
-    /// (must be > 0 — the locality check is only meaningful non-vacuously).
-    pub rooted_chains: usize,
-    /// Largest graph distance from a blamed span's process to the crash
-    /// site over all budget-2 chains (the paper predicts ≤ 2).
-    pub max_rooted_distance: u32,
-    /// Relative slowdown (%) of the engine with the flight recorder
-    /// attached at the default checkpoint cadence vs none attached.
-    pub overhead_pct: f64,
-    /// Machine-readable mirror of the tables.
-    pub json: String,
-}
+mod tool;
+pub use tool::{cli, CLI_USAGE};
 
 /// The replay sweep's topology set. Sized so the full sweep still runs in
 /// seconds: replay doubles every cell's step count.
@@ -330,15 +311,12 @@ fn blame_section(quick: bool, json: &mut Vec<String>) -> (Table, usize, u32) {
 }
 
 fn overhead_engine(topo: &Topology, recorder: Option<u64>) -> Engine<MaliciousCrashDiners> {
-    let mut b = Engine::builder(MaliciousCrashDiners::paper(), topo.clone())
-        .workload(AlwaysHungry)
-        .scheduler(RandomScheduler::new(7))
-        .seed(7)
-        .enumeration(EnumerationMode::Incremental);
-    if let Some(every) = recorder {
-        b = b.flight_recorder_every("mca-paper", every);
+    match recorder {
+        Some(every) => bench_engine(topo)
+            .flight_recorder_every("mca-paper", every)
+            .build(),
+        None => bench_engine(topo).build(),
     }
-    b.build()
 }
 
 fn overhead_section(quick: bool, json: &mut Vec<String>) -> (Table, f64) {
@@ -401,8 +379,11 @@ fn overhead_section(quick: bool, json: &mut Vec<String>) -> (Table, f64) {
 }
 
 /// Run the T12 sweep. `quick` shrinks topologies, horizons and budgets so
-/// the sweep fits in integration tests and CI smoke runs.
-pub fn run(quick: bool) -> TraceReport {
+/// the sweep fits in integration tests and CI smoke runs. A replay that
+/// is not bit-identical, a vacuous or escaping blame check, or (at full
+/// scale) a recorder costing more than 5% fails the experiment.
+pub fn run(scale: &Scale) -> Report {
+    let quick = scale.quick;
     let mut replay_json = Vec::new();
     let mut blame_json = Vec::new();
     let mut ovh_json = Vec::new();
@@ -411,82 +392,72 @@ pub fn run(quick: bool) -> TraceReport {
     let (blame, rooted_chains, max_rooted_distance) = blame_section(quick, &mut blame_json);
     let (overhead, overhead_pct) = overhead_section(quick, &mut ovh_json);
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n  \"replay_failures\": {},\n",
-            "  \"rooted_chains\": {},\n  \"max_rooted_distance\": {},\n",
-            "  \"recorder_overhead_pct\": {:.2},\n",
-            "  \"replay\": [\n    {}\n  ],\n",
-            "  \"blame\": [\n    {}\n  ],\n",
-            "  \"overhead\": {}\n}}\n"
-        ),
-        quick,
-        replay_failures,
-        rooted_chains,
-        max_rooted_distance,
-        overhead_pct,
-        replay_json.join(",\n    "),
-        blame_json.join(",\n    "),
-        ovh_json.join(","),
-    );
-
-    TraceReport {
-        replay,
-        blame,
-        overhead,
-        replay_failures,
-        rooted_chains,
-        max_rooted_distance,
-        overhead_pct,
-        json,
-    }
+    let json = json_object(&[
+        ("replay_failures", replay_failures.to_string()),
+        ("rooted_chains", rooted_chains.to_string()),
+        ("max_rooted_distance", max_rooted_distance.to_string()),
+        ("recorder_overhead_pct", format!("{overhead_pct:.2}")),
+        ("replay", json_rows(&replay_json)),
+        ("blame", json_rows(&blame_json)),
+        ("overhead", ovh_json.join(",")),
+    ]);
+    let mut report = Report {
+        tables: vec![replay, blame, overhead],
+        json: Some(("BENCH_trace.json", json)),
+        ..Report::default()
+    };
+    report.check(replay_failures == 0, || {
+        format!("{replay_failures} recordings failed to replay bit-identically")
+    });
+    report.check(rooted_chains > 0, || {
+        "no blame chain within 2 hops: the locality check was vacuous".into()
+    });
+    report.check(max_rooted_distance <= 2, || {
+        format!("a blame chain reached distance {max_rooted_distance}, beyond the bound of 2")
+    });
+    report.check(quick || overhead_pct <= 5.0, || {
+        format!("flight recorder costs {overhead_pct:.2}% (budget 5%)")
+    });
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::assert_json_has;
 
     #[test]
     fn quick_sweep_replays_exactly_and_blames_locally() {
-        let report = run(true);
-        assert_eq!(
-            report.replay_failures,
-            0,
-            "replay diverged:\n{}",
-            report.replay.render()
-        );
-        // Non-vacuous locality: chains exist, and none escapes distance 2.
-        assert!(report.rooted_chains > 0, "{}", report.blame.render());
+        let report = run(&Scale::quick());
+        // Bit-identical replay and non-vacuous locality: chains exist,
+        // and none escapes distance 2.
         assert!(
-            report.max_rooted_distance <= 2,
-            "blame escaped the locality bound:\n{}",
-            report.blame.render()
+            report.failures.is_empty(),
+            "{:?}\n{}\n{}",
+            report.failures,
+            report.tables[0].render(),
+            report.tables[1].render()
         );
-        for (table, key) in [
-            (&report.replay, "bit-identical"),
-            (&report.blame, "ring"),
-            (&report.overhead, "recorder"),
-        ] {
+        for (table, key) in report
+            .tables
+            .iter()
+            .zip(["bit-identical", "ring", "recorder"])
+        {
             assert!(table.render().contains(key), "{}", table.render());
         }
-        let json = &report.json;
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        for key in [
-            "\"quick\": true",
-            "\"replay_failures\": 0",
-            "\"rooted_chains\"",
-            "\"max_rooted_distance\"",
-            "\"recorder_overhead_pct\"",
-            "\"replay\":",
-            "\"blame\":",
-            "\"overhead\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
+        let (_, json) = report.json.expect("trace writes JSON");
+        assert!(!json.contains("\"rooted_chains\": 0,"), "{json}");
+        assert_json_has(
+            &json,
+            &[
+                "\"replay_failures\": 0",
+                "\"rooted_chains\"",
+                "\"max_rooted_distance\"",
+                "\"recorder_overhead_pct\"",
+                "\"replay\":",
+                "\"blame\":",
+                "\"overhead\":",
+            ],
         );
     }
 }

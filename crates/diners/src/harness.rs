@@ -1,5 +1,5 @@
 //! Convenience runners shared by tests, examples and the experiment
-//! binaries.
+//! harness.
 
 use diners_sim::algorithm::DinerAlgorithm;
 use diners_sim::engine::Engine;

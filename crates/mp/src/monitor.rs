@@ -20,7 +20,7 @@
 //!
 //! Alerts are emitted as structured events on the `sim::telemetry` bus
 //! (retained in a ring sink) and mirrored into the metrics registry, so
-//! `exp-monitor` can both print them and serve them over `/metrics`.
+//! `exp monitor --watch` can both print them and serve them over `/metrics`.
 
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::telemetry::{CounterId, GaugeId, Histogram, HistogramId, RingSink};

@@ -849,7 +849,7 @@ impl MetricsRegistry {
 }
 
 /// Escape a free-form string for embedding inside a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

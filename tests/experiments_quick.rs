@@ -1,6 +1,6 @@
 //! Integration: the entire experiment suite runs end-to-end at quick
 //! scale and produces well-formed tables (this is the same code path as
-//! the `exp-*` binaries used to regenerate EXPERIMENTS.md).
+//! the `exp` driver used to regenerate EXPERIMENTS.md).
 
 use diners_bench::experiments;
 use diners_bench::Scale;
@@ -12,29 +12,36 @@ fn tiny() -> Scale {
         settle: 4_000,
         window: 10_000,
         sizes: &[8],
+        quick: true,
     }
 }
 
 #[test]
 fn fig2_table() {
-    let (report, table) = experiments::fig2::run();
-    assert!(report.all_reproduced());
-    assert!(table.render().contains("radius = 2"));
+    let report = experiments::fig2::run(&tiny());
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert!(report.tables[0].render().contains("radius = 2"));
 }
 
 #[test]
 fn t1_stabilization_tables() {
-    let t = experiments::stabilization::run(&tiny());
-    assert_eq!(t.len(), 4, "four topology families at one size");
-    let dense = experiments::stabilization::run_dense(&tiny());
-    let csv = dense.to_csv();
+    let report = experiments::stabilization::run(&tiny());
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert_eq!(
+        report.tables[0].len(),
+        4,
+        "four topology families at one size"
+    );
+    let csv = report.tables[1].to_csv();
     // The paper bound never stabilizes on the complete graph.
     assert!(csv.contains("complete(n=6),1,0/1"), "csv:\n{csv}");
 }
 
 #[test]
 fn t2_locality_table() {
-    let t = experiments::locality::run(&tiny());
+    let report = experiments::locality::run(&tiny());
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let t = &report.tables[0];
     assert_eq!(t.len(), 1);
     let csv = t.to_csv();
     // First data row: n=8, paper radii <= 2, no-threshold radius ~n-1.
@@ -49,7 +56,9 @@ fn t2_locality_table() {
 
 #[test]
 fn t3_malicious_table() {
-    let t = experiments::malicious::run(&tiny());
+    let report = experiments::malicious::run(&tiny());
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let t = &report.tables[0];
     let csv = t.to_csv();
     for line in csv.lines().skip(1) {
         assert!(
@@ -61,7 +70,9 @@ fn t3_malicious_table() {
 
 #[test]
 fn t4_cycles_table() {
-    let t = experiments::cycles::run(&tiny());
+    let report = experiments::cycles::run(&tiny());
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let t = &report.tables[0];
     let csv = t.to_csv();
     let row: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
     assert_ne!(row[2], "-", "cycle must be broken (median)");
@@ -71,7 +82,9 @@ fn t4_cycles_table() {
 
 #[test]
 fn t5_throughput_table() {
-    let t = experiments::throughput::run(&tiny());
+    let report = experiments::throughput::run(&tiny());
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let t = &report.tables[0];
     // 6 algorithms x 4 topologies.
     assert_eq!(t.len(), 24);
     for line in t.to_csv().lines().skip(1) {
@@ -81,13 +94,17 @@ fn t5_throughput_table() {
 
 #[test]
 fn t6_masking_table() {
-    let t = experiments::masking::run(&tiny());
+    let report = experiments::masking::run(&tiny());
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let t = &report.tables[0];
     assert!(t.len() >= 3, "at least distances 1..=3 present");
 }
 
 #[test]
 fn t7_message_passing_table() {
-    let t = experiments::message_passing::run(&tiny());
+    let report = experiments::message_passing::run(&tiny());
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let t = &report.tables[0];
     let csv = t.to_csv();
     assert!(csv.contains("legitimate start"));
     assert!(csv.contains("thread runtime"));
@@ -107,8 +124,22 @@ fn t9_chaos_table() {
         window: 20_000,
         ..tiny()
     };
-    let (t, totals) = experiments::chaos::sweep(&scale);
+    let report = experiments::chaos::run(&scale);
+    let t = &report.tables[0];
+    assert!(
+        report.failures.is_empty(),
+        "chaos sweep failed: {:?}\n{}",
+        report.failures,
+        t.render()
+    );
     assert_eq!(t.len(), 4, "four topology families");
-    assert!(totals.runs >= 12, "too few chaos runs: {}", totals.runs);
-    assert!(totals.clean(), "chaos sweep failed:\n{}", t.render());
+    // Clean rows end `runs,0,0,safe + live`; the topology name may
+    // itself contain commas, so count columns from the right.
+    let runs: u64 = t
+        .to_csv()
+        .lines()
+        .skip(1)
+        .map(|l| l.rsplit(',').nth(3).unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert!(runs >= 12, "too few chaos runs: {runs}");
 }

@@ -1,6 +1,6 @@
 //! Integration: each theorem of the paper exercised across crates
 //! through the umbrella API (reduced scales; the full sweeps live in the
-//! `diners-bench` experiment binaries).
+//! `diners-bench` experiments, run by its `exp` driver).
 
 use malicious_diners::baselines;
 use malicious_diners::core::harness::stabilization_steps;

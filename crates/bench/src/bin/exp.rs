@@ -99,10 +99,18 @@ fn with_provenance(body: &str, quick: bool, cores: usize, rev: &str) -> String {
     )
 }
 
-/// `git rev-parse HEAD`, or `"unknown"` outside a git checkout.
+/// The full hash of `HEAD`, suffixed `-dirty` when tracked files differ
+/// from it (so the field never names code that did not produce the
+/// data), or `"unknown"` outside a git checkout.
 fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=40",
+            "--exclude=*",
+        ])
         .output()
         .ok()
         .filter(|o| o.status.success())

@@ -1,6 +1,7 @@
 //! T10 — substrate performance: engine step throughput (naive vs
-//! incremental enumeration) and explorer state throughput (sequential vs
-//! parallel frontier expansion).
+//! incremental enumeration, and how the incremental engine scales with
+//! ring size) and explorer state throughput (sequential vs parallel
+//! frontier expansion).
 //!
 //! Unlike T1–T9 this measures the *reproduction infrastructure*, not the
 //! paper's claims: the incremental engine and the parallel explorer are
@@ -12,7 +13,11 @@
 //! Measurement is adaptive: each configuration runs in fixed-size step
 //! chunks until a minimum wall-clock budget is spent, then reports the
 //! observed rate — robust to machines of very different speeds without
-//! hardcoded iteration counts.
+//! hardcoded iteration counts. The sides of each ratio (naive and
+//! incremental engine, small and large ring, sequential and parallel
+//! search) run back to back in a few rounds, and the row is the round
+//! with the median ratio: host drift slows every side of a round alike,
+//! and a burst of load that spoils one round is outvoted.
 
 use std::time::{Duration, Instant};
 
@@ -57,11 +62,18 @@ impl Steps for SimNet {
     }
 }
 
-/// Steps/sec of `sys`, measured adaptively: chunks of `CHUNK` steps
+/// Steps per timed chunk (and per warmup).
+const CHUNK: u64 = 1_000;
+
+/// Steps/sec of `sys`, measured adaptively: chunks of [`CHUNK`] steps
 /// until at least `budget` wall-clock has elapsed (always ≥ 1 chunk).
 pub(crate) fn steps_per_sec(sys: &mut impl Steps, budget: Duration) -> (f64, u64) {
-    const CHUNK: u64 = 1_000;
     sys.steps(CHUNK); // warmup: populate caches, fault state, branch predictors
+    timed_rate(sys, budget)
+}
+
+/// [`steps_per_sec`] without the warmup chunk.
+fn timed_rate(sys: &mut impl Steps, budget: Duration) -> (f64, u64) {
     let start = Instant::now();
     let mut steps = 0u64;
     loop {
@@ -87,6 +99,97 @@ fn engine_for(topo: &Topology, mode: EnumerationMode) -> Engine<MaliciousCrashDi
     bench_engine(topo).enumeration(mode).build()
 }
 
+/// Back-to-back rounds per engine measurement, and per explorer
+/// speedup (whose searches last longer).
+const ROUNDS: usize = 5;
+const EXPLORE_ROUNDS: usize = 3;
+
+/// The run with the median `key`.
+fn median_by<T>(mut runs: Vec<T>, key: impl Fn(&T) -> f64) -> T {
+    runs.sort_by(|a, b| key(a).total_cmp(&key(b)));
+    let mid = runs.len() / 2;
+    runs.swap_remove(mid)
+}
+
+/// `engine_for` after one warmup chunk, as in [`steps_per_sec`].
+fn warm_engine(topo: &Topology, mode: EnumerationMode) -> Engine<MaliciousCrashDiners> {
+    let mut engine = engine_for(topo, mode);
+    engine.steps(CHUNK);
+    engine
+}
+
+/// `(steps/sec, steps)` of each engine in one round: a slice of `slice`
+/// per engine, back to back, so that the rates share the host's state.
+fn round(engines: &mut [Engine<MaliciousCrashDiners>], slice: Duration) -> Vec<(f64, u64)> {
+    engines.iter_mut().map(|e| timed_rate(e, slice)).collect()
+}
+
+/// Naive and incremental `(steps/sec, steps)` on `topo`, from the round
+/// (of [`ROUNDS`], each a `budget / ROUNDS` slice per mode) with the
+/// median speedup.
+fn engine_cell(topo: &Topology, budget: Duration) -> [(f64, u64); 2] {
+    let mut engines =
+        [EnumerationMode::Naive, EnumerationMode::Incremental].map(|mode| warm_engine(topo, mode));
+    let rounds = (0..ROUNDS)
+        .map(|_| round(&mut engines, budget / ROUNDS as u32))
+        .collect();
+    let r = median_by(rounds, |r| r[1].0 / r[0].0);
+    [r[0], r[1]]
+}
+
+/// The ring whose rate the `--check` floor bounds, and the floor: its
+/// incremental steps/sec as a share of ring(16)'s. Both sides run on the
+/// same host in the same process, so the share is machine-normalised.
+const SCALING_GATE_N: usize = 1024;
+const SCALING_FLOOR: f64 = 0.25;
+
+/// Incremental steps/sec on rings of 16, 1024 and (full runs) 4096
+/// processes over [`ROUNDS`] rounds of a `budget / ROUNDS` slice per
+/// ring: per ring the median rate and the median of its per-round ratios
+/// to ring(16), as a table and JSON rows keyed by `"scaling"` (so
+/// [`engine_entries`] skips them).
+fn scaling(quick: bool, budget: Duration) -> (Table, Vec<String>) {
+    let sizes: &[usize] = if quick {
+        &[16, 1024]
+    } else {
+        &[16, 1024, 4096]
+    };
+    let rings: Vec<Topology> = sizes.iter().map(|&n| Topology::ring(n)).collect();
+    let mut engines: Vec<_> = rings
+        .iter()
+        .map(|topo| warm_engine(topo, EnumerationMode::Incremental))
+        .collect();
+    let rounds: Vec<Vec<(f64, u64)>> = (0..ROUNDS)
+        .map(|_| round(&mut engines, budget / ROUNDS as u32))
+        .collect();
+    let mut table = Table::new(
+        format!("T10: incremental steps/sec by ring size (median of {ROUNDS} rounds)"),
+        ["family", "n", "incr st/s", "vs ring(16)"],
+    );
+    let mut rows = Vec::new();
+    for (i, topo) in rings.iter().enumerate() {
+        let rate = median_by(rounds.iter().map(|r| r[i].0).collect(), |&x| x);
+        let ratio = median_by(rounds.iter().map(|r| r[i].0 / r[0].0).collect(), |&x| x);
+        table.row([
+            "ring".to_string(),
+            topo.len().to_string(),
+            fmt_f64(rate, 0),
+            fmt_f64(ratio, 2),
+        ]);
+        rows.push(format!(
+            concat!(
+                "{{\"scaling\":\"ring\",\"n\":{},\"incremental_steps_per_sec\":{:.1},",
+                "\"rounds\":{},\"ratio_to_n16\":{:.3}}}"
+            ),
+            topo.len(),
+            rate,
+            ROUNDS,
+            ratio,
+        ));
+    }
+    (table, rows)
+}
+
 /// Full search of `alg` on `topo` from the initial state, everyone live
 /// and hungry, with `threads` workers.
 fn explore_initial<A>(alg: &A, topo: &Topology, threads: usize) -> ExplorationReport
@@ -110,6 +213,15 @@ where
     )
 }
 
+/// Parallel over sequential states/sec (1.0 for an empty search).
+fn speedup_of(seq: &ExplorationReport, par: &ExplorationReport) -> f64 {
+    if seq.states_per_sec() > 0.0 {
+        par.states_per_sec() / seq.states_per_sec()
+    } else {
+        1.0
+    }
+}
+
 /// Run the T10 sweep. `quick` shrinks sizes and time budgets so the
 /// sweep fits in integration tests and CI smoke runs.
 pub fn run(scale: &Scale) -> Report {
@@ -125,17 +237,17 @@ pub fn run(scale: &Scale) -> Report {
         .unwrap_or(1);
 
     let mut engine_table = Table::new(
-        format!("T10: engine steps/sec, naive vs incremental (budget {budget:?}/cell)"),
+        format!(
+            "T10: engine steps/sec, naive vs incremental \
+             (budget {budget:?}/cell, median of {ROUNDS} rounds)"
+        ),
         ["family", "n", "naive st/s", "incr st/s", "speedup"],
     );
     let mut json_engine = Vec::new();
 
     for &n in sizes {
         for topo in families(n, 42) {
-            let (naive_rate, naive_steps) =
-                steps_per_sec(&mut engine_for(&topo, EnumerationMode::Naive), budget);
-            let (incr_rate, incr_steps) =
-                steps_per_sec(&mut engine_for(&topo, EnumerationMode::Incremental), budget);
+            let [(naive_rate, naive_steps), (incr_rate, incr_steps)] = engine_cell(&topo, budget);
             engine_table.row([
                 family_of(&topo).to_string(),
                 topo.len().to_string(),
@@ -161,6 +273,8 @@ pub fn run(scale: &Scale) -> Report {
         }
     }
 
+    let (scaling_table, json_scaling) = scaling(quick, budget);
+
     let mut explore_table = Table::new(
         format!("T10: explorer states/sec, sequential vs {threads}-thread parallel"),
         ["case", "states", "seq st/s", "par st/s", "speedup"],
@@ -170,26 +284,31 @@ pub fn run(scale: &Scale) -> Report {
     // The explorer cases use the same sizes in quick and full mode: the
     // baseline check matches entries by case name, so CI's --quick run
     // must produce the same cases as the committed full baseline for the
-    // explorer speedup guard to bite (the searches are subsecond anyway;
-    // "quick" shrinks the engine time budgets, which dominate).
+    // explorer speedup guard to bite. Each search lasts 0.5–1 s
+    // sequentially on a 2-vCPU VM; a search of milliseconds (mca-line(4)
+    // once) mostly times thread spawns, and its speedup there swung
+    // 0.26–0.96 run to run.
     let toy_topo = Topology::ring(12);
-    let mca_topo = Topology::line(4);
+    let mca_topo = Topology::line(5);
     // On a single-core host `explore_with` clamps to the sequential
     // path, so a second measurement would only record noise (the committed
     // baseline once showed a fictitious 0.86x "slowdown" this way): reuse
-    // the sequential report and report the honest 1.0 speedup.
-    let par_run = |seq: &ExplorationReport, run: &dyn Fn(usize) -> ExplorationReport| {
+    // the sequential report and report the honest 1.0 speedup. Otherwise
+    // a row is the median of `EXPLORE_ROUNDS` sequential/parallel pairs.
+    let measure = |run: &dyn Fn(usize) -> ExplorationReport| {
         if threads <= 1 {
-            seq.clone()
+            let seq = run(1);
+            (seq.clone(), seq)
         } else {
-            run(threads)
+            let rounds = (0..EXPLORE_ROUNDS)
+                .map(|_| (run(1), run(threads)))
+                .collect();
+            median_by(rounds, |(seq, par)| speedup_of(seq, par))
         }
     };
     let mca = MaliciousCrashDiners::paper();
-    let toy_seq = explore_initial(&ToyDiners, &toy_topo, 1);
-    let toy_par = par_run(&toy_seq, &|t| explore_initial(&ToyDiners, &toy_topo, t));
-    let mca_seq = explore_initial(&mca, &mca_topo, 1);
-    let mca_par = par_run(&mca_seq, &|t| explore_initial(&mca, &mca_topo, t));
+    let (toy_seq, toy_par) = measure(&|t| explore_initial(&ToyDiners, &toy_topo, t));
+    let (mca_seq, mca_par) = measure(&|t| explore_initial(&mca, &mca_topo, t));
     let cases: [(String, ExplorationReport, ExplorationReport); 2] = [
         (format!("toy-{}", toy_topo.name()), toy_seq, toy_par),
         (format!("mca-{}", mca_topo.name()), mca_seq, mca_par),
@@ -202,11 +321,7 @@ pub fn run(scale: &Scale) -> Report {
                 seq.states, par.states
             ));
         }
-        let speedup = if seq.states_per_sec() > 0.0 {
-            par.states_per_sec() / seq.states_per_sec()
-        } else {
-            1.0
-        };
+        let speedup = speedup_of(&seq, &par);
         explore_table.row([
             case.clone(),
             seq.states.to_string(),
@@ -234,10 +349,11 @@ pub fn run(scale: &Scale) -> Report {
 
     let json = json_object(&[
         ("engine", json_rows(&json_engine)),
+        ("scaling", json_rows(&json_scaling)),
         ("explore", json_rows(&json_explore)),
     ]);
     Report {
-        tables: vec![engine_table, explore_table],
+        tables: vec![engine_table, scaling_table, explore_table],
         json: Some(("BENCH_engine.json", json)),
         failures,
         ..Report::default()
@@ -259,6 +375,19 @@ fn engine_entries(json: &str) -> Vec<(String, usize, f64)> {
         .filter_map(|(family, obj)| {
             let n = json_number(obj, "n")? as usize;
             Some((family, n, json_number(obj, "speedup")?))
+        })
+        .collect()
+}
+
+/// `(n, ratio to ring(16))` for every row of the `scaling` section.
+fn scaling_entries(json: &str) -> Vec<(usize, f64)> {
+    json_objects(json, "scaling")
+        .into_iter()
+        .filter_map(|(_, obj)| {
+            Some((
+                json_number(obj, "n")? as usize,
+                json_number(obj, "ratio_to_n16")?,
+            ))
         })
         .collect()
 }
@@ -293,7 +422,50 @@ fn explore_entries(json: &str) -> Vec<(String, f64)> {
 /// Only configurations present in both blobs are compared (a `--quick`
 /// run checks against a full baseline's intersection); an empty
 /// intersection is a failure, not a silent pass.
+///
+/// The run's own scaling rows are gated against a fixed floor instead:
+/// incremental ring(1024) must reach [`SCALING_FLOOR`] of ring(16)'s
+/// steps/sec, which an engine step that grows with n cannot.
 pub fn check_against_baseline(current: &str, baseline: &str) -> Report {
+    let mut report = compare_speedups(current, baseline);
+    check_scaling(current, &mut report);
+    report
+}
+
+/// Gate the run's ring(1024) scaling row against
+/// [`SCALING_FLOOR`]; a run without the row fails.
+fn check_scaling(current: &str, report: &mut Report) {
+    let Some((_, ratio)) = scaling_entries(current)
+        .into_iter()
+        .find(|&(n, _)| n == SCALING_GATE_N)
+    else {
+        report
+            .failures
+            .push(format!("run has no ring({SCALING_GATE_N}) scaling row"));
+        return;
+    };
+    let ok = ratio >= SCALING_FLOOR;
+    let mut table = Table::new(
+        format!("T10 scaling floor: incremental ring({SCALING_GATE_N}) vs ring(16)"),
+        ["n", "ratio", "floor", "verdict"],
+    );
+    table.row([
+        SCALING_GATE_N.to_string(),
+        fmt_f64(ratio, 2),
+        fmt_f64(SCALING_FLOOR, 2),
+        if ok { "ok" } else { "BELOW FLOOR" }.to_string(),
+    ]);
+    report.tables.push(table);
+    report.check(ok, || {
+        format!(
+            "ring({SCALING_GATE_N}) runs at {ratio:.2} of ring(16)'s steps/sec, \
+             below the {SCALING_FLOOR:.2} floor"
+        )
+    });
+}
+
+/// The speedup comparison of [`check_against_baseline`].
+fn compare_speedups(current: &str, baseline: &str) -> Report {
     let mut report = Report::default();
     let base = engine_entries(baseline);
     if base.is_empty() {
@@ -386,6 +558,14 @@ mod tests {
         format!("{{\"family\":\"{family}\",\"n\":{n},\"speedup\":{speedup:.3}}}")
     }
 
+    /// A run's `scaling` section with ring(1024) at `ratio` of ring(16).
+    fn scaling_at(ratio: f64) -> String {
+        format!(
+            "\"scaling\":[{{\"scaling\":\"ring\",\"n\":16,\"ratio_to_n16\":1.000}},\
+             {{\"scaling\":\"ring\",\"n\":1024,\"ratio_to_n16\":{ratio:.3}}}]"
+        )
+    }
+
     #[test]
     fn baseline_check_flags_only_real_regressions() {
         let baseline = format!(
@@ -396,10 +576,11 @@ mod tests {
         // Within tolerance: a bit slower, plus an extra config the
         // baseline lacks (ignored).
         let ok = format!(
-            "{{\"engine\":[{},{},{}]}}",
+            "{{\"engine\":[{},{},{}],{}}}",
             entry("ring", 64, 8.0),
             entry("line", 64, 8.5),
-            entry("grid", 64, 3.0)
+            entry("grid", 64, 3.0),
+            scaling_at(0.5)
         );
         let check = check_against_baseline(&ok, &baseline);
         assert!(check.failures.is_empty(), "{:?}", check.failures);
@@ -407,9 +588,10 @@ mod tests {
 
         // ring collapses below 75% of baseline.
         let bad = format!(
-            "{{\"engine\":[{},{}]}}",
+            "{{\"engine\":[{},{}],{}}}",
             entry("ring", 64, 7.0),
-            entry("line", 64, 8.0)
+            entry("line", 64, 8.0),
+            scaling_at(0.5)
         );
         let check = check_against_baseline(&bad, &baseline);
         assert_eq!(check.failures.len(), 1);
@@ -430,11 +612,12 @@ mod tests {
     fn explorer_run(cores: usize, speedup: f64) -> String {
         format!(
             concat!(
-                "{{\n  \"available_parallelism\": {},\n  \"engine\":[{}],",
-                "\"explore\":[{{\"case\":\"mca-line(n=4)\",\"speedup\":{:.3}}}]}}"
+                "{{\n  \"available_parallelism\": {},\n  \"engine\":[{}],{},",
+                "\"explore\":[{{\"case\":\"mca-line(n=5)\",\"speedup\":{:.3}}}]}}"
             ),
             cores,
             entry("ring", 64, 10.0),
+            scaling_at(0.5),
             speedup
         )
     }
@@ -479,6 +662,44 @@ mod tests {
     }
 
     #[test]
+    fn scaling_floor_gates_the_run_itself() {
+        // The floor needs no baseline row: a collapse at ring(1024) fails
+        // even against a baseline that predates the scaling section.
+        let baseline = format!("{{\"engine\":[{}]}}", entry("ring", 64, 10.0));
+        let run = |ratio| {
+            format!(
+                "{{\"engine\":[{}],{}}}",
+                entry("ring", 64, 10.0),
+                scaling_at(ratio)
+            )
+        };
+        let check = check_against_baseline(&run(0.30), &baseline);
+        assert!(check.failures.is_empty(), "{:?}", check.failures);
+        assert!(check.tables[1].render().contains("ok"));
+
+        let check = check_against_baseline(&run(0.10), &baseline);
+        assert_eq!(check.failures.len(), 1, "{:?}", check.failures);
+        assert!(
+            check.failures[0].contains("ring(1024)"),
+            "{:?}",
+            check.failures
+        );
+        assert!(check.tables[1].render().contains("BELOW FLOOR"));
+
+        // The scaling rows are not engine rows.
+        assert_eq!(engine_entries(&run(0.10)).len(), 1);
+        let missing = format!("{{\"engine\":[{}]}}", entry("ring", 64, 10.0));
+        let check = check_against_baseline(&missing, &baseline);
+        assert!(check.failures[0].contains("no ring(1024) scaling row"));
+    }
+
+    #[test]
+    fn median_by_keeps_the_run_with_the_middle_key() {
+        let runs = vec![(1.0, 3.0), (2.0, 1.0), (1.0, 9.0), (1.0, 1.0), (1.0, 2.0)];
+        assert_eq!(median_by(runs, |(base, new)| new / base), (1.0, 2.0));
+    }
+
+    #[test]
     fn single_core_reports_unity_explorer_speedup() {
         // On a 1-core host the parallel column must be the sequential
         // report itself (speedup exactly 1.0), not a second noisy run.
@@ -519,7 +740,9 @@ mod tests {
         assert!(report.failures.is_empty(), "{:?}", report.failures);
         let engine = report.tables[0].render();
         assert!(engine.contains("ring"), "{engine}");
-        let explore = report.tables[1].render();
+        let scaling = report.tables[1].render();
+        assert!(scaling.contains("1024"), "{scaling}");
+        let explore = report.tables[2].render();
         assert!(explore.contains("toy-ring"), "{explore}");
         // Hand-rolled JSON: check the shape without a parser dependency.
         let (file, json) = report.json.expect("perf writes JSON");
@@ -531,6 +754,8 @@ mod tests {
                 "\"explore\":",
                 "\"naive_steps_per_sec\"",
                 "\"incremental_steps_per_sec\"",
+                "\"scaling\":",
+                "\"ratio_to_n16\"",
                 "\"seq_states_per_sec\"",
                 "\"par_states_per_sec\"",
                 "\"speedup\"",

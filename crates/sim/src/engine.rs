@@ -4,8 +4,9 @@
 //! one [`Scheduler`] and one [`FaultPlan`]. Each step it
 //!
 //! 1. applies the faults due at the current step,
-//! 2. enumerates the enabled action instances of every live process (plus
-//!    one arbitrary-step pseudo-move per maliciously crashing process),
+//! 2. brings the enabled set up to date: the enabled action instances of
+//!    every live process, plus one arbitrary-step pseudo-move per
+//!    maliciously crashing process,
 //! 3. lets the scheduler pick one and executes its command atomically
 //!    (composite atomicity, serial/central daemon — the paper's model),
 //! 4. updates the service metrics and the exclusion monitor.
@@ -26,10 +27,15 @@
 //!   `p`'s closed neighborhood (guards read a process's own local,
 //!   neighbor locals and incident edge variables; `p` writes only its own
 //!   local and incident edges — malicious steps included). The engine
-//!   keeps a per-process cache of enabled moves and re-enumerates only
-//!   the *dirty* processes, tracks fairness ages in a dense `Vec` indexed
-//!   by `(pid, kind, slot)`, and maintains the eating-pairs monitor as
-//!   running counters updated on phase transitions.
+//!   keeps the enabled set in an [`EnabledIndex`] — per-process cached
+//!   move lists, fairness ages in a dense `(pid, kind, slot)` table, and
+//!   a Fenwick tree over the list lengths — and re-enumerates only the
+//!   *dirty* processes into it. The scheduler picks by rank through
+//!   [`Scheduler::pick_from`], so a step costs O(Δ log n) for the
+//!   random daemon; the others get the O(n) slice through the trait's
+//!   default adapter. The eating-pairs monitor is kept as running
+//!   counters updated on phase transitions. A step-dependent workload
+//!   still costs one `needs()` call per process per step.
 //!
 //! Both modes produce bit-identical runs — same `StepOutcome` sequence,
 //! metrics, traces and RNG consumption — which
@@ -42,6 +48,7 @@ use std::hash::Hash;
 use rand::rngs::StdRng;
 
 use crate::algorithm::{ActionId, DinerAlgorithm, Move, Phase, SystemState, View, Write};
+use crate::enabled::EnabledIndex;
 use crate::fault::{FaultKind, FaultPlan, Health, Resurrection};
 use crate::graph::{ProcessId, Topology};
 use crate::metrics::DinerMetrics;
@@ -146,120 +153,6 @@ pub enum EnumerationMode {
     /// Dirty-set invalidation of per-process caches (default).
     #[default]
     Incremental,
-}
-
-/// Sentinel in the dense age table: the move is not currently enabled.
-const NOT_ENABLED: u64 = u64::MAX;
-
-/// Dense "first continuously enabled at step" table, indexed by
-/// `(pid, action kind, neighbor slot)` with one extra slot per process
-/// for the malicious pseudo-move, so admit/evict/lookup are O(1) array
-/// accesses instead of `HashMap` operations.
-struct AgeTable {
-    kinds: usize,
-    /// Start of each process's slot block; `base[n]` is the table size.
-    /// The last slot of every block is the malicious pseudo-move.
-    base: Vec<usize>,
-    /// Start of each `(process, kind)` run inside the process block,
-    /// flattened as `kind_base[p * kinds + kind]`.
-    kind_base: Vec<usize>,
-    ages: Vec<u64>,
-}
-
-impl AgeTable {
-    fn new(topo: &Topology, kinds: &[crate::algorithm::ActionKind]) -> Self {
-        let n = topo.len();
-        let k = kinds.len();
-        let mut base = Vec::with_capacity(n + 1);
-        let mut kind_base = Vec::with_capacity(n * k);
-        let mut off = 0usize;
-        for p in 0..n {
-            base.push(off);
-            let deg = topo.degree(ProcessId(p));
-            for kind in kinds {
-                kind_base.push(off);
-                off += if kind.per_neighbor { deg } else { 1 };
-            }
-            off += 1; // malicious pseudo-move
-        }
-        base.push(off);
-        AgeTable {
-            kinds: k,
-            base,
-            kind_base,
-            ages: vec![NOT_ENABLED; off],
-        }
-    }
-
-    /// Table index of a move. Strictly increasing along each process's
-    /// enumeration order, and process-major overall — reconciliation
-    /// relies on this to merge old/new cache lists with two pointers.
-    #[inline]
-    fn index(&self, mv: Move) -> usize {
-        let p = mv.pid.index();
-        if mv.action.is_malicious() {
-            self.base[p + 1] - 1
-        } else {
-            self.kind_base[p * self.kinds + mv.action.kind] + mv.action.slot.unwrap_or(0)
-        }
-    }
-
-    /// The step at which `mv` became continuously enabled.
-    #[inline]
-    fn first_enabled(&self, mv: Move) -> u64 {
-        self.ages[self.index(mv)]
-    }
-
-    /// Evict `mv` (it was just executed).
-    #[inline]
-    fn evict(&mut self, mv: Move) {
-        let i = self.index(mv);
-        self.ages[i] = NOT_ENABLED;
-    }
-
-    /// Reconcile one process's recomputed enabled list against its old
-    /// cached list: moves no longer enabled are evicted, newly (or re-)
-    /// enabled moves are admitted at `step`, still-enabled moves keep
-    /// their age. Both slices are in enumeration order, so their table
-    /// indices are strictly increasing.
-    fn reconcile(&mut self, old: &[Move], new: &[Move], step: u64) {
-        let mut oi = 0;
-        let mut ni = 0;
-        while oi < old.len() && ni < new.len() {
-            let io = self.index(old[oi]);
-            let in_ = self.index(new[ni]);
-            match io.cmp(&in_) {
-                std::cmp::Ordering::Less => {
-                    self.ages[io] = NOT_ENABLED;
-                    oi += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    debug_assert_eq!(self.ages[in_], NOT_ENABLED);
-                    self.ages[in_] = step;
-                    ni += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    // Still enabled; re-admit if it was executed since
-                    // (the naive path's `remove` + later `or_insert`).
-                    if self.ages[io] == NOT_ENABLED {
-                        self.ages[io] = step;
-                    }
-                    oi += 1;
-                    ni += 1;
-                }
-            }
-        }
-        for &mv in &old[oi..] {
-            let i = self.index(mv);
-            self.ages[i] = NOT_ENABLED;
-        }
-        for &mv in &new[ni..] {
-            let i = self.index(mv);
-            if self.ages[i] == NOT_ENABLED {
-                self.ages[i] = step;
-            }
-        }
-    }
 }
 
 /// Builder for [`Engine`]; see [`Engine::builder`].
@@ -400,7 +293,7 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
         }
         let mut trace = Trace::new();
         trace.enable(self.record_trace);
-        let ages = AgeTable::new(&self.topo, self.alg.kinds());
+        let index = EnabledIndex::new(&self.topo, self.alg.kinds());
         let needs_now: Vec<bool> = (0..n)
             .map(|i| self.workload.needs(ProcessId(i), 0))
             .collect();
@@ -456,10 +349,9 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
             first_enabled: HashMap::new(),
             mode: self.mode,
             fault_cursor: 0,
-            cache: vec![Vec::new(); n],
             dirty_mask: vec![true; n],
             dirty: (0..n).collect(),
-            ages,
+            index,
             needs_now,
             step_dependent_needs,
             eat_pairs_total: 0,
@@ -509,14 +401,12 @@ pub struct Engine<A: DinerAlgorithm> {
     mode: EnumerationMode,
     /// Cursor into `faults.events()` — everything before it has fired.
     fault_cursor: usize,
-    /// Incremental mode: per-process cached enabled moves, in
-    /// enumeration order.
-    cache: Vec<Vec<Move>>,
     /// Which processes need re-enumeration (mask + stack, no dup pushes).
     dirty_mask: Vec<bool>,
     dirty: Vec<usize>,
-    /// Incremental-mode fairness ages.
-    ages: AgeTable,
+    /// Incremental mode: per-process enabled moves and their fairness
+    /// ages, indexed by rank.
+    index: EnabledIndex,
     /// Last `needs()` evaluation per process (step-dependent rescan memo).
     needs_now: Vec<bool>,
     step_dependent_needs: bool,
@@ -524,7 +414,8 @@ pub struct Engine<A: DinerAlgorithm> {
     /// endpoint), maintained on phase transitions and deaths.
     eat_pairs_total: usize,
     eat_pairs_live: usize,
-    /// Scratch buffers reused across steps to avoid per-step allocation.
+    /// Scratch buffers reused across steps to avoid per-step allocation
+    /// (`annotated` backs the scheduler's slice adapter).
     annotated: Vec<EnabledMove>,
     scratch: Vec<Move>,
     /// Engine seed, kept for the recording header.
@@ -852,8 +743,9 @@ impl<A: DinerAlgorithm> Engine<A> {
         StepOutcome::Executed(mv)
     }
 
-    /// The incremental step: re-enumerate only dirty processes, O(1) age
-    /// bookkeeping, counter-based exclusion monitor.
+    /// The incremental step: re-enumerate only dirty processes into the
+    /// enabled index, let the scheduler pick by rank, counter-based
+    /// exclusion monitor.
     fn step_incremental(&mut self) -> StepOutcome {
         self.apply_due_faults();
         let step = self.step;
@@ -873,49 +765,33 @@ impl<A: DinerAlgorithm> Engine<A> {
             }
         }
 
-        // Re-enumerate dirty processes and reconcile their ages.
+        // Re-enumerate dirty processes into the index.
         while let Some(i) = self.dirty.pop() {
             self.dirty_mask[i] = false;
             let mut fresh = std::mem::take(&mut self.scratch);
             fresh.clear();
             self.enumerate_process(ProcessId(i), &mut fresh);
-            self.ages.reconcile(&self.cache[i], &fresh, step);
-            std::mem::swap(&mut self.cache[i], &mut fresh);
+            self.index.update(i, &mut fresh, step);
             self.scratch = fresh;
         }
 
-        // Assemble the scheduler's view in the same process-major order
-        // as the naive enumeration, reusing the scratch buffer.
-        let mut annotated = std::mem::take(&mut self.annotated);
-        annotated.clear();
-        for list in &self.cache {
-            for &mv in list {
-                let first = self.ages.first_enabled(mv);
-                debug_assert_ne!(first, NOT_ENABLED, "cached move {mv:?} has no age");
-                annotated.push(EnabledMove {
-                    mv,
-                    age: step - first + 1,
-                });
-            }
-        }
-
-        if annotated.is_empty() {
-            self.annotated = annotated;
+        let len = self.index.len();
+        if len == 0 {
             self.step += 1;
             self.quiescent += 1;
             return StepOutcome::Quiescent;
         }
 
-        let choice = self.sched.pick(step, &annotated);
+        let mut view = self.index.view(step, &mut self.annotated);
+        let choice = self.sched.pick_from(step, &mut view);
         assert!(
-            choice < annotated.len(),
+            choice < len,
             "scheduler {} returned out-of-range index {choice}",
             self.sched.name()
         );
-        let mv = annotated[choice].mv;
-        self.annotated = annotated;
+        let mv = self.index.move_at(choice);
         self.execute_move(mv);
-        self.ages.evict(mv);
+        self.index.evict(mv);
 
         // Exclusion monitor, from the running counter.
         self.metrics.on_exclusion_check(step, self.eat_pairs_live);
@@ -1359,7 +1235,6 @@ impl<A: DinerAlgorithm> Engine<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Algorithm;
     use crate::fault::FaultPlan;
     use crate::predicate::FnPredicate;
     use crate::scheduler::RandomScheduler;
@@ -1655,50 +1530,6 @@ mod tests {
     }
 
     #[test]
-    fn age_table_reconcile_semantics() {
-        let topo = Topology::line(3);
-        let kinds = ToyDiners.kinds();
-        let mut t = AgeTable::new(&topo, kinds);
-        let join = |p: usize| Move {
-            pid: ProcessId(p),
-            action: ActionId::global(TOY_JOIN),
-        };
-        let enter = |p: usize| Move {
-            pid: ProcessId(p),
-            action: ActionId::global(TOY_ENTER),
-        };
-        let mal = |p: usize| Move {
-            pid: ProcessId(p),
-            action: ActionId::MALICIOUS,
-        };
-
-        // Admit two moves at step 5.
-        t.reconcile(&[], &[join(1), enter(1)], 5);
-        assert_eq!(t.first_enabled(join(1)), 5);
-        assert_eq!(t.first_enabled(enter(1)), 5);
-
-        // Still enabled at step 8: ages preserved, not reset.
-        t.reconcile(&[join(1), enter(1)], &[join(1), enter(1)], 8);
-        assert_eq!(t.first_enabled(join(1)), 5);
-
-        // enter drops out, join survives, malicious pseudo-move appears.
-        t.reconcile(&[join(1), enter(1)], &[join(1), mal(1)], 9);
-        assert_eq!(t.first_enabled(join(1)), 5);
-        assert_eq!(t.first_enabled(enter(1)), NOT_ENABLED);
-        assert_eq!(t.first_enabled(mal(1)), 9);
-
-        // Executed (evicted) then still enabled → re-admitted fresh.
-        t.evict(join(1));
-        t.reconcile(&[join(1), mal(1)], &[join(1), mal(1)], 11);
-        assert_eq!(t.first_enabled(join(1)), 11, "re-enabled move restarts");
-        assert_eq!(t.first_enabled(mal(1)), 9, "untouched move keeps age");
-
-        // Other processes' slots are independent.
-        assert_eq!(t.first_enabled(join(0)), NOT_ENABLED);
-        assert_eq!(t.first_enabled(join(2)), NOT_ENABLED);
-    }
-
-    #[test]
     fn eating_pair_counters_track_scan_under_faults() {
         // Stress the running counters against the reference scan across
         // malicious crashes, benign crashes and transient corruption.
@@ -1757,6 +1588,22 @@ mod tests {
     fn default_mode_is_incremental() {
         let e = toy_engine(3);
         assert_eq!(e.enumeration_mode(), EnumerationMode::Incremental);
+    }
+
+    #[test]
+    fn random_daemon_never_builds_the_slice() {
+        // The random daemon picks through the index; only the slice
+        // adapter fills the engine's slice buffer.
+        let run = |sched: Box<dyn Scheduler>| {
+            let mut e = Engine::builder(ToyDiners, Topology::ring(8))
+                .scheduler(sched)
+                .faults(FaultPlan::new().malicious_crash(10, 3, 4))
+                .build();
+            e.run(300);
+            e.annotated.capacity()
+        };
+        assert_eq!(run(Box::new(RandomScheduler::new(4))), 0);
+        assert_ne!(run(Box::new(LeastRecentScheduler::new())), 0);
     }
 
     #[test]

@@ -3,17 +3,20 @@
 //! A computation in the paper's model is a *weakly fair* maximal sequence
 //! of action executions: if an action is enabled in all but finitely many
 //! states of an infinite computation it is executed infinitely often. The
-//! engine enumerates the enabled action instances each step; a
-//! [`Scheduler`] picks which one fires.
+//! engine offers the enabled action instances each step; a [`Scheduler`]
+//! picks which one fires, either from the whole slice
+//! ([`Scheduler::pick`]) or by rank from an [`EnabledView`] of the
+//! engine's index ([`Scheduler::pick_from`]).
 //!
 //! Provided daemons:
 //!
-//! * [`RoundRobinScheduler`] — cycles over processes, rotating among each
-//!   process's actions; weakly fair by construction.
+//! * [`RoundRobinScheduler`] — serves the next process at or after a
+//!   cursor, rotating among each process's actions; weakly fair by
+//!   construction.
 //! * [`LeastRecentScheduler`] — always fires the enabled move that has gone
 //!   longest without executing; strongly fair.
 //! * [`RandomScheduler`] — uniform over enabled moves; weakly fair with
-//!   probability 1.
+//!   probability 1. Picks by rank in O(log n).
 //! * [`AdversarialScheduler`] — pursues a hostile policy but is forced by a
 //!   fairness bound `B`: any move continuously enabled for `B` picks fires.
 //! * [`ScriptedScheduler`] — replays an exact schedule (used to reproduce
@@ -25,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::algorithm::{ActionId, Move};
+use crate::enabled::EnabledView;
 use crate::graph::ProcessId;
 use crate::rng;
 
@@ -40,11 +44,23 @@ pub struct EnabledMove {
 
 /// A daemon: picks which enabled move fires each step.
 ///
-/// Implementations must return an index into `enabled`, which is never
-/// empty when `pick` is called.
+/// Both methods return an index into the enabled set, which is never
+/// empty when they are called. The naive engine calls [`Scheduler::pick`]
+/// with the whole annotated slice; the incremental engine calls
+/// [`Scheduler::pick_from`] with a view of its enabled index, whose rank
+/// `r` is the move at index `r` of that slice. A daemon that can decide
+/// from a few ranks overrides `pick_from` to skip the O(n) slice; it must
+/// then pick exactly what `pick` would, so both engines stay in lockstep.
 pub trait Scheduler {
     /// Choose one of the enabled moves.
     fn pick(&mut self, step: u64, enabled: &[EnabledMove]) -> usize;
+
+    /// Choose one of the enabled moves by rank. The default materialises
+    /// the slice into a buffer the engine reuses and calls
+    /// [`Scheduler::pick`]; wrappers must forward it.
+    fn pick_from(&mut self, step: u64, enabled: &mut EnabledView<'_>) -> usize {
+        self.pick(step, enabled.as_slice())
+    }
 
     /// Scheduler name for reports.
     fn name(&self) -> &str;
@@ -58,14 +74,19 @@ impl Scheduler for Box<dyn Scheduler> {
         (**self).pick(step, enabled)
     }
 
+    fn pick_from(&mut self, step: u64, enabled: &mut EnabledView<'_>) -> usize {
+        (**self).pick_from(step, enabled)
+    }
+
     fn name(&self) -> &str {
         (**self).name()
     }
 }
 
-/// Cycles over processes; within a process, rotates which enabled action
-/// fires. Weakly fair: a continuously enabled action is fired within
-/// `n * max_actions` steps.
+/// Serves the first process with an enabled move at or after a cursor,
+/// wrapping to the lowest such process; within a process, rotates which
+/// enabled action fires. Weakly fair: a continuously enabled action is
+/// fired within `n * max_actions` steps.
 #[derive(Clone, Debug, Default)]
 pub struct RoundRobinScheduler {
     cursor: usize,
@@ -82,13 +103,12 @@ impl RoundRobinScheduler {
 
 impl Scheduler for RoundRobinScheduler {
     fn pick(&mut self, _step: u64, enabled: &[EnabledMove]) -> usize {
-        // Find the enabled process closest at-or-after the cursor.
-        let max_pid = enabled.iter().map(|m| m.mv.pid.index()).max().unwrap_or(0);
-        let modulus = max_pid + 1;
+        // Serve the first enabled process at or after the cursor, else
+        // wrap to the lowest.
         let best_pid = enabled
             .iter()
             .map(|m| m.mv.pid.index())
-            .min_by_key(|&p| (p + modulus - self.cursor % modulus) % modulus)
+            .min_by_key(|&p| (p < self.cursor, p))
             .expect("pick called with enabled moves");
         let of_pid: Vec<usize> = enabled
             .iter()
@@ -162,6 +182,10 @@ impl RandomScheduler {
 
 impl Scheduler for RandomScheduler {
     fn pick(&mut self, _step: u64, enabled: &[EnabledMove]) -> usize {
+        self.rng.gen_range(0..enabled.len())
+    }
+
+    fn pick_from(&mut self, _step: u64, enabled: &mut EnabledView<'_>) -> usize {
         self.rng.gen_range(0..enabled.len())
     }
 
@@ -409,6 +433,10 @@ pub fn mv_slot(pid: usize, kind: usize, slot: usize) -> Move {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::Algorithm;
+    use crate::enabled::EnabledIndex;
+    use crate::graph::Topology;
+    use crate::toy::ToyDiners;
 
     fn moves(pids: &[usize]) -> Vec<EnabledMove> {
         pids.iter()
@@ -425,6 +453,57 @@ mod tests {
         let e = moves(&[0, 1, 2]);
         let picks: Vec<usize> = (0..6).map(|st| s.pick(st, &e)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
+    }
+
+    /// An enabled index over `line(8)` holding exactly `enabled` (in
+    /// process-major order), all admitted at step 0.
+    fn index_of(enabled: &[EnabledMove]) -> EnabledIndex {
+        let mut index = EnabledIndex::new(&Topology::line(8), ToyDiners.kinds());
+        for p in 0..8 {
+            let mut list: Vec<Move> = enabled
+                .iter()
+                .map(|m| m.mv)
+                .filter(|m| m.pid.index() == p)
+                .collect();
+            index.update(p, &mut list, 0);
+        }
+        index
+    }
+
+    #[test]
+    fn round_robin_wraps_to_the_lowest_pid() {
+        // Alternating {0,6,7} and {0,6}: restarting at `cursor % (max
+        // enabled pid + 1)` served 6 and 7 forever and the continuously
+        // enabled 0 once in 40 picks.
+        let sets = [moves(&[0, 6, 7]), moves(&[0, 6])];
+        let mut s = RoundRobinScheduler::new();
+        let mut served_0 = Vec::new();
+        for st in 0..40u64 {
+            let e = &sets[st as usize % 2];
+            let i = s.pick(st, e);
+            if e[i].mv.pid == ProcessId(0) {
+                served_0.push(st);
+            }
+        }
+        assert_eq!(served_0.len(), 20, "{served_0:?}");
+        assert!(
+            served_0.windows(2).all(|w| w[1] - w[0] <= 3),
+            "{served_0:?}"
+        );
+    }
+
+    #[test]
+    fn boxed_random_picks_by_rank_like_a_bare_one() {
+        let e = moves(&[0, 1, 2, 3, 5]);
+        let index = index_of(&e);
+        let mut bare = RandomScheduler::new(3);
+        let mut boxed: Box<dyn Scheduler> = Box::new(RandomScheduler::new(3));
+        let mut buf = Vec::new();
+        for st in 0..32 {
+            let i = Scheduler::pick_from(&mut boxed, st, &mut index.view(0, &mut buf));
+            assert_eq!(i, bare.pick(st, &e));
+        }
+        assert!(buf.is_empty(), "the boxed daemon materialised the slice");
     }
 
     #[test]

@@ -21,7 +21,9 @@ use diners_sim::engine::{Engine, EnumerationMode};
 use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig, Limits};
 use diners_sim::fault::{FaultPlan, Health};
 use diners_sim::graph::{ProcessId, Topology};
-use diners_sim::scheduler::{LeastRecentScheduler, RandomScheduler};
+use diners_sim::scheduler::{
+    LeastRecentScheduler, RandomScheduler, RoundRobinScheduler, Scheduler,
+};
 use diners_sim::toy::ToyDiners;
 use diners_sim::workload::{AlwaysHungry, BernoulliWorkload, QuotaWorkload};
 
@@ -79,6 +81,20 @@ fn fault_plans(n: usize) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
+/// The daemons the engine sweep runs under: in incremental mode random
+/// picks by rank from the enabled index, the others from the slice the
+/// index materialises.
+const SCHEDULERS: [&str; 3] = ["least-recent", "random", "round-robin"];
+
+fn scheduler(name: &str, seed: u64) -> Box<dyn Scheduler> {
+    match name {
+        "least-recent" => Box::new(LeastRecentScheduler::new()),
+        "random" => Box::new(RandomScheduler::new(seed ^ 0xabc)),
+        "round-robin" => Box::new(RoundRobinScheduler::new()),
+        other => unreachable!("unknown scheduler {other}"),
+    }
+}
+
 fn families() -> Vec<Topology> {
     vec![
         Topology::ring(9),
@@ -93,29 +109,52 @@ fn families() -> Vec<Topology> {
 fn mca_modes_agree_across_topologies_seeds_schedulers_and_faults() {
     for topo in families() {
         for seed in 0..8u64 {
-            for least_recent in [true, false] {
+            for sched in SCHEDULERS {
                 for (fname, plan) in fault_plans(topo.len()) {
-                    let label = format!(
-                        "{} seed={seed} lr={least_recent} faults={fname}",
-                        topo.name()
-                    );
+                    let label = format!("{} seed={seed} {sched} faults={fname}", topo.name());
                     assert_modes_agree(
                         |mode| {
-                            let b = Engine::builder(MaliciousCrashDiners::paper(), topo.clone())
+                            Engine::builder(MaliciousCrashDiners::paper(), topo.clone())
                                 .workload(AlwaysHungry)
                                 .faults(plan.clone())
                                 .seed(seed.wrapping_mul(1000) + 17)
-                                .enumeration(mode);
-                            if least_recent {
-                                b.scheduler(LeastRecentScheduler::new()).build()
-                            } else {
-                                b.scheduler(RandomScheduler::new(seed ^ 0xabc)).build()
-                            }
+                                .scheduler(scheduler(sched, seed))
+                                .enumeration(mode)
+                                .build()
                         },
                         200,
                         &label,
                     );
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn modes_agree_on_large_topologies() {
+    // Hundreds of processes, so the upper levels of the enabled index's
+    // Fenwick tree take part in every rank lookup.
+    for topo in [
+        Topology::ring(1000),
+        Topology::random_connected(300, 4.0 / 300.0, 5),
+    ] {
+        for sched in ["random", "round-robin"] {
+            for (fname, plan) in fault_plans(topo.len()) {
+                let label = format!("{} {sched} faults={fname}", topo.name());
+                assert_modes_agree(
+                    |mode| {
+                        Engine::builder(MaliciousCrashDiners::paper(), topo.clone())
+                            .workload(AlwaysHungry)
+                            .faults(plan.clone())
+                            .seed(23)
+                            .scheduler(scheduler(sched, 23))
+                            .enumeration(mode)
+                            .build()
+                    },
+                    2_000,
+                    &label,
+                );
             }
         }
     }

@@ -206,6 +206,13 @@ impl Scheduler for Boxed {
     ) -> usize {
         self.0.pick(step, enabled)
     }
+    fn pick_from(
+        &mut self,
+        step: u64,
+        enabled: &mut malicious_diners::sim::enabled::EnabledView<'_>,
+    ) -> usize {
+        self.0.pick_from(step, enabled)
+    }
     fn name(&self) -> &str {
         self.0.name()
     }

@@ -6,9 +6,9 @@
 //! paper: the telemetry layer must *observe* the paper's claims (here,
 //! failure locality ≤ 2 as a meal-shortfall radius) without perturbing
 //! the runs it observes. The overhead section quantifies the cost of the
-//! enabled path; the disabled path is a single branch on a `None`
-//! option, and the machine-normalized guard in `exp perf --check`
-//! watches for regressions of the bare engine across commits. A
+//! enabled path; with no observer attached the engine builds no events,
+//! and the machine-normalized guard in `exp perf --check` watches for
+//! regressions of the bare engine across commits. A
 //! single-crash disturbance radius above 2 fails the experiment.
 
 use std::time::Duration;
@@ -252,7 +252,7 @@ fn explorer_section(quick: bool, json: &mut Vec<String>) -> Table {
 
 fn overhead_engine(topo: &Topology, tele: Option<Telemetry>) -> Engine<MaliciousCrashDiners> {
     match tele {
-        Some(t) => bench_engine(topo).telemetry(t).build(),
+        Some(t) => bench_engine(topo).observe(t).build(),
         None => bench_engine(topo).build(),
     }
 }

@@ -25,10 +25,12 @@ use diners_sim::algorithm::DinerAlgorithm;
 use diners_sim::engine::{Engine, EnumerationMode};
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::{ProcessId, Topology};
-use diners_sim::record::{Recording, Replayer};
+use diners_sim::record::{FlightRecorder, Recording, Replayer};
 use diners_sim::scheduler::{LeastRecentScheduler, RandomScheduler, Scheduler};
 use diners_sim::table::{fmt_f64, fmt_opt, Table};
 use diners_sim::telemetry::Histogram;
+use diners_sim::trace::Trace;
+use diners_sim::tracing::CausalTracer;
 use diners_sim::workload::AlwaysHungry;
 use diners_sim::Phase;
 
@@ -98,8 +100,8 @@ fn replay_cell(topo: &Topology, si: usize, plan: &FaultPlan, steps: u64) -> Resu
         .faults(plan.clone())
         .seed(17)
         .enumeration(EnumerationMode::Incremental)
-        .record_trace(true)
-        .flight_recorder("mca-corrected")
+        .observe(Trace::new())
+        .observe(FlightRecorder::new("mca-corrected"))
         .build();
     live.run(steps);
 
@@ -125,7 +127,9 @@ fn replay_cell(topo: &Topology, si: usize, plan: &FaultPlan, steps: u64) -> Resu
     if replayed.metrics() != live.metrics() {
         return Err("metric counters differ".into());
     }
-    if replayed.trace().events() != live.trace().events() {
+    if replayed.observer::<Trace>().map(Trace::events)
+        != live.observer::<Trace>().map(Trace::events)
+    {
         return Err("violation/event traces differ".into());
     }
     Ok(verified)
@@ -219,10 +223,10 @@ fn blame_scenario(topo: &Topology, victim: ProcessId, steps: u64) -> (u64, Blame
         .faults(FaultPlan::new().crash(crash_step, victim))
         .seed(seed)
         .enumeration(EnumerationMode::Incremental)
-        .causal_tracing(true)
+        .observe(CausalTracer::default())
         .build();
     e.run(steps);
-    let tracer = e.take_tracer().expect("tracer attached");
+    let tracer = e.take_observer::<CausalTracer>().expect("tracer attached");
     let fault_span = tracer
         .fault_spans()
         .next()
@@ -313,7 +317,7 @@ fn blame_section(quick: bool, json: &mut Vec<String>) -> (Table, usize, u32) {
 fn overhead_engine(topo: &Topology, recorder: Option<u64>) -> Engine<MaliciousCrashDiners> {
     match recorder {
         Some(every) => bench_engine(topo)
-            .flight_recorder_every("mca-paper", every)
+            .observe(FlightRecorder::new("mca-paper").checkpoint_every(every))
             .build(),
         None => bench_engine(topo).build(),
     }

@@ -7,11 +7,12 @@ use diners_sim::algorithm::DinerAlgorithm;
 use diners_sim::engine::{Engine, EnumerationMode};
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::Topology;
-use diners_sim::record::{state_digest, Recording, Replayer};
+use diners_sim::observe::EventKind;
+use diners_sim::record::{state_digest, FlightRecorder, Recording, Replayer};
 use diners_sim::scheduler::RandomScheduler;
 use diners_sim::telemetry::Telemetry;
 use diners_sim::toy::ToyDiners;
-use diners_sim::tracing::{CausalTracer, Span, SpanId, SpanKind};
+use diners_sim::tracing::{CausalTracer, Span, SpanId};
 use diners_sim::workload::AlwaysHungry;
 
 use crate::experiments::{known_flags, opt};
@@ -162,8 +163,7 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
             .faults(plan)
             .seed(seed)
             .enumeration(EnumerationMode::Incremental)
-            .record_trace(true)
-            .flight_recorder(&label)
+            .observe(FlightRecorder::new(&label))
             .build();
         e.run(steps);
         let rec = e.recording().expect("recorder attached");
@@ -239,13 +239,16 @@ fn cmd_seek(path: &str, step: u64) -> Result<(), String> {
 
 fn span_label(s: &Span) -> String {
     match s.kind {
-        SpanKind::Action { name, slot: None } => name.to_string(),
-        SpanKind::Action {
+        EventKind::Action {
+            name, slot: None, ..
+        } => name.to_string(),
+        EventKind::Action {
             name,
             slot: Some(q),
+            ..
         } => format!("{name}[{q}]"),
-        SpanKind::Malicious => "malicious-step".to_string(),
-        SpanKind::Fault(k) => format!("fault:{k}"),
+        EventKind::MaliciousStep => "malicious-step".to_string(),
+        EventKind::Fault(k) => format!("fault:{k}"),
     }
 }
 
@@ -265,11 +268,13 @@ fn cmd_blame(path: &str, span: Option<u32>) -> Result<(), String> {
     let (rec, _) = load(path)?;
     with_algorithm!(rec.algorithm.as_str(), alg => {
         let (builder, mut replayer) = Replayer::builder(&rec, alg, AlwaysHungry);
-        let mut engine = builder.causal_tracing(true).build();
+        let mut engine = builder.observe(CausalTracer::default()).build();
         replayer
             .advance(&mut engine, rec.steps)
             .map_err(|e| format!("{path}: replay diverged: {e}"))?;
-        let tracer = engine.take_tracer().expect("tracing enabled");
+        let tracer = engine
+            .take_observer::<CausalTracer>()
+            .expect("tracing enabled");
         let id = match span {
             Some(raw) if raw as usize >= tracer.spans().len() => {
                 return Err(format!(
@@ -328,17 +333,22 @@ fn cmd_export(path: &str, args: &[String]) -> Result<(), String> {
     with_algorithm!(rec.algorithm.as_str(), alg => {
         let (builder, mut replayer) = Replayer::builder(&rec, alg, AlwaysHungry);
         let mut engine = builder
-            .causal_tracing(true)
-            .telemetry(Telemetry::new())
+            .observe(CausalTracer::default())
+            .observe(Telemetry::new())
             .build();
         replayer
             .advance(&mut engine, rec.steps)
             .map_err(|e| format!("{path}: replay diverged: {e}"))?;
-        let tracer = engine.take_tracer().expect("tracing enabled");
+        let tracer = engine
+            .take_observer::<CausalTracer>()
+            .expect("tracing enabled");
         std::fs::write(&chrome, tracer.to_chrome_trace())
             .map_err(|e| format!("write {chrome}: {e}"))?;
         println!("wrote {chrome} ({} spans)", tracer.spans().len());
-        let registry = engine.telemetry().expect("telemetry attached").registry();
+        let registry = engine
+            .observer::<Telemetry>()
+            .expect("telemetry attached")
+            .registry();
         std::fs::write(&prom, registry.to_prometheus())
             .map_err(|e| format!("write {prom}: {e}"))?;
         println!("wrote {prom}");
@@ -363,6 +373,18 @@ mod tests {
         cli(&args(&["verify", &file])).unwrap();
         cli(&args(&["seek", &file, "100"])).unwrap();
         assert!(cli(&args(&["seek", &file, "401"])).is_err());
+        // Replays with the tracer and telemetry attached.
+        cli(&args(&["blame", &file])).unwrap();
+        let chrome = dir.join("chrome.json").to_string_lossy().into_owned();
+        let prom = dir.join("run.prom").to_string_lossy().into_owned();
+        cli(&args(&[
+            "export", &file, "--chrome", &chrome, "--prom", &prom,
+        ]))
+        .unwrap();
+        let chrome = std::fs::read_to_string(&chrome).unwrap();
+        assert!(chrome.starts_with("{\"traceEvents\":["), "{chrome}");
+        let prom = std::fs::read_to_string(&prom).unwrap();
+        assert!(prom.contains("# TYPE engine_faults counter"), "{prom}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -373,5 +395,22 @@ mod tests {
         assert!(cli(&args(&["record", "--stepz", "9"])).is_err());
         assert!(cli(&args(&["record", "--topo", "cube:3"])).is_err());
         assert!(cli(&args(&["verify", "/nonexistent/recording.jsonl"])).is_err());
+
+        // A hand-edited header naming a process outside the topology is
+        // rejected at parse time instead of panicking during replay.
+        let dir = std::env::temp_dir().join(format!("exp-trace-bad-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("run.jsonl").to_string_lossy().into_owned();
+        let plan = ["--topo", "ring:4", "--plan", "chaos", "--steps", "40"];
+        let record: Vec<&str> = ["record", "--out", &file].into_iter().chain(plan).collect();
+        cli(&args(&record)).unwrap();
+        let text = std::fs::read_to_string(&file).unwrap();
+        std::fs::write(&file, text.replacen("[1,2]", "[2,7]", 1)).unwrap();
+        let err = cli(&args(&["verify", &file])).unwrap_err();
+        assert!(
+            err.contains("is not a recording: line 1: edge (2,7)"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -17,6 +17,7 @@ use diners_sim::engine::Engine;
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::scheduler::ScriptedScheduler;
+use diners_sim::trace::Trace;
 use diners_sim::Phase;
 
 use crate::algorithm::{MaliciousCrashDiners, ENTER, EXIT, FIXDEPTH, LEAVE};
@@ -141,7 +142,7 @@ pub fn fig2_engine() -> Engine<MaliciousCrashDiners> {
         .initial_state(state)
         .scheduler(ScriptedScheduler::new(script))
         .faults(FaultPlan::new().initially_dead(A.index()))
-        .record_trace(true)
+        .observe(Trace::new())
         .build()
 }
 
@@ -263,14 +264,10 @@ mod tests {
     fn trace_records_the_scripted_actions() {
         let mut engine = fig2_engine();
         engine.run(5);
-        let d_actions = engine.trace().actions_of(D);
+        let trace = engine.observer::<Trace>().expect("trace attached");
+        let d_actions = trace.actions_of(D);
         assert_eq!(d_actions.first().map(|(_, n)| *n), Some("leave"));
-        let g_actions: Vec<&str> = engine
-            .trace()
-            .actions_of(G)
-            .into_iter()
-            .map(|(_, n)| n)
-            .collect();
+        let g_actions: Vec<&str> = trace.actions_of(G).into_iter().map(|(_, n)| n).collect();
         assert_eq!(g_actions, vec!["fixdepth", "exit"]);
     }
 }

@@ -6,7 +6,8 @@ use diners_sim::engine::Engine;
 use diners_sim::fault::{FaultKind, FaultPlan, Resurrection};
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::scheduler::{LeastRecentScheduler, RandomScheduler};
-use diners_sim::telemetry::{self, Deviation, DisturbanceReport, Telemetry};
+use diners_sim::telemetry::Telemetry;
+use diners_sim::trace::Trace;
 
 use crate::algorithm::MaliciousCrashDiners;
 use crate::predicates::Invariant;
@@ -68,10 +69,12 @@ pub fn stabilization_with_telemetry(
         .scheduler(RandomScheduler::new(seed))
         .faults(FaultPlan::new().from_arbitrary_state())
         .seed(seed)
-        .telemetry(Telemetry::new())
+        .observe(Telemetry::new())
         .build();
     let converged = engine.convergence_step(&invariant, horizon);
-    let mut tele = engine.take_telemetry().expect("telemetry was attached");
+    let mut tele = engine
+        .take_observer::<Telemetry>()
+        .expect("telemetry was attached");
     let reg = tele.registry_mut();
     let hist = reg.histogram("convergence.steps_to_invariant");
     if let Some(at) = converged {
@@ -82,6 +85,115 @@ pub fn stabilization_with_telemetry(
         reg.inc(timeouts);
     }
     (converged, tele)
+}
+
+/// Result of comparing a faulty run against its fault-free twin.
+#[derive(Clone, Debug)]
+pub struct DisturbanceReport {
+    /// The crashed process.
+    pub crash_site: ProcessId,
+    /// Max conflict-graph distance from the crash site at which a
+    /// non-faulty process deviated; 0 when nobody but the crash site did.
+    pub radius: u32,
+    /// Every deviating non-faulty process with its distance to the
+    /// crash site.
+    pub deviating: Vec<(ProcessId, u32)>,
+}
+
+/// What counts as a per-process deviation between the faulty run and
+/// its fault-free twin.
+///
+/// A crash removes its victim from the daemon's pick competition, which
+/// shifts the *global* interleaving: under any fair scheduler, every
+/// process's raw action sequence eventually drifts from the baseline's,
+/// no matter how far it sits from the crash. The paper's locality claim
+/// is about *service* — a process outside the containment radius keeps
+/// being served — so locality measurements must project the trace down
+/// to service events and only count a *shortfall*.
+#[derive(Clone, Debug)]
+pub enum Deviation {
+    /// Compare full per-process action-name sequences: a mismatch
+    /// anywhere in the common prefix, or a length drift beyond `slack`
+    /// actions, is a deviation. Schedule-sensitive (see above) — useful
+    /// for lockstep determinism checks, not for locality measurement.
+    Trace {
+        /// Tolerated end-of-run action-count drift.
+        slack: usize,
+    },
+    /// Compare per-process counts of the named service actions; a
+    /// process deviates only if the faulty run falls short of the
+    /// baseline by more than `slack` occurrences. A process that is
+    /// served *more* (the crashed process's steps are redistributed)
+    /// has not been disturbed in the paper's sense.
+    Shortfall {
+        /// Action names that constitute service (e.g. the transition
+        /// into eating).
+        actions: &'static [&'static str],
+        /// Tolerated service-count shortfall.
+        slack: u64,
+    },
+}
+
+/// Untimed per-process action projection of a trace: the sequence of
+/// action names `pid` executed, ignoring global interleaving.
+fn projection(trace: &Trace, pid: ProcessId) -> Vec<&'static str> {
+    trace
+        .actions_of(pid)
+        .into_iter()
+        .map(|(_, name)| name)
+        .collect()
+}
+
+impl Deviation {
+    fn deviates(&self, base: &[&'static str], faulty: &[&'static str]) -> bool {
+        match *self {
+            Deviation::Trace { slack } => {
+                let common = base.len().min(faulty.len());
+                if base[..common] != faulty[..common] {
+                    return true;
+                }
+                base.len().abs_diff(faulty.len()) > slack
+            }
+            Deviation::Shortfall { actions, slack } => {
+                let count = |names: &[&'static str]| {
+                    names.iter().filter(|n| actions.contains(n)).count() as u64
+                };
+                count(base).saturating_sub(count(faulty)) > slack
+            }
+        }
+    }
+}
+
+/// Compute the empirical disturbance radius of a crash at `crash_site`:
+/// compare the traces of a faulty run and a fault-free twin (identical
+/// topology, workload, scheduler, seed, run for the same number of
+/// steps) and report the farthest non-faulty process that deviates under
+/// `rule`. The paper's locality-2 theorem predicts radius ≤ 2 under
+/// [`Deviation::Shortfall`] over the service actions.
+pub fn disturbance_radius(
+    topo: &Topology,
+    baseline: &Trace,
+    faulty: &Trace,
+    crash_site: ProcessId,
+    rule: &Deviation,
+) -> DisturbanceReport {
+    let mut deviating = Vec::new();
+    for p in topo.processes() {
+        if p == crash_site {
+            continue;
+        }
+        let base = projection(baseline, p);
+        let fault = projection(faulty, p);
+        if rule.deviates(&base, &fault) {
+            deviating.push((p, topo.distance(crash_site, p)));
+        }
+    }
+    let radius = deviating.iter().map(|&(_, d)| d).max().unwrap_or(0);
+    DisturbanceReport {
+        crash_site,
+        radius,
+        deviating,
+    }
 }
 
 /// The action names that constitute *service* for the diners algorithms:
@@ -103,7 +215,7 @@ pub fn service_shortfall(slack: u64) -> Deviation {
 /// algorithm twice under the deterministic least-recent daemon — once
 /// fault-free, once with `kind` striking `crash_site` at `crash_step` —
 /// and compare per-process action projections under `rule` (see
-/// [`diners_sim::telemetry::disturbance_radius`]).
+/// [`disturbance_radius`]).
 ///
 /// Use [`service_shortfall`] as the rule for locality claims: the
 /// paper's failure-locality-2 theorem predicts a radius ≤ 2 in meal
@@ -132,19 +244,7 @@ pub fn crash_disturbance<A: DinerAlgorithm + Clone>(
         }
         other => panic!("crash_disturbance measures crash locality, got {other}"),
     };
-    let run = |plan: FaultPlan| {
-        let mut engine = Engine::builder(alg.clone(), topo.clone())
-            .scheduler(LeastRecentScheduler::new())
-            .faults(plan)
-            .seed(seed)
-            .record_trace(true)
-            .build();
-        engine.run(steps);
-        engine
-    };
-    let baseline = run(FaultPlan::none());
-    let faulty = run(faults);
-    telemetry::disturbance_radius(topo, baseline.trace(), faulty.trace(), crash_site, rule)
+    plan_disturbance(alg, topo, crash_site, faults, steps, rule, seed)
 }
 
 /// Measure the empirical disturbance radius of an arbitrary fault plan
@@ -167,14 +267,12 @@ pub fn plan_disturbance<A: DinerAlgorithm + Clone>(
             .scheduler(LeastRecentScheduler::new())
             .faults(plan)
             .seed(seed)
-            .record_trace(true)
+            .observe(Trace::new())
             .build();
         engine.run(steps);
-        engine
+        engine.take_observer::<Trace>().expect("trace attached")
     };
-    let baseline = run(FaultPlan::none());
-    let faulty = run(faults);
-    telemetry::disturbance_radius(topo, baseline.trace(), faulty.trace(), site, rule)
+    disturbance_radius(topo, &run(FaultPlan::none()), &run(faults), site, rule)
 }
 
 /// One crash→restart incident, measured.
@@ -269,6 +367,68 @@ pub fn service_stats<A: DinerAlgorithm>(engine: &mut Engine<A>, steps: u64) -> S
 mod tests {
     use super::*;
     use diners_sim::graph::Topology;
+    use diners_sim::observe::EventKind;
+    use diners_sim::trace::Event;
+
+    #[test]
+    fn disturbance_radius_localizes_to_deviating_processes() {
+        let topo = Topology::line(5);
+        let mut base = Trace::new();
+        let mut fault = Trace::new();
+        let action = |step: u64, p: usize, name: &'static str| Event {
+            step,
+            pid: ProcessId(p),
+            kind: EventKind::Action {
+                kind: 0,
+                slot: None,
+                name,
+            },
+        };
+        // Everyone does join,enter in both runs...
+        for step in 0..2u64 {
+            for p in 0..5 {
+                let name = if step == 0 { "join" } else { "enter" };
+                base.record(action(step, p, name));
+                fault.record(action(step, p, name));
+            }
+        }
+        // ...but in the faulty run p1 (distance 1 from crash at p0)
+        // diverges in content and p2 (distance 2) stalls hard.
+        base.record(action(2, 1, "exit"));
+        fault.record(action(2, 1, "leave"));
+        for step in 3..10u64 {
+            base.record(action(step, 2, "enter"));
+        }
+        let rule = Deviation::Trace { slack: 2 };
+        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
+        assert_eq!(report.radius, 2);
+        let pids: Vec<usize> = report.deviating.iter().map(|&(p, _)| p.index()).collect();
+        assert_eq!(pids, [1, 2]);
+
+        // Slack swallows small length drift: with slack 8 the stall at p2
+        // is within tolerance and only the content mismatch at p1 counts.
+        let rule = Deviation::Trace { slack: 8 };
+        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
+        assert_eq!(report.radius, 1);
+        assert_eq!(report.deviating.len(), 1);
+
+        // Service shortfall only sees p2's lost meals: p1's content swap
+        // (exit vs leave) does not touch the "enter" count, and a
+        // generous slack swallows the stall too.
+        let rule = Deviation::Shortfall {
+            actions: &["enter"],
+            slack: 2,
+        };
+        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
+        assert_eq!(report.radius, 2);
+        assert_eq!(report.deviating.len(), 1);
+        let rule = Deviation::Shortfall {
+            actions: &["enter"],
+            slack: 16,
+        };
+        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
+        assert_eq!(report.radius, 0);
+    }
 
     #[test]
     fn paper_engine_serves_everyone() {

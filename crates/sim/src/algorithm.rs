@@ -211,7 +211,9 @@ pub trait Algorithm {
 /// An [`Algorithm`] that solves (some variant of) the diners problem and
 /// can report which phase a local state is in. The engine uses this to
 /// maintain service metrics (meals, response times, exclusion violations).
-pub trait DinerAlgorithm: Algorithm {
+/// Algorithms are plain values (`'static`), so an engine's observers can
+/// be looked up by type.
+pub trait DinerAlgorithm: Algorithm + 'static {
     /// The `T`/`H`/`E` phase encoded in a local state.
     fn phase(&self, local: &Self::Local) -> Phase;
 }

@@ -14,6 +14,21 @@
 //! Runs are fully deterministic given the seed, the scheduler and the
 //! fault plan.
 //!
+//! # Observers
+//!
+//! Everything that watches a run without steering it — the event trace,
+//! telemetry, the flight recorder, the causal tracer — is a
+//! [`StepObserver`] attached with [`EngineBuilder::observe`] and read back
+//! with [`Engine::observer`] or [`Engine::take_observer`]. The engine
+//! reports to them at four points: after it is built, after each applied
+//! fault, after each fired move and at the end of each step, each time
+//! through one loop over the attached observers. It builds a
+//! [`StepEvent`] only when an observer is attached and knows none of their
+//! formats; `Engine::recording` lives with the recorder in
+//! [`crate::record`]. The service metrics, the exclusion monitor and
+//! [`Workload::note_eat`] stay direct calls: they are always on, the
+//! lockstep suites compare them, and the workload feeds back into the run.
+//!
 //! # Enumeration modes
 //!
 //! The engine has two interchangeable hot paths selected by
@@ -42,8 +57,8 @@
 //! `crates/sim/tests/incremental_equiv.rs` verifies over topology ×
 //! seed × scheduler × fault-plan sweeps.
 
+use std::any::Any;
 use std::collections::HashMap;
-use std::hash::Hash;
 
 use rand::rngs::StdRng;
 
@@ -52,75 +67,11 @@ use crate::enabled::EnabledIndex;
 use crate::fault::{FaultKind, FaultPlan, Health, Resurrection};
 use crate::graph::{ProcessId, Topology};
 use crate::metrics::DinerMetrics;
+use crate::observe::{EventKind, StepEvent, StepObserver};
 use crate::predicate::{Snapshot, StatePredicate};
-use crate::record::{self, Checkpoint, FlightRecorder, Recording, StepDecision, FORMAT_VERSION};
 use crate::rng;
 use crate::scheduler::{EnabledMove, LeastRecentScheduler, Scheduler};
-use crate::telemetry::{CounterId, HistogramId, Telemetry, TelemetryKind};
-use crate::trace::{Event, EventKind, Trace};
-use crate::tracing::{CausalTracer, SpanKind};
 use crate::workload::{AlwaysHungry, Workload};
-
-/// Monomorphized [`record::state_digest`] captured as a plain function
-/// pointer when the flight recorder is attached, so the `Hash` bounds
-/// live only on the attach method — the engine itself stays bound-free.
-type DigestFn<A> = fn(&SystemState<A>, &[Health]) -> u64;
-
-/// Flight-recorder state boxed inside the engine (None = disabled; every
-/// instrumented site is one null check, mirroring `TelemetryState`).
-struct RecorderState<A: DinerAlgorithm> {
-    rec: FlightRecorder,
-    /// Algorithm label written to the recording header.
-    label: String,
-    /// Checkpoint cadence in steps.
-    every: u64,
-    digest: DigestFn<A>,
-}
-
-/// Telemetry plus the metric handles the engine's hot path uses, prepared
-/// once at build time so instrumented sites pay an index, not a lookup.
-/// Boxed inside the engine: the disabled path is a single null check.
-struct TelemetryState {
-    tele: Telemetry,
-    /// Fire counter per action kind (indexed like `Algorithm::kinds`).
-    action_fires: Vec<CounterId>,
-    malicious_steps: CounterId,
-    faults: CounterId,
-    restarts: CounterId,
-    phase_changes: CounterId,
-    /// Writes rejected by the runtime contract check (non-neighbor edge
-    /// or malicious write outside the capability).
-    write_violations: CounterId,
-    /// Steps spent hungry before each transition into `Eating`.
-    hungry_to_eat: HistogramId,
-}
-
-impl TelemetryState {
-    fn prepare<A: DinerAlgorithm>(mut tele: Telemetry, alg: &A) -> Box<Self> {
-        let reg = tele.registry_mut();
-        let action_fires = alg
-            .kinds()
-            .iter()
-            .map(|k| reg.counter(&format!("engine.action.{}", k.name)))
-            .collect();
-        let malicious_steps = reg.counter("engine.malicious_steps");
-        let faults = reg.counter("engine.faults");
-        let restarts = reg.counter("engine.restarts");
-        let phase_changes = reg.counter("engine.phase_changes");
-        let write_violations = reg.counter("engine.write_violations");
-        let hungry_to_eat = reg.histogram("engine.hungry_to_eat_steps");
-        Box::new(TelemetryState {
-            tele,
-            action_fires,
-            malicious_steps,
-            faults,
-            restarts,
-            phase_changes,
-            write_violations,
-            hungry_to_eat,
-        })
-    }
-}
 
 /// What happened in one engine step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -163,12 +114,9 @@ pub struct EngineBuilder<A: DinerAlgorithm> {
     sched: Box<dyn Scheduler>,
     faults: FaultPlan,
     seed: u64,
-    record_trace: bool,
     initial_state: Option<SystemState<A>>,
     mode: EnumerationMode,
-    telemetry: Option<Telemetry>,
-    recorder: Option<(String, u64, DigestFn<A>)>,
-    tracing: bool,
+    observers: Vec<Box<dyn StepObserver<A>>>,
 }
 
 impl<A: DinerAlgorithm> EngineBuilder<A> {
@@ -201,13 +149,6 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
         self
     }
 
-    /// Record an event trace (default off).
-    #[must_use]
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.record_trace = on;
-        self
-    }
-
     /// Select the enabled-move enumeration strategy (default:
     /// [`EnumerationMode::Incremental`]). Both modes produce identical
     /// runs; [`EnumerationMode::Naive`] exists as the reference.
@@ -226,54 +167,15 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
         self
     }
 
-    /// Attach an observability handle (default: none). Telemetry never
-    /// touches the engine's RNG, scheduler or state, so an instrumented
-    /// run is step-for-step identical to a bare one; read results back
-    /// with [`Engine::telemetry`] or [`Engine::take_telemetry`].
+    /// Attach an observer (default: none): a [`crate::trace::Trace`],
+    /// [`crate::telemetry::Telemetry`], [`crate::record::FlightRecorder`],
+    /// [`crate::tracing::CausalTracer`] or any other [`StepObserver`].
+    /// Observers never touch the engine's RNG, scheduler or state, so an
+    /// observed run is step-for-step identical to a bare one; read one
+    /// back with [`Engine::observer`] or [`Engine::take_observer`].
     #[must_use]
-    pub fn telemetry(mut self, tele: Telemetry) -> Self {
-        self.telemetry = Some(tele);
-        self
-    }
-
-    /// Attach a flight recorder (default: none), checkpointing every 256
-    /// steps. `algorithm_label` names the algorithm in the recording
-    /// header so replay tooling can rebuild it. Like telemetry, the
-    /// recorder only observes — it never touches the RNG, scheduler or
-    /// state — so a recorded run is step-identical to a bare one; read
-    /// the result back with [`Engine::recording`].
-    #[must_use]
-    pub fn flight_recorder(self, algorithm_label: &str) -> Self
-    where
-        A::Local: Hash,
-        A::Edge: Hash,
-    {
-        self.flight_recorder_every(algorithm_label, 256)
-    }
-
-    /// [`EngineBuilder::flight_recorder`] with an explicit checkpoint
-    /// cadence (`every` steps between state digests; min 1).
-    #[must_use]
-    pub fn flight_recorder_every(mut self, algorithm_label: &str, every: u64) -> Self
-    where
-        A::Local: Hash,
-        A::Edge: Hash,
-    {
-        self.recorder = Some((
-            algorithm_label.to_string(),
-            every.max(1),
-            record::state_digest::<A>,
-        ));
-        self
-    }
-
-    /// Record a span-based causal trace (default off); see
-    /// [`crate::tracing`]. Observer-effect-free like telemetry and the
-    /// flight recorder; read back with [`Engine::tracer`] or
-    /// [`Engine::take_tracer`].
-    #[must_use]
-    pub fn causal_tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
+    pub fn observe(mut self, observer: impl StepObserver<A>) -> Self {
+        self.observers.push(Box::new(observer));
         self
     }
 
@@ -291,27 +193,11 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
         for &p in self.faults.initially_dead_processes() {
             health[p.index()] = Health::Dead;
         }
-        let mut trace = Trace::new();
-        trace.enable(self.record_trace);
         let index = EnabledIndex::new(&self.topo, self.alg.kinds());
         let needs_now: Vec<bool> = (0..n)
             .map(|i| self.workload.needs(ProcessId(i), 0))
             .collect();
         let step_dependent_needs = self.workload.step_dependent();
-        let telemetry = self
-            .telemetry
-            .map(|tele| TelemetryState::prepare(tele, &self.alg));
-        let recorder = self.recorder.map(|(label, every, digest)| {
-            Box::new(RecorderState {
-                rec: FlightRecorder::new(),
-                label,
-                every,
-                digest,
-            })
-        });
-        let tracer = self
-            .tracing
-            .then(|| Box::new(CausalTracer::new(&self.topo)));
         // Schedule one checkpoint capture per snapshot restart, `age`
         // steps before the restart fires (clamped at the run start).
         let mut snap_schedule: Vec<(u64, usize)> = self
@@ -345,7 +231,6 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
             executed: 0,
             quiescent: 0,
             rng,
-            trace,
             first_enabled: HashMap::new(),
             mode: self.mode,
             fault_cursor: 0,
@@ -358,9 +243,7 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
             eat_pairs_live: 0,
             annotated: Vec::new(),
             scratch: Vec::new(),
-            telemetry,
-            recorder,
-            tracer,
+            observers: self.observers,
             snap_schedule,
             snap_cursor: 0,
             snapshots,
@@ -369,11 +252,9 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
         let (total, live) = engine.eating_pairs_scan();
         engine.eat_pairs_total = total;
         engine.eat_pairs_live = live;
-        // Anchor the recording: a digest of the state before step 0, so
-        // replay divergence in the initial state is caught immediately.
-        if let Some(rs) = engine.recorder.as_deref_mut() {
-            let d = (rs.digest)(&engine.state, &engine.health);
-            rs.rec.push_checkpoint(0, d);
+        let view = Snapshot::new(&engine.topo, &engine.state, &engine.health);
+        for o in &mut engine.observers {
+            o.on_build(&engine.alg, &view);
         }
         engine
     }
@@ -392,7 +273,6 @@ pub struct Engine<A: DinerAlgorithm> {
     executed: u64,
     quiescent: u64,
     rng: StdRng,
-    trace: Trace,
     metrics: DinerMetrics,
     last_phase: Vec<Phase>,
     /// Naive-mode fairness ages: step at which each currently-enabled
@@ -420,12 +300,8 @@ pub struct Engine<A: DinerAlgorithm> {
     scratch: Vec<Move>,
     /// Engine seed, kept for the recording header.
     seed: u64,
-    /// Observability (None = disabled; every site is one null check).
-    telemetry: Option<Box<TelemetryState>>,
-    /// Flight recorder (None = disabled; same pattern as telemetry).
-    recorder: Option<Box<RecorderState<A>>>,
-    /// Causal tracer (None = disabled; same pattern as telemetry).
-    tracer: Option<Box<CausalTracer>>,
+    /// Attached observers; with none, the engine builds no events.
+    observers: Vec<Box<dyn StepObserver<A>>>,
     /// Checkpoint schedule for snapshot restarts: `(capture_step, event
     /// index)` pairs sorted by step. Derived from the fault plan at build
     /// time, so each needed snapshot is captured exactly once.
@@ -452,29 +328,29 @@ impl<A: DinerAlgorithm> Engine<A> {
             sched: Box::new(LeastRecentScheduler::new()),
             faults: FaultPlan::none(),
             seed: 0,
-            record_trace: false,
             initial_state: None,
             mode: EnumerationMode::default(),
-            telemetry: None,
-            recorder: None,
-            tracing: false,
+            observers: Vec::new(),
         }
     }
 
-    /// The attached telemetry, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_deref().map(|ts| &ts.tele)
+    /// The first attached observer of type `T`, if any.
+    pub fn observer<T: StepObserver<A>>(&self) -> Option<&T> {
+        self.observers
+            .iter()
+            .find_map(|o| (o.as_ref() as &dyn Any).downcast_ref())
     }
 
-    /// Mutable access to the attached telemetry, if any.
-    pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_deref_mut().map(|ts| &mut ts.tele)
-    }
-
-    /// Detach and return the telemetry (e.g. to fold one run's metrics
-    /// into a report while the engine is dropped).
-    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.take().map(|ts| ts.tele)
+    /// Detach and return the first attached observer of type `T` (e.g. to
+    /// fold one run's telemetry into a report while the engine is
+    /// dropped).
+    pub fn take_observer<T: StepObserver<A>>(&mut self) -> Option<T> {
+        let i = self
+            .observers
+            .iter()
+            .position(|o| (o.as_ref() as &dyn Any).is::<T>())?;
+        let o: Box<dyn Any> = self.observers.remove(i);
+        o.downcast().ok().map(|o| *o)
     }
 
     /// Writes rejected so far by the runtime write-contract check
@@ -486,50 +362,24 @@ impl<A: DinerAlgorithm> Engine<A> {
         self.write_violations
     }
 
-    /// The attached causal tracer, if any.
-    pub fn tracer(&self) -> Option<&CausalTracer> {
-        self.tracer.as_deref()
+    /// The scheduler's name (recording header).
+    pub(crate) fn scheduler_name(&self) -> &str {
+        self.sched.name()
     }
 
-    /// Detach and return the causal tracer.
-    pub fn take_tracer(&mut self) -> Option<CausalTracer> {
-        self.tracer.take().map(|b| *b)
+    /// The workload's name (recording header).
+    pub(crate) fn workload_name(&self) -> &str {
+        self.workload.name()
     }
 
-    /// Snapshot the flight recorder into a serializable [`Recording`]
-    /// (None if no recorder is attached). A final checkpoint digesting
-    /// the current state is appended if the cadence did not land on it,
-    /// so replay always verifies the end state.
-    pub fn recording(&self) -> Option<Recording> {
-        let rs = self.recorder.as_deref()?;
-        let mut checkpoints = rs.rec.checkpoints().to_vec();
-        if checkpoints.last().map(|c| c.step) != Some(self.step) {
-            checkpoints.push(Checkpoint {
-                step: self.step,
-                digest: (rs.digest)(&self.state, &self.health),
-            });
-        }
-        Some(Recording {
-            version: FORMAT_VERSION,
-            algorithm: rs.label.clone(),
-            scheduler: self.sched.name().to_string(),
-            workload: self.workload.name().to_string(),
-            mode: self.mode,
-            seed: self.seed,
-            topology_name: self.topo.name().to_string(),
-            n: self.topo.len(),
-            edges: self
-                .topo
-                .edges()
-                .iter()
-                .map(|&(a, b)| (a.index(), b.index()))
-                .collect(),
-            faults: self.faults.clone(),
-            steps: self.step,
-            decisions: rs.rec.decisions().to_vec(),
-            fault_log: rs.rec.faults().to_vec(),
-            checkpoints,
-        })
+    /// The seed the engine was built with (recording header).
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The fault plan the engine was built with (recording header).
+    pub(crate) fn fault_plan(&self) -> &FaultPlan {
+        &self.faults
     }
 
     /// The algorithm under simulation.
@@ -565,16 +415,6 @@ impl<A: DinerAlgorithm> Engine<A> {
     /// Service metrics accumulated so far.
     pub fn metrics(&self) -> &DinerMetrics {
         &self.metrics
-    }
-
-    /// The event trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable trace access (to enable/clear mid-run).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The diner phase of `p` in the current state.
@@ -677,18 +517,9 @@ impl<A: DinerAlgorithm> Engine<A> {
             EnumerationMode::Naive => self.step_naive(),
             EnumerationMode::Incremental => self.step_incremental(),
         };
-        // Flight recorder: executed moves are pushed inside
-        // `execute_move` (which knows the `needs` bit); quiescent steps
-        // and cadenced checkpoints are recorded here, after the step
-        // counter advanced.
-        if let Some(rs) = self.recorder.as_deref_mut() {
-            if out == StepOutcome::Quiescent {
-                rs.rec.push_decision(StepDecision::Quiescent);
-            }
-            if self.step.is_multiple_of(rs.every) {
-                let d = (rs.digest)(&self.state, &self.health);
-                rs.rec.push_checkpoint(self.step, d);
-            }
+        let view = Snapshot::new(&self.topo, &self.state, &self.health);
+        for o in &mut self.observers {
+            o.on_step_end(self.step, out, &view);
         }
         out
     }
@@ -968,10 +799,9 @@ impl<A: DinerAlgorithm> Engine<A> {
         self.fault_cursor = end;
         for i in start..end {
             let ev = self.faults.events()[i];
-            let span_before = self
-                .tracer
-                .is_some()
-                .then(|| self.alg.phase(self.state.local(ev.target)));
+            let phase_before =
+                (!self.observers.is_empty()).then(|| self.alg.phase(self.state.local(ev.target)));
+            let mut revived = false;
             match ev.kind {
                 FaultKind::Crash => {
                     let was_active = self.health[ev.target.index()].is_active();
@@ -1011,6 +841,7 @@ impl<A: DinerAlgorithm> Engine<A> {
                 }
                 FaultKind::Restart { state } => {
                     if self.health[ev.target.index()].is_dead() {
+                        revived = true;
                         self.health[ev.target.index()] = Health::Live;
                         self.on_process_revived(ev.target);
                         match state {
@@ -1037,32 +868,30 @@ impl<A: DinerAlgorithm> Engine<A> {
                         // the health flip), so the whole closed neighborhood
                         // re-enumerates.
                         self.mark_dirty_closed(ev.target);
-                        if let Some(ts) = self.telemetry.as_deref_mut() {
-                            let id = ts.restarts;
-                            ts.tele.registry_mut().inc(id);
-                        }
                     }
                 }
             }
-            self.trace.record(Event {
-                step,
-                pid: ev.target,
-                kind: EventKind::Fault(ev.kind),
-            });
-            if let Some(ts) = self.telemetry.as_deref_mut() {
-                let id = ts.faults;
-                ts.tele.registry_mut().inc(id);
-                ts.tele.emit(step, ev.target, TelemetryKind::Fault(ev.kind));
+            if let Some(phase_before) = phase_before {
+                self.notify(&StepEvent {
+                    step,
+                    pid: ev.target,
+                    kind: EventKind::Fault(ev.kind),
+                    needs: false,
+                    phase_before,
+                    phase_after: self.alg.phase(self.state.local(ev.target)),
+                    rejected_writes: 0,
+                    revived,
+                    waited: None,
+                });
             }
-            if let Some(rs) = self.recorder.as_deref_mut() {
-                rs.rec.push_fault(step, ev.target, ev.kind);
-            }
-            if let Some(before) = span_before {
-                let after = self.alg.phase(self.state.local(ev.target));
-                if let Some(tr) = self.tracer.as_deref_mut() {
-                    tr.record_fault(&self.topo, step, ev.target, ev.kind, before, after);
-                }
-            }
+        }
+    }
+
+    /// Report one applied fault or fired move to every observer.
+    fn notify(&mut self, ev: &StepEvent) {
+        let view = Snapshot::new(&self.topo, &self.state, &self.health);
+        for o in &mut self.observers {
+            o.on_event(ev, &view);
         }
     }
 
@@ -1097,19 +926,6 @@ impl<A: DinerAlgorithm> Engine<A> {
             if died {
                 self.on_process_died(pid);
             }
-            self.trace.record(Event {
-                step: self.step,
-                pid,
-                kind: EventKind::MaliciousStep,
-            });
-            if let Some(ts) = self.telemetry.as_deref_mut() {
-                let id = ts.malicious_steps;
-                ts.tele.registry_mut().inc(id);
-                ts.tele.emit(self.step, pid, TelemetryKind::MaliciousStep);
-            }
-            if let Some(rs) = self.recorder.as_deref_mut() {
-                rs.rec.push_decision(StepDecision::Malicious { pid });
-            }
             (w, false)
         } else {
             let needs = self.workload.needs(pid, self.step);
@@ -1118,38 +934,7 @@ impl<A: DinerAlgorithm> Engine<A> {
                 self.alg.enabled(&view, mv.action),
                 "scheduler fired a disabled move {mv:?}"
             );
-            let w = self.alg.execute(&view, mv.action);
-            let kind = self.alg.kinds()[mv.action.kind];
-            self.trace.record(Event {
-                step: self.step,
-                pid,
-                kind: EventKind::Action {
-                    kind: mv.action.kind,
-                    slot: mv.action.slot,
-                    name: kind.name,
-                },
-            });
-            if let Some(ts) = self.telemetry.as_deref_mut() {
-                let id = ts.action_fires[mv.action.kind];
-                ts.tele.registry_mut().inc(id);
-                ts.tele.emit(
-                    self.step,
-                    pid,
-                    TelemetryKind::Action {
-                        name: kind.name,
-                        slot: mv.action.slot,
-                    },
-                );
-            }
-            if let Some(rs) = self.recorder.as_deref_mut() {
-                rs.rec.push_decision(StepDecision::Move {
-                    pid,
-                    kind: mv.action.kind,
-                    slot: mv.action.slot,
-                    needs,
-                });
-            }
-            (w, needs)
+            (self.alg.execute(&view, mv.action), needs)
         };
 
         // Runtime write-contract check (the dynamic counterpart of the
@@ -1158,6 +943,7 @@ impl<A: DinerAlgorithm> Engine<A> {
         // debug builds; release builds reject the write and count it, so
         // fuzzing surfaces contract breaches without crashing soaks.
         let malicious = mv.action.is_malicious();
+        let mut rejected_writes = 0;
         for w in writes {
             if let Some(v) =
                 crate::footprint::check_write(&self.alg, &self.topo, pid, malicious, &w)
@@ -1165,11 +951,7 @@ impl<A: DinerAlgorithm> Engine<A> {
                 if cfg!(debug_assertions) {
                     panic!("write contract violation: {v}");
                 }
-                self.write_violations += 1;
-                if let Some(ts) = self.telemetry.as_deref_mut() {
-                    let id = ts.write_violations;
-                    ts.tele.registry_mut().inc(id);
-                }
+                rejected_writes += 1;
                 continue;
             }
             match w {
@@ -1184,46 +966,42 @@ impl<A: DinerAlgorithm> Engine<A> {
             }
         }
 
+        self.write_violations += rejected_writes;
+
         let after = self.alg.phase(self.state.local(pid));
         self.update_eating_pairs(pid, before, after);
         self.last_phase[pid.index()] = after;
-        if before != after {
-            if let Some(ts) = self.telemetry.as_deref_mut() {
-                let id = ts.phase_changes;
-                ts.tele.registry_mut().inc(id);
-                if after == Phase::Eating {
-                    if let Some(since) = self.metrics.hungry_since(pid) {
-                        let hist = ts.hungry_to_eat;
-                        ts.tele
-                            .registry_mut()
-                            .record(hist, self.step.saturating_sub(since));
-                    }
+        if !self.observers.is_empty() {
+            let kind = if malicious {
+                EventKind::MaliciousStep
+            } else {
+                EventKind::Action {
+                    kind: mv.action.kind,
+                    slot: mv.action.slot,
+                    name: self.alg.kinds()[mv.action.kind].name,
                 }
-                ts.tele.emit(
-                    self.step,
-                    pid,
-                    TelemetryKind::PhaseChange {
-                        from: before,
-                        to: after,
-                    },
-                );
-            }
+            };
+            // Read before the metrics below account for the meal.
+            let waited = (before != after && after == Phase::Eating)
+                .then(|| self.metrics.hungry_since(pid))
+                .flatten()
+                .map(|since| self.step.saturating_sub(since));
+            self.notify(&StepEvent {
+                step: self.step,
+                pid,
+                kind,
+                needs,
+                phase_before: before,
+                phase_after: after,
+                rejected_writes,
+                revived: false,
+                waited,
+            });
+        }
+        if before != after {
             self.metrics.on_phase_change(pid, before, after, self.step);
             if after == Phase::Eating {
                 self.workload.note_eat(pid, self.step);
-            }
-        }
-        if self.tracer.is_some() {
-            let span_kind = if mv.action.is_malicious() {
-                SpanKind::Malicious
-            } else {
-                SpanKind::Action {
-                    name: self.alg.kinds()[mv.action.kind].name,
-                    slot: mv.action.slot,
-                }
-            };
-            if let Some(tr) = self.tracer.as_deref_mut() {
-                tr.record_action(&self.topo, self.step, pid, span_kind, needs, before, after);
             }
         }
         // The write set was confined to pid's local + incident edges, so
@@ -1239,6 +1017,7 @@ mod tests {
     use crate::predicate::FnPredicate;
     use crate::scheduler::RandomScheduler;
     use crate::toy::{ToyDiners, TOY_ENTER, TOY_EXIT, TOY_JOIN};
+    use crate::trace::Trace;
     use crate::workload::{NeverHungry, QuotaWorkload};
 
     fn toy_engine(n: usize) -> Engine<ToyDiners> {
@@ -1286,14 +1065,15 @@ mod tests {
     fn crash_fault_halts_a_process() {
         let mut e = Engine::builder(ToyDiners, Topology::line(4))
             .faults(FaultPlan::new().crash(10, 0))
-            .record_trace(true)
+            .observe(Trace::new())
             .build();
         e.run(100);
         assert!(e.is_dead(ProcessId(0)));
         assert_eq!(e.dead_processes(), vec![ProcessId(0)]);
         // Dead process takes no further actions.
         let actions_after: Vec<_> = e
-            .trace()
+            .observer::<Trace>()
+            .unwrap()
             .actions_of(ProcessId(0))
             .into_iter()
             .filter(|(s, _)| *s >= 10)
@@ -1308,12 +1088,13 @@ mod tests {
     fn malicious_crash_takes_exactly_k_steps_then_halts() {
         let mut e = Engine::builder(ToyDiners, Topology::line(3))
             .faults(FaultPlan::new().malicious_crash(0, 1, 3))
-            .record_trace(true)
+            .observe(Trace::new())
             .build();
         e.run(200);
         assert!(e.is_dead(ProcessId(1)));
         let malicious = e
-            .trace()
+            .observer::<Trace>()
+            .unwrap()
             .events()
             .iter()
             .filter(|ev| matches!(ev.kind, EventKind::MaliciousStep))
@@ -1334,10 +1115,14 @@ mod tests {
     fn initially_dead_never_acts() {
         let mut e = Engine::builder(ToyDiners, Topology::line(3))
             .faults(FaultPlan::new().initially_dead(1))
-            .record_trace(true)
+            .observe(Trace::new())
             .build();
         e.run(200);
-        assert!(e.trace().actions_of(ProcessId(1)).is_empty());
+        assert!(e
+            .observer::<Trace>()
+            .unwrap()
+            .actions_of(ProcessId(1))
+            .is_empty());
         // Its neighbors can still eat (it died thinking).
         assert!(e.metrics().eats_of(ProcessId(0)) > 0);
     }
@@ -1610,25 +1395,20 @@ mod tests {
     fn restart_revives_a_crashed_process() {
         let mut e = Engine::builder(ToyDiners, Topology::line(4))
             .faults(FaultPlan::new().crash(10, 0).restart_fresh(100, 0))
-            .record_trace(true)
-            .telemetry(Telemetry::new())
+            .observe(Trace::new())
             .build();
         e.run(2_000);
         assert!(!e.is_dead(ProcessId(0)), "restart did not land");
         assert!(e.dead_processes().is_empty());
         // The reborn process acts again.
         let acted_after = e
-            .trace()
+            .observer::<Trace>()
+            .unwrap()
             .actions_of(ProcessId(0))
             .into_iter()
             .filter(|(s, _)| *s >= 100)
             .count();
         assert!(acted_after > 0, "reborn process never acted");
-        assert_eq!(
-            e.telemetry()
-                .and_then(|t| t.registry().counter_value("engine.restarts")),
-            Some(1)
-        );
     }
 
     #[test]
@@ -1637,12 +1417,13 @@ mod tests {
         // pair applies as crash-then-revive within one step.
         let mut e = Engine::builder(ToyDiners, Topology::line(3))
             .faults(FaultPlan::new().crash(50, 1).restart_fresh(50, 1))
-            .record_trace(true)
+            .observe(Trace::new())
             .build();
         e.run(500);
         assert!(!e.is_dead(ProcessId(1)));
         assert!(
-            e.trace()
+            e.observer::<Trace>()
+                .unwrap()
                 .actions_of(ProcessId(1))
                 .into_iter()
                 .any(|(s, _)| s >= 50),
@@ -1820,15 +1601,9 @@ mod tests {
         let mut e = Engine::builder(ToyDiners, Topology::ring(5))
             .scheduler(RandomScheduler::new(7))
             .faults(FaultPlan::new().malicious_crash(10, 2, 3))
-            .telemetry(Telemetry::new())
             .seed(7)
             .build();
         e.run(500);
         assert_eq!(e.write_violations(), 0);
-        assert_eq!(
-            e.telemetry()
-                .and_then(|t| t.registry().counter_value("engine.write_violations")),
-            Some(0)
-        );
     }
 }

@@ -158,6 +158,11 @@ impl Topology {
                 return Err(TopologyError::Duplicate { a: e.0, b: e.1 });
             }
         }
+        // A connected graph needs n - 1 edges; checking that first bounds
+        // the allocations below by the size of the edge list.
+        if set.len() + 1 < n {
+            return Err(TopologyError::Disconnected);
+        }
         let edges: Vec<(ProcessId, ProcessId)> = set
             .iter()
             .map(|&(a, b)| (ProcessId(a), ProcessId(b)))

@@ -25,6 +25,9 @@
 //!   paper's malicious crash (k arbitrary steps, then halt).
 //! * [`engine::Engine`] — deterministic interleaving execution with
 //!   service metrics and an exclusion monitor.
+//! * [`observe::StepObserver`] — the one seam through which observers
+//!   watch a run: the event trace ([`trace`]), [`telemetry`], the flight
+//!   recorder ([`record`]) and the causal tracer ([`tracing`]).
 //! * [`predicate`] — named global predicates and convergence detection.
 //!
 //! # Example
@@ -60,6 +63,7 @@ pub mod footprint;
 pub mod graph;
 pub mod liveness;
 pub mod metrics;
+pub mod observe;
 pub mod predicate;
 pub mod record;
 pub mod rng;
@@ -85,6 +89,7 @@ pub use fault::{FaultKind, FaultPlan, Health, Resurrection};
 pub use footprint::{analyze, AnalysisConfig, ContractReport, IndependenceMatrix};
 pub use graph::{EdgeId, Family, ProcessId, Topology};
 pub use liveness::{check_liveness, check_liveness_multi, Lasso, LivenessConfig, LivenessReport};
+pub use observe::{EventKind, StepEvent, StepObserver};
 pub use predicate::{Snapshot, StatePredicate};
 pub use record::{
     state_digest, Checkpoint, FlightRecorder, RecordedFault, Recording, ReplayScheduler, Replayer,
@@ -93,8 +98,9 @@ pub use record::{
 pub use scheduler::Scheduler;
 pub use symmetry::{Perm, SymmetryGroup};
 pub use telemetry::{
-    AlertKind, Deviation, EventSink, Histogram, JsonlSink, MetricsRegistry, NetOp, RingSink,
-    Telemetry, TelemetryEvent, TelemetryKind,
+    AlertKind, EventSink, Histogram, MetricsRegistry, NetOp, RingSink, Telemetry, TelemetryEvent,
+    TelemetryKind,
 };
-pub use tracing::{BlameChain, CausalTracer, Span, SpanId, SpanKind};
+pub use trace::Trace;
+pub use tracing::{BlameChain, CausalTracer, Span, SpanId};
 pub use workload::Workload;

@@ -1,7 +1,7 @@
 //! Flight recorder and deterministic replay.
 //!
 //! A [`FlightRecorder`] attached to an [`Engine`] (via
-//! `EngineBuilder::flight_recorder`) captures *everything an engine run
+//! `EngineBuilder::observe`) captures *everything an engine run
 //! consumes from outside the algorithm*: the scheduler's pick at every
 //! step (including quiescent steps), every fault injection, and the
 //! workload's `needs()` bit at each fire — plus periodic state-digest
@@ -49,8 +49,10 @@ use crate::engine::{Engine, EngineBuilder, EnumerationMode, StepOutcome};
 use crate::fault::{FaultKind, FaultPlan, Health, Resurrection};
 use crate::fingerprint::Fx64;
 use crate::graph::{ProcessId, Topology};
+use crate::observe::{EventKind, StepEvent, StepObserver};
+use crate::predicate::Snapshot;
 use crate::scheduler::{EnabledMove, Scheduler};
-use crate::telemetry::json_field;
+use crate::trace::Trace;
 use crate::workload::Workload;
 
 /// The recording format version this build writes (see module docs for
@@ -106,46 +108,133 @@ pub struct Checkpoint {
 }
 
 /// The engine-side accumulator: per-step decisions, fault firings and
-/// digest checkpoints. Attach with `EngineBuilder::flight_recorder`;
-/// extract a serializable [`Recording`] with `Engine::recording`.
-#[derive(Clone, Debug, Default)]
+/// digest checkpoints. Attach with `EngineBuilder::observe` (the
+/// algorithm's local and edge types must be `Hash`, for the digests);
+/// extract a serializable [`Recording`] with [`Engine::recording`].
+#[derive(Clone, Debug)]
 pub struct FlightRecorder {
+    /// Algorithm label written to the recording header.
+    label: String,
+    /// Checkpoint cadence in steps.
+    every: u64,
     decisions: Vec<StepDecision>,
     faults: Vec<RecordedFault>,
     checkpoints: Vec<Checkpoint>,
 }
 
 impl FlightRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty recorder checkpointing every 256 steps. `algorithm_label`
+    /// names the algorithm in the recording header so replay tooling can
+    /// rebuild it.
+    pub fn new(algorithm_label: &str) -> Self {
+        FlightRecorder {
+            label: algorithm_label.to_string(),
+            every: 256,
+            decisions: Vec::new(),
+            faults: Vec::new(),
+            checkpoints: Vec::new(),
+        }
     }
 
-    pub(crate) fn push_decision(&mut self, d: StepDecision) {
-        self.decisions.push(d);
+    /// Checkpoint every `every` steps instead (min 1).
+    #[must_use]
+    pub fn checkpoint_every(mut self, every: u64) -> Self {
+        self.every = every.max(1);
+        self
     }
 
-    pub(crate) fn push_fault(&mut self, step: u64, target: ProcessId, kind: FaultKind) {
-        self.faults.push(RecordedFault { step, target, kind });
-    }
-
-    pub(crate) fn push_checkpoint(&mut self, step: u64, digest: u64) {
+    fn push_checkpoint<A>(&mut self, step: u64, view: &Snapshot<'_, A>)
+    where
+        A: DinerAlgorithm,
+        A::Local: Hash,
+        A::Edge: Hash,
+    {
+        let digest = state_digest(view.state, view.health);
         self.checkpoints.push(Checkpoint { step, digest });
     }
+}
 
-    /// One decision per executed step, in step order.
-    pub fn decisions(&self) -> &[StepDecision] {
-        &self.decisions
+impl<A> StepObserver<A> for FlightRecorder
+where
+    A: DinerAlgorithm,
+    A::Local: Hash,
+    A::Edge: Hash,
+{
+    fn on_build(&mut self, _alg: &A, view: &Snapshot<'_, A>) {
+        // Anchor the recording: a digest of the state before step 0, so
+        // replay divergence in the initial state is caught immediately.
+        self.push_checkpoint(0, view);
     }
 
-    /// Fault firings, in step order.
-    pub fn faults(&self) -> &[RecordedFault] {
-        &self.faults
+    fn on_event(&mut self, ev: &StepEvent, _view: &Snapshot<'_, A>) {
+        let pid = ev.pid;
+        match ev.kind {
+            EventKind::Fault(kind) => self.faults.push(RecordedFault {
+                step: ev.step,
+                target: pid,
+                kind,
+            }),
+            EventKind::Action { kind, slot, .. } => self.decisions.push(StepDecision::Move {
+                pid,
+                kind,
+                slot,
+                needs: ev.needs,
+            }),
+            EventKind::MaliciousStep => self.decisions.push(StepDecision::Malicious { pid }),
+        }
     }
 
-    /// Digest checkpoints, in step order.
-    pub fn checkpoints(&self) -> &[Checkpoint] {
-        &self.checkpoints
+    fn on_step_end(&mut self, steps: u64, outcome: StepOutcome, view: &Snapshot<'_, A>) {
+        if outcome == StepOutcome::Quiescent {
+            self.decisions.push(StepDecision::Quiescent);
+        }
+        if steps.is_multiple_of(self.every) {
+            self.push_checkpoint(steps, view);
+        }
+    }
+}
+
+impl<A> Engine<A>
+where
+    A: DinerAlgorithm,
+    A::Local: Hash,
+    A::Edge: Hash,
+{
+    /// Snapshot the attached [`FlightRecorder`] into a serializable
+    /// [`Recording`] (None if no recorder is attached). A final
+    /// checkpoint digesting the current state is appended if the cadence
+    /// did not land on it, so replay always verifies the end state.
+    pub fn recording(&self) -> Option<Recording> {
+        let rec = self.observer::<FlightRecorder>()?;
+        let steps = self.step_count();
+        let mut checkpoints = rec.checkpoints.clone();
+        if checkpoints.last().map(|c| c.step) != Some(steps) {
+            checkpoints.push(Checkpoint {
+                step: steps,
+                digest: state_digest(self.state(), self.health()),
+            });
+        }
+        let topo = self.topology();
+        Some(Recording {
+            version: FORMAT_VERSION,
+            algorithm: rec.label.clone(),
+            scheduler: self.scheduler_name().to_string(),
+            workload: self.workload_name().to_string(),
+            mode: self.enumeration_mode(),
+            seed: self.seed(),
+            topology_name: topo.name().to_string(),
+            n: topo.len(),
+            edges: topo
+                .edges()
+                .iter()
+                .map(|&(a, b)| (a.index(), b.index()))
+                .collect(),
+            faults: self.fault_plan().clone(),
+            steps,
+            decisions: rec.decisions.clone(),
+            fault_log: rec.faults.clone(),
+            checkpoints,
+        })
     }
 }
 
@@ -179,8 +268,8 @@ where
 pub struct Recording {
     /// Format version ([`FORMAT_VERSION`] when produced by this build).
     pub version: u32,
-    /// Label naming the algorithm (chosen at `flight_recorder` attach
-    /// time; replay tooling maps it back to a concrete algorithm value).
+    /// Label naming the algorithm (chosen when the [`FlightRecorder`] was
+    /// built; replay tooling maps it back to a concrete algorithm value).
     pub algorithm: String,
     /// Scheduler name — informational only: replay substitutes a
     /// [`ReplayScheduler`], so the original scheduler is never rebuilt.
@@ -210,16 +299,12 @@ pub struct Recording {
 }
 
 impl Recording {
-    /// Rebuild the recorded topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recorded edge list is not a simple connected graph
-    /// (possible only for hand-edited recordings; [`Recording::parse`]
-    /// validates shape, not graph-ness).
+    /// Rebuild the recorded topology. [`Recording::parse`] rejects edge
+    /// lists that are not a simple connected graph over `0..n`, so this
+    /// holds for every parsed recording.
     pub fn topology(&self) -> Topology {
         let mut t = Topology::from_edges(self.n, self.edges.iter().copied())
-            .expect("recorded edge list is a valid topology");
+            .expect("Recording::parse validated the edge list");
         t.set_name(self.topology_name.clone());
         t
     }
@@ -328,9 +413,11 @@ impl Recording {
     /// # Errors
     ///
     /// Returns a description carrying the 1-based line number of the
-    /// first problem: missing or malformed header, unknown format
-    /// version, unframed/truncated lines, trailing garbage, unknown line
-    /// kinds, missing fields, or a non-contiguous decision stream.
+    /// first problem: missing or malformed header (including an edge list
+    /// that is not a simple connected graph, or a fault target outside
+    /// `0..n`), unknown format version, unframed/truncated lines, trailing
+    /// garbage, unknown line kinds, missing fields, or a non-contiguous
+    /// decision stream.
     pub fn parse(text: &str) -> Result<Recording, String> {
         let mut rec: Option<Recording> = None;
         for (i, raw) in text.lines().enumerate() {
@@ -440,6 +527,21 @@ impl Recording {
             ));
         }
         Ok(rec)
+    }
+}
+
+/// Extract the value of `"key":` in a flat JSON object, as a raw token
+/// (number text, or the inside of a quoted string).
+fn json_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let start = obj.find(&pat)? + pat.len();
+    let rest = &obj[start..];
+    if let Some(stripped) = rest.strip_prefix('"') {
+        let end = stripped.find('"')?;
+        Some(&stripped[..end])
+    } else {
+        let end = rest.find([',', '}']).unwrap_or(rest.len());
+        Some(rest[..end].trim())
     }
 }
 
@@ -562,6 +664,15 @@ fn parse_header(
             b.trim().parse().map_err(|_| err("bad edge"))?,
         ));
     }
+    let n = num("n")? as usize;
+    Topology::from_edges(n, edges.iter().copied()).map_err(|e| err(&e.to_string()))?;
+    let in_range = |p: usize, what: &str| {
+        if p < n {
+            Ok(p)
+        } else {
+            Err(err(&format!("{what} {p} out of range for {n} processes")))
+        }
+    };
     let mut faults = FaultPlan::new();
     if json_field(line, "arbitrary_start") == Some("true") {
         faults = faults.from_arbitrary_state();
@@ -574,7 +685,7 @@ fn parse_header(
             continue;
         }
         let p: usize = el.parse().map_err(|_| err("bad \"initially_dead\""))?;
-        faults = faults.initially_dead(p);
+        faults = faults.initially_dead(in_range(p, "initially-dead process")?);
     }
     let plan_raw =
         json_array_field(line, "fault_plan").ok_or_else(|| err("missing \"fault_plan\""))?;
@@ -595,6 +706,7 @@ fn parse_header(
             .trim()
             .parse()
             .map_err(|_| err("bad fault_plan pid"))?;
+        let target = in_range(target, "fault_plan target")?;
         let kind = parse_fault_kind(parts[2].trim().trim_matches('"'))
             .ok_or_else(|| err("bad fault_plan kind"))?;
         faults = match kind {
@@ -618,7 +730,7 @@ fn parse_header(
         mode,
         seed: num("seed")?,
         topology_name: text("topology")?,
-        n: num("n")? as usize,
+        n,
         edges,
         faults,
         steps: num("steps")?,
@@ -693,9 +805,9 @@ pub struct Replayer {
 impl Replayer {
     /// Build the replay engine for `rec`. The returned builder is fully
     /// configured (topology, seed, mode, faults, replay scheduler,
-    /// workload, trace recording on); callers may still attach telemetry
-    /// or causal tracing before `build()` — but must not override the
-    /// scheduler, seed, fault plan or enumeration mode.
+    /// workload, a [`Trace`] attached); callers may still attach more
+    /// observers before `build()` — but must not override the scheduler,
+    /// seed, fault plan or enumeration mode.
     pub fn builder<A: DinerAlgorithm>(
         rec: &Recording,
         alg: A,
@@ -713,7 +825,7 @@ impl Replayer {
             .faults(rec.faults.clone())
             .seed(rec.seed)
             .enumeration(rec.mode)
-            .record_trace(true);
+            .observe(Trace::new());
         let replayer = Replayer {
             decisions,
             checkpoints: rec.checkpoints.clone(),
@@ -851,7 +963,7 @@ mod tests {
                     .transient_global(120),
             )
             .seed(5)
-            .flight_recorder("toy")
+            .observe(FlightRecorder::new("toy"))
             .build();
         e.run(steps);
         e.recording().expect("recorder attached")
@@ -955,6 +1067,27 @@ mod tests {
             ),
             (format!("{header}\n{header}"), "duplicate header"),
             (header.clone(), "header promised"),
+            // Hand-edited headers that describe no runnable engine.
+            (
+                header.replace("[1,2]", "[2,7]"),
+                "line 1: edge (2,7) out of range for 6 processes",
+            ),
+            (
+                header.replace("[0,1],", "").replace("[3,4],", ""),
+                "line 1: graph is not connected",
+            ),
+            (
+                header.replace("\"n\":6", "\"n\":1000000000000"),
+                "line 1: graph is not connected",
+            ),
+            (
+                header.replace("[40,1,", "[40,9,"),
+                "line 1: fault_plan target 9 out of range for 6 processes",
+            ),
+            (
+                header.replace("\"initially_dead\":[]", "\"initially_dead\":[6]"),
+                "line 1: initially-dead process 6 out of range for 6 processes",
+            ),
         ];
         for (bad, want) in &cases {
             let e = Recording::parse(bad).expect_err(want);
@@ -1004,7 +1137,7 @@ mod tests {
                     .restart_fresh(220, 5),
             )
             .seed(11)
-            .flight_recorder("toy")
+            .observe(FlightRecorder::new("toy"))
             .build();
         e.run(steps);
         e.recording().expect("recorder attached")

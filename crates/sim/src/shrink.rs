@@ -29,7 +29,7 @@ use crate::algorithm::{DinerAlgorithm, Move};
 use crate::engine::Engine;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, Resurrection};
 use crate::graph::Topology;
-use crate::record::{state_digest, Recording, Replayer};
+use crate::record::{state_digest, FlightRecorder, Recording, Replayer};
 use crate::scheduler::ScriptedScheduler;
 use crate::workload::Workload;
 
@@ -583,7 +583,7 @@ where
         .scheduler(ScriptedScheduler::lenient(repro.schedule.clone()))
         .faults(repro.faults.clone())
         .seed(repro.seed)
-        .flight_recorder(label)
+        .observe(FlightRecorder::new(label))
         .build();
     engine.run(repro.steps);
     let digest = state_digest(engine.state(), engine.health());

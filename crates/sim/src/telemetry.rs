@@ -2,38 +2,35 @@
 //!
 //! The paper's two headline guarantees — stabilization to `I` and crash
 //! failure locality 2 — are pass/fail properties, but *how* a run
-//! converges (which actions fired, how long hungry processes waited, how
-//! far a crash's disturbance radiated) is invisible without
-//! instrumentation. This module provides it in three layers:
+//! converges (which actions fired, how long hungry processes waited) is
+//! invisible without instrumentation. This module provides it in two
+//! layers:
 //!
 //! 1. A structured **event bus**: [`TelemetryEvent`]s (action firings,
-//!    phase transitions, fault injections, message-layer verdicts), each
-//!    stamped with the engine step, the process id and a monotonic
-//!    logical clock, delivered to an [`EventSink`] ([`RingSink`] keeps
-//!    the last N in memory, [`JsonlSink`] renders one JSON object per
-//!    line with no external dependencies).
+//!    phase transitions, fault injections, message-layer verdicts,
+//!    monitor alerts), each stamped with the engine step, the process id
+//!    and a monotonic logical clock, delivered to an [`EventSink`]
+//!    ([`RingSink`] keeps the last N in memory).
 //! 2. A **metrics registry**: named counters, gauges and fixed-bucket
 //!    histograms addressed by integer handles so the hot path never does
 //!    a string lookup.
-//! 3. **Derived observables**: [`disturbance_radius`] compares a faulty
-//!    run against its fault-free twin and reports the maximum
-//!    conflict-graph distance from the crash site at which any
-//!    non-faulty process deviates — the empirical counterpart of the
-//!    paper's failure-locality-2 theorem.
 //!
-//! The engine holds an `Option<Box<Telemetry>>`; every instrumentation
-//! site is a single `if let Some(..)` branch, so the disabled path costs
-//! one predictable-untaken branch per site (measured ≤ 2% on the ring(256)
-//! incremental hot path, see T11). Telemetry never touches the engine's
-//! RNG, scheduler or state, so attaching it cannot perturb a run.
+//! [`Telemetry`] is an engine [`StepObserver`]: attached with
+//! `EngineBuilder::observe`, it registers the engine's metric handles
+//! once when the engine is built and maps each [`StepEvent`] to counter
+//! updates and bus events. It never touches the engine's RNG, scheduler
+//! or state, so attaching it cannot perturb a run; T11 measures what it
+//! costs when attached. The message-passing runtimes and the online
+//! monitor use the same handle directly.
 
 use std::collections::VecDeque;
 use std::fmt;
 
-use crate::algorithm::Phase;
+use crate::algorithm::{DinerAlgorithm, Phase};
 use crate::fault::FaultKind;
-use crate::graph::{ProcessId, Topology};
-use crate::trace::Trace;
+use crate::graph::ProcessId;
+use crate::observe::{EventKind, StepEvent, StepObserver};
+use crate::predicate::Snapshot;
 
 // ---------------------------------------------------------------------------
 // Events
@@ -67,21 +64,6 @@ pub enum NetOp {
     Resync,
 }
 
-impl NetOp {
-    /// Stable lowercase label used in JSONL output and summaries.
-    pub fn label(self) -> &'static str {
-        match self {
-            NetOp::Send => "send",
-            NetOp::Drop => "drop",
-            NetOp::Dup { .. } => "dup",
-            NetOp::Delay { .. } => "delay",
-            NetOp::Corrupt => "corrupt",
-            NetOp::Retransmit => "retransmit",
-            NetOp::Resync => "resync",
-        }
-    }
-}
-
 /// A verdict raised by the online monitor (`diners_mp::monitor`) about
 /// one assembled global cut. Defined here — like [`NetOp`] — so alerts
 /// ride the same event bus and sinks as engine and network events.
@@ -113,7 +95,7 @@ pub enum AlertKind {
 }
 
 impl AlertKind {
-    /// Stable lowercase label used in JSONL output and summaries.
+    /// Stable lowercase label for alert summaries.
     pub fn label(self) -> &'static str {
         match self {
             AlertKind::NeighborsEating { .. } => "neighbors-eating",
@@ -124,9 +106,9 @@ impl AlertKind {
     }
 }
 
-/// What happened. Mirrors (and extends) `trace::EventKind` with the
-/// phase-transition and network kinds that the bounded trace does not
-/// record.
+/// What happened. Mirrors (and extends) the engine's
+/// [`EventKind`] with the phase-transition, network and alert kinds that
+/// the bounded trace does not record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TelemetryKind {
     /// A program action fired.
@@ -153,20 +135,6 @@ pub enum TelemetryKind {
     Alert(AlertKind),
 }
 
-impl TelemetryKind {
-    /// Stable label for JSONL output and summaries.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TelemetryKind::Action { name, .. } => name,
-            TelemetryKind::MaliciousStep => "malicious",
-            TelemetryKind::Fault(_) => "fault",
-            TelemetryKind::PhaseChange { .. } => "phase",
-            TelemetryKind::Net(op) => op.label(),
-            TelemetryKind::Alert(_) => "alert",
-        }
-    }
-}
-
 /// One observed occurrence, stamped with where and when.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TelemetryEvent {
@@ -179,54 +147,6 @@ pub struct TelemetryEvent {
     pub pid: ProcessId,
     /// What happened.
     pub kind: TelemetryKind,
-}
-
-impl TelemetryEvent {
-    /// Render as one JSON object (one JSONL line, sans newline).
-    pub fn to_json(&self) -> String {
-        let mut extra = String::new();
-        match self.kind {
-            TelemetryKind::Action { slot: Some(s), .. } => {
-                extra = format!(",\"slot\":{s}");
-            }
-            TelemetryKind::Fault(k) => {
-                extra = format!(",\"fault\":\"{k}\"");
-            }
-            TelemetryKind::PhaseChange { from, to } => {
-                extra = format!(",\"from\":\"{from}\",\"to\":\"{to}\"");
-            }
-            TelemetryKind::Net(NetOp::Dup { extra: n }) => {
-                extra = format!(",\"extra\":{n}");
-            }
-            TelemetryKind::Net(NetOp::Delay { steps }) => {
-                extra = format!(",\"delay\":{steps}");
-            }
-            TelemetryKind::Alert(kind) => {
-                extra = format!(",\"alert\":\"{}\"", kind.label());
-                match kind {
-                    AlertKind::NeighborsEating { a, b } => {
-                        extra.push_str(&format!(",\"a\":{},\"b\":{}", a.index(), b.index()));
-                    }
-                    AlertKind::SloBreach { waited } => {
-                        extra.push_str(&format!(",\"waited\":{waited}"));
-                    }
-                    AlertKind::LocalityBreach { distance } => {
-                        extra.push_str(&format!(",\"distance\":{distance}"));
-                    }
-                    AlertKind::InconsistentCut => {}
-                }
-            }
-            _ => {}
-        }
-        format!(
-            "{{\"clock\":{},\"step\":{},\"pid\":{},\"kind\":\"{}\"{}}}",
-            self.clock,
-            self.step,
-            self.pid.index(),
-            self.kind.label(),
-            extra
-        )
-    }
 }
 
 /// Where events go. Sinks must be cheap: they run inside the engine's
@@ -287,171 +207,6 @@ impl EventSink for RingSink {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
-}
-
-/// Sink rendering every event as one JSON line into an owned buffer.
-#[derive(Default)]
-pub struct JsonlSink {
-    out: String,
-    count: u64,
-}
-
-impl JsonlSink {
-    /// An empty JSONL buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The accumulated JSONL text (one object per line).
-    pub fn text(&self) -> &str {
-        &self.out
-    }
-
-    /// Number of lines written.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl EventSink for JsonlSink {
-    fn emit(&mut self, ev: &TelemetryEvent) {
-        self.out.push_str(&ev.to_json());
-        self.out.push('\n');
-        self.count += 1;
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// JSONL parsing + replay summaries
-// ---------------------------------------------------------------------------
-
-/// Order-insensitive digest of an event stream: enough to check that a
-/// serialized log replays to the same run shape without carrying
-/// `&'static str` action names across the parse boundary.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReplaySummary {
-    /// Total events.
-    pub events: u64,
-    /// `(kind label, count)` sorted by label.
-    pub by_kind: Vec<(String, u64)>,
-    /// `(pid, count)` sorted by pid.
-    pub by_pid: Vec<(usize, u64)>,
-    /// Largest step stamped on any event.
-    pub max_step: u64,
-    /// Clock of the last event (clocks are monotonic, so this is also
-    /// the largest).
-    pub last_clock: u64,
-}
-
-impl ReplaySummary {
-    /// Summarize an in-memory event slice.
-    pub fn of_events<'a>(events: impl IntoIterator<Item = &'a TelemetryEvent>) -> Self {
-        let mut s = ReplaySummary::default();
-        for ev in events {
-            s.absorb(ev.kind.label(), ev.pid.index(), ev.step, ev.clock);
-        }
-        s
-    }
-
-    fn absorb(&mut self, label: &str, pid: usize, step: u64, clock: u64) {
-        self.events += 1;
-        match self
-            .by_kind
-            .binary_search_by(|(k, _)| k.as_str().cmp(label))
-        {
-            Ok(i) => self.by_kind[i].1 += 1,
-            Err(i) => self.by_kind.insert(i, (label.to_string(), 1)),
-        }
-        match self.by_pid.binary_search_by_key(&pid, |&(p, _)| p) {
-            Ok(i) => self.by_pid[i].1 += 1,
-            Err(i) => self.by_pid.insert(i, (pid, 1)),
-        }
-        self.max_step = self.max_step.max(step);
-        self.last_clock = self.last_clock.max(clock);
-    }
-}
-
-/// Extract the value of `"key":` in a flat JSON object, as a raw token
-/// (number text, or the inside of a quoted string). Shared with the
-/// flight-recorder parser in [`crate::record`].
-pub(crate) fn json_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        Some(&stripped[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-/// The event-log format version [`JsonlSink`] writes. Logs may carry a
-/// `"v"` field on any line (emitted by tools that frame their output);
-/// when present it must match.
-pub const JSONL_VERSION: u64 = 1;
-
-/// Parse a JSONL event log produced by [`JsonlSink`] back into a
-/// [`ReplaySummary`]. Verifies clock monotonicity while parsing.
-///
-/// # Errors
-///
-/// Returns a description (with the 1-based line number) of the first
-/// malformed line: missing `{`/`}` framing or trailing garbage after the
-/// closing brace, a truncated record, a missing or non-numeric field, an
-/// unknown `"v"` version stamp, or a clock regression.
-pub fn parse_jsonl(text: &str) -> Result<ReplaySummary, String> {
-    let mut s = ReplaySummary::default();
-    let mut prev_clock: Option<u64> = None;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |what: &str| format!("line {}: {what}: {line}", i + 1);
-        if !line.starts_with('{') {
-            return Err(err("not a JSON object"));
-        }
-        if !line.ends_with('}') {
-            // Truncated record, or garbage after the closing brace.
-            return Err(err(if line.contains('}') {
-                "trailing garbage after object"
-            } else {
-                "truncated record"
-            }));
-        }
-        let num = |key: &str| -> Result<u64, String> {
-            json_field(line, key)
-                .ok_or_else(|| err(&format!("missing \"{key}\"")))?
-                .parse::<u64>()
-                .map_err(|_| err(&format!("bad \"{key}\"")))
-        };
-        if let Some(v) = json_field(line, "v") {
-            let v: u64 = v.parse().map_err(|_| err("bad \"v\""))?;
-            if v != JSONL_VERSION {
-                return Err(err(&format!("unknown format version {v}")));
-            }
-        }
-        let clock = num("clock")?;
-        let step = num("step")?;
-        let pid = num("pid")? as usize;
-        let kind = json_field(line, "kind")
-            .ok_or_else(|| err("missing \"kind\""))?
-            .to_string();
-        if let Some(prev) = prev_clock {
-            if clock <= prev {
-                return Err(err(&format!("clock regressed from {prev}")));
-            }
-        }
-        prev_clock = Some(clock);
-        s.absorb(&kind, pid, step, clock);
-    }
-    Ok(s)
 }
 
 // ---------------------------------------------------------------------------
@@ -938,13 +693,32 @@ fn render_label_block(inner: &str) -> String {
 
 /// The observability handle an engine (or net runtime) carries: a
 /// monotonic logical clock, a metrics registry and an optional event
-/// sink. Construct, attach via `EngineBuilder::telemetry`, and read back
-/// with `Engine::telemetry()` after the run.
+/// sink. Construct, attach via `EngineBuilder::observe`, and read back
+/// with `Engine::observer::<Telemetry>()` after the run.
 #[derive(Default)]
 pub struct Telemetry {
     clock: u64,
     registry: MetricsRegistry,
     sink: Option<Box<dyn EventSink>>,
+    /// Engine metric handles, registered when an engine is built with
+    /// this telemetry attached.
+    engine: Option<EngineHandles>,
+}
+
+/// The metric handles the engine's events update, registered once at
+/// build time so each event pays an index, not a lookup.
+struct EngineHandles {
+    /// Fire counter per action kind (indexed like `Algorithm::kinds`).
+    action_fires: Vec<CounterId>,
+    malicious_steps: CounterId,
+    faults: CounterId,
+    restarts: CounterId,
+    phase_changes: CounterId,
+    /// Writes rejected by the runtime contract check (non-neighbor edge
+    /// or malicious write outside the capability).
+    write_violations: CounterId,
+    /// Steps spent hungry before each transition into `Eating`.
+    hungry_to_eat: HistogramId,
 }
 
 impl fmt::Debug for Telemetry {
@@ -965,9 +739,8 @@ impl Telemetry {
     /// Metrics plus the given event sink.
     pub fn with_sink(sink: impl EventSink + 'static) -> Self {
         Telemetry {
-            clock: 0,
-            registry: MetricsRegistry::new(),
             sink: Some(Box::new(sink)),
+            ..Self::default()
         }
     }
 
@@ -1003,130 +776,83 @@ impl Telemetry {
     }
 
     /// Borrow the sink back as a concrete type (e.g. to read a
-    /// [`RingSink`]'s events or a [`JsonlSink`]'s text after a run).
+    /// [`RingSink`]'s events after a run).
     pub fn sink_as<S: EventSink + 'static>(&self) -> Option<&S> {
         self.sink.as_deref()?.as_any()?.downcast_ref::<S>()
     }
 }
 
-// ---------------------------------------------------------------------------
-// Disturbance radius
-// ---------------------------------------------------------------------------
+impl<A: DinerAlgorithm> StepObserver<A> for Telemetry {
+    fn on_build(&mut self, alg: &A, _view: &Snapshot<'_, A>) {
+        let reg = &mut self.registry;
+        self.engine = Some(EngineHandles {
+            action_fires: alg
+                .kinds()
+                .iter()
+                .map(|k| reg.counter(&format!("engine.action.{}", k.name)))
+                .collect(),
+            malicious_steps: reg.counter("engine.malicious_steps"),
+            faults: reg.counter("engine.faults"),
+            restarts: reg.counter("engine.restarts"),
+            phase_changes: reg.counter("engine.phase_changes"),
+            write_violations: reg.counter("engine.write_violations"),
+            hungry_to_eat: reg.histogram("engine.hungry_to_eat_steps"),
+        });
+    }
 
-/// Result of comparing a faulty run against its fault-free twin.
-#[derive(Clone, Debug)]
-pub struct DisturbanceReport {
-    /// The crashed process.
-    pub crash_site: ProcessId,
-    /// Max conflict-graph distance from the crash site at which a
-    /// non-faulty process deviated; 0 when nobody but the crash site did.
-    pub radius: u32,
-    /// Every deviating non-faulty process with its distance to the
-    /// crash site.
-    pub deviating: Vec<(ProcessId, u32)>,
-}
-
-/// What counts as a per-process deviation between the faulty run and
-/// its fault-free twin.
-///
-/// A crash removes its victim from the daemon's pick competition, which
-/// shifts the *global* interleaving: under any fair scheduler, every
-/// process's raw action sequence eventually drifts from the baseline's,
-/// no matter how far it sits from the crash. The paper's locality claim
-/// is about *service* — a process outside the containment radius keeps
-/// being served — so locality measurements must project the trace down
-/// to service events and only count a *shortfall*.
-#[derive(Clone, Debug)]
-pub enum Deviation {
-    /// Compare full per-process action-name sequences: a mismatch
-    /// anywhere in the common prefix, or a length drift beyond `slack`
-    /// actions, is a deviation. Schedule-sensitive (see above) — useful
-    /// for lockstep determinism checks, not for locality measurement.
-    Trace {
-        /// Tolerated end-of-run action-count drift.
-        slack: usize,
-    },
-    /// Compare per-process counts of the named service actions; a
-    /// process deviates only if the faulty run falls short of the
-    /// baseline by more than `slack` occurrences. A process that is
-    /// served *more* (the crashed process's steps are redistributed)
-    /// has not been disturbed in the paper's sense.
-    Shortfall {
-        /// Action names that constitute service (e.g. the transition
-        /// into eating).
-        actions: &'static [&'static str],
-        /// Tolerated service-count shortfall.
-        slack: u64,
-    },
-}
-
-/// Untimed per-process action projection of a trace: the sequence of
-/// action names `pid` executed, ignoring global interleaving.
-fn projection(trace: &Trace, pid: ProcessId) -> Vec<&'static str> {
-    trace
-        .actions_of(pid)
-        .into_iter()
-        .map(|(_, name)| name)
-        .collect()
-}
-
-impl Deviation {
-    fn deviates(&self, base: &[&'static str], faulty: &[&'static str]) -> bool {
-        match *self {
-            Deviation::Trace { slack } => {
-                let common = base.len().min(faulty.len());
-                if base[..common] != faulty[..common] {
-                    return true;
+    fn on_event(&mut self, ev: &StepEvent, _view: &Snapshot<'_, A>) {
+        let Telemetry {
+            registry,
+            engine: Some(h),
+            ..
+        } = self
+        else {
+            return;
+        };
+        let kind = match ev.kind {
+            EventKind::Action { kind, slot, name } => {
+                registry.inc(h.action_fires[kind]);
+                TelemetryKind::Action { name, slot }
+            }
+            EventKind::MaliciousStep => {
+                registry.inc(h.malicious_steps);
+                TelemetryKind::MaliciousStep
+            }
+            EventKind::Fault(fault) => {
+                registry.inc(h.faults);
+                if ev.revived {
+                    registry.inc(h.restarts);
                 }
-                base.len().abs_diff(faulty.len()) > slack
+                TelemetryKind::Fault(fault)
             }
-            Deviation::Shortfall { actions, slack } => {
-                let count = |names: &[&'static str]| {
-                    names.iter().filter(|n| actions.contains(n)).count() as u64
-                };
-                count(base).saturating_sub(count(faulty)) > slack
+        };
+        registry.add(h.write_violations, ev.rejected_writes);
+        // Phase changes are counted for moves only: a fault's effect on
+        // the phase is the fault event itself.
+        let phase_change = !ev.kind.is_fault() && ev.phase_before != ev.phase_after;
+        if phase_change {
+            registry.inc(h.phase_changes);
+            if let Some(waited) = ev.waited {
+                registry.record(h.hungry_to_eat, waited);
             }
         }
-    }
-}
-
-/// Compute the empirical disturbance radius of a crash at `crash_site`:
-/// compare the bounded traces of a faulty run and a fault-free twin
-/// (identical topology, workload, scheduler, seed — both must have been
-/// built with `record_trace(true)` and run for the same number of steps)
-/// and report the farthest non-faulty process that deviates under
-/// `rule`. The paper's locality-2 theorem predicts radius ≤ 2 under
-/// [`Deviation::Shortfall`] over the service actions.
-pub fn disturbance_radius(
-    topo: &Topology,
-    baseline: &Trace,
-    faulty: &Trace,
-    crash_site: ProcessId,
-    rule: &Deviation,
-) -> DisturbanceReport {
-    let mut deviating = Vec::new();
-    for p in topo.processes() {
-        if p == crash_site {
-            continue;
+        self.emit(ev.step, ev.pid, kind);
+        if phase_change {
+            self.emit(
+                ev.step,
+                ev.pid,
+                TelemetryKind::PhaseChange {
+                    from: ev.phase_before,
+                    to: ev.phase_after,
+                },
+            );
         }
-        let base = projection(baseline, p);
-        let fault = projection(faulty, p);
-        if rule.deviates(&base, &fault) {
-            deviating.push((p, topo.distance(crash_site, p)));
-        }
-    }
-    let radius = deviating.iter().map(|&(_, d)| d).max().unwrap_or(0);
-    DisturbanceReport {
-        crash_site,
-        radius,
-        deviating,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::EventKind;
 
     fn ev(clock: u64, step: u64, pid: usize, kind: TelemetryKind) -> TelemetryEvent {
         TelemetryEvent {
@@ -1135,6 +861,35 @@ mod tests {
             pid: ProcessId(pid),
             kind,
         }
+    }
+
+    #[test]
+    fn engine_counters_track_restarts_and_write_violations() {
+        use crate::engine::Engine;
+        use crate::fault::FaultPlan;
+        use crate::graph::Topology;
+        use crate::scheduler::RandomScheduler;
+        use crate::toy::ToyDiners;
+
+        let counter = |e: &Engine<ToyDiners>, name: &str| {
+            e.observer::<Telemetry>()
+                .and_then(|t| t.registry().counter_value(name))
+        };
+        let mut e = Engine::builder(ToyDiners, Topology::line(4))
+            .faults(FaultPlan::new().crash(10, 0).restart_fresh(100, 0))
+            .observe(Telemetry::new())
+            .build();
+        e.run(2_000);
+        assert_eq!(counter(&e, "engine.restarts"), Some(1));
+
+        let mut e = Engine::builder(ToyDiners, Topology::ring(5))
+            .scheduler(RandomScheduler::new(7))
+            .faults(FaultPlan::new().malicious_crash(10, 2, 3))
+            .observe(Telemetry::new())
+            .seed(7)
+            .build();
+        e.run(500);
+        assert_eq!(counter(&e, "engine.write_violations"), Some(0));
     }
 
     #[test]
@@ -1147,59 +902,6 @@ mod tests {
         assert_eq!(ring.dropped(), 2);
         let clocks: Vec<u64> = ring.events().map(|e| e.clock).collect();
         assert_eq!(clocks, [3, 4, 5]);
-    }
-
-    #[test]
-    fn jsonl_round_trips_to_matching_summary() {
-        let events = [
-            ev(
-                1,
-                0,
-                0,
-                TelemetryKind::Action {
-                    name: "join",
-                    slot: None,
-                },
-            ),
-            ev(
-                2,
-                0,
-                1,
-                TelemetryKind::Action {
-                    name: "fixdepth",
-                    slot: Some(1),
-                },
-            ),
-            ev(3, 2, 1, TelemetryKind::Fault(FaultKind::Crash)),
-            ev(
-                4,
-                3,
-                2,
-                TelemetryKind::PhaseChange {
-                    from: Phase::Hungry,
-                    to: Phase::Eating,
-                },
-            ),
-            ev(5, 4, 2, TelemetryKind::Net(NetOp::Dup { extra: 2 })),
-        ];
-        let mut sink = JsonlSink::new();
-        for e in &events {
-            sink.emit(e);
-        }
-        assert_eq!(sink.count(), 5);
-        let parsed = parse_jsonl(sink.text()).expect("well-formed JSONL");
-        assert_eq!(parsed, ReplaySummary::of_events(&events));
-        assert_eq!(parsed.events, 5);
-        assert_eq!(parsed.max_step, 4);
-        assert_eq!(parsed.last_clock, 5);
-    }
-
-    #[test]
-    fn parse_rejects_clock_regression_and_garbage() {
-        assert!(parse_jsonl("{\"clock\":2,\"step\":0,\"pid\":0,\"kind\":\"x\"}\n{\"clock\":1,\"step\":0,\"pid\":0,\"kind\":\"x\"}").is_err());
-        assert!(parse_jsonl("{\"step\":0,\"pid\":0,\"kind\":\"x\"}").is_err());
-        assert!(parse_jsonl("{\"clock\":no,\"step\":0,\"pid\":0,\"kind\":\"x\"}").is_err());
-        assert!(parse_jsonl("").unwrap().events == 0);
     }
 
     #[test]
@@ -1268,92 +970,6 @@ mod tests {
         assert_eq!(t.clock(), 2);
         let ring = t.sink_as::<RingSink>().expect("ring sink recoverable");
         assert_eq!(ring.total(), 2);
-        assert!(t.sink_as::<JsonlSink>().is_none());
-    }
-
-    #[test]
-    fn disturbance_radius_localizes_to_deviating_processes() {
-        use crate::trace::Event;
-        let topo = Topology::line(5);
-        let mut base = Trace::new();
-        base.enable(true);
-        let mut fault = Trace::new();
-        fault.enable(true);
-        let action = |step: u64, p: usize, name: &'static str| Event {
-            step,
-            pid: ProcessId(p),
-            kind: EventKind::Action {
-                kind: 0,
-                slot: None,
-                name,
-            },
-        };
-        // Everyone does join,enter in both runs...
-        for step in 0..2u64 {
-            for p in 0..5 {
-                let name = if step == 0 { "join" } else { "enter" };
-                base.record(action(step, p, name));
-                fault.record(action(step, p, name));
-            }
-        }
-        // ...but in the faulty run p1 (distance 1 from crash at p0)
-        // diverges in content and p2 (distance 2) stalls hard.
-        base.record(action(2, 1, "exit"));
-        fault.record(action(2, 1, "leave"));
-        for step in 3..10u64 {
-            base.record(action(step, 2, "enter"));
-        }
-        let rule = Deviation::Trace { slack: 2 };
-        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
-        assert_eq!(report.radius, 2);
-        let pids: Vec<usize> = report.deviating.iter().map(|&(p, _)| p.index()).collect();
-        assert_eq!(pids, [1, 2]);
-
-        // Slack swallows small length drift: with slack 8 the stall at p2
-        // is within tolerance and only the content mismatch at p1 counts.
-        let rule = Deviation::Trace { slack: 8 };
-        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
-        assert_eq!(report.radius, 1);
-        assert_eq!(report.deviating.len(), 1);
-
-        // Service shortfall only sees p2's lost meals: p1's content swap
-        // (exit vs leave) does not touch the "enter" count, and a
-        // generous slack swallows the stall too.
-        let rule = Deviation::Shortfall {
-            actions: &["enter"],
-            slack: 2,
-        };
-        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
-        assert_eq!(report.radius, 2);
-        assert_eq!(report.deviating.len(), 1);
-        let rule = Deviation::Shortfall {
-            actions: &["enter"],
-            slack: 16,
-        };
-        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
-        assert_eq!(report.radius, 0);
-    }
-
-    #[test]
-    fn event_json_includes_kind_specific_fields() {
-        let e = ev(
-            7,
-            3,
-            2,
-            TelemetryKind::Fault(FaultKind::MaliciousCrash { steps: 4 }),
-        );
-        let json = e.to_json();
-        assert!(json.contains("\"fault\":\"malicious-crash(4)\""), "{json}");
-        let e = ev(
-            8,
-            3,
-            2,
-            TelemetryKind::PhaseChange {
-                from: Phase::Thinking,
-                to: Phase::Hungry,
-            },
-        );
-        assert!(e.to_json().contains("\"from\":\"T\",\"to\":\"H\""));
     }
 
     #[test]
@@ -1391,56 +1007,6 @@ mod tests {
         }
         assert_eq!((one.total(), one.dropped()), (3, 2));
         assert_eq!(one.events().map(|e| e.clock).collect::<Vec<_>>(), [3]);
-    }
-
-    #[test]
-    fn parse_jsonl_rejects_each_malformation_with_line_number() {
-        let good = "{\"clock\":1,\"step\":0,\"pid\":0,\"kind\":\"x\"}";
-        // Deterministic sweep: (input, substring the error must carry).
-        let cases: &[(&str, &str)] = &[
-            // Malformed line: not an object at all.
-            ("clock:1 step:0", "line 1"),
-            ("[1,2,3]", "not a JSON object"),
-            // Truncated record.
-            ("{\"clock\":1,\"step\":0", "truncated record"),
-            // Trailing garbage after the closing brace.
-            (
-                "{\"clock\":1,\"step\":0,\"pid\":0,\"kind\":\"x\"} extra",
-                "trailing garbage",
-            ),
-            // Unknown version header.
-            (
-                "{\"v\":99,\"clock\":1,\"step\":0,\"pid\":0,\"kind\":\"x\"}",
-                "unknown format version 99",
-            ),
-            (
-                "{\"v\":no,\"clock\":1,\"step\":0,\"pid\":0,\"kind\":\"x\"}",
-                "bad \"v\"",
-            ),
-            // Missing / non-numeric fields.
-            ("{\"step\":0,\"pid\":0,\"kind\":\"x\"}", "missing \"clock\""),
-            ("{\"clock\":1,\"pid\":0,\"kind\":\"x\"}", "missing \"step\""),
-            ("{\"clock\":1,\"step\":0,\"kind\":\"x\"}", "missing \"pid\""),
-            ("{\"clock\":1,\"step\":0,\"pid\":0}", "missing \"kind\""),
-            (
-                "{\"clock\":-3,\"step\":0,\"pid\":0,\"kind\":\"x\"}",
-                "bad \"clock\"",
-            ),
-        ];
-        for (bad, want) in cases {
-            let e = parse_jsonl(bad).expect_err(bad);
-            assert!(
-                e.contains(want),
-                "input {bad:?}: error {e:?} lacks {want:?}"
-            );
-        }
-        // Line numbers point at the offending line, not the first.
-        let two = format!("{good}\n{{\"clock\":2,\"step\":0");
-        let e = parse_jsonl(&two).unwrap_err();
-        assert!(e.starts_with("line 2:"), "{e}");
-        // A correct version stamp and blank lines are accepted.
-        let stamped = "{\"v\":1,\"clock\":1,\"step\":0,\"pid\":0,\"kind\":\"x\"}\n\n";
-        assert_eq!(parse_jsonl(stamped).unwrap().events, 1);
     }
 
     #[test]
@@ -1661,34 +1227,6 @@ mod tests {
                 text.contains(&format!("mp_wait_count{{node=\"{node}\"}} 1\n")),
                 "{text}"
             );
-        }
-    }
-
-    #[test]
-    fn alert_events_render_kind_specific_json() {
-        let cases = [
-            (
-                AlertKind::NeighborsEating {
-                    a: ProcessId(1),
-                    b: ProcessId(2),
-                },
-                "\"alert\":\"neighbors-eating\",\"a\":1,\"b\":2",
-            ),
-            (AlertKind::InconsistentCut, "\"alert\":\"inconsistent-cut\""),
-            (
-                AlertKind::SloBreach { waited: 900 },
-                "\"alert\":\"slo-breach\",\"waited\":900",
-            ),
-            (
-                AlertKind::LocalityBreach { distance: 3 },
-                "\"alert\":\"locality-breach\",\"distance\":3",
-            ),
-        ];
-        for (i, (kind, want)) in cases.into_iter().enumerate() {
-            let e = ev(i as u64 + 1, 5, 0, TelemetryKind::Alert(kind));
-            let json = e.to_json();
-            assert!(json.contains("\"kind\":\"alert\""), "{json}");
-            assert!(json.contains(want), "{json} lacks {want}");
         }
     }
 

@@ -7,26 +7,10 @@
 
 use std::fmt;
 
-use crate::fault::FaultKind;
+use crate::algorithm::DinerAlgorithm;
 use crate::graph::ProcessId;
-
-/// What happened in one recorded event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventKind {
-    /// A program action fired.
-    Action {
-        /// Action kind index in the algorithm's `kinds()`.
-        kind: usize,
-        /// Neighbor slot for per-neighbor actions.
-        slot: Option<usize>,
-        /// Static action name.
-        name: &'static str,
-    },
-    /// A maliciously crashing process took one arbitrary step.
-    MaliciousStep,
-    /// A fault struck the process (or the whole system for global faults).
-    Fault(FaultKind),
-}
+use crate::observe::{EventKind, StepEvent, StepObserver};
+use crate::predicate::Snapshot;
 
 /// One trace entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,13 +40,12 @@ impl fmt::Display for Event {
 
 /// A bounded in-memory event log.
 ///
-/// Recording is off by default (zero overhead); enable it with
-/// [`Trace::enable`]. When the capacity is reached, further events are
+/// Attach one to an engine with `EngineBuilder::observe` to record every
+/// fault and fired move. When the capacity is reached, further events are
 /// counted but not stored.
 #[derive(Clone, Debug)]
 pub struct Trace {
     events: Vec<Event>,
-    enabled: bool,
     capacity: usize,
     dropped: u64,
 }
@@ -71,7 +54,6 @@ impl Default for Trace {
     fn default() -> Self {
         Trace {
             events: Vec::new(),
-            enabled: false,
             capacity: 1 << 20,
             dropped: 0,
         }
@@ -79,19 +61,9 @@ impl Default for Trace {
 }
 
 impl Trace {
-    /// A disabled trace with the default capacity.
+    /// An empty trace with the default capacity.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Turn recording on or off.
-    pub fn enable(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Limit the number of stored events (further events are dropped and
@@ -100,11 +72,8 @@ impl Trace {
         self.capacity = cap;
     }
 
-    /// Record an event (no-op while disabled).
+    /// Record an event.
     pub fn record(&mut self, ev: Event) {
-        if !self.enabled {
-            return;
-        }
         if self.events.len() < self.capacity {
             self.events.push(ev);
         } else {
@@ -170,16 +139,27 @@ impl Trace {
         out
     }
 
-    /// Drop all stored events (recording state is unchanged).
+    /// Drop all stored events.
     pub fn clear(&mut self) {
         self.events.clear();
         self.dropped = 0;
     }
 }
 
+impl<A: DinerAlgorithm> StepObserver<A> for Trace {
+    fn on_event(&mut self, ev: &StepEvent, _view: &Snapshot<'_, A>) {
+        self.record(Event {
+            step: ev.step,
+            pid: ev.pid,
+            kind: ev.kind,
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
 
     fn action(step: u64, pid: usize, name: &'static str) -> Event {
         Event {
@@ -194,16 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_trace_records_nothing() {
+    fn trace_records_in_order() {
         let mut t = Trace::new();
-        t.record(action(0, 0, "join"));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn enabled_trace_records_in_order() {
-        let mut t = Trace::new();
-        t.enable(true);
         t.record(action(0, 0, "join"));
         t.record(action(1, 1, "enter"));
         assert_eq!(t.len(), 2);
@@ -214,7 +186,6 @@ mod tests {
     #[test]
     fn capacity_drops_and_counts() {
         let mut t = Trace::new();
-        t.enable(true);
         t.set_capacity(2);
         for i in 0..5 {
             t.record(action(i, 0, "join"));
@@ -226,7 +197,6 @@ mod tests {
     #[test]
     fn actions_of_filters_by_pid_and_kind() {
         let mut t = Trace::new();
-        t.enable(true);
         t.record(action(0, 0, "join"));
         t.record(Event {
             step: 1,
@@ -241,7 +211,6 @@ mod tests {
     #[test]
     fn action_counts_aggregate() {
         let mut t = Trace::new();
-        t.enable(true);
         t.record(action(0, 0, "join"));
         t.record(action(1, 1, "join"));
         t.record(action(2, 0, "exit"));
@@ -253,7 +222,6 @@ mod tests {
     #[test]
     fn render_tail_formats_lines() {
         let mut t = Trace::new();
-        t.enable(true);
         t.record(action(7, 3, "leave"));
         let s = t.render_tail(10);
         assert!(s.contains("p3 leave"), "got: {s}");
@@ -288,11 +256,9 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut t = Trace::new();
-        t.enable(true);
         t.record(action(0, 0, "join"));
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.dropped(), 0);
-        assert!(t.is_enabled());
     }
 }

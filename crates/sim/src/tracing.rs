@@ -45,9 +45,11 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::algorithm::Phase;
+use crate::algorithm::{DinerAlgorithm, Phase};
 use crate::fault::FaultKind;
 use crate::graph::{ProcessId, Topology};
+use crate::observe::{EventKind, StepEvent, StepObserver};
+use crate::predicate::Snapshot;
 
 /// Index of a span in its tracer's arena (allocation order = time order).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -61,29 +63,6 @@ impl SpanId {
     }
 }
 
-/// What kind of event a span records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpanKind {
-    /// A program action fired.
-    Action {
-        /// Action name from the algorithm's `kinds()` table.
-        name: &'static str,
-        /// Neighbor slot for per-neighbor actions.
-        slot: Option<usize>,
-    },
-    /// A maliciously crashing process took one arbitrary step.
-    Malicious,
-    /// A fault injection.
-    Fault(FaultKind),
-}
-
-impl SpanKind {
-    /// Whether this span is a fault injection (a blame-chain root).
-    pub fn is_fault(self) -> bool {
-        matches!(self, SpanKind::Fault(_))
-    }
-}
-
 /// One node of the causal trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Span {
@@ -94,7 +73,7 @@ pub struct Span {
     /// The acting (or afflicted) process.
     pub pid: ProcessId,
     /// Event kind.
-    pub kind: SpanKind,
+    pub kind: EventKind,
     /// The workload `needs` bit the guard evaluation saw (false for
     /// malicious steps and faults).
     pub needs: bool,
@@ -129,11 +108,12 @@ impl BlameChain {
 
 /// The span arena plus the last-writer tables; see the module docs.
 ///
-/// Attach to an engine with `EngineBuilder::causal_tracing`; the tracer
-/// observes state the engine computed anyway (it never touches the RNG,
-/// scheduler or variables), so a traced run is step-identical to a bare
-/// one.
-#[derive(Clone, Debug)]
+/// Attach `CausalTracer::default()` to an engine with
+/// `EngineBuilder::observe` (the engine sizes its tables at build time);
+/// the tracer observes state the engine computed anyway (it never
+/// touches the RNG, scheduler or variables), so a traced run is
+/// step-identical to a bare one.
+#[derive(Clone, Debug, Default)]
 pub struct CausalTracer {
     spans: Vec<Span>,
     /// Last span that wrote each process's local variable.
@@ -171,7 +151,7 @@ impl CausalTracer {
     pub fn actions_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Span> + 'a {
         self.spans
             .iter()
-            .filter(move |s| matches!(s.kind, SpanKind::Action { name: n, .. } if n == name))
+            .filter(move |s| matches!(s.kind, EventKind::Action { name: n, .. } if n == name))
     }
 
     fn push(&mut self, mut span: Span) -> SpanId {
@@ -190,12 +170,12 @@ impl CausalTracer {
     /// edge; the new span then becomes the last writer of `pid`'s write
     /// footprint (its local and incident edges).
     #[allow(clippy::too_many_arguments)]
-    pub fn record_action(
+    fn record_action(
         &mut self,
         topo: &Topology,
         step: u64,
         pid: ProcessId,
-        kind: SpanKind,
+        kind: EventKind,
         needs: bool,
         phase_before: Phase,
         phase_after: Phase,
@@ -229,12 +209,9 @@ impl CausalTracer {
     }
 
     /// Record a fault injection at `target` (ignored for global
-    /// transients, which hit everyone). `_topo` is accepted for symmetry
-    /// with [`CausalTracer::record_action`]; the write footprint of every
-    /// fault kind is derivable without it.
-    pub fn record_fault(
+    /// transients, which hit everyone).
+    fn record_fault(
         &mut self,
-        _topo: &Topology,
         step: u64,
         target: ProcessId,
         kind: FaultKind,
@@ -245,7 +222,7 @@ impl CausalTracer {
             id: SpanId(0),
             step,
             pid: target,
-            kind: SpanKind::Fault(kind),
+            kind: EventKind::Fault(kind),
             needs: false,
             phase_before,
             phase_after,
@@ -331,9 +308,9 @@ impl CausalTracer {
                 out.push(',');
             }
             let name = match s.kind {
-                SpanKind::Action { name, .. } => name.to_string(),
-                SpanKind::Malicious => "malicious-step".to_string(),
-                SpanKind::Fault(k) => format!("fault:{k}"),
+                EventKind::Action { name, .. } => name.to_string(),
+                EventKind::MaliciousStep => "malicious-step".to_string(),
+                EventKind::Fault(k) => format!("fault:{k}"),
             };
             let parents: Vec<String> = s.parents.iter().map(|p| p.0.to_string()).collect();
             out.push_str(&format!(
@@ -356,12 +333,35 @@ impl CausalTracer {
     }
 }
 
+impl<A: DinerAlgorithm> StepObserver<A> for CausalTracer {
+    fn on_build(&mut self, _alg: &A, view: &Snapshot<'_, A>) {
+        self.last_local.resize(view.topo.len(), None);
+        self.last_edge.resize(view.topo.edge_count(), None);
+    }
+
+    fn on_event(&mut self, ev: &StepEvent, view: &Snapshot<'_, A>) {
+        let (before, after) = (ev.phase_before, ev.phase_after);
+        match ev.kind {
+            EventKind::Fault(kind) => {
+                self.record_fault(ev.step, ev.pid, kind, before, after);
+            }
+            kind => {
+                self.record_action(view.topo, ev.step, ev.pid, kind, ev.needs, before, after);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn action(name: &'static str) -> SpanKind {
-        SpanKind::Action { name, slot: None }
+    fn action(name: &'static str) -> EventKind {
+        EventKind::Action {
+            kind: 0,
+            slot: None,
+            name,
+        }
     }
 
     #[test]
@@ -417,7 +417,6 @@ mod tests {
         let topo = Topology::line(4);
         let mut t = CausalTracer::new(&topo);
         let f = t.record_fault(
-            &topo,
             5,
             ProcessId(0),
             FaultKind::Crash,
@@ -475,7 +474,6 @@ mod tests {
         let topo = Topology::line(2);
         let mut t = CausalTracer::new(&topo);
         let f = t.record_fault(
-            &topo,
             0,
             ProcessId(1),
             FaultKind::TransientLocal,
@@ -508,7 +506,6 @@ mod tests {
         let topo = Topology::ring(5);
         let mut t = CausalTracer::new(&topo);
         let f = t.record_fault(
-            &topo,
             3,
             ProcessId(0),
             FaultKind::TransientGlobal,
@@ -544,7 +541,6 @@ mod tests {
             Phase::Hungry,
         );
         let f = t.record_fault(
-            &topo,
             1,
             ProcessId(2),
             FaultKind::Crash,
@@ -572,7 +568,6 @@ mod tests {
         let topo = Topology::line(3);
         let mut t = CausalTracer::new(&topo);
         t.record_fault(
-            &topo,
             0,
             ProcessId(0),
             FaultKind::Crash,

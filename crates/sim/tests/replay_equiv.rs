@@ -17,14 +17,20 @@ use diners_sim::algorithm::{DinerAlgorithm, Phase};
 use diners_sim::engine::{Engine, EnumerationMode};
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::Topology;
-use diners_sim::record::{Recording, Replayer};
+use diners_sim::record::{FlightRecorder, Recording, Replayer};
 use diners_sim::scheduler::{
     LeastRecentScheduler, RandomScheduler, RoundRobinScheduler, Scheduler,
 };
 use diners_sim::toy::ToyDiners;
-use diners_sim::tracing::SpanKind;
+use diners_sim::trace::Trace;
+use diners_sim::tracing::CausalTracer;
 use diners_sim::workload::AlwaysHungry;
 use diners_sim::ProcessId;
+
+/// The events of the trace attached to `e`.
+fn trace<A: DinerAlgorithm>(e: &Engine<A>) -> &[diners_sim::trace::Event] {
+    e.observer::<Trace>().expect("trace attached").events()
+}
 
 fn topologies() -> Vec<Topology> {
     vec![
@@ -81,9 +87,11 @@ fn recorder_and_tracer_have_zero_observer_effect() {
                             .faults(plan.clone())
                             .seed(11)
                             .enumeration(mode)
-                            .record_trace(true);
+                            .observe(Trace::new());
                         if instrument {
-                            b = b.flight_recorder("toy").causal_tracing(true);
+                            b = b
+                                .observe(FlightRecorder::new("toy"))
+                                .observe(CausalTracer::default());
                         }
                         b.build()
                     };
@@ -95,7 +103,7 @@ fn recorder_and_tracer_have_zero_observer_effect() {
                     assert_eq!(a.state(), b.state(), "{ctx}: state");
                     assert_eq!(a.health(), b.health(), "{ctx}: health");
                     assert_eq!(a.metrics(), b.metrics(), "{ctx}: metrics");
-                    assert_eq!(a.trace().events(), b.trace().events(), "{ctx}: trace");
+                    assert_eq!(trace(&a), trace(&b), "{ctx}: trace");
                 }
             }
         }
@@ -114,8 +122,8 @@ fn record_serialize_parse_replay_is_bit_identical() {
                         .faults(plan.clone())
                         .seed(5)
                         .enumeration(mode)
-                        .record_trace(true)
-                        .flight_recorder("toy")
+                        .observe(Trace::new())
+                        .observe(FlightRecorder::new("toy"))
                         .build();
                     live.run(500);
 
@@ -136,8 +144,8 @@ fn record_serialize_parse_replay_is_bit_identical() {
                     assert_eq!(replayed.health(), live.health(), "{ctx}: health");
                     assert_eq!(replayed.metrics(), live.metrics(), "{ctx}: metrics");
                     assert_eq!(
-                        replayed.trace().events(),
-                        live.trace().events(),
+                        trace(&replayed),
+                        trace(&live),
                         "{ctx}: violation/event traces"
                     );
                 }
@@ -152,7 +160,7 @@ fn replayer_advance_seeks_to_intermediate_steps() {
         .scheduler(RandomScheduler::new(3))
         .faults(FaultPlan::new().crash(100, 2))
         .seed(3)
-        .flight_recorder("toy")
+        .observe(FlightRecorder::new("toy"))
         .build();
     // Capture an intermediate ground truth mid-run.
     live.run(150);
@@ -207,11 +215,11 @@ fn traced_engine_blames_neighbor_deviations_on_the_crash() {
         .scheduler(RandomScheduler::new(13))
         .faults(FaultPlan::new().crash(crash_step, crash_pid))
         .seed(13)
-        .causal_tracing(true)
+        .observe(CausalTracer::default())
         .build();
     e.run(400);
     let topo = e.topology().clone();
-    let tracer = e.take_tracer().expect("tracer attached");
+    let tracer = e.take_observer::<CausalTracer>().expect("tracer attached");
 
     // Parent edges connect closed neighborhoods.
     for s in tracer.spans() {
@@ -251,7 +259,7 @@ fn traced_engine_blames_neighbor_deviations_on_the_crash() {
         // no farther than graph distance 2.
         if let Some(chain) = tracer.blame_within(s.id, 2) {
             let root = tracer.span(chain.root());
-            assert!(matches!(root.kind, SpanKind::Fault(_)));
+            assert!(root.kind.is_fault());
             assert!(
                 topo.distance(s.pid, root.pid) <= 2,
                 "blame chain escaped the locality bound"
@@ -267,7 +275,7 @@ fn quiescent_runs_replay_too() {
     let mut live = Engine::builder(ToyDiners, Topology::line(3))
         .workload(diners_sim::workload::NeverHungry)
         .faults(FaultPlan::new().crash(5, 1))
-        .flight_recorder("toy")
+        .observe(FlightRecorder::new("toy"))
         .build();
     live.run(20);
     let rec = live.recording().expect("recorder attached");

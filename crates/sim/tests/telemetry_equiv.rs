@@ -1,19 +1,30 @@
-//! Observer-effect tests for the telemetry layer: attaching telemetry
-//! must not change a run in any observable way, the counters it keeps
-//! must agree with the ground-truth trace, and the JSONL event stream
-//! must survive a serialize → parse round trip.
+//! Observer-effect tests for the engine's observer seam: attaching
+//! telemetry (or any other `StepObserver`) must not change a run in any
+//! observable way, the counters telemetry keeps must agree with the
+//! ground-truth trace, an observer defined outside `diners-sim` must see
+//! every fault and move in order, and the four built-in observers must
+//! render exactly the bytes pinned in `tests/golden/`.
 //!
-//! Telemetry never touches the engine's RNG, scheduler, or state, so
+//! Observers never touch the engine's RNG, scheduler, or state, so
 //! equality here is *bit-identical*, step for step — the same bar the
 //! incremental-vs-naive differential suite sets.
 
 use diners_core::MaliciousCrashDiners;
-use diners_sim::engine::{Engine, EnumerationMode};
+use diners_sim::algorithm::{Algorithm, DinerAlgorithm};
+use diners_sim::engine::{Engine, EngineBuilder, EnumerationMode, StepOutcome};
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::Topology;
+use diners_sim::observe::{EventKind, StepEvent, StepObserver};
+use diners_sim::predicate::Snapshot;
+use diners_sim::record::FlightRecorder;
 use diners_sim::scheduler::{LeastRecentScheduler, RandomScheduler};
-use diners_sim::telemetry::{parse_jsonl, JsonlSink, ReplaySummary, RingSink, Telemetry};
-use diners_sim::workload::{AlwaysHungry, BernoulliWorkload};
+use diners_sim::telemetry::{RingSink, Telemetry};
+use diners_sim::toy::ToyDiners;
+use diners_sim::trace::Trace;
+use diners_sim::tracing::CausalTracer;
+use diners_sim::workload::{AlwaysHungry, BernoulliWorkload, QuotaWorkload};
+
+type Builder = EngineBuilder<MaliciousCrashDiners>;
 
 /// A workout that exercises every telemetry emission site: arbitrary
 /// initial state (convergence), a benign crash, a malicious crash
@@ -28,35 +39,36 @@ fn stress_plan() -> FaultPlan {
 
 fn build(
     mode: EnumerationMode,
-    tele: Option<Telemetry>,
-    trace: bool,
+    attach: impl FnOnce(Builder) -> Builder,
 ) -> Engine<MaliciousCrashDiners> {
-    let mut b = Engine::builder(MaliciousCrashDiners::paper(), Topology::ring(6))
+    let b = Engine::builder(MaliciousCrashDiners::paper(), Topology::ring(6))
         .workload(BernoulliWorkload::new(5, 1, 3))
         .scheduler(RandomScheduler::new(5))
         .faults(stress_plan())
         .seed(5)
-        .enumeration(mode)
-        .record_trace(trace);
-    if let Some(t) = tele {
-        b = b.telemetry(t);
-    }
-    b.build()
+        .enumeration(mode);
+    attach(b).build()
 }
 
+/// Step `a` and `b` in lockstep and demand identical runs; returns the
+/// step outcomes and `b` for inspection.
 fn assert_lockstep(
     mut a: Engine<MaliciousCrashDiners>,
     mut b: Engine<MaliciousCrashDiners>,
     steps: u64,
     label: &str,
-) {
+) -> (Vec<StepOutcome>, Engine<MaliciousCrashDiners>) {
+    let mut outcomes = Vec::new();
     for s in 0..steps {
-        assert_eq!(a.step(), b.step(), "{label}: outcome diverged at step {s}");
+        let out = b.step();
+        assert_eq!(a.step(), out, "{label}: outcome diverged at step {s}");
+        outcomes.push(out);
     }
     assert_eq!(a.state().locals(), b.state().locals(), "{label}: locals");
     assert_eq!(a.state().edges(), b.state().edges(), "{label}: edges");
     assert_eq!(a.health(), b.health(), "{label}: health");
     assert_eq!(a.metrics(), b.metrics(), "{label}: metrics");
+    (outcomes, b)
 }
 
 #[test]
@@ -64,8 +76,8 @@ fn telemetry_never_perturbs_the_run() {
     // Same mode, with vs without telemetry.
     for mode in [EnumerationMode::Naive, EnumerationMode::Incremental] {
         assert_lockstep(
-            build(mode, None, false),
-            build(mode, Some(Telemetry::new()), false),
+            build(mode, |b| b),
+            build(mode, |b| b.observe(Telemetry::new())),
             600,
             &format!("{mode:?} bare vs telemetry"),
         );
@@ -73,19 +85,17 @@ fn telemetry_never_perturbs_the_run() {
     // Cross: naive + telemetry vs incremental + bare — telemetry must
     // not break the modes' bit-identity either.
     assert_lockstep(
-        build(EnumerationMode::Naive, Some(Telemetry::new()), false),
-        build(EnumerationMode::Incremental, None, false),
+        build(EnumerationMode::Naive, |b| b.observe(Telemetry::new())),
+        build(EnumerationMode::Incremental, |b| b),
         600,
         "naive+telemetry vs incremental bare",
     );
     // A sink that records every event is still invisible to the run.
     assert_lockstep(
-        build(EnumerationMode::Incremental, None, false),
-        build(
-            EnumerationMode::Incremental,
-            Some(Telemetry::with_sink(RingSink::new(1 << 16))),
-            false,
-        ),
+        build(EnumerationMode::Incremental, |b| b),
+        build(EnumerationMode::Incremental, |b| {
+            b.observe(Telemetry::with_sink(RingSink::new(1 << 16)))
+        }),
         600,
         "incremental bare vs ring sink",
     );
@@ -95,11 +105,18 @@ fn telemetry_never_perturbs_the_run() {
 fn telemetry_counters_agree_with_the_trace() {
     // The trace is the ground truth the rest of the suite trusts; the
     // telemetry action counters must say exactly the same thing.
-    let mut engine = build(EnumerationMode::Incremental, Some(Telemetry::new()), true);
+    let mut engine = build(EnumerationMode::Incremental, |b| {
+        b.observe(Telemetry::new()).observe(Trace::new())
+    });
     engine.run(800);
-    let counts = engine.trace().action_counts();
+    let counts = engine
+        .observer::<Trace>()
+        .expect("trace attached")
+        .action_counts();
     assert!(!counts.is_empty(), "stress plan fired no actions");
-    let tele = engine.take_telemetry().expect("telemetry attached");
+    let tele = engine
+        .take_observer::<Telemetry>()
+        .expect("telemetry attached");
     let reg = tele.registry();
     for (name, count) in counts {
         assert_eq!(
@@ -124,7 +141,7 @@ fn lockstep_configs_under_quiet_fault_free_runs_too() {
             .seed(9)
             .enumeration(EnumerationMode::Incremental);
         if let Some(t) = tele {
-            b = b.telemetry(t);
+            b = b.observe(t);
         }
         b.build()
     };
@@ -136,33 +153,126 @@ fn lockstep_configs_under_quiet_fault_free_runs_too() {
     );
 }
 
-#[test]
-fn jsonl_round_trip_matches_the_live_event_stream() {
-    // Run the identical configuration twice — once buffering events in
-    // a ring, once serializing to JSONL — and demand the parsed summary
-    // equal the live one. (The runs are identical because telemetry is
-    // observer-effect-free, which the lockstep tests above establish.)
-    let mut ring_engine = build(
-        EnumerationMode::Incremental,
-        Some(Telemetry::with_sink(RingSink::new(1 << 16))),
-        false,
-    );
-    ring_engine.run(800);
-    let ring_tele = ring_engine.take_telemetry().expect("telemetry attached");
-    let ring = ring_tele.sink_as::<RingSink>().expect("ring sink");
-    assert_eq!(ring.dropped(), 0, "ring cap too small for the run");
-    let live = ReplaySummary::of_events(ring.events());
-    assert!(live.events > 0, "no events recorded");
+/// An observer defined outside `diners-sim`: keeps everything it is fed.
+#[derive(Default)]
+struct EventLog {
+    builds: usize,
+    events: Vec<StepEvent>,
+    step_ends: Vec<(u64, StepOutcome)>,
+}
 
-    let mut jsonl_engine = build(
-        EnumerationMode::Incremental,
-        Some(Telemetry::with_sink(JsonlSink::new())),
-        false,
+impl<A: DinerAlgorithm> StepObserver<A> for EventLog {
+    fn on_build(&mut self, _alg: &A, _view: &Snapshot<'_, A>) {
+        self.builds += 1;
+    }
+
+    fn on_event(&mut self, ev: &StepEvent, _view: &Snapshot<'_, A>) {
+        self.events.push(*ev);
+    }
+
+    fn on_step_end(&mut self, steps: u64, outcome: StepOutcome, _view: &Snapshot<'_, A>) {
+        self.step_ends.push((steps, outcome));
+    }
+}
+
+#[test]
+fn an_external_observer_sees_every_fault_and_move_in_order() {
+    let steps = 600;
+    let (outcomes, mut observed) = assert_lockstep(
+        build(EnumerationMode::Incremental, |b| b),
+        build(EnumerationMode::Incremental, |b| {
+            b.observe(EventLog::default())
+        }),
+        steps,
+        "incremental bare vs external observer",
     );
-    jsonl_engine.run(800);
-    let jsonl_tele = jsonl_engine.take_telemetry().expect("telemetry attached");
-    let sink = jsonl_tele.sink_as::<JsonlSink>().expect("jsonl sink");
-    assert_eq!(sink.count(), live.events, "event counts diverge");
-    let parsed = parse_jsonl(sink.text()).expect("well-formed JSONL");
-    assert_eq!(parsed, live, "round-tripped summary diverges");
+
+    // Expected: at each step, the faults the plan schedules there (in
+    // plan order), then the move the step fired, if any.
+    let alg = MaliciousCrashDiners::paper();
+    let kinds = alg.kinds();
+    let plan = stress_plan();
+    let mut expected = Vec::new();
+    for (s, out) in outcomes.iter().enumerate() {
+        let s = s as u64;
+        for f in plan.events().iter().filter(|f| f.at_step == s) {
+            expected.push((s, f.target, EventKind::Fault(f.kind)));
+        }
+        if let StepOutcome::Executed(mv) = *out {
+            let kind = if mv.action.is_malicious() {
+                EventKind::MaliciousStep
+            } else {
+                EventKind::Action {
+                    kind: mv.action.kind,
+                    slot: mv.action.slot,
+                    name: kinds[mv.action.kind].name,
+                }
+            };
+            expected.push((s, mv.pid, kind));
+        }
+    }
+
+    let log = observed
+        .observer::<EventLog>()
+        .expect("observer::<T>() finds an external observer");
+    assert_eq!(log.builds, 1);
+    let seen: Vec<_> = log.events.iter().map(|e| (e.step, e.pid, e.kind)).collect();
+    assert_eq!(seen, expected);
+    let ends: Vec<_> = (1..=steps).zip(outcomes.iter().copied()).collect();
+    assert_eq!(log.step_ends, ends);
+
+    let log = observed
+        .take_observer::<EventLog>()
+        .expect("take_observer::<T>() detaches it");
+    assert_eq!(log.events.len(), expected.len());
+    assert!(observed.observer::<EventLog>().is_none());
+    observed.step();
+    assert!(observed.take_observer::<EventLog>().is_none());
+}
+
+#[test]
+fn observer_outputs_match_the_golden_files() {
+    // A quota workload quiesces, so the recording carries quiescent
+    // steps; the plan fires a malicious crash, a crash, a local
+    // transient, a snapshot restart that revives its target and a fresh
+    // restart of a live process (a no-op).
+    let mut e = Engine::builder(ToyDiners, Topology::ring(4))
+        .workload(QuotaWorkload::uniform(4, 2))
+        .scheduler(RandomScheduler::new(3))
+        .faults(
+            FaultPlan::new()
+                .malicious_crash(4, 1, 3)
+                .crash(9, 2)
+                .transient_local(14, 0)
+                .restart_snapshot(22, 2, 8)
+                .restart_fresh(30, 3),
+        )
+        .seed(3)
+        .observe(Trace::new())
+        .observe(Telemetry::with_sink(RingSink::new(1 << 12)))
+        .observe(FlightRecorder::new("toy").checkpoint_every(16))
+        .observe(CausalTracer::default())
+        .build();
+    e.run(40);
+
+    let recording = e.recording().expect("recorder attached").to_jsonl();
+    assert_eq!(recording, include_str!("golden/observers.recording.jsonl"));
+    let tracer = e.observer::<CausalTracer>().expect("tracer attached");
+    assert_eq!(
+        tracer.to_chrome_trace(),
+        include_str!("golden/observers.chrome.json")
+    );
+    let tele = e.observer::<Telemetry>().expect("telemetry attached");
+    assert_eq!(
+        tele.registry().to_prometheus(),
+        include_str!("golden/observers.prom")
+    );
+    let ring = tele.sink_as::<RingSink>().expect("ring sink");
+    let events: String = ring.events().map(|ev| format!("{ev:?}\n")).collect();
+    assert_eq!(events, include_str!("golden/observers.events.txt"));
+    let trace = e.observer::<Trace>().expect("trace attached");
+    assert_eq!(
+        trace.render_tail(1000),
+        include_str!("golden/observers.trace.txt")
+    );
 }

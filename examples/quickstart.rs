@@ -10,7 +10,7 @@ use malicious_diners::core::redgreen::Colors;
 use malicious_diners::core::MaliciousCrashDiners;
 use malicious_diners::sim::graph::Topology;
 use malicious_diners::sim::scheduler::RandomScheduler;
-use malicious_diners::sim::{Engine, FaultPlan};
+use malicious_diners::sim::{Engine, EventKind, FaultPlan, Trace};
 
 fn main() {
     let n = 16;
@@ -27,7 +27,7 @@ fn main() {
         .scheduler(RandomScheduler::new(42))
         .faults(FaultPlan::new().malicious_crash(2_000, victim, 16))
         .seed(42)
-        .record_trace(true)
+        .observe(Trace::new())
         .build();
 
     println!("running 50,000 steps; p{victim} maliciously crashes at step 2,000 ...\n");
@@ -44,6 +44,14 @@ fn main() {
             engine.metrics().max_response(p),
         );
     }
+
+    let trace = engine.observer::<Trace>().expect("trace attached");
+    let malicious_steps = trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::MaliciousStep)
+        .count();
+    println!("\ntraced: p{victim} took {malicious_steps} malicious steps, then halted");
 
     let colors = Colors::compute(&engine.snapshot());
     println!("\nred (blocked) processes: {:?}", colors.red_set());

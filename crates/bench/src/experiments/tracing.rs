@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use diners_core::MaliciousCrashDiners;
 use diners_sim::algorithm::DinerAlgorithm;
-use diners_sim::engine::{Engine, EnumerationMode};
+use diners_sim::engine::Engine;
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::record::{FlightRecorder, Recording, Replayer};
@@ -99,7 +99,6 @@ fn replay_cell(topo: &Topology, si: usize, plan: &FaultPlan, steps: u64) -> Resu
         .scheduler(scheduler_at(si, 17))
         .faults(plan.clone())
         .seed(17)
-        .enumeration(EnumerationMode::Incremental)
         .observe(Trace::new())
         .observe(FlightRecorder::new("mca-corrected"))
         .build();
@@ -193,7 +192,6 @@ fn thinking_step(
     let mut probe = Engine::builder(alg, topo.clone())
         .scheduler(RandomScheduler::new(seed))
         .seed(seed)
-        .enumeration(EnumerationMode::Incremental)
         .build();
     while probe.step_count() < horizon {
         probe.step();
@@ -222,7 +220,6 @@ fn blame_scenario(topo: &Topology, victim: ProcessId, steps: u64) -> (u64, Blame
         .scheduler(RandomScheduler::new(seed))
         .faults(FaultPlan::new().crash(crash_step, victim))
         .seed(seed)
-        .enumeration(EnumerationMode::Incremental)
         .observe(CausalTracer::default())
         .build();
     e.run(steps);

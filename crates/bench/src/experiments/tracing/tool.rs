@@ -4,7 +4,7 @@
 
 use diners_core::MaliciousCrashDiners;
 use diners_sim::algorithm::DinerAlgorithm;
-use diners_sim::engine::{Engine, EnumerationMode};
+use diners_sim::engine::Engine;
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::Topology;
 use diners_sim::observe::EventKind;
@@ -19,7 +19,7 @@ use crate::experiments::{known_flags, opt};
 
 /// The subcommands, for the driver's usage text.
 pub const CLI_USAGE: &str = "\
-exp trace record [--algo toy|mca-paper|mca-corrected] [--topo ring:8|line:9|grid:3x3|star:8]
+exp trace record [--algo toy|mca-paper|mca-corrected] [--topo ring:8|line:9|grid:3x3|star:8|…]
                  [--plan none|crash|malicious|chaos|arbitrary] [--steps N] [--seed S] [--out FILE]
                    run a live engine and write its recording as JSONL
 exp trace verify FILE        check the byte round trip and replay every digest checkpoint
@@ -60,29 +60,6 @@ fn opt_u64(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
             .map_err(|_| format!("{flag} expects an integer, got {v:?}")),
         None => Ok(default),
     }
-}
-
-/// Parse `family:size` topology specs (`grid:RxC` for grids).
-fn parse_topo(spec: &str) -> Result<Topology, String> {
-    let (family, size) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("--topo expects family:size, got {spec:?}"))?;
-    let parse = |s: &str| -> Result<usize, String> {
-        s.parse()
-            .map_err(|_| format!("bad topology size {s:?} in {spec:?}"))
-    };
-    Ok(match family {
-        "ring" => Topology::ring(parse(size)?),
-        "line" => Topology::line(parse(size)?),
-        "star" => Topology::star(parse(size)?),
-        "grid" => {
-            let (r, c) = size
-                .split_once('x')
-                .ok_or_else(|| format!("grid expects RxC, got {size:?}"))?;
-            Topology::grid(parse(r)?, parse(c)?)
-        }
-        other => return Err(format!("unknown topology family {other:?}")),
-    })
 }
 
 /// Fault plans by name, scaled to the horizon so everything fires.
@@ -148,13 +125,16 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
         &["--algo", "--topo", "--steps", "--seed", "--plan", "--out"],
     )?;
     let label = opt(args, "--algo").unwrap_or_else(|| "mca-corrected".into());
-    let topo = parse_topo(&opt(args, "--topo").unwrap_or_else(|| "ring:8".into()))?;
+    let topo = Topology::from_spec(&opt(args, "--topo").unwrap_or_else(|| "ring:8".into()))
+        .map_err(|e| format!("--topo: {e}"))?;
     let steps = opt_u64(args, "--steps", 4_000)?;
     let seed = opt_u64(args, "--seed", 42)?;
     let plan = parse_plan(
         &opt(args, "--plan").unwrap_or_else(|| "chaos".into()),
         steps,
     )?;
+    plan.check_targets(topo.len())
+        .map_err(|e| format!("--plan on {}: {e}", topo.name()))?;
     let out = opt(args, "--out").unwrap_or_else(|| "recording.jsonl".into());
     with_algorithm!(label.as_str(), alg => {
         let mut e = Engine::builder(alg, topo.clone())
@@ -162,7 +142,6 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
             .scheduler(RandomScheduler::new(seed))
             .faults(plan)
             .seed(seed)
-            .enumeration(EnumerationMode::Incremental)
             .observe(FlightRecorder::new(&label))
             .build();
         e.run(steps);
@@ -396,11 +375,35 @@ mod tests {
         assert!(cli(&args(&["record", "--topo", "cube:3"])).is_err());
         assert!(cli(&args(&["verify", "/nonexistent/recording.jsonl"])).is_err());
 
-        // A hand-edited header naming a process outside the topology is
-        // rejected at parse time instead of panicking during replay.
         let dir = std::env::temp_dir().join(format!("exp-trace-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("run.jsonl").to_string_lossy().into_owned();
+
+        // Topologies below their family's minimum size, and named plans
+        // whose processes the topology lacks, are errors before any run.
+        for (bad, want) in [
+            (&["--topo", "ring:2"][..], "ring needs sizes of at least 3"),
+            (&["--topo", "grid:0x3"], "grid needs sizes of at least 1"),
+            (
+                &["--topo", "ring:3", "--plan", "chaos", "--steps", "40"],
+                "targets p3, out of range for 3 processes",
+            ),
+            (
+                &["--topo", "line:1", "--plan", "crash"],
+                "targets p1, out of range for 1 processes",
+            ),
+        ] {
+            let record: Vec<&str> = ["record", "--out", &file]
+                .into_iter()
+                .chain(bad.iter().copied())
+                .collect();
+            let err = cli(&args(&record)).unwrap_err();
+            assert!(err.contains(want), "{bad:?}: {err}");
+        }
+        assert!(!std::path::Path::new(&file).exists());
+
+        // A hand-edited header naming a process outside the topology is
+        // rejected at parse time instead of panicking during replay.
         let plan = ["--topo", "ring:4", "--plan", "chaos", "--steps", "40"];
         let record: Vec<&str> = ["record", "--out", &file].into_iter().chain(plan).collect();
         cli(&args(&record)).unwrap();

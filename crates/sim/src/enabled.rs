@@ -7,13 +7,14 @@
 //! process costs O(Δ + log n); naming the move at a given *rank* costs
 //! O(log n).
 //!
-//! **Rank order is the naive enumeration order**: process-major, then
-//! kinds in declaration order, per-neighbor slots ascending, and the
-//! malicious pseudo-move (the only move of a maliciously crashing
-//! process). So rank `r` names exactly the move the naive engine puts at
-//! index `r` of the slice it hands to [`Scheduler::pick`], and a daemon
-//! that picks by rank through [`EnabledView`] makes the same decisions as
-//! one that scans the slice.
+//! **Rank order is the from-scratch enumeration order** (the order of
+//! `Engine::enabled_moves`): process-major, then kinds in declaration
+//! order, per-neighbor slots ascending, and the malicious pseudo-move
+//! (the only move of a maliciously crashing process). So rank `r` names
+//! exactly the move at index `r` of a from-scratch enumeration of the
+//! state — the slice [`EnabledView::as_slice`] hands to
+//! [`Scheduler::pick`] — and a daemon that picks by rank through
+//! [`EnabledView`] makes the same decisions as one that scans the slice.
 //!
 //! [`Scheduler::pick`]: crate::scheduler::Scheduler::pick
 
@@ -113,7 +114,8 @@ impl AgeTable {
                 }
                 std::cmp::Ordering::Equal => {
                     // Still enabled; re-admit if it was executed since
-                    // (the naive path's `remove` + later `or_insert`).
+                    // (a from-scratch age map's `remove` + later
+                    // `or_insert`).
                     if self.ages[io] == NOT_ENABLED {
                         self.ages[io] = step;
                     }
@@ -234,8 +236,8 @@ impl EnabledIndex {
 }
 
 /// A read-only view of the enabled set at one step, offered to
-/// [`crate::scheduler::Scheduler::pick_from`]. Ranks follow the naive
-/// enumeration order (see the module docs).
+/// [`crate::scheduler::Scheduler::pick_from`]. Ranks follow the
+/// from-scratch enumeration order (see the module docs).
 pub struct EnabledView<'a> {
     index: &'a EnabledIndex,
     step: u64,
@@ -391,7 +393,7 @@ mod tests {
             let n = topo.len();
             let mut r = rng::rng(seed as u64);
             let mut index = EnabledIndex::new(topo, &kinds);
-            // Reference: plain lists and the naive engine's age map.
+            // Reference: plain lists and a from-scratch `HashMap` age map.
             let mut lists: Vec<Vec<Move>> = vec![Vec::new(); n];
             let mut first: HashMap<Move, u64> = HashMap::new();
             let mut buf = Vec::new();

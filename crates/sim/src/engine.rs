@@ -29,36 +29,31 @@
 //! [`Workload::note_eat`] stay direct calls: they are always on, the
 //! lockstep suites compare them, and the workload feeds back into the run.
 //!
-//! # Enumeration modes
+//! # The enabled set
 //!
-//! The engine has two interchangeable hot paths selected by
-//! [`EnumerationMode`]:
+//! The engine exploits the model's locality: a step or fault at `p` can
+//! only change guard values inside `p`'s closed neighborhood (guards read
+//! a process's own local, neighbor locals and incident edge variables;
+//! `p` writes only its own local and incident edges — malicious steps
+//! included). It keeps the enabled set in an [`EnabledIndex`] —
+//! per-process cached move lists, fairness ages in a dense
+//! `(pid, kind, slot)` table, and a Fenwick tree over the list lengths —
+//! and re-enumerates only the *dirty* processes into it. The scheduler
+//! picks by rank through [`Scheduler::pick_from`], so a step costs
+//! O(Δ log n) for the random daemon; the others get the O(n) slice
+//! through the trait's default adapter. The eating-pairs monitor is kept
+//! as running counters updated on phase transitions. A step-dependent
+//! workload still costs one `needs()` call per process per step.
 //!
-//! * [`EnumerationMode::Naive`] re-derives everything from scratch each
-//!   step — every guard of every process, the fairness-age map, the
-//!   edge-scan exclusion monitor. It is the executable specification.
-//! * [`EnumerationMode::Incremental`] (the default) exploits the model's
-//!   locality: a step or fault at `p` can only change guard values inside
-//!   `p`'s closed neighborhood (guards read a process's own local,
-//!   neighbor locals and incident edge variables; `p` writes only its own
-//!   local and incident edges — malicious steps included). The engine
-//!   keeps the enabled set in an [`EnabledIndex`] — per-process cached
-//!   move lists, fairness ages in a dense `(pid, kind, slot)` table, and
-//!   a Fenwick tree over the list lengths — and re-enumerates only the
-//!   *dirty* processes into it. The scheduler picks by rank through
-//!   [`Scheduler::pick_from`], so a step costs O(Δ log n) for the
-//!   random daemon; the others get the O(n) slice through the trait's
-//!   default adapter. The eating-pairs monitor is kept as running
-//!   counters updated on phase transitions. A step-dependent workload
-//!   still costs one `needs()` call per process per step.
-//!
-//! Both modes produce bit-identical runs — same `StepOutcome` sequence,
-//! metrics, traces and RNG consumption — which
-//! `crates/sim/tests/incremental_equiv.rs` verifies over topology ×
-//! seed × scheduler × fault-plan sweeps.
+//! The from-scratch specification — every guard of every process each
+//! step, `HashMap` fairness ages — lives in test support
+//! (`crates/sim/tests/support/reference_engine.rs`) as a [`StepObserver`]
+//! that checks every step of the engine it watches, while the lockstep
+//! suites check the counters against [`Engine::eating_pairs_scan`];
+//! `crates/sim/tests/incremental_equiv.rs` runs it over topology × seed ×
+//! scheduler × fault-plan sweeps.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 
@@ -94,18 +89,6 @@ pub struct RunSummary {
     pub quiescent: u64,
 }
 
-/// How the engine computes the enabled-move set each step; see the
-/// module docs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EnumerationMode {
-    /// Full re-enumeration every step — the executable specification the
-    /// differential tests compare against.
-    Naive,
-    /// Dirty-set invalidation of per-process caches (default).
-    #[default]
-    Incremental,
-}
-
 /// Builder for [`Engine`]; see [`Engine::builder`].
 pub struct EngineBuilder<A: DinerAlgorithm> {
     alg: A,
@@ -115,7 +98,6 @@ pub struct EngineBuilder<A: DinerAlgorithm> {
     faults: FaultPlan,
     seed: u64,
     initial_state: Option<SystemState<A>>,
-    mode: EnumerationMode,
     observers: Vec<Box<dyn StepObserver<A>>>,
 }
 
@@ -146,15 +128,6 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Select the enabled-move enumeration strategy (default:
-    /// [`EnumerationMode::Incremental`]). Both modes produce identical
-    /// runs; [`EnumerationMode::Naive`] exists as the reference.
-    #[must_use]
-    pub fn enumeration(mut self, mode: EnumerationMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -231,8 +204,6 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
             executed: 0,
             quiescent: 0,
             rng,
-            first_enabled: HashMap::new(),
-            mode: self.mode,
             fault_cursor: 0,
             dirty_mask: vec![true; n],
             dirty: (0..n).collect(),
@@ -275,17 +246,13 @@ pub struct Engine<A: DinerAlgorithm> {
     rng: StdRng,
     metrics: DinerMetrics,
     last_phase: Vec<Phase>,
-    /// Naive-mode fairness ages: step at which each currently-enabled
-    /// move first became (and stayed) enabled without being executed.
-    first_enabled: HashMap<Move, u64>,
-    mode: EnumerationMode,
     /// Cursor into `faults.events()` — everything before it has fired.
     fault_cursor: usize,
     /// Which processes need re-enumeration (mask + stack, no dup pushes).
     dirty_mask: Vec<bool>,
     dirty: Vec<usize>,
-    /// Incremental mode: per-process enabled moves and their fairness
-    /// ages, indexed by rank.
+    /// Per-process enabled moves and their fairness ages, indexed by
+    /// rank.
     index: EnabledIndex,
     /// Last `needs()` evaluation per process (step-dependent rescan memo).
     needs_now: Vec<bool>,
@@ -329,7 +296,6 @@ impl<A: DinerAlgorithm> Engine<A> {
             faults: FaultPlan::none(),
             seed: 0,
             initial_state: None,
-            mode: EnumerationMode::default(),
             observers: Vec::new(),
         }
     }
@@ -407,11 +373,6 @@ impl<A: DinerAlgorithm> Engine<A> {
         self.step
     }
 
-    /// The enumeration strategy this engine runs with.
-    pub fn enumeration_mode(&self) -> EnumerationMode {
-        self.mode
-    }
-
     /// Service metrics accumulated so far.
     pub fn metrics(&self) -> &DinerMetrics {
         &self.metrics
@@ -454,8 +415,8 @@ impl<A: DinerAlgorithm> Engine<A> {
     }
 
     /// Reference O(|E|) edge scan for [`Engine::eating_pairs`] — used to
-    /// (re)initialize the counters, by the naive-mode exclusion monitor,
-    /// and by the differential tests to validate the counters.
+    /// (re)initialize the counters, and by the differential tests to
+    /// validate them.
     pub fn eating_pairs_scan(&self) -> (usize, usize) {
         let mut total = 0;
         let mut live = 0;
@@ -511,73 +472,11 @@ impl<A: DinerAlgorithm> Engine<A> {
         }
     }
 
-    /// Execute one step of the computation; see the module docs.
+    /// Execute one step of the computation: re-enumerate only the dirty
+    /// processes into the enabled index, let the scheduler pick by rank,
+    /// and keep the exclusion monitor from the running counter; see the
+    /// module docs.
     pub fn step(&mut self) -> StepOutcome {
-        let out = match self.mode {
-            EnumerationMode::Naive => self.step_naive(),
-            EnumerationMode::Incremental => self.step_incremental(),
-        };
-        let view = Snapshot::new(&self.topo, &self.state, &self.health);
-        for o in &mut self.observers {
-            o.on_step_end(self.step, out, &view);
-        }
-        out
-    }
-
-    /// The reference step: full re-enumeration, `HashMap` fairness ages,
-    /// edge-scan exclusion monitor.
-    fn step_naive(&mut self) -> StepOutcome {
-        // The shared paths below still mark dirty processes; drain them so
-        // the stack cannot grow across a long naive run.
-        for i in self.dirty.drain(..) {
-            self.dirty_mask[i] = false;
-        }
-        self.apply_due_faults();
-        let enabled = self.enabled_moves();
-
-        // Refresh fairness ages: drop moves no longer enabled, admit new.
-        let step = self.step;
-        self.first_enabled.retain(|m, _| enabled.contains(m));
-        let annotated: Vec<EnabledMove> = enabled
-            .iter()
-            .map(|&mv| {
-                let first = *self.first_enabled.entry(mv).or_insert(step);
-                EnabledMove {
-                    mv,
-                    age: step - first + 1,
-                }
-            })
-            .collect();
-
-        if annotated.is_empty() {
-            self.step += 1;
-            self.quiescent += 1;
-            return StepOutcome::Quiescent;
-        }
-
-        let choice = self.sched.pick(step, &annotated);
-        assert!(
-            choice < annotated.len(),
-            "scheduler {} returned out-of-range index {choice}",
-            self.sched.name()
-        );
-        let mv = annotated[choice].mv;
-        self.execute_move(mv);
-        self.first_enabled.remove(&mv);
-
-        // Exclusion monitor.
-        let (_, live_pairs) = self.eating_pairs_scan();
-        self.metrics.on_exclusion_check(step, live_pairs);
-
-        self.step += 1;
-        self.executed += 1;
-        StepOutcome::Executed(mv)
-    }
-
-    /// The incremental step: re-enumerate only dirty processes into the
-    /// enabled index, let the scheduler pick by rank, counter-based
-    /// exclusion monitor.
-    fn step_incremental(&mut self) -> StepOutcome {
         self.apply_due_faults();
         let step = self.step;
 
@@ -607,29 +506,31 @@ impl<A: DinerAlgorithm> Engine<A> {
         }
 
         let len = self.index.len();
-        if len == 0 {
-            self.step += 1;
+        let out = if len == 0 {
             self.quiescent += 1;
-            return StepOutcome::Quiescent;
-        }
-
-        let mut view = self.index.view(step, &mut self.annotated);
-        let choice = self.sched.pick_from(step, &mut view);
-        assert!(
-            choice < len,
-            "scheduler {} returned out-of-range index {choice}",
-            self.sched.name()
-        );
-        let mv = self.index.move_at(choice);
-        self.execute_move(mv);
-        self.index.evict(mv);
-
-        // Exclusion monitor, from the running counter.
-        self.metrics.on_exclusion_check(step, self.eat_pairs_live);
-
+            StepOutcome::Quiescent
+        } else {
+            let mut view = self.index.view(step, &mut self.annotated);
+            let choice = self.sched.pick_from(step, &mut view);
+            assert!(
+                choice < len,
+                "scheduler {} returned out-of-range index {choice}",
+                self.sched.name()
+            );
+            let mv = self.index.move_at(choice);
+            self.execute_move(mv);
+            self.index.evict(mv);
+            self.metrics.on_exclusion_check(step, self.eat_pairs_live);
+            self.executed += 1;
+            StepOutcome::Executed(mv)
+        };
         self.step += 1;
-        self.executed += 1;
-        StepOutcome::Executed(mv)
+
+        let view = Snapshot::new(&self.topo, &self.state, &self.health);
+        for o in &mut self.observers {
+            o.on_step_end(self.step, out, &view);
+        }
+        out
     }
 
     /// Run `steps` steps of simulated time.
@@ -1220,7 +1121,7 @@ mod tests {
         let _ = (TOY_ENTER, TOY_EXIT);
     }
 
-    // ---- incremental-mode specifics ----
+    // ---- the enabled index's ages and the slice adapter ----
 
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1239,33 +1140,6 @@ mod tests {
         }
         fn name(&self) -> &str {
             "probe"
-        }
-    }
-
-    fn probe_run(mode: EnumerationMode, steps: u64) -> Vec<Vec<EnabledMove>> {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut e = Engine::builder(ToyDiners, Topology::line(4))
-            .scheduler(ProbeScheduler {
-                log: Rc::clone(&log),
-                inner: RandomScheduler::new(9),
-            })
-            .enumeration(mode)
-            .seed(9)
-            .build();
-        e.run(steps);
-        drop(e);
-        Rc::try_unwrap(log).unwrap().into_inner()
-    }
-
-    #[test]
-    fn ages_match_naive_move_for_move() {
-        // The satellite guarantee for the dense age table: both engines
-        // offer the scheduler identical (move, age) lists at every step.
-        let naive = probe_run(EnumerationMode::Naive, 300);
-        let incremental = probe_run(EnumerationMode::Incremental, 300);
-        assert_eq!(naive.len(), incremental.len());
-        for (s, (a, b)) in naive.iter().zip(&incremental).enumerate() {
-            assert_eq!(a, b, "annotated sets diverge at pick {s}");
         }
     }
 
@@ -1340,39 +1214,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn modes_agree_on_a_faulty_run() {
-        // Smoke-level differential check (the full sweep lives in
-        // tests/incremental_equiv.rs): identical outcomes, state, metrics.
-        let build = |mode| {
-            Engine::builder(ToyDiners, Topology::ring(5))
-                .scheduler(RandomScheduler::new(7))
-                .faults(
-                    FaultPlan::new()
-                        .malicious_crash(15, 2, 4)
-                        .crash(40, 0)
-                        .transient_global(70),
-                )
-                .enumeration(mode)
-                .seed(7)
-                .build()
-        };
-        let mut a = build(EnumerationMode::Naive);
-        let mut b = build(EnumerationMode::Incremental);
-        for step in 0..500 {
-            assert_eq!(a.step(), b.step(), "diverged at step {step}");
-        }
-        assert_eq!(a.state(), b.state());
-        assert_eq!(a.health(), b.health());
-        assert_eq!(a.metrics(), b.metrics());
-    }
-
-    #[test]
-    fn default_mode_is_incremental() {
-        let e = toy_engine(3);
-        assert_eq!(e.enumeration_mode(), EnumerationMode::Incremental);
     }
 
     #[test]
@@ -1534,34 +1375,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn modes_agree_on_a_restart_heavy_run() {
-        let build = |mode| {
-            Engine::builder(ToyDiners, Topology::ring(5))
-                .scheduler(RandomScheduler::new(11))
-                .faults(
-                    FaultPlan::new()
-                        .malicious_crash(15, 2, 4)
-                        .restart_fresh(90, 2)
-                        .crash(40, 0)
-                        .restart_arbitrary(160, 0, 5)
-                        .crash(220, 3)
-                        .restart_snapshot(300, 3, 100),
-                )
-                .enumeration(mode)
-                .seed(11)
-                .build()
-        };
-        let mut a = build(EnumerationMode::Naive);
-        let mut b = build(EnumerationMode::Incremental);
-        for step in 0..600 {
-            assert_eq!(a.step(), b.step(), "diverged at step {step}");
-        }
-        assert_eq!(a.state(), b.state());
-        assert_eq!(a.health(), b.health());
-        assert_eq!(a.metrics(), b.metrics());
     }
 
     // ---- runtime write-contract enforcement (satellite of the footprint

@@ -287,6 +287,27 @@ impl FaultPlan {
         self
     }
 
+    /// Check that every process the plan names exists in a system of `n`
+    /// processes.
+    ///
+    /// # Errors
+    ///
+    /// Names the first process out of range and what targets it.
+    pub fn check_targets(&self, n: usize) -> Result<(), String> {
+        if let Some(p) = self.initially_dead.iter().find(|p| p.index() >= n) {
+            return Err(format!(
+                "initially-dead process {p} is out of range for {n} processes"
+            ));
+        }
+        match self.events.iter().find(|ev| ev.target.index() >= n) {
+            Some(ev) => Err(format!(
+                "{} at step {} targets {}, out of range for {n} processes",
+                ev.kind, ev.at_step, ev.target
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Whether the initial state should be randomized.
     pub fn starts_arbitrary(&self) -> bool {
         self.random_initial_state
@@ -371,6 +392,22 @@ fn kind_rank(k: FaultKind) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_targets_names_the_first_process_out_of_range() {
+        let plan = FaultPlan::new().crash(5, 2).transient_global(9);
+        assert_eq!(plan.check_targets(3), Ok(()));
+        let e = plan.check_targets(2).unwrap_err();
+        assert_eq!(
+            e,
+            "crash at step 5 targets p2, out of range for 2 processes"
+        );
+        let e = FaultPlan::new()
+            .initially_dead(4)
+            .check_targets(4)
+            .unwrap_err();
+        assert!(e.contains("initially-dead process p4"), "{e}");
+    }
 
     #[test]
     fn health_predicates() {

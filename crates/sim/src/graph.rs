@@ -349,6 +349,51 @@ impl Topology {
         t
     }
 
+    /// Parse a command-line topology spec: `ring:N`, `line:N`, `star:N`,
+    /// `complete:N`, `tree:N` (a binary tree) or `grid:WxH`, at each
+    /// family's minimum size or more (ring 3, star and complete 2, the
+    /// others 1).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the problem for a spec without a `:`, an
+    /// unknown family, a size that is not a number, or a size below the
+    /// family's minimum.
+    pub fn from_spec(spec: &str) -> Result<Self, String> {
+        let (family, size) = spec
+            .split_once(':')
+            .ok_or_else(|| format!("topology {spec:?} is not family:size"))?;
+        let num = |s: &str, min: usize| -> Result<usize, String> {
+            let n: usize = s
+                .parse()
+                .map_err(|_| format!("bad topology size {s:?} in {spec:?}"))?;
+            if n < min {
+                return Err(format!(
+                    "{family} needs sizes of at least {min}, got {spec:?}"
+                ));
+            }
+            Ok(n)
+        };
+        Ok(match family {
+            "ring" => Topology::ring(num(size, 3)?),
+            "line" => Topology::line(num(size, 1)?),
+            "star" => Topology::star(num(size, 2)?),
+            "complete" => Topology::complete(num(size, 2)?),
+            "tree" => Topology::binary_tree(num(size, 1)?),
+            "grid" => {
+                let (w, h) = size
+                    .split_once('x')
+                    .ok_or_else(|| format!("grid expects WxH, got {spec:?}"))?;
+                Topology::grid(num(w, 1)?, num(h, 1)?)
+            }
+            other => {
+                return Err(format!(
+                    "unknown topology family {other:?} (expected ring|line|star|complete|tree|grid)"
+                ))
+            }
+        })
+    }
+
     /// The constructor family this topology came from (drives the
     /// automorphism group used by [`crate::symmetry`]).
     #[inline]
@@ -556,6 +601,36 @@ fn all_pairs_bfs(n: usize, adj: &[Vec<ProcessId>]) -> Vec<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn specs_parse_every_family_and_reject_bad_sizes() {
+        for (spec, name) in [
+            ("ring:3", "ring(n=3)"),
+            ("line:1", "line(n=1)"),
+            ("star:2", "star(n=2)"),
+            ("complete:4", "complete(n=4)"),
+            ("tree:7", "binary_tree(n=7)"),
+            ("grid:4x3", "grid(4x3)"),
+        ] {
+            assert_eq!(Topology::from_spec(spec).unwrap().name(), name);
+        }
+        for (spec, why) in [
+            ("ring:2", "ring needs sizes of at least 3"),
+            ("line:0", "line needs sizes of at least 1"),
+            ("star:1", "star needs sizes of at least 2"),
+            ("complete:1", "complete needs sizes of at least 2"),
+            ("tree:0", "tree needs sizes of at least 1"),
+            ("grid:0x3", "grid needs sizes of at least 1"),
+            ("grid:3x0", "grid needs sizes of at least 1"),
+            ("grid:3", "grid expects WxH"),
+            ("ring:x", "bad topology size \"x\""),
+            ("ring", "is not family:size"),
+            ("cube:3", "unknown topology family \"cube\""),
+        ] {
+            let e = Topology::from_spec(spec).unwrap_err();
+            assert!(e.contains(why), "{spec}: {e}");
+        }
+    }
 
     #[test]
     fn ring_metrics() {

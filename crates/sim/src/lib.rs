@@ -82,7 +82,7 @@ pub use algorithm::{
     ActionId, ActionKind, Algorithm, DinerAlgorithm, Move, Phase, SystemState, View, Write,
 };
 pub use codec::{Codec, StateCodec};
-pub use engine::{Engine, EnumerationMode, RunSummary, StepOutcome};
+pub use engine::{Engine, RunSummary, StepOutcome};
 pub use explore::{ExploreConfig, Reduction};
 pub use expose::MetricsServer;
 pub use fault::{FaultKind, FaultPlan, Health, Resurrection};

@@ -11,9 +11,9 @@ use crate::graph::ProcessId;
 
 /// Per-run service metrics, maintained by the engine.
 ///
-/// `PartialEq` compares every recorded quantity; the differential tests
-/// use it to prove the incremental engine reproduces the naive engine's
-/// metrics exactly.
+/// `PartialEq` compares every recorded quantity; the lockstep suites use
+/// it to show that an engine checked by the from-scratch reference and
+/// its bare twin record exactly the same metrics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DinerMetrics {
     n: usize,

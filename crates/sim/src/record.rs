@@ -6,7 +6,7 @@
 //! step (including quiescent steps), every fault injection, and the
 //! workload's `needs()` bit at each fire — plus periodic state-digest
 //! checkpoints. Together with the build inputs recorded in the header
-//! (topology, seed, enumeration mode, fault plan), that is sufficient
+//! (topology, seed, fault plan), that is sufficient
 //! for bit-identical re-execution: replay constructs a *real* engine
 //! over the same inputs and drives it with a [`ReplayScheduler`] that
 //! follows the recorded picks, so the RNG stream, metrics, traces and
@@ -34,6 +34,12 @@
 //! unknown line kinds, but ignore unknown *fields* so additive growth is
 //! backwards-compatible.
 //!
+//! The header's `"mode"` key is always written as `"incremental"`: the
+//! engine has one step path. The parser still requires the key and
+//! accepts `"naive"` too, from recordings made while the from-scratch
+//! path was selectable — both paths fired the same moves, so such a
+//! recording replays verified; any other value is rejected.
+//!
 //! Version 2 adds restart fault kinds (`restart(fresh)`,
 //! `restart(snapshot:AGE)`, `restart(arbitrary:SEED)`) to the fault plan
 //! and fault log. Version 1 recordings still parse and replay
@@ -45,7 +51,7 @@ use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use crate::algorithm::{DinerAlgorithm, SystemState};
-use crate::engine::{Engine, EngineBuilder, EnumerationMode, StepOutcome};
+use crate::engine::{Engine, EngineBuilder, StepOutcome};
 use crate::fault::{FaultKind, FaultPlan, Health, Resurrection};
 use crate::fingerprint::Fx64;
 use crate::graph::{ProcessId, Topology};
@@ -220,7 +226,6 @@ where
             algorithm: rec.label.clone(),
             scheduler: self.scheduler_name().to_string(),
             workload: self.workload_name().to_string(),
-            mode: self.enumeration_mode(),
             seed: self.seed(),
             topology_name: topo.name().to_string(),
             n: topo.len(),
@@ -276,8 +281,6 @@ pub struct Recording {
     pub scheduler: String,
     /// Workload name; replay tooling maps it back to a workload value.
     pub workload: String,
-    /// Enumeration mode of the recorded engine.
-    pub mode: EnumerationMode,
     /// Engine seed (drives corruption and malicious writes).
     pub seed: u64,
     /// Topology display name (e.g. `ring(8)`).
@@ -331,7 +334,7 @@ impl Recording {
         let mut out = format!(
             concat!(
                 "{{\"v\":{},\"kind\":\"header\",\"algorithm\":\"{}\",",
-                "\"scheduler\":\"{}\",\"workload\":\"{}\",\"mode\":\"{}\",",
+                "\"scheduler\":\"{}\",\"workload\":\"{}\",\"mode\":\"incremental\",",
                 "\"seed\":{},\"topology\":\"{}\",\"n\":{},\"edges\":[{}],",
                 "\"arbitrary_start\":{},\"initially_dead\":[{}],",
                 "\"fault_plan\":[{}],\"steps\":{}}}\n"
@@ -340,7 +343,6 @@ impl Recording {
             self.algorithm,
             self.scheduler,
             self.workload,
-            mode_label(self.mode),
             self.seed,
             self.topology_name,
             self.n,
@@ -545,13 +547,6 @@ fn json_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
     }
 }
 
-fn mode_label(mode: EnumerationMode) -> &'static str {
-    match mode {
-        EnumerationMode::Naive => "naive",
-        EnumerationMode::Incremental => "incremental",
-    }
-}
-
 /// Inverse of [`FaultKind`]'s `Display`.
 fn parse_fault_kind(s: &str) -> Option<FaultKind> {
     match s {
@@ -646,11 +641,11 @@ fn parse_header(
             .parse::<u64>()
             .map_err(|_| err(&format!("bad \"{key}\"")))
     };
-    let mode = match text("mode")?.as_str() {
-        "naive" => EnumerationMode::Naive,
-        "incremental" => EnumerationMode::Incremental,
+    // The fixed mode key; see the module docs.
+    match text("mode")?.as_str() {
+        "naive" | "incremental" => {}
         other => return Err(err(&format!("unknown mode \"{other}\""))),
-    };
+    }
     let edges_raw = json_array_field(line, "edges").ok_or_else(|| err("missing \"edges\""))?;
     let mut edges = Vec::new();
     for el in split_elements(edges_raw) {
@@ -727,7 +722,6 @@ fn parse_header(
         algorithm: text("algorithm")?,
         scheduler: text("scheduler")?,
         workload: text("workload")?,
-        mode,
         seed: num("seed")?,
         topology_name: text("topology")?,
         n,
@@ -791,7 +785,7 @@ impl Scheduler for ReplayScheduler {
 /// every covered checkpoint digest must match the live state.
 ///
 /// The caller supplies the algorithm and workload values (the recording
-/// stores only their labels); everything else — topology, seed, mode,
+/// stores only their labels); everything else — topology, seed,
 /// fault plan, scheduler — comes from the recording.
 pub struct Replayer {
     decisions: Rc<Vec<StepDecision>>,
@@ -804,10 +798,10 @@ pub struct Replayer {
 
 impl Replayer {
     /// Build the replay engine for `rec`. The returned builder is fully
-    /// configured (topology, seed, mode, faults, replay scheduler,
-    /// workload, a [`Trace`] attached); callers may still attach more
-    /// observers before `build()` — but must not override the scheduler,
-    /// seed, fault plan or enumeration mode.
+    /// configured (topology, seed, faults, replay scheduler, workload, a
+    /// [`Trace`] attached); callers may still attach more observers
+    /// before `build()` — but must not override the scheduler, seed or
+    /// fault plan.
     pub fn builder<A: DinerAlgorithm>(
         rec: &Recording,
         alg: A,
@@ -824,7 +818,6 @@ impl Replayer {
             .scheduler(sched)
             .faults(rec.faults.clone())
             .seed(rec.seed)
-            .enumeration(rec.mode)
             .observe(Trace::new());
         let replayer = Replayer {
             decisions,
@@ -1182,6 +1175,26 @@ mod tests {
             state_digest(e2.state(), e2.health()),
             "v1 and v2 replays must agree bit-for-bit"
         );
+    }
+
+    #[test]
+    fn naive_mode_headers_still_parse_and_replay() {
+        let rec = recorded_recovery_run(300);
+        let text = rec.to_jsonl();
+        let mode = "\"mode\":\"incremental\"";
+        assert!(text.lines().next().unwrap().contains(mode), "{text}");
+        let naive = Recording::parse(&text.replace(mode, "\"mode\":\"naive\""))
+            .expect("a naive-mode header parses");
+        assert_eq!(naive, rec);
+        let (engine, verified) =
+            Replayer::run(&naive, ToyDiners, AlwaysHungry).expect("replay verifies");
+        assert_eq!(engine.step_count(), 300);
+        assert!(verified >= 2);
+        // Any other mode is rejected, and the key stays required.
+        let e = Recording::parse(&text.replace(mode, "\"mode\":\"lazy\"")).unwrap_err();
+        assert!(e.contains("unknown mode \"lazy\""), "{e}");
+        let e = Recording::parse(&text.replace(&format!("{mode},"), "")).unwrap_err();
+        assert!(e.contains("missing \"mode\""), "{e}");
     }
 
     #[test]

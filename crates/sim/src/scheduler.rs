@@ -45,12 +45,13 @@ pub struct EnabledMove {
 /// A daemon: picks which enabled move fires each step.
 ///
 /// Both methods return an index into the enabled set, which is never
-/// empty when they are called. The naive engine calls [`Scheduler::pick`]
-/// with the whole annotated slice; the incremental engine calls
-/// [`Scheduler::pick_from`] with a view of its enabled index, whose rank
-/// `r` is the move at index `r` of that slice. A daemon that can decide
-/// from a few ranks overrides `pick_from` to skip the O(n) slice; it must
-/// then pick exactly what `pick` would, so both engines stay in lockstep.
+/// empty when they are called. The engine calls [`Scheduler::pick_from`]
+/// with a view of its enabled index, whose rank `r` is the move at index
+/// `r` of the from-scratch enumeration order; the default hands
+/// [`Scheduler::pick`] the whole annotated slice in that order. A daemon
+/// that can decide from a few ranks overrides `pick_from` to skip the
+/// O(n) slice; it must then pick exactly what `pick` would over that
+/// slice, which the test reference checks at every step.
 pub trait Scheduler {
     /// Choose one of the enabled moves.
     fn pick(&mut self, step: u64, enabled: &[EnabledMove]) -> usize;

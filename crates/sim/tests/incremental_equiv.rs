@@ -1,11 +1,14 @@
-//! Differential tests for the two performance-critical dual
-//! implementations:
+//! Differential tests for the two performance-critical production paths,
+//! each checked against a reference in test support:
 //!
-//! * **engine** — the incremental (dirty-set + age-table) enumeration
-//!   must reproduce the naive from-scratch enumeration *bit for bit*:
-//!   same `StepOutcome` every step, same final state, health, metrics,
-//!   and eating-pair counters, across topology families, seeds,
-//!   schedulers, workloads, and the full fault taxonomy;
+//! * **engine** — `Engine::step` (dirty-set re-enumeration into the
+//!   enabled index, rank picks, running eating-pair counters) must match
+//!   the from-scratch reference of `support/reference_engine.rs` at every
+//!   step: the same move fired, `needs` bit and `(move, age)` offer, and
+//!   eating-pair counters equal to the edge scan; a bare twin with no
+//!   observer must step in lockstep and end with the same state, health
+//!   and metrics. The sweep covers topology families, seeds, all four
+//!   daemons, workloads, and the full fault taxonomy including restarts;
 //! * **explorer** — the parallel frontier-sharded search must produce
 //!   the same report as the sequential search, including violation
 //!   traces and truncation points.
@@ -14,56 +17,26 @@
 //! not just the toy one, so malicious pseudo-moves, per-neighbor action
 //! slots, and priority edge variables are all exercised.
 
+#[path = "support/reference_engine.rs"]
+mod reference_engine;
+
 use diners_core::predicates::{e_holds, nc_holds};
 use diners_core::MaliciousCrashDiners;
-use diners_sim::algorithm::{DinerAlgorithm, Phase, SystemState};
-use diners_sim::engine::{Engine, EnumerationMode};
+use diners_sim::algorithm::{Phase, SystemState};
+use diners_sim::engine::Engine;
 use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig, Limits};
 use diners_sim::fault::{FaultPlan, Health};
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::scheduler::{
-    LeastRecentScheduler, RandomScheduler, RoundRobinScheduler, Scheduler,
+    AdversarialScheduler, Adversary, LeastRecentScheduler, RandomScheduler, RoundRobinScheduler,
+    Scheduler,
 };
 use diners_sim::toy::ToyDiners;
 use diners_sim::workload::{AlwaysHungry, BernoulliWorkload, QuotaWorkload};
+use reference_engine::assert_matches_reference;
 
-/// Run the same configuration under both enumeration modes and demand
-/// bit-identical behavior, step for step.
-fn assert_modes_agree<A>(make: impl Fn(EnumerationMode) -> Engine<A>, steps: u64, label: &str)
-where
-    A: DinerAlgorithm,
-    A::Local: std::fmt::Debug + PartialEq,
-    A::Edge: std::fmt::Debug + PartialEq,
-{
-    let mut naive = make(EnumerationMode::Naive);
-    let mut inc = make(EnumerationMode::Incremental);
-    for s in 0..steps {
-        let a = naive.step();
-        let b = inc.step();
-        assert_eq!(a, b, "{label}: outcome diverged at step {s}");
-        assert_eq!(
-            inc.eating_pairs(),
-            naive.eating_pairs_scan(),
-            "{label}: eating-pair counters diverged at step {s}"
-        );
-    }
-    assert_eq!(naive.step_count(), inc.step_count(), "{label}: step count");
-    assert_eq!(
-        naive.state().locals(),
-        inc.state().locals(),
-        "{label}: final locals"
-    );
-    assert_eq!(
-        naive.state().edges(),
-        inc.state().edges(),
-        "{label}: final edges"
-    );
-    assert_eq!(naive.health(), inc.health(), "{label}: final health");
-    assert_eq!(naive.metrics(), inc.metrics(), "{label}: metrics");
-}
-
-/// Fault plans covering the paper's whole taxonomy, scaled to `n`
-/// processes.
+/// Fault plans covering the paper's whole taxonomy plus restarts, scaled
+/// to `n` processes.
 fn fault_plans(n: usize) -> Vec<(&'static str, FaultPlan)> {
     vec![
         ("none", FaultPlan::none()),
@@ -78,19 +51,35 @@ fn fault_plans(n: usize) -> Vec<(&'static str, FaultPlan)> {
             "dead+crash",
             FaultPlan::new().initially_dead(0).crash(50, n - 1),
         ),
+        // Two neighbors dead from an arbitrary start (so often both
+        // eating), one revived fresh and one arbitrary; a malicious crash
+        // revived from a checkpoint taken before it struck.
+        (
+            "restarts",
+            FaultPlan::new()
+                .from_arbitrary_state()
+                .initially_dead(0)
+                .initially_dead(1)
+                .restart_fresh(30, 0)
+                .malicious_crash(40, 2 % n, 4)
+                .restart_snapshot(90, 2 % n, 60)
+                .restart_arbitrary(120, 1, 5)
+                .crash(140, n - 1)
+                .restart_fresh(170, n - 1),
+        ),
     ]
 }
 
-/// The daemons the engine sweep runs under: in incremental mode random
-/// picks by rank from the enabled index, the others from the slice the
-/// index materialises.
-const SCHEDULERS: [&str; 3] = ["least-recent", "random", "round-robin"];
+/// The daemons the engine sweep runs under: random picks by rank from
+/// the enabled index, the others from the slice the index materialises.
+const SCHEDULERS: [&str; 4] = ["least-recent", "random", "round-robin", "adversarial"];
 
 fn scheduler(name: &str, seed: u64) -> Box<dyn Scheduler> {
     match name {
         "least-recent" => Box::new(LeastRecentScheduler::new()),
         "random" => Box::new(RandomScheduler::new(seed ^ 0xabc)),
         "round-robin" => Box::new(RoundRobinScheduler::new()),
+        "adversarial" => Box::new(AdversarialScheduler::new(Adversary::Newest, 32, seed)),
         other => unreachable!("unknown scheduler {other}"),
     }
 }
@@ -106,22 +95,21 @@ fn families() -> Vec<Topology> {
 }
 
 #[test]
-fn mca_modes_agree_across_topologies_seeds_schedulers_and_faults() {
+fn mca_matches_the_reference_across_topologies_seeds_schedulers_and_faults() {
     for topo in families() {
         for seed in 0..8u64 {
             for sched in SCHEDULERS {
                 for (fname, plan) in fault_plans(topo.len()) {
                     let label = format!("{} seed={seed} {sched} faults={fname}", topo.name());
-                    assert_modes_agree(
-                        |mode| {
+                    assert_matches_reference(
+                        || {
                             Engine::builder(MaliciousCrashDiners::paper(), topo.clone())
-                                .workload(AlwaysHungry)
                                 .faults(plan.clone())
                                 .seed(seed.wrapping_mul(1000) + 17)
-                                .scheduler(scheduler(sched, seed))
-                                .enumeration(mode)
-                                .build()
                         },
+                        MaliciousCrashDiners::paper(),
+                        || AlwaysHungry,
+                        || scheduler(sched, seed),
                         200,
                         &label,
                     );
@@ -132,7 +120,7 @@ fn mca_modes_agree_across_topologies_seeds_schedulers_and_faults() {
 }
 
 #[test]
-fn modes_agree_on_large_topologies() {
+fn reference_agrees_on_large_topologies() {
     // Hundreds of processes, so the upper levels of the enabled index's
     // Fenwick tree take part in every rank lookup.
     for topo in [
@@ -142,16 +130,15 @@ fn modes_agree_on_large_topologies() {
         for sched in ["random", "round-robin"] {
             for (fname, plan) in fault_plans(topo.len()) {
                 let label = format!("{} {sched} faults={fname}", topo.name());
-                assert_modes_agree(
-                    |mode| {
+                assert_matches_reference(
+                    || {
                         Engine::builder(MaliciousCrashDiners::paper(), topo.clone())
-                            .workload(AlwaysHungry)
                             .faults(plan.clone())
                             .seed(23)
-                            .scheduler(scheduler(sched, 23))
-                            .enumeration(mode)
-                            .build()
                     },
+                    MaliciousCrashDiners::paper(),
+                    || AlwaysHungry,
+                    || scheduler(sched, 23),
                     2_000,
                     &label,
                 );
@@ -161,20 +148,19 @@ fn modes_agree_on_large_topologies() {
 }
 
 #[test]
-fn modes_agree_with_a_step_dependent_workload() {
-    // Bernoulli keeps `step_dependent() == true`, forcing the
-    // incremental engine through its per-step needs rescan.
+fn reference_agrees_with_a_step_dependent_workload() {
+    // Bernoulli keeps `step_dependent() == true`, forcing the engine
+    // through its per-step needs rescan.
     for seed in 0..8u64 {
-        assert_modes_agree(
-            |mode| {
+        assert_matches_reference(
+            || {
                 Engine::builder(MaliciousCrashDiners::paper(), Topology::ring(7))
-                    .workload(BernoulliWorkload::new(seed, 1, 3))
-                    .scheduler(RandomScheduler::new(seed))
                     .faults(FaultPlan::new().malicious_crash(35, 3, 4).crash(80, 0))
                     .seed(seed)
-                    .enumeration(mode)
-                    .build()
             },
+            MaliciousCrashDiners::paper(),
+            || BernoulliWorkload::new(seed, 1, 3),
+            || RandomScheduler::new(seed),
             300,
             &format!("bernoulli seed={seed}"),
         );
@@ -182,24 +168,79 @@ fn modes_agree_with_a_step_dependent_workload() {
 }
 
 #[test]
-fn modes_agree_with_a_quota_workload_through_quiescence() {
+fn reference_agrees_with_a_quota_workload_through_quiescence() {
     // Quota opts out of the per-step rescan; its `needs` flips exactly
     // at `note_eat`, and the run ends quiescent once everyone is sated —
     // covering both the meal-driven invalidation and Quiescent outcomes.
     for seed in 0..8u64 {
-        assert_modes_agree(
-            |mode| {
-                Engine::builder(ToyDiners, Topology::ring(6))
-                    .workload(QuotaWorkload::uniform(6, 3))
-                    .scheduler(RandomScheduler::new(seed))
-                    .seed(seed)
-                    .enumeration(mode)
-                    .build()
-            },
+        assert_matches_reference(
+            || Engine::builder(ToyDiners, Topology::ring(6)).seed(seed),
+            ToyDiners,
+            || QuotaWorkload::uniform(6, 3),
+            || RandomScheduler::new(seed),
             400,
             &format!("quota seed={seed}"),
         );
     }
+}
+
+#[test]
+fn ages_match_the_reference_move_for_move() {
+    // The dense age table against the reference's `HashMap` ages: the
+    // engine offers identical (move, age) lists at every step.
+    assert_matches_reference(
+        || Engine::builder(ToyDiners, Topology::line(4)).seed(9),
+        ToyDiners,
+        || AlwaysHungry,
+        || RandomScheduler::new(9),
+        300,
+        "toy line(4)",
+    );
+}
+
+#[test]
+fn reference_agrees_on_a_faulty_run() {
+    assert_matches_reference(
+        || {
+            Engine::builder(ToyDiners, Topology::ring(5))
+                .faults(
+                    FaultPlan::new()
+                        .malicious_crash(15, 2, 4)
+                        .crash(40, 0)
+                        .transient_global(70),
+                )
+                .seed(7)
+        },
+        ToyDiners,
+        || AlwaysHungry,
+        || RandomScheduler::new(7),
+        500,
+        "toy ring(5) faults",
+    );
+}
+
+#[test]
+fn reference_agrees_on_a_restart_heavy_run() {
+    assert_matches_reference(
+        || {
+            Engine::builder(ToyDiners, Topology::ring(5))
+                .faults(
+                    FaultPlan::new()
+                        .malicious_crash(15, 2, 4)
+                        .restart_fresh(90, 2)
+                        .crash(40, 0)
+                        .restart_arbitrary(160, 0, 5)
+                        .crash(220, 3)
+                        .restart_snapshot(300, 3, 100),
+                )
+                .seed(11)
+        },
+        ToyDiners,
+        || AlwaysHungry,
+        || RandomScheduler::new(11),
+        600,
+        "toy ring(5) restarts",
+    );
 }
 
 /// Explore the paper's algorithm with `threads` workers.

@@ -1,11 +1,13 @@
 //! Differential suite for the flight recorder and deterministic replay.
 //!
-//! Three guarantees, each checked across topology × scheduler × mode ×
+//! Three guarantees, each checked across topology × scheduler ×
 //! fault-plan sweeps:
 //!
 //! 1. **Observer effect is zero** — an engine with the recorder (and the
 //!    causal tracer) attached runs step-for-step identically to a bare
-//!    one: same outcomes, state, health, metrics and trace.
+//!    one: same outcomes, state, health, metrics and trace. The recorded
+//!    engines are also checked step by step against the from-scratch
+//!    reference of `support/reference_engine.rs`.
 //! 2. **Round trip is exact** — serialize → parse reproduces the
 //!    `Recording` value and the byte stream (the CI format-drift gate).
 //! 3. **Replay is bit-identical** — driving a *fresh* engine with the
@@ -13,8 +15,11 @@
 //!    violation trace and metric counters exactly, and every digest
 //!    checkpoint verifies.
 
+#[path = "support/reference_engine.rs"]
+mod reference_engine;
+
 use diners_sim::algorithm::{DinerAlgorithm, Phase};
-use diners_sim::engine::{Engine, EnumerationMode};
+use diners_sim::engine::Engine;
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::Topology;
 use diners_sim::record::{FlightRecorder, Recording, Replayer};
@@ -26,6 +31,7 @@ use diners_sim::trace::Trace;
 use diners_sim::tracing::CausalTracer;
 use diners_sim::workload::AlwaysHungry;
 use diners_sim::ProcessId;
+use reference_engine::ReferenceEngine;
 
 /// The events of the trace attached to `e`.
 fn trace<A: DinerAlgorithm>(e: &Engine<A>) -> &[diners_sim::trace::Event] {
@@ -73,38 +79,45 @@ fn scheduler_at(i: usize, seed: u64) -> Box<dyn Scheduler> {
     schedulers(seed).swap_remove(i)
 }
 
+/// A from-scratch reference for a toy engine under `AlwaysHungry` and
+/// scheduler `i`, and the engine's scheduler wrapped to report to it.
+fn reference(i: usize, seed: u64) -> (ReferenceEngine<ToyDiners>, impl Scheduler) {
+    ReferenceEngine::new(
+        ToyDiners,
+        AlwaysHungry,
+        scheduler_at(i, seed),
+        scheduler_at(i, seed),
+    )
+}
+
 #[test]
 fn recorder_and_tracer_have_zero_observer_effect() {
     for topo in topologies() {
         for si in 0..schedulers(0).len() {
             for (plan_name, plan) in fault_plans() {
-                for mode in [EnumerationMode::Naive, EnumerationMode::Incremental] {
-                    let ctx = format!("{} sched{si} {plan_name} {mode:?}", topo.name());
-                    let bare = |instrument: bool| {
-                        let mut b = Engine::builder(ToyDiners, topo.clone())
-                            .scheduler(scheduler_at(si, 11))
-                            .workload(AlwaysHungry)
-                            .faults(plan.clone())
-                            .seed(11)
-                            .enumeration(mode)
-                            .observe(Trace::new());
-                        if instrument {
-                            b = b
-                                .observe(FlightRecorder::new("toy"))
-                                .observe(CausalTracer::default());
-                        }
-                        b.build()
-                    };
-                    let mut a = bare(false);
-                    let mut b = bare(true);
-                    for step in 0..400u64 {
-                        assert_eq!(a.step(), b.step(), "{ctx}: diverged at step {step}");
-                    }
-                    assert_eq!(a.state(), b.state(), "{ctx}: state");
-                    assert_eq!(a.health(), b.health(), "{ctx}: health");
-                    assert_eq!(a.metrics(), b.metrics(), "{ctx}: metrics");
-                    assert_eq!(trace(&a), trace(&b), "{ctx}: trace");
+                let ctx = format!("{} sched{si} {plan_name}", topo.name());
+                let base = || {
+                    Engine::builder(ToyDiners, topo.clone())
+                        .workload(AlwaysHungry)
+                        .faults(plan.clone())
+                        .seed(11)
+                        .observe(Trace::new())
+                };
+                let mut a = base().scheduler(scheduler_at(si, 11)).build();
+                let (reference, sched) = reference(si, 11);
+                let mut b = base()
+                    .scheduler(sched)
+                    .observe(FlightRecorder::new("toy"))
+                    .observe(CausalTracer::default())
+                    .observe(reference)
+                    .build();
+                for step in 0..400u64 {
+                    assert_eq!(a.step(), b.step(), "{ctx}: diverged at step {step}");
                 }
+                assert_eq!(a.state(), b.state(), "{ctx}: state");
+                assert_eq!(a.health(), b.health(), "{ctx}: health");
+                assert_eq!(a.metrics(), b.metrics(), "{ctx}: metrics");
+                assert_eq!(trace(&a), trace(&b), "{ctx}: trace");
             }
         }
     }
@@ -115,40 +128,39 @@ fn record_serialize_parse_replay_is_bit_identical() {
     for topo in topologies() {
         for si in 0..schedulers(0).len() {
             for (plan_name, plan) in fault_plans() {
-                for mode in [EnumerationMode::Naive, EnumerationMode::Incremental] {
-                    let ctx = format!("{} sched{si} {plan_name} {mode:?}", topo.name());
-                    let mut live = Engine::builder(ToyDiners, topo.clone())
-                        .scheduler(scheduler_at(si, 5))
-                        .faults(plan.clone())
-                        .seed(5)
-                        .enumeration(mode)
-                        .observe(Trace::new())
-                        .observe(FlightRecorder::new("toy"))
-                        .build();
-                    live.run(500);
+                let ctx = format!("{} sched{si} {plan_name}", topo.name());
+                let (reference, sched) = reference(si, 5);
+                let mut live = Engine::builder(ToyDiners, topo.clone())
+                    .scheduler(sched)
+                    .faults(plan.clone())
+                    .seed(5)
+                    .observe(Trace::new())
+                    .observe(FlightRecorder::new("toy"))
+                    .observe(reference)
+                    .build();
+                live.run(500);
 
-                    // Round trip through the JSONL format (CI drift gate).
-                    let rec = live.recording().expect("recorder attached");
-                    let text = rec.to_jsonl();
-                    let back = Recording::parse(&text)
-                        .unwrap_or_else(|e| panic!("{ctx}: parse failed: {e}"));
-                    assert_eq!(back, rec, "{ctx}: recording round trip");
-                    assert_eq!(back.to_jsonl(), text, "{ctx}: serialization stability");
+                // Round trip through the JSONL format (CI drift gate).
+                let rec = live.recording().expect("recorder attached");
+                let text = rec.to_jsonl();
+                let back =
+                    Recording::parse(&text).unwrap_or_else(|e| panic!("{ctx}: parse failed: {e}"));
+                assert_eq!(back, rec, "{ctx}: recording round trip");
+                assert_eq!(back.to_jsonl(), text, "{ctx}: serialization stability");
 
-                    // Replay the parsed recording on a fresh engine.
-                    let (replayed, verified) = Replayer::run(&back, ToyDiners, AlwaysHungry)
-                        .unwrap_or_else(|e| panic!("{ctx}: replay diverged: {e}"));
-                    assert_eq!(replayed.step_count(), 500, "{ctx}");
-                    assert!(verified >= 2, "{ctx}: only {verified} checkpoints");
-                    assert_eq!(replayed.state(), live.state(), "{ctx}: final state");
-                    assert_eq!(replayed.health(), live.health(), "{ctx}: health");
-                    assert_eq!(replayed.metrics(), live.metrics(), "{ctx}: metrics");
-                    assert_eq!(
-                        trace(&replayed),
-                        trace(&live),
-                        "{ctx}: violation/event traces"
-                    );
-                }
+                // Replay the parsed recording on a fresh engine.
+                let (replayed, verified) = Replayer::run(&back, ToyDiners, AlwaysHungry)
+                    .unwrap_or_else(|e| panic!("{ctx}: replay diverged: {e}"));
+                assert_eq!(replayed.step_count(), 500, "{ctx}");
+                assert!(verified >= 2, "{ctx}: only {verified} checkpoints");
+                assert_eq!(replayed.state(), live.state(), "{ctx}: final state");
+                assert_eq!(replayed.health(), live.health(), "{ctx}: health");
+                assert_eq!(replayed.metrics(), live.metrics(), "{ctx}: metrics");
+                assert_eq!(
+                    trace(&replayed),
+                    trace(&live),
+                    "{ctx}: violation/event traces"
+                );
             }
         }
     }

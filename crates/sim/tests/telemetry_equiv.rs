@@ -7,11 +7,15 @@
 //!
 //! Observers never touch the engine's RNG, scheduler, or state, so
 //! equality here is *bit-identical*, step for step — the same bar the
-//! incremental-vs-naive differential suite sets.
+//! from-scratch reference (`support/reference_engine.rs`) sets, which
+//! watches alongside telemetry here.
+
+#[path = "support/reference_engine.rs"]
+mod reference_engine;
 
 use diners_core::MaliciousCrashDiners;
 use diners_sim::algorithm::{Algorithm, DinerAlgorithm};
-use diners_sim::engine::{Engine, EngineBuilder, EnumerationMode, StepOutcome};
+use diners_sim::engine::{Engine, EngineBuilder, StepOutcome};
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::Topology;
 use diners_sim::observe::{EventKind, StepEvent, StepObserver};
@@ -23,6 +27,7 @@ use diners_sim::toy::ToyDiners;
 use diners_sim::trace::Trace;
 use diners_sim::tracing::CausalTracer;
 use diners_sim::workload::{AlwaysHungry, BernoulliWorkload, QuotaWorkload};
+use reference_engine::ReferenceEngine;
 
 type Builder = EngineBuilder<MaliciousCrashDiners>;
 
@@ -37,17 +42,25 @@ fn stress_plan() -> FaultPlan {
         .transient_local(320, 0)
 }
 
-fn build(
-    mode: EnumerationMode,
-    attach: impl FnOnce(Builder) -> Builder,
-) -> Engine<MaliciousCrashDiners> {
+fn build(attach: impl FnOnce(Builder) -> Builder) -> Engine<MaliciousCrashDiners> {
     let b = Engine::builder(MaliciousCrashDiners::paper(), Topology::ring(6))
         .workload(BernoulliWorkload::new(5, 1, 3))
         .scheduler(RandomScheduler::new(5))
         .faults(stress_plan())
-        .seed(5)
-        .enumeration(mode);
+        .seed(5);
     attach(b).build()
+}
+
+/// `b` with its scheduler replaced by one that reports to a from-scratch
+/// reference, which is attached too.
+fn checked(b: Builder) -> Builder {
+    let (reference, sched) = ReferenceEngine::new(
+        MaliciousCrashDiners::paper(),
+        BernoulliWorkload::new(5, 1, 3),
+        RandomScheduler::new(5),
+        RandomScheduler::new(5),
+    );
+    b.scheduler(sched).observe(reference)
 }
 
 /// Step `a` and `b` in lockstep and demand identical runs; returns the
@@ -73,31 +86,27 @@ fn assert_lockstep(
 
 #[test]
 fn telemetry_never_perturbs_the_run() {
-    // Same mode, with vs without telemetry.
-    for mode in [EnumerationMode::Naive, EnumerationMode::Incremental] {
-        assert_lockstep(
-            build(mode, |b| b),
-            build(mode, |b| b.observe(Telemetry::new())),
-            600,
-            &format!("{mode:?} bare vs telemetry"),
-        );
-    }
-    // Cross: naive + telemetry vs incremental + bare — telemetry must
-    // not break the modes' bit-identity either.
+    // With vs without telemetry.
     assert_lockstep(
-        build(EnumerationMode::Naive, |b| b.observe(Telemetry::new())),
-        build(EnumerationMode::Incremental, |b| b),
+        build(|b| b),
+        build(|b| b.observe(Telemetry::new())),
         600,
-        "naive+telemetry vs incremental bare",
+        "bare vs telemetry",
+    );
+    // Telemetry next to the from-scratch reference, which checks every
+    // step of the observed run, against a bare engine.
+    assert_lockstep(
+        build(|b| checked(b).observe(Telemetry::new())),
+        build(|b| b),
+        600,
+        "reference+telemetry vs bare",
     );
     // A sink that records every event is still invisible to the run.
     assert_lockstep(
-        build(EnumerationMode::Incremental, |b| b),
-        build(EnumerationMode::Incremental, |b| {
-            b.observe(Telemetry::with_sink(RingSink::new(1 << 16)))
-        }),
+        build(|b| b),
+        build(|b| b.observe(Telemetry::with_sink(RingSink::new(1 << 16)))),
         600,
-        "incremental bare vs ring sink",
+        "bare vs ring sink",
     );
 }
 
@@ -105,9 +114,7 @@ fn telemetry_never_perturbs_the_run() {
 fn telemetry_counters_agree_with_the_trace() {
     // The trace is the ground truth the rest of the suite trusts; the
     // telemetry action counters must say exactly the same thing.
-    let mut engine = build(EnumerationMode::Incremental, |b| {
-        b.observe(Telemetry::new()).observe(Trace::new())
-    });
+    let mut engine = build(|b| b.observe(Telemetry::new()).observe(Trace::new()));
     engine.run(800);
     let counts = engine
         .observer::<Trace>()
@@ -138,8 +145,7 @@ fn lockstep_configs_under_quiet_fault_free_runs_too() {
         let mut b = Engine::builder(MaliciousCrashDiners::corrected(), Topology::line(5))
             .workload(AlwaysHungry)
             .scheduler(LeastRecentScheduler::new())
-            .seed(9)
-            .enumeration(EnumerationMode::Incremental);
+            .seed(9);
         if let Some(t) = tele {
             b = b.observe(t);
         }
@@ -179,12 +185,10 @@ impl<A: DinerAlgorithm> StepObserver<A> for EventLog {
 fn an_external_observer_sees_every_fault_and_move_in_order() {
     let steps = 600;
     let (outcomes, mut observed) = assert_lockstep(
-        build(EnumerationMode::Incremental, |b| b),
-        build(EnumerationMode::Incremental, |b| {
-            b.observe(EventLog::default())
-        }),
+        build(|b| b),
+        build(|b| b.observe(EventLog::default())),
         steps,
-        "incremental bare vs external observer",
+        "bare vs external observer",
     );
 
     // Expected: at each step, the faults the plan schedules there (in

@@ -1,17 +1,16 @@
 //! `dinerlab` — command-line laboratory for the malicious-crash diners.
 //!
 //! ```text
-//! dinerlab fig2
 //! dinerlab run       [--topo ring:16] [--steps 50000] [--seed 42] [--crash 5@2000:16]
 //! dinerlab stabilize [--topo grid:4x4] [--seed 1] [--corrected]
 //! dinerlab locality  [--n 16] [--no-threshold]
 //! ```
 //!
-//! Argument parsing is intentionally dependency-free.
+//! Argument parsing is intentionally dependency-free. Bad arguments exit
+//! 2 with a message. The paper's Figure 2 is `exp fig2`.
 
 use std::process::exit;
 
-use malicious_diners::core::figures::run_figure2;
 use malicious_diners::core::harness::stabilization_steps;
 use malicious_diners::core::locality::measure_window;
 use malicious_diners::core::redgreen::Colors;
@@ -25,13 +24,12 @@ fn usage() -> ! {
         "usage: dinerlab <command> [options]\n\
          \n\
          commands:\n\
-         \x20 fig2                         replay the paper's Figure 2\n\
          \x20 run        simulate with optional malicious crash\n\
          \x20 stabilize  measure convergence from an arbitrary state\n\
          \x20 locality   measure the starvation radius around a crash\n\
          \n\
          options:\n\
-         \x20 --topo <ring|line|star|complete>:<n> | grid:<w>x<h>   (default ring:16)\n\
+         \x20 --topo <ring|line|star|complete|tree>:<n> | grid:<w>x<h>   (default ring:16)\n\
          \x20 --steps <u64>          simulation steps (default 50000)\n\
          \x20 --seed <u64>           RNG seed (default 42)\n\
          \x20 --crash <pid>@<step>:<k>   malicious crash: k arbitrary steps\n\
@@ -39,6 +37,12 @@ fn usage() -> ! {
          \x20 --no-threshold         disable the dynamic threshold (ablation)\n\
          \x20 --n <usize>            size for `locality` (default 16)"
     );
+    exit(2)
+}
+
+/// Exit 2 with `msg`.
+fn fail(msg: &str) -> ! {
+    eprintln!("dinerlab: {msg}");
     exit(2)
 }
 
@@ -50,22 +54,6 @@ struct Opts {
     corrected: bool,
     no_threshold: bool,
     n: usize,
-}
-
-fn parse_topo(spec: &str) -> Option<Topology> {
-    let (kind, rest) = spec.split_once(':')?;
-    match kind {
-        "ring" => Some(Topology::ring(rest.parse().ok()?)),
-        "line" => Some(Topology::line(rest.parse().ok()?)),
-        "star" => Some(Topology::star(rest.parse().ok()?)),
-        "complete" => Some(Topology::complete(rest.parse().ok()?)),
-        "tree" => Some(Topology::binary_tree(rest.parse().ok()?)),
-        "grid" => {
-            let (w, h) = rest.split_once('x')?;
-            Some(Topology::grid(w.parse().ok()?, h.parse().ok()?))
-        }
-        _ => None,
-    }
 }
 
 fn parse_crash(spec: &str) -> Option<(usize, u64, u32)> {
@@ -93,7 +81,7 @@ fn parse(args: &[String]) -> Opts {
         };
         match args[i].as_str() {
             "--topo" => {
-                o.topo = parse_topo(need(i)).unwrap_or_else(|| usage());
+                o.topo = Topology::from_spec(need(i)).unwrap_or_else(|e| fail(&e));
                 i += 2;
             }
             "--steps" => {
@@ -110,6 +98,9 @@ fn parse(args: &[String]) -> Opts {
             }
             "--n" => {
                 o.n = need(i).parse().unwrap_or_else(|_| usage());
+                if o.n == 0 {
+                    fail("--n must be at least 1");
+                }
                 i += 2;
             }
             "--corrected" => {
@@ -138,25 +129,13 @@ fn algorithm(o: &Opts) -> MaliciousCrashDiners {
     MaliciousCrashDiners::with_variant(v)
 }
 
-fn cmd_fig2() {
-    let report = run_figure2();
-    for line in &report.narrative {
-        println!("{line}");
-    }
-    println!(
-        "\nall properties reproduced: {} (radius {:?})",
-        report.all_reproduced(),
-        report.affected_radius
-    );
-    if !report.all_reproduced() {
-        exit(1);
-    }
-}
-
 fn cmd_run(o: &Opts) {
     let mut faults = FaultPlan::none();
     if let Some((pid, step, k)) = o.crash {
         faults = faults.malicious_crash(step, pid, k);
+    }
+    if let Err(e) = faults.check_targets(o.topo.len()) {
+        fail(&format!("--crash: {e}"));
     }
     let mut engine = Engine::builder(algorithm(o), o.topo.clone())
         .scheduler(RandomScheduler::new(o.seed))
@@ -233,7 +212,6 @@ fn main() {
     let Some(cmd) = args.first() else { usage() };
     let opts = parse(&args[1..]);
     match cmd.as_str() {
-        "fig2" => cmd_fig2(),
         "run" => cmd_run(&opts),
         "stabilize" => cmd_stabilize(&opts),
         "locality" => cmd_locality(&opts),

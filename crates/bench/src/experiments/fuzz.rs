@@ -48,6 +48,7 @@ use diners_core::MaliciousCrashDiners;
 
 use super::{json_object, json_rows, Report};
 use crate::common::Scale;
+use crate::timing::{self, Timed};
 
 /// A shrunk, replay-certified counterexample ready to write to disk.
 struct ShrunkArtifact {
@@ -70,11 +71,15 @@ struct ShrunkArtifact {
 struct ThroughputCase {
     case: String,
     states: usize,
-    bfs_sps: f64,
-    lasso_sps: f64,
-    ratio: f64,
+    /// The safety BFS's and the lasso search's rates; the lasso's ratio
+    /// is to the BFS.
+    bfs: Timed,
+    lasso: Timed,
     certified: bool,
 }
+
+/// Rounds of each lasso/BFS ratio, a whole search per sample.
+const LASSO_ROUNDS: usize = 5;
 
 /// Run both searches from the same deterministically corrupted root.
 /// Tree topologies only: their corruption closures are finite (EXIT is
@@ -98,12 +103,12 @@ fn throughput_case(label: &str, alg: &MaliciousCrashDiners, topo: &Topology) -> 
         max_states: 5_000_000,
     };
     let invariant = Invariant::for_algorithm(alg);
-    // Best of three per side: one sweep over these graphs takes tens of
-    // milliseconds, where scheduler jitter alone can swing a single-shot
-    // ratio by 2x.
-    let bfs = (0..3)
-        .map(|_| {
-            explore_with(
+    // One sweep over these graphs takes tens of milliseconds, where
+    // scheduler jitter alone can swing a single-shot ratio by 2x.
+    let (mut bfs, mut lasso) = (None, None);
+    let timed = timing::alternate(2, LASSO_ROUNDS, |c| {
+        if c == 0 {
+            let report = explore_with(
                 alg,
                 topo,
                 root.clone(),
@@ -121,18 +126,10 @@ fn throughput_case(label: &str, alg: &MaliciousCrashDiners, topo: &Topology) -> 
                     reduction: Reduction::Packed,
                     threads: 1,
                 },
-            )
-        })
-        .max_by(|a, b| a.states_per_sec().total_cmp(&b.states_per_sec()))
-        .expect("three runs");
-    assert!(!bfs.truncated, "{label}: BFS hit the state cap");
-    assert!(
-        bfs.violation.is_none(),
-        "{label}: exclusion must hold within I"
-    );
-    let lasso = (0..3)
-        .map(|_| {
-            check_liveness(
+            );
+            bfs.insert(report).states_per_sec()
+        } else {
+            let report = check_liveness(
                 alg,
                 topo,
                 root.clone(),
@@ -143,10 +140,16 @@ fn throughput_case(label: &str, alg: &MaliciousCrashDiners, topo: &Topology) -> 
                     limits,
                     reduction: Reduction::Packed,
                 },
-            )
-        })
-        .max_by(|a, b| a.states_per_sec().total_cmp(&b.states_per_sec()))
-        .expect("three runs");
+            );
+            lasso.insert(report).states_per_sec()
+        }
+    });
+    let (bfs, lasso) = (bfs.expect("sampled"), lasso.expect("sampled"));
+    assert!(!bfs.truncated, "{label}: BFS hit the state cap");
+    assert!(
+        bfs.violation.is_none(),
+        "{label}: exclusion must hold within I"
+    );
     assert!(!lasso.truncated, "{label}: lasso search hit the state cap");
     assert_eq!(
         bfs.states, lasso.states,
@@ -156,18 +159,11 @@ fn throughput_case(label: &str, alg: &MaliciousCrashDiners, topo: &Topology) -> 
         lasso.certified(),
         "{label}: corrupted tree root must converge to I under weak fairness"
     );
-
-    let ratio = if bfs.states_per_sec() > 0.0 {
-        lasso.states_per_sec() / bfs.states_per_sec()
-    } else {
-        1.0
-    };
     ThroughputCase {
         case: format!("{label}-{}", topo.name()),
         states: bfs.states,
-        bfs_sps: bfs.states_per_sec(),
-        lasso_sps: lasso.states_per_sec(),
-        ratio,
+        bfs: timed[0],
+        lasso: timed[1],
         certified: lasso.certified(),
     }
 }
@@ -465,10 +461,6 @@ fn run_greedy_campaign(
 pub fn run(scale: &Scale) -> Report {
     let quick = scale.quick;
     let mut failures = Vec::new();
-    // Warm up the allocator and caches before anything is timed: the
-    // first search in a fresh process runs measurably colder than the
-    // rest, which would bias whichever side happens to go first.
-    let _ = throughput_case("warmup", &MaliciousCrashDiners::paper(), &Topology::line(3));
 
     // Half 1: throughput.
     let cases = if quick {
@@ -509,40 +501,52 @@ pub fn run(scale: &Scale) -> Report {
         ]
     };
     let mut tp_table = Table::new(
-        "T15: liveness lasso search vs safety BFS (packed, corrupted root)".to_string(),
+        format!(
+            "T15: liveness lasso search vs safety BFS (packed, corrupted root, \
+             median of {LASSO_ROUNDS} rounds)"
+        ),
         [
             "case",
             "states",
             "bfs st/s",
             "lasso st/s",
             "ratio",
+            "IQR",
             "certified",
         ],
     );
     let mut json_tp = Vec::new();
     for (label, alg, topo) in &cases {
         let c = throughput_case(label, alg, topo);
-        if !quick && c.ratio < 0.5 {
+        if !quick && c.lasso.ratio < 0.5 {
             failures.push(format!(
                 "{}: lasso throughput {:.2}x of BFS, below the 2x floor",
-                c.case, c.ratio
+                c.case, c.lasso.ratio
             ));
         }
         tp_table.row([
             c.case.clone(),
             c.states.to_string(),
-            fmt_f64(c.bfs_sps, 0),
-            fmt_f64(c.lasso_sps, 0),
-            fmt_f64(c.ratio, 2),
+            fmt_f64(c.bfs.rate, 0),
+            fmt_f64(c.lasso.rate, 0),
+            fmt_f64(c.lasso.ratio, 2),
+            fmt_f64(c.lasso.iqr, 2),
             c.certified.to_string(),
         ]);
         json_tp.push(format!(
             concat!(
                 "{{\"case\":\"{}\",\"states\":{},",
                 "\"bfs_states_per_sec\":{:.1},\"lasso_states_per_sec\":{:.1},",
-                "\"ratio\":{:.3},\"certified\":{}}}"
+                "\"rounds\":{},\"ratio\":{:.3},\"ratio_iqr\":{:.3},\"certified\":{}}}"
             ),
-            c.case, c.states, c.bfs_sps, c.lasso_sps, c.ratio, c.certified,
+            c.case,
+            c.states,
+            c.bfs.rate,
+            c.lasso.rate,
+            LASSO_ROUNDS,
+            c.lasso.ratio,
+            c.lasso.iqr,
+            c.certified,
         ));
     }
 

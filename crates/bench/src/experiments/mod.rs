@@ -4,9 +4,13 @@
 //! prints, writes files and turns failures into the exit code. The
 //! integration suite re-runs everything at [`crate::common::Scale::quick`].
 
-use diners_sim::table::Table;
+use std::time::Duration;
+
+use diners_sim::graph::Topology;
+use diners_sim::table::{fmt_f64, Table};
 
 use crate::common::Scale;
+use crate::timing::{self, slice_rate, Timed};
 
 pub mod analyze;
 pub mod chaos;
@@ -139,6 +143,57 @@ pub(crate) fn json_object(fields: &[(&str, String)]) -> String {
 /// Render pre-rendered JSON objects as an array, one object per line.
 pub(crate) fn json_rows(rows: &[String]) -> String {
     format!("[\n    {}\n  ]", rows.join(",\n    "))
+}
+
+/// An overhead section of T11, T12 or T16: `systems` on `topo`, the first
+/// of them bare, each advanced `n` steps by `step(system, n)` and timed
+/// side by side on long-lived instances over `rounds` rounds of one
+/// `slice` each. Returns the table, the JSON rows and each system's
+/// summary; a row's cost is its median per-round slowdown against the
+/// bare system in percent, with that slowdown's interquartile range in
+/// points.
+pub(crate) fn overhead<S, R>(
+    what: &str,
+    topo: &Topology,
+    (rounds, slice): (usize, Duration),
+    systems: Vec<(String, S)>,
+    step: impl Fn(&mut S, u64) -> R,
+) -> (Table, String, Vec<Timed>) {
+    let (labels, mut systems): (Vec<String>, Vec<S>) = systems.into_iter().unzip();
+    let timed = timing::alternate(systems.len(), rounds, |c| {
+        slice_rate(slice, |n| step(&mut systems[c], n))
+    });
+    let mut table = Table::new(
+        format!(
+            "{what}, {} (median of {rounds} rounds × {slice:?})",
+            topo.name()
+        ),
+        ["config", "steps/sec", "overhead %", "IQR (points)"],
+    );
+    let mut rows = Vec::new();
+    for (label, t) in labels.iter().zip(&timed) {
+        let (pct, iqr) = (t.overhead_pct(), t.iqr * 100.0);
+        table.row([
+            label.clone(),
+            fmt_f64(t.rate, 0),
+            fmt_f64(pct, 1),
+            fmt_f64(iqr, 1),
+        ]);
+        rows.push(format!(
+            concat!(
+                "{{\"topology\":\"{}\",\"config\":\"{}\",\"rounds\":{},\"slice_ms\":{},",
+                "\"steps_per_sec\":{:.1},\"overhead_pct\":{:.2},\"overhead_iqr\":{:.2}}}"
+            ),
+            topo.name(),
+            label,
+            rounds,
+            slice.as_millis(),
+            t.rate,
+            pct,
+            iqr,
+        ));
+    }
+    (table, json_rows(&rows), timed)
 }
 
 /// Read back `(label, object text)` for every flat JSON object whose

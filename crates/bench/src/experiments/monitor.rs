@@ -26,14 +26,13 @@ use std::time::Duration;
 
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::{ProcessId, Topology};
-use diners_sim::table::{fmt_f64, Table};
+use diners_sim::table::Table;
 use diners_sim::telemetry::AlertKind;
 use diners_sim::{MetricsServer, Phase};
 
 use diners_mp::{AdversaryPlan, MonitorSetup, SimNet};
 
-use super::perf::steps_per_sec;
-use super::{json_object, json_rows, known_flags, opt, Report};
+use super::{json_object, json_rows, known_flags, opt, overhead, Report};
 use crate::common::Scale;
 
 /// Build one monitored net for the detection section.
@@ -336,88 +335,6 @@ fn fp_section(quick: bool, json: &mut Vec<String>) -> (Table, usize, usize, usiz
     (table, healthy_runs, false_positives, cutless_runs)
 }
 
-fn overhead_net(topo: &Topology, epoch_every: Option<u64>) -> SimNet {
-    let mut net = SimNet::new(topo.clone(), FaultPlan::none(), 7);
-    if let Some(every) = epoch_every {
-        net.enable_monitor(MonitorSetup {
-            epoch_every: every,
-            ..MonitorSetup::default()
-        });
-    }
-    net
-}
-
-fn overhead_section(quick: bool, json: &mut Vec<String>) -> (Table, f64) {
-    let (budget, reps) = if quick {
-        (Duration::from_millis(60), 8)
-    } else {
-        (Duration::from_millis(100), 15)
-    };
-    let topo = if quick {
-        Topology::ring(64)
-    } else {
-        Topology::ring(256)
-    };
-    // Epoch cadences scale with the ring: a full snapshot round costs
-    // Θ(n²) (every participant contributes an n-entry clock), so the
-    // sane operating point for a large net is a round every ~20 actions
-    // per node. The aggressive ~2-actions-per-node cadence is measured
-    // and reported alongside so the per-round cost stays visible.
-    let n = topo.len() as u64;
-    let (aggressive, operating) = (2 * n, 20 * n);
-    // Many short interleaved trials, best-of per configuration: the
-    // plane's cost is deterministic but the machine drifts through fast
-    // and slow phases that dwarf it, so each config needs enough shots
-    // spread across the whole window to catch the fast state (T12's
-    // methodology, with shorter trials and more of them).
-    let configs = [None, Some(aggressive), Some(operating)];
-    let mut peak = [0.0f64; 3];
-    for _ in 0..reps {
-        for (slot, every) in configs.iter().enumerate() {
-            let rate = steps_per_sec(&mut overhead_net(&topo, *every), budget).0;
-            peak[slot] = peak[slot].max(rate);
-        }
-    }
-    let [bare, hot, steady] = peak;
-    let pct = |with: f64| (bare - with) / bare * 100.0;
-    let mut table = Table::new(
-        format!(
-            "T16: monitoring overhead, {} (interleaved best of {reps} × {budget:?})",
-            topo.name()
-        ),
-        ["config", "steps/sec", "overhead %"],
-    );
-    table.row(["unmonitored".to_string(), fmt_f64(bare, 0), "-".into()]);
-    table.row([
-        format!("monitored, epoch every {aggressive} (~2 acts/node)"),
-        fmt_f64(hot, 0),
-        fmt_f64(pct(hot), 1),
-    ]);
-    table.row([
-        format!("monitored, epoch every {operating} (~20 acts/node)"),
-        fmt_f64(steady, 0),
-        fmt_f64(pct(steady), 1),
-    ]);
-    json.push(format!(
-        concat!(
-            "{{\"topology\":\"{}\",\"bare_steps_per_sec\":{:.1},",
-            "\"aggressive_epoch_every\":{},\"aggressive_steps_per_sec\":{:.1},",
-            "\"aggressive_overhead_pct\":{:.2},",
-            "\"operating_epoch_every\":{},\"operating_steps_per_sec\":{:.1},",
-            "\"monitor_overhead_pct\":{:.2}}}"
-        ),
-        topo.name(),
-        bare,
-        aggressive,
-        hot,
-        pct(hot),
-        operating,
-        steady,
-        pct(steady),
-    ));
-    (table, pct(steady))
-}
-
 /// Run the T16 sweep. `quick` shrinks topologies, horizons, seed counts
 /// and budgets so the sweep fits in integration tests and CI smoke runs.
 /// An unalerted injection, a hard alert on a healthy run or a run with
@@ -427,13 +344,49 @@ pub fn run(scale: &Scale) -> Report {
     let quick = scale.quick;
     let mut det_json = Vec::new();
     let mut fp_json = Vec::new();
-    let mut ovh_json = Vec::new();
 
     // Overhead first: it is a wall-clock measurement, and running it in
     // a pristine process (before the detection and FP sections churn the
     // heap with hundreds of throwaway nets) keeps the allocator state of
     // the monitored and unmonitored timings representative.
-    let (overhead, overhead_pct) = overhead_section(quick, &mut ovh_json);
+    let topo = Topology::ring(if quick { 64 } else { 256 });
+    // Epoch cadences scale with the ring: a full snapshot round costs
+    // Θ(n²) (every participant contributes an n-entry clock), so the
+    // sane operating point for a large net is a round every ~20 actions
+    // per node. The aggressive ~2-actions-per-node cadence is measured
+    // and reported alongside so the per-round cost stays visible.
+    let n = topo.len() as u64;
+    let monitored = |epoch_every| {
+        let mut net = SimNet::new(topo.clone(), FaultPlan::none(), 7);
+        net.enable_monitor(MonitorSetup {
+            epoch_every,
+            ..MonitorSetup::default()
+        });
+        (
+            format!(
+                "monitored, epoch every {epoch_every} (~{} acts/node)",
+                epoch_every / n
+            ),
+            net,
+        )
+    };
+    let (overhead, ovh_json, timed) = overhead(
+        "T16: monitoring overhead",
+        &topo,
+        // A gated row: enough rounds that a few seconds of host noise
+        // cannot move its median by a point.
+        (240, Duration::from_millis(10)),
+        vec![
+            (
+                "unmonitored".into(),
+                SimNet::new(topo.clone(), FaultPlan::none(), 7),
+            ),
+            monitored(2 * n),
+            monitored(20 * n),
+        ],
+        SimNet::run,
+    );
+    let (overhead_pct, overhead_iqr) = (timed[2].overhead_pct(), timed[2].iqr * 100.0);
     let (detection, injected, undetected) = detection_section(quick, &mut det_json);
     let (fp, healthy_runs, false_positives, cutless_runs) = fp_section(quick, &mut fp_json);
 
@@ -444,9 +397,10 @@ pub fn run(scale: &Scale) -> Report {
         ("false_positives", false_positives.to_string()),
         ("cutless_runs", cutless_runs.to_string()),
         ("monitor_overhead_pct", format!("{overhead_pct:.2}")),
+        ("monitor_overhead_iqr", format!("{overhead_iqr:.2}")),
         ("detection", json_rows(&det_json)),
         ("fp_sweep", json_rows(&fp_json)),
-        ("overhead", ovh_json.join(",")),
+        ("overhead", ovh_json),
     ]);
     let mut report = Report {
         tables: vec![detection, fp, overhead],
@@ -466,7 +420,7 @@ pub fn run(scale: &Scale) -> Report {
         format!("only {healthy_runs} healthy runs in the sweep (need ≥ 100)")
     });
     report.check(quick || overhead_pct <= 5.0, || {
-        format!("monitoring costs {overhead_pct:.2}% (budget 5%)")
+        format!("monitoring costs {overhead_pct:.2}% (IQR {overhead_iqr:.2} points; budget 5%)")
     });
     report
 }
@@ -613,6 +567,7 @@ mod tests {
                 "\"undetected\": 0",
                 "\"false_positives\": 0",
                 "\"monitor_overhead_pct\"",
+                "\"monitor_overhead_iqr\"",
                 "\"detection\":",
                 "\"fp_sweep\":",
                 "\"overhead\":",

@@ -10,23 +10,18 @@
 //! is how fast they are. Results are also emitted as machine-readable
 //! JSON (`BENCH_engine.json`) so CI can archive them.
 //!
-//! Measurement is adaptive: each configuration runs in fixed-size step
-//! chunks until a minimum wall-clock budget is spent, then reports the
-//! observed rate — robust to machines of very different speeds without
-//! hardcoded iteration counts. The sides of each ratio (engine steps and
-//! from-scratch enumerations, small and large ring, sequential and
-//! parallel search) run back to back in a few rounds, and the row is the
-//! round with the median ratio: host drift slows every side of a round
-//! alike, and a burst of load that spoils one round is outvoted.
+//! Every ratio is timed by [`crate::timing`]: the sides (engine steps
+//! and from-scratch enumerations, small and large rings, sequential and
+//! parallel search) alternate in rounds after a warm-up round, and a row
+//! is the median per-round ratio with its interquartile range.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use diners_core::MaliciousCrashDiners;
-use diners_mp::SimNet;
-use diners_sim::algorithm::{DinerAlgorithm, SystemState};
+use diners_sim::algorithm::SystemState;
 use diners_sim::codec::StateCodec;
 use diners_sim::engine::{Engine, EngineBuilder};
-use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig};
+use diners_sim::explore::{explore_with, ExploreConfig};
 use diners_sim::fault::Health;
 use diners_sim::graph::Topology;
 use diners_sim::predicate::Snapshot;
@@ -37,53 +32,12 @@ use diners_sim::workload::AlwaysHungry;
 
 use super::{json_number, json_object, json_objects, json_rows, Report};
 use crate::common::{families, Scale};
+use crate::timing::{self, slice_rate, Timed};
 
 /// Topology family label: the `name()` prefix before the parameters,
 /// e.g. `"ring(16)"` → `"ring"`.
 fn family_of(topo: &Topology) -> &str {
     topo.name().split('(').next().unwrap_or("?")
-}
-
-/// A system that runs in bulk steps: the engine or the message-passing net.
-pub(crate) trait Steps {
-    /// Run `n` steps.
-    fn steps(&mut self, n: u64);
-}
-
-impl<A: DinerAlgorithm> Steps for Engine<A> {
-    fn steps(&mut self, n: u64) {
-        self.run(n);
-    }
-}
-
-impl Steps for SimNet {
-    fn steps(&mut self, n: u64) {
-        self.run(n);
-    }
-}
-
-/// Steps per timed chunk (and per warmup).
-const CHUNK: u64 = 1_000;
-
-/// Steps/sec of `sys`, measured adaptively: chunks of [`CHUNK`] steps
-/// until at least `budget` wall-clock has elapsed (always ≥ 1 chunk).
-pub(crate) fn steps_per_sec(sys: &mut impl Steps, budget: Duration) -> (f64, u64) {
-    sys.steps(CHUNK); // warmup: populate caches, fault state, branch predictors
-    timed_rate(sys, budget)
-}
-
-/// [`steps_per_sec`] without the warmup chunk.
-fn timed_rate(sys: &mut impl Steps, budget: Duration) -> (f64, u64) {
-    let start = Instant::now();
-    let mut steps = 0u64;
-    loop {
-        sys.steps(CHUNK);
-        steps += CHUNK;
-        let elapsed = start.elapsed();
-        if elapsed >= budget {
-            return (steps as f64 / elapsed.as_secs_f64(), steps);
-        }
-    }
 }
 
 /// The hot loop every throughput measurement shares: the paper's
@@ -95,63 +49,29 @@ pub(crate) fn bench_engine(topo: &Topology) -> EngineBuilder<MaliciousCrashDiner
         .seed(7)
 }
 
-/// Back-to-back rounds per engine measurement, and per explorer
-/// speedup (whose searches last longer).
-const ROUNDS: usize = 5;
+/// Rounds and slice of every engine timing, and rounds per explorer
+/// speedup (whose samples are whole searches).
+const ROUNDS: usize = 20;
+const SLICE: Duration = Duration::from_millis(10);
 const EXPLORE_ROUNDS: usize = 3;
 
-/// The run with the median `key`.
-fn median_by<T>(mut runs: Vec<T>, key: impl Fn(&T) -> f64) -> T {
-    runs.sort_by(|a, b| key(a).total_cmp(&key(b)));
-    let mid = runs.len() / 2;
-    runs.swap_remove(mid)
-}
-
-/// [`bench_engine`] after one warmup chunk, as in [`steps_per_sec`].
-fn warm_engine(topo: &Topology) -> Engine<MaliciousCrashDiners> {
+/// From-scratch enumerations/sec (configuration 0) and incremental
+/// steps/sec on `topo`, each on its own engine from the same start: the
+/// engine row's sides. [`Engine::enabled_moves`] evaluates every guard of
+/// every process and touches neither the enabled index nor the
+/// scheduler, fault or execution code, so it normalises the host's speed
+/// without moving when the step path does.
+fn engine_cell(topo: &Topology) -> Vec<Timed> {
+    let sweep = bench_engine(topo).build();
     let mut engine = bench_engine(topo).build();
-    engine.steps(CHUNK);
-    engine
-}
-
-/// From-scratch enumerations of one engine's state, timed like steps:
-/// the denominator of T10's engine rows. [`Engine::enabled_moves`]
-/// evaluates every guard of every process and touches neither the
-/// enabled index nor the scheduler, fault or execution code, so it
-/// normalises the host's speed without moving when the step path does.
-struct Enumerations(Engine<MaliciousCrashDiners>);
-
-impl Steps for Enumerations {
-    fn steps(&mut self, n: u64) {
-        for _ in 0..n {
-            std::hint::black_box(self.0.enabled_moves());
-        }
-    }
-}
-
-/// `(steps/sec, steps)` of each engine in one round: a slice of `slice`
-/// per engine, back to back, so that the rates share the host's state.
-fn round(engines: &mut [Engine<MaliciousCrashDiners>], slice: Duration) -> Vec<(f64, u64)> {
-    engines.iter_mut().map(|e| timed_rate(e, slice)).collect()
-}
-
-/// From-scratch `(enumerations/sec, enumerations)` and incremental
-/// `(steps/sec, steps)` on `topo`, from the round (of [`ROUNDS`], each a
-/// `budget / ROUNDS` slice per side) with the median steps per
-/// enumeration. Both sides start from the same warmed-up state.
-fn engine_cell(topo: &Topology, budget: Duration) -> [(f64, u64); 2] {
-    let slice = budget / ROUNDS as u32;
-    let mut sweep = Enumerations(warm_engine(topo));
-    let mut engine = warm_engine(topo);
-    let rounds = (0..ROUNDS)
-        .map(|_| {
-            [
-                timed_rate(&mut sweep, slice),
-                timed_rate(&mut engine, slice),
-            ]
-        })
-        .collect();
-    median_by(rounds, |r| r[1].0 / r[0].0)
+    timing::alternate(2, ROUNDS, |c| match c {
+        0 => slice_rate(SLICE, |n| {
+            for _ in 0..n {
+                std::hint::black_box(sweep.enabled_moves());
+            }
+        }),
+        _ => slice_rate(SLICE, |n| engine.run(n)),
+    })
 }
 
 /// The ring whose rate the `--check` floor bounds, and the floor: its
@@ -161,90 +81,91 @@ const SCALING_GATE_N: usize = 1024;
 const SCALING_FLOOR: f64 = 0.25;
 
 /// Incremental steps/sec on rings of 16, 1024 and (full runs) 4096
-/// processes over [`ROUNDS`] rounds of a `budget / ROUNDS` slice per
-/// ring: per ring the median rate and the median of its per-round ratios
-/// to ring(16), as a table and JSON rows keyed by `"scaling"` (so
+/// processes: per ring the median rate and the median of its per-round
+/// ratio to ring(16), as a table and JSON rows keyed by `"scaling"` (so
 /// [`engine_entries`] skips them).
-fn scaling(quick: bool, budget: Duration) -> (Table, Vec<String>) {
+fn scaling(quick: bool) -> (Table, Vec<String>) {
     let sizes: &[usize] = if quick {
         &[16, 1024]
     } else {
         &[16, 1024, 4096]
     };
     let rings: Vec<Topology> = sizes.iter().map(|&n| Topology::ring(n)).collect();
-    let mut engines: Vec<_> = rings.iter().map(warm_engine).collect();
-    let rounds: Vec<Vec<(f64, u64)>> = (0..ROUNDS)
-        .map(|_| round(&mut engines, budget / ROUNDS as u32))
-        .collect();
+    let mut engines: Vec<_> = rings.iter().map(|t| bench_engine(t).build()).collect();
+    let timed = timing::alternate(engines.len(), ROUNDS, |c| {
+        slice_rate(SLICE, |n| engines[c].run(n))
+    });
     let mut table = Table::new(
-        format!("T10: incremental steps/sec by ring size (median of {ROUNDS} rounds)"),
-        ["family", "n", "incr st/s", "vs ring(16)"],
+        format!("T10: incremental steps/sec by ring size (median of {ROUNDS} rounds × {SLICE:?})"),
+        ["family", "n", "incr st/s", "vs ring(16)", "IQR"],
     );
     let mut rows = Vec::new();
-    for (i, topo) in rings.iter().enumerate() {
-        let rate = median_by(rounds.iter().map(|r| r[i].0).collect(), |&x| x);
-        let ratio = median_by(rounds.iter().map(|r| r[i].0 / r[0].0).collect(), |&x| x);
+    for (topo, t) in rings.iter().zip(&timed) {
         table.row([
             "ring".to_string(),
             topo.len().to_string(),
-            fmt_f64(rate, 0),
-            fmt_f64(ratio, 2),
+            fmt_f64(t.rate, 0),
+            fmt_f64(t.ratio, 2),
+            fmt_f64(t.iqr, 2),
         ]);
         rows.push(format!(
             concat!(
                 "{{\"scaling\":\"ring\",\"n\":{},\"incremental_steps_per_sec\":{:.1},",
-                "\"rounds\":{},\"ratio_to_n16\":{:.3}}}"
+                "\"rounds\":{},\"ratio_to_n16\":{:.3},\"ratio_iqr\":{:.3}}}"
             ),
             topo.len(),
-            rate,
+            t.rate,
             ROUNDS,
-            ratio,
+            t.ratio,
+            t.iqr,
         ));
     }
     (table, rows)
 }
 
-/// Full search of `alg` on `topo` from the initial state, everyone live
-/// and hungry, with `threads` workers.
-fn explore_initial<A>(alg: &A, topo: &Topology, threads: usize) -> ExplorationReport
+/// States/sec of full searches of `alg` on `topo` from the initial state,
+/// everyone live and hungry: sequential (configuration 0) and with
+/// `threads` workers, and the state count of every search. On a
+/// single-core host `explore_with` clamps to the sequential path, so a
+/// second configuration would only time noise (a committed baseline once
+/// showed a fictitious 0.86x "slowdown" this way): only the sequential
+/// one runs, and its ratio to itself is the honest 1.0 speedup.
+fn explore_timed<A>(alg: &A, topo: &Topology, threads: usize) -> (Vec<usize>, Vec<Timed>)
 where
     A: StateCodec + Sync,
     A::Local: Send + Sync,
     A::Edge: Send + Sync,
 {
     let n = topo.len();
-    explore_with(
-        alg,
-        topo,
-        SystemState::initial(alg, topo),
-        &vec![Health::Live; n],
-        &vec![true; n],
-        |_: &Snapshot<'_, A>| true,
-        ExploreConfig {
-            threads,
-            ..ExploreConfig::default()
-        },
-    )
-}
-
-/// Parallel over sequential states/sec (1.0 for an empty search).
-fn speedup_of(seq: &ExplorationReport, par: &ExplorationReport) -> f64 {
-    if seq.states_per_sec() > 0.0 {
-        par.states_per_sec() / seq.states_per_sec()
+    let configs = if threads > 1 {
+        vec![1, threads]
     } else {
-        1.0
-    }
+        vec![1]
+    };
+    let mut states = Vec::new();
+    let timed = timing::alternate(configs.len(), EXPLORE_ROUNDS, |c| {
+        let report = explore_with(
+            alg,
+            topo,
+            SystemState::initial(alg, topo),
+            &vec![Health::Live; n],
+            &vec![true; n],
+            |_: &Snapshot<'_, A>| true,
+            ExploreConfig {
+                threads: configs[c],
+                ..ExploreConfig::default()
+            },
+        );
+        states.push(report.states);
+        report.states_per_sec()
+    });
+    (states, timed)
 }
 
-/// Run the T10 sweep. `quick` shrinks sizes and time budgets so the
-/// sweep fits in integration tests and CI smoke runs.
+/// Run the T10 sweep. `quick` shrinks sizes so the sweep fits in
+/// integration tests and CI smoke runs.
 pub fn run(scale: &Scale) -> Report {
     let quick = scale.quick;
-    let budget = if quick {
-        Duration::from_millis(100)
-    } else {
-        Duration::from_millis(500)
-    };
     let sizes: &[usize] = if quick { &[16, 64] } else { &[16, 64, 256] };
     let threads = std::thread::available_parallelism()
         .map(|t| t.get())
@@ -253,45 +174,50 @@ pub fn run(scale: &Scale) -> Report {
     let mut engine_table = Table::new(
         format!(
             "T10: incremental steps per from-scratch enumeration \
-             (budget {budget:?}/cell, median of {ROUNDS} rounds)"
+             (median of {ROUNDS} rounds × {SLICE:?})"
         ),
-        ["family", "n", "enum/s", "incr st/s", "steps/enum"],
+        ["family", "n", "enum/s", "incr st/s", "steps/enum", "IQR"],
     );
     let mut json_engine = Vec::new();
 
     for &n in sizes {
         for topo in families(n, 42) {
-            let [(enum_rate, enums), (incr_rate, incr_steps)] = engine_cell(&topo, budget);
+            let [sweep, incr] = engine_cell(&topo)[..] else {
+                unreachable!("two configurations")
+            };
             engine_table.row([
                 family_of(&topo).to_string(),
                 topo.len().to_string(),
-                fmt_f64(enum_rate, 0),
-                fmt_f64(incr_rate, 0),
-                fmt_f64(incr_rate / enum_rate, 2),
+                fmt_f64(sweep.rate, 0),
+                fmt_f64(incr.rate, 0),
+                fmt_f64(incr.ratio, 2),
+                fmt_f64(incr.iqr, 2),
             ]);
             json_engine.push(format!(
                 concat!(
-                    "{{\"family\":\"{}\",\"n\":{},",
-                    "\"enumerations_per_sec\":{:.1},\"enumerations\":{},",
-                    "\"incremental_steps_per_sec\":{:.1},\"incremental_steps\":{},",
-                    "\"steps_per_enumeration\":{:.3}}}"
+                    "{{\"family\":\"{}\",\"n\":{},\"enumerations_per_sec\":{:.1},",
+                    "\"incremental_steps_per_sec\":{:.1},\"rounds\":{},",
+                    "\"steps_per_enumeration\":{:.3},\"ratio_iqr\":{:.3}}}"
                 ),
                 family_of(&topo),
                 topo.len(),
-                enum_rate,
-                enums,
-                incr_rate,
-                incr_steps,
-                incr_rate / enum_rate,
+                sweep.rate,
+                incr.rate,
+                ROUNDS,
+                incr.ratio,
+                incr.iqr,
             ));
         }
     }
 
-    let (scaling_table, json_scaling) = scaling(quick, budget);
+    let (scaling_table, json_scaling) = scaling(quick);
 
     let mut explore_table = Table::new(
-        format!("T10: explorer states/sec, sequential vs {threads}-thread parallel"),
-        ["case", "states", "seq st/s", "par st/s", "speedup"],
+        format!(
+            "T10: explorer states/sec, sequential vs {threads}-thread parallel \
+             (median of {EXPLORE_ROUNDS} rounds)"
+        ),
+        ["case", "states", "seq st/s", "par st/s", "speedup", "IQR"],
     );
     let mut json_explore = Vec::new();
 
@@ -304,60 +230,39 @@ pub fn run(scale: &Scale) -> Report {
     // 0.26–0.96 run to run.
     let toy_topo = Topology::ring(12);
     let mca_topo = Topology::line(5);
-    // On a single-core host `explore_with` clamps to the sequential
-    // path, so a second measurement would only record noise (the committed
-    // baseline once showed a fictitious 0.86x "slowdown" this way): reuse
-    // the sequential report and report the honest 1.0 speedup. Otherwise
-    // a row is the median of `EXPLORE_ROUNDS` sequential/parallel pairs.
-    let measure = |run: &dyn Fn(usize) -> ExplorationReport| {
-        if threads <= 1 {
-            let seq = run(1);
-            (seq.clone(), seq)
-        } else {
-            let rounds = (0..EXPLORE_ROUNDS)
-                .map(|_| (run(1), run(threads)))
-                .collect();
-            median_by(rounds, |(seq, par)| speedup_of(seq, par))
-        }
-    };
-    let mca = MaliciousCrashDiners::paper();
-    let (toy_seq, toy_par) = measure(&|t| explore_initial(&ToyDiners, &toy_topo, t));
-    let (mca_seq, mca_par) = measure(&|t| explore_initial(&mca, &mca_topo, t));
-    let cases: [(String, ExplorationReport, ExplorationReport); 2] = [
-        (format!("toy-{}", toy_topo.name()), toy_seq, toy_par),
-        (format!("mca-{}", mca_topo.name()), mca_seq, mca_par),
+    let cases = [
+        (
+            format!("toy-{}", toy_topo.name()),
+            explore_timed(&ToyDiners, &toy_topo, threads),
+        ),
+        (
+            format!("mca-{}", mca_topo.name()),
+            explore_timed(&MaliciousCrashDiners::paper(), &mca_topo, threads),
+        ),
     ];
     let mut failures = Vec::new();
-    for (case, seq, par) in cases {
-        if seq.states != par.states {
+    for (case, (states, timed)) in cases {
+        if states.iter().any(|&s| s != states[0]) {
             failures.push(format!(
-                "{case}: sequential and parallel searches disagree ({} vs {} states)",
-                seq.states, par.states
+                "{case}: sequential and parallel searches disagree (states {states:?})"
             ));
         }
-        let speedup = speedup_of(&seq, &par);
+        let (seq, par) = (timed[0], timed[timed.len() - 1]);
         explore_table.row([
             case.clone(),
-            seq.states.to_string(),
-            fmt_f64(seq.states_per_sec(), 0),
-            fmt_f64(par.states_per_sec(), 0),
-            fmt_f64(speedup, 2),
+            states[0].to_string(),
+            fmt_f64(seq.rate, 0),
+            fmt_f64(par.rate, 0),
+            fmt_f64(par.ratio, 2),
+            fmt_f64(par.iqr, 2),
         ]);
         json_explore.push(format!(
             concat!(
                 "{{\"case\":\"{}\",\"states\":{},",
-                "\"seq_states_per_sec\":{:.1},\"seq_elapsed_ms\":{:.2},",
-                "\"par_states_per_sec\":{:.1},\"par_elapsed_ms\":{:.2},",
-                "\"par_threads\":{},\"speedup\":{:.3}}}"
+                "\"seq_states_per_sec\":{:.1},\"par_states_per_sec\":{:.1},",
+                "\"par_threads\":{},\"rounds\":{},\"speedup\":{:.3},\"speedup_iqr\":{:.3}}}"
             ),
-            case,
-            seq.states,
-            seq.states_per_sec(),
-            seq.elapsed.as_secs_f64() * 1e3,
-            par.states_per_sec(),
-            par.elapsed.as_secs_f64() * 1e3,
-            par.threads,
-            speedup,
+            case, states[0], seq.rate, par.rate, threads, EXPLORE_ROUNDS, par.ratio, par.iqr,
         ));
     }
 
@@ -710,12 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn median_by_keeps_the_run_with_the_middle_key() {
-        let runs = vec![(1.0, 3.0), (2.0, 1.0), (1.0, 9.0), (1.0, 1.0), (1.0, 2.0)];
-        assert_eq!(median_by(runs, |(base, new)| new / base), (1.0, 2.0));
-    }
-
-    #[test]
     fn single_core_reports_unity_explorer_speedup() {
         // On a 1-core host the parallel column must be the sequential
         // report itself (speedup exactly 1.0), not a second noisy run.
@@ -738,8 +637,8 @@ mod tests {
         let json = concat!(
             "{\n  \"engine\": [\n    ",
             "{\"family\":\"ring\",\"n\":16,\"enumerations_per_sec\":374474.3,",
-            "\"enumerations\":188000,\"incremental_steps_per_sec\":1598861.8,",
-            "\"incremental_steps\":800000,\"steps_per_enumeration\":4.270}\n  ],\n",
+            "\"incremental_steps_per_sec\":1598861.8,\"rounds\":20,",
+            "\"steps_per_enumeration\":4.270,\"ratio_iqr\":0.120}\n  ],\n",
             "  \"explore\": [\n    ",
             "{\"case\":\"toy-ring(n=12)\",\"states\":172928,\"speedup\":0.860}\n  ]\n}\n"
         );
@@ -773,6 +672,8 @@ mod tests {
                 "\"steps_per_enumeration\"",
                 "\"scaling\":",
                 "\"ratio_to_n16\"",
+                "\"ratio_iqr\"",
+                "\"speedup_iqr\"",
                 "\"seq_states_per_sec\"",
                 "\"par_states_per_sec\"",
                 "\"speedup\"",
@@ -785,13 +686,12 @@ mod tests {
         // The headline claim, at a size small enough for tests: on a ring
         // under full contention a whole incremental step must be strictly
         // cheaper than enumerating the state's moves from scratch.
-        let budget = Duration::from_millis(80);
-        let topo = Topology::ring(64);
-        let (sweep, _) = steps_per_sec(&mut Enumerations(bench_engine(&topo).build()), budget);
-        let (incr, _) = steps_per_sec(&mut bench_engine(&topo).build(), budget);
+        let timed = engine_cell(&Topology::ring(64));
         assert!(
-            incr > sweep,
-            "incremental ({incr:.0} st/s) not faster than enumeration ({sweep:.0} /s)"
+            timed[1].ratio > 1.0,
+            "incremental ({:.0} st/s) not faster than enumeration ({:.0} /s)",
+            timed[1].rate,
+            timed[0].rate
         );
     }
 }

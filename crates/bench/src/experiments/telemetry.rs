@@ -25,8 +25,8 @@ use diners_sim::table::{fmt_f64, fmt_opt, Table};
 use diners_sim::telemetry::{Histogram, RingSink, Telemetry};
 use diners_sim::toy::ToyDiners;
 
-use super::perf::{bench_engine, steps_per_sec};
-use super::{json_object, json_rows, Report};
+use super::perf::bench_engine;
+use super::{json_object, json_rows, overhead, Report};
 use crate::common::Scale;
 
 /// The T11 topology set: small instances of each family, sized so every
@@ -250,67 +250,6 @@ fn explorer_section(quick: bool, json: &mut Vec<String>) -> Table {
     table
 }
 
-fn overhead_engine(topo: &Topology, tele: Option<Telemetry>) -> Engine<MaliciousCrashDiners> {
-    match tele {
-        Some(t) => bench_engine(topo).observe(t).build(),
-        None => bench_engine(topo).build(),
-    }
-}
-
-/// The overhead table; the JSON row carries the registry-only slowdown,
-/// an upper bound on the disabled-path cost.
-fn overhead_section(quick: bool, json: &mut Vec<String>) -> Table {
-    let budget = if quick {
-        Duration::from_millis(120)
-    } else {
-        Duration::from_millis(500)
-    };
-    let topo = if quick {
-        Topology::ring(64)
-    } else {
-        Topology::ring(256)
-    };
-    let (bare, _) = steps_per_sec(&mut overhead_engine(&topo, None), budget);
-    let (registry, _) = steps_per_sec(&mut overhead_engine(&topo, Some(Telemetry::new())), budget);
-    let (sink, _) = steps_per_sec(
-        &mut overhead_engine(&topo, Some(Telemetry::with_sink(RingSink::new(4096)))),
-        budget,
-    );
-    let pct = |with: f64| (bare - with) / bare * 100.0;
-    let mut table = Table::new(
-        format!(
-            "T11: telemetry overhead, {} incremental (budget {budget:?}/cell)",
-            topo.name()
-        ),
-        ["config", "steps/sec", "overhead %"],
-    );
-    table.row(["none attached".to_string(), fmt_f64(bare, 0), "-".into()]);
-    table.row([
-        "registry only".to_string(),
-        fmt_f64(registry, 0),
-        fmt_f64(pct(registry), 1),
-    ]);
-    table.row([
-        "registry + ring sink".to_string(),
-        fmt_f64(sink, 0),
-        fmt_f64(pct(sink), 1),
-    ]);
-    json.push(format!(
-        concat!(
-            "{{\"topology\":\"{}\",\"bare_steps_per_sec\":{:.1},",
-            "\"registry_steps_per_sec\":{:.1},\"sink_steps_per_sec\":{:.1},",
-            "\"registry_overhead_pct\":{:.2},\"sink_overhead_pct\":{:.2}}}"
-        ),
-        topo.name(),
-        bare,
-        registry,
-        sink,
-        pct(registry),
-        pct(sink),
-    ));
-    table
-}
-
 /// Run the T11 sweep. `quick` shrinks topologies, seeds and budgets so
 /// the sweep fits in integration tests and CI smoke runs.
 pub fn run(scale: &Scale) -> Report {
@@ -319,13 +258,28 @@ pub fn run(scale: &Scale) -> Report {
     let mut dist_json = Vec::new();
     let mut net_json = Vec::new();
     let mut exp_json = Vec::new();
-    let mut ovh_json = Vec::new();
 
     let convergence = convergence_section(quick, &mut conv_json);
     let (disturbance, max_radius) = disturbance_section(quick, &mut dist_json);
     let network = network_section(quick, &mut net_json);
     let explorer = explorer_section(quick, &mut exp_json);
-    let overhead = overhead_section(quick, &mut ovh_json);
+    // The registry-only row bounds the disabled path's cost from above.
+    let topo = Topology::ring(if quick { 64 } else { 256 });
+    let observed = |t| bench_engine(&topo).observe(t).build();
+    let (overhead, ovh_json, _) = overhead(
+        "T11: telemetry overhead, incremental",
+        &topo,
+        (60, Duration::from_millis(10)),
+        vec![
+            ("none attached".into(), bench_engine(&topo).build()),
+            ("registry only".into(), observed(Telemetry::new())),
+            (
+                "registry + ring sink".into(),
+                observed(Telemetry::with_sink(RingSink::new(4096))),
+            ),
+        ],
+        Engine::run,
+    );
 
     let json = json_object(&[
         ("max_single_crash_radius", max_radius.to_string()),
@@ -333,7 +287,7 @@ pub fn run(scale: &Scale) -> Report {
         ("disturbance", json_rows(&dist_json)),
         ("network", json_rows(&net_json)),
         ("explore", json_rows(&exp_json)),
-        ("overhead", ovh_json.join(",")),
+        ("overhead", ovh_json),
     ]);
     let mut report = Report {
         tables: vec![convergence, disturbance, network, explorer, overhead],
@@ -379,7 +333,7 @@ mod tests {
                 "\"network\":",
                 "\"explore\":",
                 "\"overhead\":",
-                "\"registry_overhead_pct\"",
+                "\"overhead_iqr\"",
             ],
         );
     }

@@ -27,15 +27,15 @@ use diners_sim::fault::FaultPlan;
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::record::{FlightRecorder, Recording, Replayer};
 use diners_sim::scheduler::{LeastRecentScheduler, RandomScheduler, Scheduler};
-use diners_sim::table::{fmt_f64, fmt_opt, Table};
+use diners_sim::table::{fmt_opt, Table};
 use diners_sim::telemetry::Histogram;
 use diners_sim::trace::Trace;
 use diners_sim::tracing::CausalTracer;
 use diners_sim::workload::AlwaysHungry;
 use diners_sim::Phase;
 
-use super::perf::{bench_engine, steps_per_sec};
-use super::{json_object, json_rows, Report};
+use super::perf::bench_engine;
+use super::{json_object, json_rows, overhead, Report};
 use crate::common::Scale;
 
 mod tool;
@@ -311,74 +311,6 @@ fn blame_section(quick: bool, json: &mut Vec<String>) -> (Table, usize, u32) {
     (table, rooted_chains, max_rooted_distance)
 }
 
-fn overhead_engine(topo: &Topology, recorder: Option<u64>) -> Engine<MaliciousCrashDiners> {
-    match recorder {
-        Some(every) => bench_engine(topo)
-            .observe(FlightRecorder::new("mca-paper").checkpoint_every(every))
-            .build(),
-        None => bench_engine(topo).build(),
-    }
-}
-
-fn overhead_section(quick: bool, json: &mut Vec<String>) -> (Table, f64) {
-    let budget = if quick {
-        Duration::from_millis(120)
-    } else {
-        Duration::from_millis(400)
-    };
-    let topo = if quick {
-        Topology::ring(64)
-    } else {
-        Topology::ring(256)
-    };
-    // Best-of-5 per configuration, with the configurations interleaved
-    // round-robin: the recorder's cost is deterministic, the machine's
-    // noise is not, and interleaving keeps a slow window (frequency
-    // scaling, a neighbor process) from charging one config for it.
-    let configs = [None, Some(256), Some(4096)];
-    let mut peak = [0.0f64; 3];
-    for _ in 0..5 {
-        for (slot, recorder) in configs.iter().enumerate() {
-            let rate = steps_per_sec(&mut overhead_engine(&topo, *recorder), budget).0;
-            peak[slot] = peak[slot].max(rate);
-        }
-    }
-    let [bare, default_cadence, sparse] = peak;
-    let pct = |with: f64| (bare - with) / bare * 100.0;
-    let mut table = Table::new(
-        format!(
-            "T12: flight-recorder overhead, {} incremental (interleaved best of 5 × {budget:?})",
-            topo.name()
-        ),
-        ["config", "steps/sec", "overhead %"],
-    );
-    table.row(["none attached".to_string(), fmt_f64(bare, 0), "-".into()]);
-    table.row([
-        "recorder, checkpoint every 256".to_string(),
-        fmt_f64(default_cadence, 0),
-        fmt_f64(pct(default_cadence), 1),
-    ]);
-    table.row([
-        "recorder, checkpoint every 4096".to_string(),
-        fmt_f64(sparse, 0),
-        fmt_f64(pct(sparse), 1),
-    ]);
-    json.push(format!(
-        concat!(
-            "{{\"topology\":\"{}\",\"bare_steps_per_sec\":{:.1},",
-            "\"recorder_steps_per_sec\":{:.1},\"sparse_steps_per_sec\":{:.1},",
-            "\"recorder_overhead_pct\":{:.2},\"sparse_overhead_pct\":{:.2}}}"
-        ),
-        topo.name(),
-        bare,
-        default_cadence,
-        sparse,
-        pct(default_cadence),
-        pct(sparse),
-    ));
-    (table, pct(default_cadence))
-}
-
 /// Run the T12 sweep. `quick` shrinks topologies, horizons and budgets so
 /// the sweep fits in integration tests and CI smoke runs. A replay that
 /// is not bit-identical, a vacuous or escaping blame check, or (at full
@@ -387,20 +319,39 @@ pub fn run(scale: &Scale) -> Report {
     let quick = scale.quick;
     let mut replay_json = Vec::new();
     let mut blame_json = Vec::new();
-    let mut ovh_json = Vec::new();
 
     let (replay, replay_failures) = replay_section(quick, &mut replay_json);
     let (blame, rooted_chains, max_rooted_distance) = blame_section(quick, &mut blame_json);
-    let (overhead, overhead_pct) = overhead_section(quick, &mut ovh_json);
+    let topo = Topology::ring(if quick { 64 } else { 256 });
+    let recorder = |every| {
+        bench_engine(&topo)
+            .observe(FlightRecorder::new("mca-paper").checkpoint_every(every))
+            .build()
+    };
+    let (overhead, ovh_json, timed) = overhead(
+        "T12: flight-recorder overhead, incremental",
+        &topo,
+        // A gated row: enough rounds that a few seconds of host noise
+        // cannot move its median by a point.
+        (240, Duration::from_millis(10)),
+        vec![
+            ("none attached".into(), bench_engine(&topo).build()),
+            ("recorder, checkpoint every 256".into(), recorder(256)),
+            ("recorder, checkpoint every 4096".into(), recorder(4096)),
+        ],
+        Engine::run,
+    );
+    let (overhead_pct, overhead_iqr) = (timed[1].overhead_pct(), timed[1].iqr * 100.0);
 
     let json = json_object(&[
         ("replay_failures", replay_failures.to_string()),
         ("rooted_chains", rooted_chains.to_string()),
         ("max_rooted_distance", max_rooted_distance.to_string()),
         ("recorder_overhead_pct", format!("{overhead_pct:.2}")),
+        ("recorder_overhead_iqr", format!("{overhead_iqr:.2}")),
         ("replay", json_rows(&replay_json)),
         ("blame", json_rows(&blame_json)),
-        ("overhead", ovh_json.join(",")),
+        ("overhead", ovh_json),
     ]);
     let mut report = Report {
         tables: vec![replay, blame, overhead],
@@ -417,7 +368,9 @@ pub fn run(scale: &Scale) -> Report {
         format!("a blame chain reached distance {max_rooted_distance}, beyond the bound of 2")
     });
     report.check(quick || overhead_pct <= 5.0, || {
-        format!("flight recorder costs {overhead_pct:.2}% (budget 5%)")
+        format!(
+            "flight recorder costs {overhead_pct:.2}% (IQR {overhead_iqr:.2} points; budget 5%)"
+        )
     });
     report
 }
@@ -455,6 +408,7 @@ mod tests {
                 "\"rooted_chains\"",
                 "\"max_rooted_distance\"",
                 "\"recorder_overhead_pct\"",
+                "\"recorder_overhead_iqr\"",
                 "\"replay\":",
                 "\"blame\":",
                 "\"overhead\":",

@@ -385,6 +385,14 @@ mod tests {
             (&["--topo", "ring:2"][..], "ring needs sizes of at least 3"),
             (&["--topo", "grid:0x3"], "grid needs sizes of at least 1"),
             (
+                &["--topo", "ring:100000", "--steps", "1"],
+                "100000 processes, more than the limit of 16384",
+            ),
+            (
+                &["--topo", "complete:20000", "--steps", "1"],
+                "20000 processes, more than the limit of 16384",
+            ),
+            (
                 &["--topo", "ring:3", "--plan", "chaos", "--steps", "40"],
                 "targets p3, out of range for 3 processes",
             ),

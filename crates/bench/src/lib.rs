@@ -40,5 +40,6 @@
 
 pub mod common;
 pub mod experiments;
+pub mod timing;
 
 pub use common::Scale;

@@ -21,20 +21,6 @@ pub fn paper_engine(topo: Topology, seed: u64) -> Engine<MaliciousCrashDiners> {
         .build()
 }
 
-/// An engine with a custom fault plan (random daemon).
-pub fn engine_with_faults<A: DinerAlgorithm>(
-    alg: A,
-    topo: Topology,
-    faults: FaultPlan,
-    seed: u64,
-) -> Engine<A> {
-    Engine::builder(alg, topo)
-        .scheduler(RandomScheduler::new(seed))
-        .faults(faults)
-        .seed(seed)
-        .build()
-}
-
 /// Measure the stabilization time of the paper's algorithm (or a variant)
 /// from a fully arbitrary state: the first step from which the invariant
 /// `I` held continuously through the horizon.

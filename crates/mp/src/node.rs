@@ -238,23 +238,6 @@ impl Node {
         self.link(peer).ancestor
     }
 
-    /// Diagnostic snapshot of the link to `peer`:
-    /// `(ancestor, version, pending_yield, peer_phase, peer_depth)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is not a neighbor.
-    pub fn link_debug(&self, peer: ProcessId) -> (ProcessId, u32, Option<u32>, Phase, u32) {
-        let l = self.link(peer);
-        (
-            l.ancestor,
-            l.prio_ver,
-            l.pending_yield,
-            l.peer_phase,
-            l.peer_depth,
-        )
-    }
-
     /// Corrupt the node's entire state (transient fault), deterministic
     /// in `rng`.
     pub fn corrupt(&mut self, rng: &mut rand::rngs::StdRng) {

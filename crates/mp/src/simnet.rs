@@ -364,11 +364,6 @@ impl SimNet {
         self.tracer.as_deref()
     }
 
-    /// Detach and return the network tracer.
-    pub fn take_tracer(&mut self) -> Option<NetTracer> {
-        self.tracer.take().map(|b| *b)
-    }
-
     /// Adversary verdicts observed so far (sends, drops, duplicates,
     /// delays, reorders, corruptions).
     pub fn net_stats(&self) -> NetStats {

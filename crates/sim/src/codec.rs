@@ -390,41 +390,6 @@ impl<'a, A: StateCodec> Codec<'a, A> {
         let bits = get_bits(words, self.layout.edge_offset(e), self.layout.edge_bits);
         self.alg.decode_edge(self.topo, e, bits)
     }
-
-    /// Raw bits of one local field (no decode) — canonicalization moves
-    /// value-free fields without round-tripping through the value type.
-    #[inline]
-    pub fn local_raw(&self, words: &[u64], p: ProcessId) -> u64 {
-        get_bits(words, self.layout.local_offset(p), self.layout.local_bits)
-    }
-
-    /// Raw bits of one edge field (no decode).
-    #[inline]
-    pub fn edge_raw(&self, words: &[u64], e: EdgeId) -> u64 {
-        get_bits(words, self.layout.edge_offset(e), self.layout.edge_bits)
-    }
-
-    /// Write raw bits into one local field.
-    #[inline]
-    pub fn set_local_raw(&self, words: &mut [u64], p: ProcessId, bits: u64) {
-        set_bits(
-            words,
-            self.layout.local_offset(p),
-            self.layout.local_bits,
-            bits,
-        );
-    }
-
-    /// Write raw bits into one edge field.
-    #[inline]
-    pub fn set_edge_raw(&self, words: &mut [u64], e: EdgeId, bits: u64) {
-        set_bits(
-            words,
-            self.layout.edge_offset(e),
-            self.layout.edge_bits,
-            bits,
-        );
-    }
 }
 
 #[cfg(test)]

@@ -145,6 +145,7 @@ impl Topology {
         if n == 0 {
             return Err(TopologyError::Empty);
         }
+        check_size(n, 0)?;
         let mut set = BTreeSet::new();
         for (a, b) in edge_list {
             if a >= n || b >= n {
@@ -157,6 +158,7 @@ impl Topology {
             if !set.insert(e) {
                 return Err(TopologyError::Duplicate { a: e.0, b: e.1 });
             }
+            check_size(n, set.len())?;
         }
         // A connected graph needs n - 1 edges; checking that first bounds
         // the allocations below by the size of the edge list.
@@ -356,40 +358,50 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the problem for a spec without a `:`, an
-    /// unknown family, a size that is not a number, or a size below the
-    /// family's minimum.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
+    /// Returns [`TopologyError::Spec`] naming the problem for a spec
+    /// without a `:`, an unknown family, a size that is not a number, or a
+    /// size below the family's minimum, and the size errors of
+    /// [`Topology::from_edges`] for a topology above [`MAX_PROCESSES`] or
+    /// [`MAX_EDGES`], before building anything.
+    pub fn from_spec(spec: &str) -> Result<Self, TopologyError> {
+        let bad = TopologyError::Spec;
         let (family, size) = spec
             .split_once(':')
-            .ok_or_else(|| format!("topology {spec:?} is not family:size"))?;
-        let num = |s: &str, min: usize| -> Result<usize, String> {
+            .ok_or_else(|| bad(format!("topology {spec:?} is not family:size")))?;
+        let num = |s: &str, min: usize| -> Result<usize, TopologyError> {
             let n: usize = s
                 .parse()
-                .map_err(|_| format!("bad topology size {s:?} in {spec:?}"))?;
+                .map_err(|_| bad(format!("bad topology size {s:?} in {spec:?}")))?;
             if n < min {
-                return Err(format!(
+                return Err(bad(format!(
                     "{family} needs sizes of at least {min}, got {spec:?}"
-                ));
+                )));
             }
             Ok(n)
         };
+        // (processes, edges) of the spec, checked before any allocation.
+        let sized = |n: usize, m: usize| check_size(n, m).map(|()| n);
         Ok(match family {
-            "ring" => Topology::ring(num(size, 3)?),
-            "line" => Topology::line(num(size, 1)?),
-            "star" => Topology::star(num(size, 2)?),
-            "complete" => Topology::complete(num(size, 2)?),
-            "tree" => Topology::binary_tree(num(size, 1)?),
+            "ring" => Topology::ring(sized(num(size, 3)?, 0)?),
+            "line" => Topology::line(sized(num(size, 1)?, 0)?),
+            "star" => Topology::star(sized(num(size, 2)?, 0)?),
+            "tree" => Topology::binary_tree(sized(num(size, 1)?, 0)?),
+            "complete" => {
+                let n = num(size, 2)?;
+                Topology::complete(sized(n, n.saturating_mul(n - 1) / 2)?)
+            }
             "grid" => {
                 let (w, h) = size
                     .split_once('x')
-                    .ok_or_else(|| format!("grid expects WxH, got {spec:?}"))?;
-                Topology::grid(num(w, 1)?, num(h, 1)?)
+                    .ok_or_else(|| bad(format!("grid expects WxH, got {spec:?}")))?;
+                let (w, h) = (num(w, 1)?, num(h, 1)?);
+                sized(w.saturating_mul(h), 0)?;
+                Topology::grid(w, h)
             }
             other => {
-                return Err(format!(
+                return Err(bad(format!(
                     "unknown topology family {other:?} (expected ring|line|star|complete|tree|grid)"
-                ))
+                )))
             }
         })
     }
@@ -458,11 +470,6 @@ impl Topology {
     #[inline]
     pub fn closed_neighborhood(&self, p: ProcessId) -> &[ProcessId] {
         &self.closed[p.0]
-    }
-
-    /// Maximum degree over all processes.
-    pub fn max_degree(&self) -> usize {
-        (0..self.n).map(|p| self.adj[p].len()).max().unwrap_or(0)
     }
 
     /// All undirected edges as `(lo, hi)` pairs, sorted.
@@ -534,11 +541,37 @@ impl Topology {
     }
 }
 
+/// The most processes a [`Topology`] may have: its all-pairs distance
+/// table takes 4·n² bytes, 1 GiB at this size. The family constructors
+/// panic above it or [`MAX_EDGES`]; [`Topology::from_edges`] and
+/// [`Topology::from_spec`] return an error.
+pub const MAX_PROCESSES: usize = 1 << 14;
+
+/// The most edges a [`Topology`] may have.
+pub const MAX_EDGES: usize = 1 << 20;
+
+/// `Ok` when `n` processes and `m` edges are within the size limits.
+fn check_size(n: usize, m: usize) -> Result<(), TopologyError> {
+    if n > MAX_PROCESSES {
+        Err(TopologyError::TooManyProcesses(n))
+    } else if m > MAX_EDGES {
+        Err(TopologyError::TooManyEdges)
+    } else {
+        Ok(())
+    }
+}
+
 /// Error constructing a [`Topology`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TopologyError {
     /// No processes.
     Empty,
+    /// More than [`MAX_PROCESSES`] processes.
+    TooManyProcesses(usize),
+    /// More than [`MAX_EDGES`] edges.
+    TooManyEdges,
+    /// A malformed [`Topology::from_spec`] spec, with what is wrong.
+    Spec(String),
     /// An edge endpoint is not in `0..n`.
     OutOfRange {
         /// First endpoint.
@@ -565,6 +598,15 @@ impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TopologyError::Empty => write!(f, "topology has no processes"),
+            TopologyError::TooManyProcesses(n) => write!(
+                f,
+                "topology has {n} processes, more than the limit of {MAX_PROCESSES} \
+                 (its distance table needs 4·n² bytes)"
+            ),
+            TopologyError::TooManyEdges => {
+                write!(f, "topology has more than the limit of {MAX_EDGES} edges")
+            }
+            TopologyError::Spec(msg) => f.write_str(msg),
             TopologyError::OutOfRange { a, b, n } => {
                 write!(f, "edge ({a},{b}) out of range for {n} processes")
             }
@@ -626,10 +668,23 @@ mod tests {
             ("ring:x", "bad topology size \"x\""),
             ("ring", "is not family:size"),
             ("cube:3", "unknown topology family \"cube\""),
+            // Too large for the distance table, before building anything.
+            (
+                "ring:100000",
+                "100000 processes, more than the limit of 16384",
+            ),
+            (
+                "complete:20000",
+                "20000 processes, more than the limit of 16384",
+            ),
+            ("complete:2000", "more than the limit of 1048576 edges"),
+            ("grid:1000x1000", "1000000 processes"),
         ] {
-            let e = Topology::from_spec(spec).unwrap_err();
+            let e = Topology::from_spec(spec).unwrap_err().to_string();
             assert!(e.contains(why), "{spec}: {e}");
         }
+        // ring(8192), which the benchmark builds, stays legal.
+        assert_eq!(check_size(8192, 8192), Ok(()));
     }
 
     #[test]
@@ -731,6 +786,17 @@ mod tests {
         assert_eq!(
             Topology::from_edges(3, [(0, 1)]).unwrap_err(),
             TopologyError::Disconnected
+        );
+        // Oversized graphs are rejected before anything is allocated.
+        assert_eq!(
+            Topology::from_edges(MAX_PROCESSES + 1, []).unwrap_err(),
+            TopologyError::TooManyProcesses(MAX_PROCESSES + 1)
+        );
+        let star = (1..MAX_PROCESSES).map(|i| (0, i));
+        let chords = (1..MAX_PROCESSES).flat_map(|a| (a + 1..MAX_PROCESSES).map(move |b| (a, b)));
+        assert_eq!(
+            Topology::from_edges(MAX_PROCESSES, star.chain(chords)).unwrap_err(),
+            TopologyError::TooManyEdges
         );
     }
 

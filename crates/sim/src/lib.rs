@@ -98,7 +98,7 @@ pub use record::{
 pub use scheduler::Scheduler;
 pub use symmetry::{Perm, SymmetryGroup};
 pub use telemetry::{
-    AlertKind, EventSink, Histogram, MetricsRegistry, NetOp, RingSink, Telemetry, TelemetryEvent,
+    AlertKind, EventSink, Histogram, MetricsRegistry, RingSink, Telemetry, TelemetryEvent,
     TelemetryKind,
 };
 pub use trace::Trace;

@@ -904,11 +904,6 @@ impl Replayer {
         Ok(())
     }
 
-    /// Checkpoints verified so far.
-    pub fn checkpoints_verified(&self) -> usize {
-        self.verified
-    }
-
     /// Total steps in the recording.
     pub fn steps(&self) -> u64 {
         self.steps
@@ -1071,7 +1066,11 @@ mod tests {
             ),
             (
                 header.replace("\"n\":6", "\"n\":1000000000000"),
-                "line 1: graph is not connected",
+                "line 1: topology has 1000000000000 processes, more than the limit of 16384",
+            ),
+            (
+                header.replace("\"n\":6", "\"n\":16385"),
+                "line 1: topology has 16385 processes, more than the limit of 16384",
             ),
             (
                 header.replace("[40,1,", "[40,9,"),

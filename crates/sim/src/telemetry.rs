@@ -36,37 +36,9 @@ use crate::predicate::Snapshot;
 // Events
 // ---------------------------------------------------------------------------
 
-/// A message-layer verdict observed at the `mp` adversary boundary or in
-/// the node protocol. Defined here (rather than in `crates/mp`) so sinks
-/// and summaries can treat engine and network events uniformly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetOp {
-    /// A message handed to the link layer.
-    Send,
-    /// The adversary dropped the message (loss, cut link, queue shed).
-    Drop,
-    /// The adversary produced `extra` duplicate deliveries.
-    Dup {
-        /// Number of extra copies beyond the original.
-        extra: u32,
-    },
-    /// Delivery deferred by `steps` net steps.
-    Delay {
-        /// Deferral in net steps.
-        steps: u64,
-    },
-    /// Payload altered in flight (byzantine-adjacent corruption).
-    Corrupt,
-    /// The node re-sent its last message (retransmit timer fired).
-    Retransmit,
-    /// A receiver adopted a seemingly-stale sequence number after
-    /// `RESYNC_AFTER` consecutive stale deliveries.
-    Resync,
-}
-
 /// A verdict raised by the online monitor (`diners_mp::monitor`) about
-/// one assembled global cut. Defined here — like [`NetOp`] — so alerts
-/// ride the same event bus and sinks as engine and network events.
+/// one assembled global cut. Defined here so alerts ride the same event
+/// bus and sinks as engine events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlertKind {
     /// Two neighboring live processes were both eating in one
@@ -107,7 +79,7 @@ impl AlertKind {
 }
 
 /// What happened. Mirrors (and extends) the engine's
-/// [`EventKind`] with the phase-transition, network and alert kinds that
+/// [`EventKind`] with the phase-transition and alert kinds that
 /// the bounded trace does not record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TelemetryKind {
@@ -129,8 +101,6 @@ pub enum TelemetryKind {
         /// Phase after the action.
         to: Phase,
     },
-    /// A message-layer verdict (see [`NetOp`]).
-    Net(NetOp),
     /// An online-monitor verdict about a global cut (see [`AlertKind`]).
     Alert(AlertKind),
 }
@@ -961,7 +931,11 @@ mod tests {
     fn telemetry_clock_is_monotonic_and_sink_optional() {
         let mut t = Telemetry::new();
         t.emit(0, ProcessId(0), TelemetryKind::MaliciousStep);
-        t.emit(5, ProcessId(1), TelemetryKind::Net(NetOp::Send));
+        t.emit(
+            5,
+            ProcessId(1),
+            TelemetryKind::Alert(AlertKind::InconsistentCut),
+        );
         assert_eq!(t.clock(), 2);
 
         let mut t = Telemetry::with_sink(RingSink::new(8));

@@ -147,13 +147,6 @@ impl CausalTracer {
         self.spans.iter().filter(|s| s.kind.is_fault())
     }
 
-    /// Action spans with the given action name.
-    pub fn actions_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Span> + 'a {
-        self.spans
-            .iter()
-            .filter(move |s| matches!(s.kind, EventKind::Action { name: n, .. } if n == name))
-    }
-
     fn push(&mut self, mut span: Span) -> SpanId {
         let id = SpanId(self.spans.len() as u32);
         span.id = id;

@@ -81,7 +81,7 @@ fn parse(args: &[String]) -> Opts {
         };
         match args[i].as_str() {
             "--topo" => {
-                o.topo = Topology::from_spec(need(i)).unwrap_or_else(|e| fail(&e));
+                o.topo = Topology::from_spec(need(i)).unwrap_or_else(|e| fail(&e.to_string()));
                 i += 2;
             }
             "--steps" => {

@@ -26,6 +26,14 @@ fn malformed_invocations_exit_2_with_a_message() {
             "grid needs sizes of at least 1",
         ),
         (
+            &["run", "--topo", "ring:100000"],
+            "100000 processes, more than the limit of 16384",
+        ),
+        (
+            &["run", "--topo", "complete:20000"],
+            "20000 processes, more than the limit of 16384",
+        ),
+        (
             &["run", "--topo", "ring:4", "--crash", "99@100:5"],
             "targets p99, out of range for 4 processes",
         ),

@@ -188,8 +188,9 @@ mod tests {
         e.run(5_000);
         let since = e.step_count();
         e.run(20_000);
+        let to_crash = e.topology().distances_from(&[ProcessId(2)]);
         for p in e.topology().processes() {
-            if e.is_dead(p) || e.topology().distance(p, ProcessId(2)) <= 1 {
+            if e.is_dead(p) || to_crash[p.index()] <= 1 {
                 continue;
             }
             assert!(

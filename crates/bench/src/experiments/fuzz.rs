@@ -295,12 +295,11 @@ fn mca_oracle(engine: &Engine<MaliciousCrashDiners>, judge_from: u64, window: u6
     }
     let end = engine.step_count();
     let from = end.saturating_sub(window).max(judge_from);
-    let dead = engine.dead_processes();
     let topo = engine.topology();
+    let to_dead = topo.distances_from(&engine.dead_processes());
     topo.processes().any(|p| {
-        !dead.contains(&p)
+        to_dead[p.index()] > 2
             && engine.phase_of(p) == Phase::Hungry
-            && dead.iter().all(|&d| topo.distance(p, d) > 2)
             && m.eats_in_window(p, from, end) == 0
     })
 }

@@ -39,6 +39,7 @@ pub fn service_ratios(n: usize, seed: u64, window: u64) -> Vec<(u32, f64)> {
         .build();
     engine.run(window); // "before" window: victim alive (eating)
     engine.run(window); // "after" window: victim crashed
+    let to_victim = topo.distances_from(&[victim]);
     let mut out = Vec::new();
     for p in topo.processes() {
         if p == victim {
@@ -55,7 +56,7 @@ pub fn service_ratios(n: usize, seed: u64, window: u64) -> Vec<(u32, f64)> {
         } else {
             after / before
         };
-        out.push((topo.distance(p, victim), ratio));
+        out.push((to_victim[p.index()], ratio));
     }
     out
 }

@@ -51,15 +51,11 @@ pub fn scenario(
     let radius = if dead.is_empty() {
         None
     } else {
+        let to_dead = net.topology().distances_from(&dead);
         Some(
             starved
                 .iter()
-                .map(|&p| {
-                    dead.iter()
-                        .map(|&d| net.topology().distance(p, d))
-                        .min()
-                        .expect("dead set non-empty")
-                })
+                .map(|&p| to_dead[p.index()])
                 .max()
                 .unwrap_or(0),
         )

@@ -230,6 +230,7 @@ fn blame_scenario(topo: &Topology, victim: ProcessId, steps: u64) -> (u64, Blame
         .expect("crash recorded as a span")
         .id;
 
+    let to_victim = topo.distances_from(&[victim]);
     let mut stats = BlameStats {
         rooted: 0,
         max_distance: 0,
@@ -246,7 +247,7 @@ fn blame_scenario(topo: &Topology, victim: ProcessId, steps: u64) -> (u64, Blame
         if let Some(chain) = tracer.blame_within(s.id, 2) {
             debug_assert_eq!(chain.root(), fault_span);
             stats.rooted += 1;
-            stats.max_distance = stats.max_distance.max(topo.distance(s.pid, victim));
+            stats.max_distance = stats.max_distance.max(to_victim[s.pid.index()]);
         }
         // The unbounded depth distribution: how far causality actually
         // reaches, with spans causally independent of the crash counted

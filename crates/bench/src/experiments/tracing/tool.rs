@@ -175,7 +175,7 @@ fn cmd_verify(path: &str) -> Result<(), String> {
         println!(
             "replay OK: {} steps on {}, {} checkpoints verified, final digest {:#018x}",
             engine.step_count(),
-            rec.topology_name,
+            rec.topology().name(),
             verified,
             state_digest(engine.state(), engine.health()),
         );
@@ -201,7 +201,7 @@ fn cmd_seek(path: &str, step: u64) -> Result<(), String> {
             "state at step {} of {} ({}), digest {:#018x}:",
             engine.step_count(),
             rec.steps,
-            rec.topology_name,
+            rec.topology().name(),
             state_digest(engine.state(), engine.health()),
         );
         for p in engine.topology().processes() {

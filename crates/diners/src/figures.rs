@@ -226,8 +226,9 @@ mod tests {
         assert_eq!(t.len(), 7);
         assert_eq!(t.diameter(), 3, "the paper states D = 3");
         assert_eq!(t.edge_count(), 10);
-        assert_eq!(t.distance(A, E), 3);
-        assert_eq!(t.distance(A, D), 2);
+        let from_a = t.distances_from(&[A]);
+        assert_eq!(from_a[E.index()], 3);
+        assert_eq!(from_a[D.index()], 2);
     }
 
     #[test]

@@ -163,6 +163,7 @@ pub fn disturbance_radius(
     crash_site: ProcessId,
     rule: &Deviation,
 ) -> DisturbanceReport {
+    let to_site = topo.distances_from(&[crash_site]);
     let mut deviating = Vec::new();
     for p in topo.processes() {
         if p == crash_site {
@@ -171,7 +172,7 @@ pub fn disturbance_radius(
         let base = projection(baseline, p);
         let fault = projection(faulty, p);
         if rule.deviates(&base, &fault) {
-            deviating.push((p, topo.distance(crash_site, p)));
+            deviating.push((p, to_site[p.index()]));
         }
     }
     let radius = deviating.iter().map(|&(_, d)| d).max().unwrap_or(0);

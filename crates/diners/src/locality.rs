@@ -42,16 +42,11 @@ pub fn starvation_radius<A: DinerAlgorithm>(engine: &Engine<A>, since: u64) -> O
     if dead.is_empty() {
         return None;
     }
-    let topo = engine.topology();
+    let to_dead = engine.topology().distances_from(&dead);
     Some(
         starved_since(engine, since)
             .into_iter()
-            .map(|p| {
-                dead.iter()
-                    .map(|&d| topo.distance(p, d))
-                    .min()
-                    .expect("dead set non-empty")
-            })
+            .map(|p| to_dead[p.index()])
             .max()
             .unwrap_or(0),
     )

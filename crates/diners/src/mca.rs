@@ -72,12 +72,11 @@ impl McaChecker {
         let violations_before = engine.metrics().violation_step_count();
         engine.run(self.window);
 
-        let dead = engine.dead_processes();
         let topo = engine.topology();
+        let to_dead = topo.distances_from(&engine.dead_processes());
         let protected: Vec<ProcessId> = topo
             .processes()
-            .filter(|&p| !engine.is_dead(p))
-            .filter(|&p| dead.iter().all(|&d| topo.distance(p, d) > self.m))
+            .filter(|&p| !engine.is_dead(p) && to_dead[p.index()] > self.m)
             .collect();
         let now = engine.step_count();
         let starved_protected: Vec<ProcessId> = protected

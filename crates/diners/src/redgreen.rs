@@ -125,16 +125,12 @@ pub fn affected_radius(snap: &DinerSnapshot<'_>) -> Option<u32> {
     if dead.is_empty() {
         return None;
     }
+    let to_dead = snap.topo.distances_from(&dead);
     let radius = snap
         .topo
         .processes()
         .filter(|&p| !snap.is_dead(p) && colors.is_red(p))
-        .map(|p| {
-            dead.iter()
-                .map(|&d| snap.topo.distance(p, d))
-                .min()
-                .expect("dead set non-empty")
-        })
+        .map(|p| to_dead[p.index()])
         .max()
         .unwrap_or(0);
     Some(radius)

@@ -212,6 +212,9 @@ impl Monitor {
             self.raise(cut, a, AlertKind::NeighborsEating { a, b });
         }
 
+        // Distances to the cut's dead set, from the first SLO breach that
+        // needs them.
+        let mut to_dead: Option<Vec<u32>> = None;
         for s in &cut.snaps {
             let i = s.pid.index();
             if s.meals > self.meals_seen[i] {
@@ -229,8 +232,9 @@ impl Monitor {
                 if waited > self.cfg.slo_wait && !self.slo_open[i] {
                     self.slo_open[i] = true;
                     self.raise(cut, s.pid, AlertKind::SloBreach { waited });
-                    let nearest_dead = cut.dead.iter().map(|&q| self.topo.distance(s.pid, q)).min();
-                    if let Some(d) = nearest_dead {
+                    if !cut.dead.is_empty() {
+                        let d =
+                            to_dead.get_or_insert_with(|| self.topo.distances_from(&cut.dead))[i];
                         if d > self.cfg.locality_radius {
                             self.raise(cut, s.pid, AlertKind::LocalityBreach { distance: d });
                         }

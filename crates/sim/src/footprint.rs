@@ -200,12 +200,12 @@ impl AccessSummary {
                     self.reads_own_local = true;
                 } else {
                     self.reads_neighbor_local = true;
-                    self.read_radius = self.read_radius.max(topo.distance(p, q));
+                    self.read_radius = self.read_radius.max(hops(topo, p, q));
                 }
             }
             ReadAccess::Edge(q) => {
                 self.reads_edge = true;
-                self.read_radius = self.read_radius.max(topo.distance(p, q).max(1));
+                self.read_radius = self.read_radius.max(hops(topo, p, q).max(1));
             }
         }
     }
@@ -215,9 +215,22 @@ impl AccessSummary {
             None => self.writes_local = true,
             Some(q) => {
                 self.writes_edge = true;
-                self.write_radius = self.write_radius.max(topo.distance(p, q).max(1));
+                self.write_radius = self.write_radius.max(hops(topo, p, q).max(1));
             }
         }
+    }
+}
+
+/// Hop distance from `p` to `q`. A contract-abiding access stays in the
+/// closed neighborhood, where this is 0 or 1; only a violating one pays a
+/// BFS.
+fn hops(topo: &Topology, p: ProcessId, q: ProcessId) -> u32 {
+    if p == q {
+        0
+    } else if topo.are_neighbors(p, q) {
+        1
+    } else {
+        topo.distances_from(&[p])[q.index()]
     }
 }
 
@@ -745,7 +758,7 @@ fn read_violation(topo: &Topology, p: ProcessId, access: ReadAccess) -> Option<S
         ReadAccess::Local(q) => (q != p && !topo.are_neighbors(p, q)).then(|| {
             format!(
                 "read local of {q} at distance {} (outside the closed neighborhood)",
-                topo.distance(p, q)
+                hops(topo, p, q)
             )
         }),
         ReadAccess::Edge(q) => {

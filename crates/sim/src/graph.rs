@@ -3,12 +3,17 @@
 //! The dining-philosophers problem is defined over an arbitrary symmetric
 //! *neighbor relation* between processes. [`Topology`] is that relation,
 //! together with the derived data the algorithm and its analysis need:
-//! adjacency lists, per-edge indices, all-pairs BFS distances and the graph
+//! adjacency lists, per-edge indices, closed neighborhoods and the graph
 //! diameter (the paper's constant `D`, assumed known to every process).
+//! Everything it stores is O(n + m); no distances are precomputed. A
+//! distance query is one multi-source BFS,
+//! [`Topology::distances_from`], run once per set of sources.
 //!
 //! Constructors are provided for all the standard experiment families
 //! (ring, line, grid, star, complete, binary tree, random connected graphs)
-//! as well as from explicit edge lists.
+//! as well as from explicit edge lists. Ring, line, grid, star and
+//! complete graphs take their diameter in closed form; trees take it from
+//! a double BFS sweep; any other edge list from one BFS per process.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -96,7 +101,8 @@ pub enum Family {
 }
 
 /// An immutable, connected, simple undirected graph over processes
-/// `0..n`, with precomputed distances and diameter.
+/// `0..n`, with its diameter. It holds O(n + m) data and no distances:
+/// ask [`Topology::distances_from`] for them.
 ///
 /// # Examples
 ///
@@ -121,8 +127,6 @@ pub struct Topology {
     /// processes whose guards an action (or arbitrary write) at `p` can
     /// change, precomputed for the engine's dirty-set invalidation.
     closed: Vec<Vec<ProcessId>>,
-    /// All-pairs hop distances.
-    dist: Vec<Vec<u32>>,
     diameter: u32,
     name: String,
 }
@@ -132,13 +136,27 @@ impl Topology {
     ///
     /// Self-loops and duplicate edges are rejected; the graph must be
     /// connected and non-empty (a single isolated process is allowed and
-    /// has diameter 0).
+    /// has diameter 0). The diameter is exact: a double BFS sweep when the
+    /// graph is a tree (`n - 1` edges), else one BFS per process, so an
+    /// arbitrary edge list costs O(n · (n + m)) time and O(n + m) memory.
     ///
     /// # Errors
     ///
     /// Returns [`TopologyError`] when the input is not a simple connected
     /// graph over `0..n`.
     pub fn from_edges(
+        n: usize,
+        edge_list: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Result<Self, TopologyError> {
+        let mut t = Self::connected(n, edge_list)?;
+        t.diameter = exact_diameter(&t.adj, t.edges.len());
+        Ok(t)
+    }
+
+    /// Validate `edge_list`, checking connectivity with one BFS, and build
+    /// everything but the diameter (left at 0): adjacency, edge ids and
+    /// closed neighborhoods.
+    fn connected(
         n: usize,
         edge_list: impl IntoIterator<Item = (usize, usize)>,
     ) -> Result<Self, TopologyError> {
@@ -177,6 +195,11 @@ impl Topology {
         for l in &mut adj {
             l.sort_unstable();
         }
+        let mut reached = Vec::with_capacity(n);
+        bfs(&adj, &[ProcessId(0)], &mut vec![u32::MAX; n], &mut reached);
+        if reached.len() < n {
+            return Err(TopologyError::Disconnected);
+        }
         let mut edge_of = vec![Vec::new(); n];
         for (p, list) in adj.iter().enumerate() {
             for &q in list {
@@ -195,16 +218,6 @@ impl Topology {
                 c
             })
             .collect();
-        let dist = all_pairs_bfs(n, &adj);
-        let mut diameter = 0;
-        for row in &dist {
-            for &d in row {
-                if d == u32::MAX {
-                    return Err(TopologyError::Disconnected);
-                }
-                diameter = diameter.max(d);
-            }
-        }
         Ok(Topology {
             n,
             family: Family::Custom,
@@ -212,8 +225,7 @@ impl Topology {
             edges,
             edge_of,
             closed,
-            dist,
-            diameter,
+            diameter: 0,
             name: format!("custom(n={n})"),
         })
     }
@@ -225,10 +237,11 @@ impl Topology {
     /// Panics if `n < 3`.
     pub fn ring(n: usize) -> Self {
         assert!(n >= 3, "ring requires at least 3 processes");
-        let mut t = Self::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)))
-            .expect("ring is a valid topology");
+        let mut t =
+            Self::connected(n, (0..n).map(|i| (i, (i + 1) % n))).expect("ring is a valid topology");
         t.family = Family::Ring;
         t.name = format!("ring(n={n})");
+        t.diameter = (n / 2) as u32;
         t
     }
 
@@ -239,10 +252,11 @@ impl Topology {
     /// Panics if `n == 0`.
     pub fn line(n: usize) -> Self {
         assert!(n >= 1, "line requires at least 1 process");
-        let mut t = Self::from_edges(n, (0..n.saturating_sub(1)).map(|i| (i, i + 1)))
+        let mut t = Self::connected(n, (0..n.saturating_sub(1)).map(|i| (i, i + 1)))
             .expect("line is a valid topology");
         t.family = Family::Line;
         t.name = format!("line(n={n})");
+        t.diameter = (n - 1) as u32;
         t
     }
 
@@ -265,9 +279,10 @@ impl Topology {
                 }
             }
         }
-        let mut t = Self::from_edges(w * h, edges).expect("grid is a valid topology");
+        let mut t = Self::connected(w * h, edges).expect("grid is a valid topology");
         t.family = Family::Grid;
         t.name = format!("grid({w}x{h})");
+        t.diameter = (w - 1 + h - 1) as u32;
         t
     }
 
@@ -278,9 +293,10 @@ impl Topology {
     /// Panics if `n < 2`.
     pub fn star(n: usize) -> Self {
         assert!(n >= 2, "star requires at least 2 processes");
-        let mut t = Self::from_edges(n, (1..n).map(|i| (0, i))).expect("star is a valid topology");
+        let mut t = Self::connected(n, (1..n).map(|i| (0, i))).expect("star is a valid topology");
         t.family = Family::Star;
         t.name = format!("star(n={n})");
+        t.diameter = if n == 2 { 1 } else { 2 };
         t
     }
 
@@ -297,9 +313,10 @@ impl Topology {
                 edges.push((a, b));
             }
         }
-        let mut t = Self::from_edges(n, edges).expect("complete graph is a valid topology");
+        let mut t = Self::connected(n, edges).expect("complete graph is a valid topology");
         t.family = Family::Complete;
         t.name = format!("complete(n={n})");
+        t.diameter = 1;
         t
     }
 
@@ -507,20 +524,34 @@ impl Topology {
         self.edge_between(p, q).is_some()
     }
 
-    /// Hop distance between `p` and `q`.
-    #[inline]
-    pub fn distance(&self, p: ProcessId, q: ProcessId) -> u32 {
-        self.dist[p.0][q.0]
-    }
-
-    /// Minimum distance from `p` to any process in `set`; `None` if the
-    /// set is empty.
-    pub fn distance_to_set<'a>(
-        &self,
-        p: ProcessId,
-        set: impl IntoIterator<Item = &'a ProcessId>,
-    ) -> Option<u32> {
-        set.into_iter().map(|&q| self.distance(p, q)).min()
+    /// Hop distance from every process to its nearest process in
+    /// `sources`: one multi-source BFS, O(n + m). Entry `p` is 0 for a
+    /// source. With no sources nothing is reached, and every entry is
+    /// `u32::MAX`, so a test such as `dist[p] > r` reads "no source
+    /// within `r`". Duplicate sources are harmless.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source is out of range.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use diners_sim::graph::{ProcessId, Topology};
+    /// let t = Topology::line(6);
+    /// let d = t.distances_from(&[ProcessId(0), ProcessId(5)]);
+    /// assert_eq!(d, [0, 1, 2, 2, 1, 0]);
+    /// assert!(t.distances_from(&[]).iter().all(|&x| x == u32::MAX));
+    /// ```
+    pub fn distances_from(&self, sources: &[ProcessId]) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; self.n];
+        bfs(
+            &self.adj,
+            sources,
+            &mut dist,
+            &mut Vec::with_capacity(self.n),
+        );
+        dist
     }
 
     /// The graph diameter — the paper's constant `D`.
@@ -541,9 +572,12 @@ impl Topology {
     }
 }
 
-/// The most processes a [`Topology`] may have: its all-pairs distance
-/// table takes 4·n² bytes, 1 GiB at this size. The family constructors
-/// panic above it or [`MAX_EDGES`]; [`Topology::from_edges`] and
+/// The most processes a [`Topology`] may have. A topology stores
+/// O(n + m), but the exact diameter of an arbitrary edge list
+/// ([`Topology::from_edges`], and so every recording header) takes one BFS
+/// per process, O(n · (n + m)) time; this limit bounds that sweep. The
+/// family constructors, which need no sweep, share the limit: they panic
+/// above it or [`MAX_EDGES`], while [`Topology::from_edges`] and
 /// [`Topology::from_spec`] return an error.
 pub const MAX_PROCESSES: usize = 1 << 14;
 
@@ -601,7 +635,7 @@ impl fmt::Display for TopologyError {
             TopologyError::TooManyProcesses(n) => write!(
                 f,
                 "topology has {n} processes, more than the limit of {MAX_PROCESSES} \
-                 (its distance table needs 4·n² bytes)"
+                 (the exact diameter of an edge list takes one BFS per process)"
             ),
             TopologyError::TooManyEdges => {
                 write!(f, "topology has more than the limit of {MAX_EDGES} edges")
@@ -619,25 +653,51 @@ impl fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-fn all_pairs_bfs(n: usize, adj: &[Vec<ProcessId>]) -> Vec<Vec<u32>> {
-    let mut dist = vec![vec![u32::MAX; n]; n];
-    let mut queue = std::collections::VecDeque::new();
-    for s in 0..n {
-        let row = &mut dist[s];
-        row[s] = 0;
-        queue.clear();
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            let du = row[u];
-            for &v in &adj[u] {
-                if row[v.0] == u32::MAX {
-                    row[v.0] = du + 1;
-                    queue.push_back(v.0);
-                }
+/// Breadth-first search from every process in `sources` at once, writing
+/// hop distances into `dist`, which must hold `u32::MAX` everywhere on
+/// entry. `queue` ends holding the reached processes in visiting order,
+/// so its last entry is one farthest from the sources.
+fn bfs(adj: &[Vec<ProcessId>], sources: &[ProcessId], dist: &mut [u32], queue: &mut Vec<usize>) {
+    queue.clear();
+    for &s in sources {
+        if dist[s.0] != 0 {
+            dist[s.0] = 0;
+            queue.push(s.0);
+        }
+    }
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let next = dist[u] + 1;
+        for &v in &adj[u] {
+            if dist[v.0] == u32::MAX {
+                dist[v.0] = next;
+                queue.push(v.0);
             }
         }
     }
-    dist
+}
+
+/// The exact diameter of the connected graph `adj` with `edges` edges, in
+/// O(n) memory. A tree (`n - 1` edges) takes a double sweep: the process
+/// farthest from any start ends a longest path. Any other graph takes the
+/// largest eccentricity over one BFS per process.
+fn exact_diameter(adj: &[Vec<ProcessId>], edges: usize) -> u32 {
+    let n = adj.len();
+    let mut dist = vec![u32::MAX; n];
+    let mut queue = Vec::with_capacity(n);
+    let mut eccentricity = |s: usize| {
+        dist.fill(u32::MAX);
+        bfs(adj, &[ProcessId(s)], &mut dist, &mut queue);
+        let far = *queue.last().expect("the source is reached");
+        (far, dist[far])
+    };
+    if edges + 1 == n {
+        let (end, _) = eccentricity(0);
+        eccentricity(end).1
+    } else {
+        (0..n).map(|s| eccentricity(s).1).max().unwrap_or(0)
+    }
 }
 
 #[cfg(test)]
@@ -668,7 +728,7 @@ mod tests {
             ("ring:x", "bad topology size \"x\""),
             ("ring", "is not family:size"),
             ("cube:3", "unknown topology family \"cube\""),
-            // Too large for the distance table, before building anything.
+            // Above the size limits, before building anything.
             (
                 "ring:100000",
                 "100000 processes, more than the limit of 16384",
@@ -694,8 +754,9 @@ mod tests {
         assert_eq!(t.edge_count(), 8);
         assert_eq!(t.diameter(), 4);
         assert_eq!(t.degree(ProcessId(0)), 2);
-        assert_eq!(t.distance(ProcessId(0), ProcessId(4)), 4);
-        assert_eq!(t.distance(ProcessId(0), ProcessId(7)), 1);
+        let d = t.distances_from(&[ProcessId(0)]);
+        assert_eq!(d[4], 4);
+        assert_eq!(d[7], 1);
     }
 
     #[test]
@@ -704,7 +765,7 @@ mod tests {
         assert_eq!(t.diameter(), 4);
         assert_eq!(t.degree(ProcessId(0)), 1);
         assert_eq!(t.degree(ProcessId(2)), 2);
-        assert_eq!(t.distance(ProcessId(0), ProcessId(4)), 4);
+        assert_eq!(t.distances_from(&[ProcessId(0)])[4], 4);
     }
 
     #[test]
@@ -854,11 +915,12 @@ mod tests {
     }
 
     #[test]
-    fn distance_to_set() {
+    fn distances_from_a_set() {
         let t = Topology::line(6);
         let dead = [ProcessId(0)];
-        assert_eq!(t.distance_to_set(ProcessId(3), dead.iter()), Some(3));
-        assert_eq!(t.distance_to_set(ProcessId(3), [].iter()), None);
+        assert_eq!(t.distances_from(&dead)[3], 3);
+        // No sources reach nothing.
+        assert_eq!(t.distances_from(&[]), [u32::MAX; 6]);
     }
 
     #[test]
@@ -866,10 +928,103 @@ mod tests {
         let t = Topology::binary_tree(15);
         let mut best = 0;
         for a in t.processes() {
-            for b in t.processes() {
-                best = best.max(t.distance(a, b));
-            }
+            best = best.max(*t.distances_from(&[a]).iter().max().unwrap());
         }
         assert_eq!(best, t.diameter());
+    }
+
+    /// All-pairs distances by Floyd–Warshall over the edge list: an
+    /// oracle that shares no code with the BFS.
+    fn floyd_warshall(t: &Topology) -> Vec<Vec<u32>> {
+        let n = t.len();
+        let far = u32::MAX / 2;
+        let mut d = vec![vec![far; n]; n];
+        for (p, row) in d.iter_mut().enumerate() {
+            row[p] = 0;
+        }
+        for &(a, b) in t.edges() {
+            d[a.0][b.0] = 1;
+            d[b.0][a.0] = 1;
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    d[i][j] = d[i][j].min(d[i][k] + d[k][j]);
+                }
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn distances_from_is_the_minimum_over_its_sources() {
+        let mut graphs = vec![
+            Topology::grid(5, 4),
+            Topology::grid(1, 7),
+            Topology::grid(6, 6),
+        ];
+        graphs.extend((0..10).map(|seed| Topology::random_connected(20, 0.12, seed)));
+        for t in &graphs {
+            let rows = floyd_warshall(t);
+            let n = t.len();
+            for p in t.processes() {
+                assert_eq!(t.distances_from(&[p]), rows[p.0], "{} from {p}", t.name());
+            }
+            let several = [
+                ProcessId(1),
+                ProcessId(n / 2),
+                ProcessId(n - 1),
+                ProcessId(n / 2),
+            ];
+            let all: Vec<ProcessId> = t.processes().collect();
+            for sources in [&several[..], &all] {
+                let want: Vec<u32> = (0..n)
+                    .map(|q| sources.iter().map(|s| rows[s.0][q]).min().unwrap())
+                    .collect();
+                assert_eq!(
+                    t.distances_from(sources),
+                    want,
+                    "{} from {sources:?}",
+                    t.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn family_diameters_match_the_exact_sweep() {
+        // One BFS per process, the sweep `from_edges` runs on a non-tree.
+        let sweep = |t: &Topology| {
+            t.processes()
+                .map(|p| *t.distances_from(&[p]).iter().max().unwrap())
+                .max()
+                .unwrap()
+        };
+        let mut graphs: Vec<Topology> = Vec::new();
+        graphs.extend((3..=64).map(Topology::ring));
+        graphs.extend((1..=64).map(Topology::line));
+        graphs.extend((1..=8).flat_map(|w| (1..=8).map(move |h| Topology::grid(w, h))));
+        graphs.extend((2..=32).map(Topology::star));
+        graphs.extend((2..=16).map(Topology::complete));
+        graphs.extend((1..=64).map(Topology::binary_tree));
+        // Every fourth random graph is a tree, taking the double sweep.
+        graphs.extend((0..20).map(|seed| {
+            let p = if seed % 4 == 0 { 0.0 } else { 0.15 };
+            Topology::random_connected(10 + seed as usize, p, seed)
+        }));
+        for t in &graphs {
+            let edges = t.edges().iter().map(|&(a, b)| (a.0, b.0));
+            let custom = Topology::from_edges(t.len(), edges).unwrap();
+            assert_eq!(t.diameter(), custom.diameter(), "{}", t.name());
+            assert_eq!(t.diameter(), sweep(t), "{}", t.name());
+        }
+        // The double sweep on trees agrees with Floyd–Warshall.
+        for t in [
+            Topology::binary_tree(21),
+            Topology::random_connected(30, 0.0, 5),
+        ] {
+            let rows = floyd_warshall(&t);
+            assert_eq!(t.diameter(), rows.iter().flatten().copied().max().unwrap());
+        }
     }
 }

@@ -14,8 +14,8 @@
 //!
 //! # Quick tour
 //!
-//! * [`graph::Topology`] — the conflict graph, with distances and the
-//!   diameter constant `D`.
+//! * [`graph::Topology`] — the conflict graph in O(n + m), with the
+//!   diameter constant `D` and one multi-source BFS for distances.
 //! * [`algorithm::Algorithm`] / [`algorithm::DinerAlgorithm`] — a
 //!   guarded-command program: action kinds, guards over a neighborhood
 //!   [`algorithm::View`], commands as atomic [`algorithm::Write`] sets.

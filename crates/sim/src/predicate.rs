@@ -53,16 +53,6 @@ impl<'a, A: Algorithm> Snapshot<'a, A> {
     pub fn live_set(&self) -> Vec<ProcessId> {
         self.topo.processes().filter(|&p| self.is_live(p)).collect()
     }
-
-    /// Minimum distance from `p` to a dead process (`None` when no
-    /// process is dead).
-    pub fn distance_to_dead(&self, p: ProcessId) -> Option<u32> {
-        self.topo
-            .processes()
-            .filter(|&q| self.is_dead(q))
-            .map(|q| self.topo.distance(p, q))
-            .min()
-    }
 }
 
 /// A named predicate over system snapshots.
@@ -198,16 +188,16 @@ mod tests {
         assert!(!snap.is_dead(ProcessId(2)));
         assert_eq!(snap.dead_set(), vec![ProcessId(0)]);
         assert_eq!(snap.live_set(), vec![ProcessId(1), ProcessId(3)]);
-        assert_eq!(snap.distance_to_dead(ProcessId(3)), Some(3));
+        assert_eq!(t.distances_from(&snap.dead_set())[3], 3);
     }
 
     #[test]
-    fn distance_to_dead_none_when_all_alive() {
+    fn no_dead_process_is_at_any_distance_when_all_alive() {
         let t = Topology::line(3);
         let s = SystemState::initial(&Unit, &t);
         let h = vec![Health::Live; 3];
         let snap = Snapshot::new(&t, &s, &h);
-        assert_eq!(snap.distance_to_dead(ProcessId(1)), None);
+        assert_eq!(t.distances_from(&snap.dead_set())[1], u32::MAX);
     }
 
     #[test]

@@ -227,8 +227,7 @@ where
             scheduler: self.scheduler_name().to_string(),
             workload: self.workload_name().to_string(),
             seed: self.seed(),
-            topology_name: topo.name().to_string(),
-            n: topo.len(),
+            topology: topo.clone(),
             edges: topo
                 .edges()
                 .iter()
@@ -269,7 +268,7 @@ where
 /// A complete, serializable run recording: the header inputs plus the
 /// decision/fault/checkpoint streams. See the module docs for the JSONL
 /// layout.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Recording {
     /// Format version ([`FORMAT_VERSION`] when produced by this build).
     pub version: u32,
@@ -283,12 +282,12 @@ pub struct Recording {
     pub workload: String,
     /// Engine seed (drives corruption and malicious writes).
     pub seed: u64,
-    /// Topology display name (e.g. `ring(8)`).
-    pub topology_name: String,
-    /// Process count.
-    pub n: usize,
-    /// Undirected edge list over `0..n`.
-    pub edges: Vec<(usize, usize)>,
+    /// The recorded topology, named as in the header: the engine's when
+    /// recorded, built once from the header's edge list when parsed.
+    topology: Topology,
+    /// The header's edge list as written, so re-serialization is
+    /// byte-stable.
+    edges: Vec<(usize, usize)>,
     /// The fault plan the engine was built with.
     pub faults: FaultPlan,
     /// Total steps recorded (equals `decisions.len()`).
@@ -301,15 +300,33 @@ pub struct Recording {
     pub checkpoints: Vec<Checkpoint>,
 }
 
+/// Recordings are equal when their serialized fields are: the topology
+/// is compared by the header's name, size and edge list, which it was
+/// built from.
+impl PartialEq for Recording {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self, other);
+        a.version == b.version
+            && a.algorithm == b.algorithm
+            && a.scheduler == b.scheduler
+            && a.workload == b.workload
+            && a.seed == b.seed
+            && a.topology.name() == b.topology.name()
+            && a.topology.len() == b.topology.len()
+            && a.edges == b.edges
+            && a.faults == b.faults
+            && a.steps == b.steps
+            && a.decisions == b.decisions
+            && a.fault_log == b.fault_log
+            && a.checkpoints == b.checkpoints
+    }
+}
+
 impl Recording {
-    /// Rebuild the recorded topology. [`Recording::parse`] rejects edge
-    /// lists that are not a simple connected graph over `0..n`, so this
-    /// holds for every parsed recording.
-    pub fn topology(&self) -> Topology {
-        let mut t = Topology::from_edges(self.n, self.edges.iter().copied())
-            .expect("Recording::parse validated the edge list");
-        t.set_name(self.topology_name.clone());
-        t
+    /// The recorded topology. [`Recording::parse`] built and validated it
+    /// from the header, which names it.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
     }
 
     /// Serialize to the versioned JSONL format.
@@ -344,8 +361,8 @@ impl Recording {
             self.scheduler,
             self.workload,
             self.seed,
-            self.topology_name,
-            self.n,
+            self.topology.name(),
+            self.topology.len(),
             edges.join(","),
             self.faults.starts_arbitrary(),
             dead.join(","),
@@ -660,7 +677,9 @@ fn parse_header(
         ));
     }
     let n = num("n")? as usize;
-    Topology::from_edges(n, edges.iter().copied()).map_err(|e| err(&e.to_string()))?;
+    let mut topology =
+        Topology::from_edges(n, edges.iter().copied()).map_err(|e| err(&e.to_string()))?;
+    topology.set_name(text("topology")?);
     let in_range = |p: usize, what: &str| {
         if p < n {
             Ok(p)
@@ -723,8 +742,7 @@ fn parse_header(
         scheduler: text("scheduler")?,
         workload: text("workload")?,
         seed: num("seed")?,
-        topology_name: text("topology")?,
-        n,
+        topology,
         edges,
         faults,
         steps: num("steps")?,
@@ -813,7 +831,7 @@ impl Replayer {
             decisions: Rc::clone(&decisions),
             diverged: Rc::clone(&diverged),
         };
-        let builder = Engine::builder(alg, rec.topology())
+        let builder = Engine::builder(alg, rec.topology().clone())
             .workload(workload)
             .scheduler(sched)
             .faults(rec.faults.clone())
@@ -992,8 +1010,9 @@ mod tests {
             .iter()
             .position(|d| matches!(d, StepDecision::Move { .. }))
             .expect("some move");
+        let n = rec.topology().len();
         if let StepDecision::Move { pid, .. } = &mut rec.decisions[i] {
-            *pid = ProcessId((pid.index() + 1) % rec.n);
+            *pid = ProcessId((pid.index() + 1) % n);
         }
         // The forged move may itself be enabled, in which case replay
         // fires it and diverges later — at a subsequent step mismatch or

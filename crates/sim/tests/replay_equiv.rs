@@ -230,7 +230,13 @@ fn traced_engine_blames_neighbor_deviations_on_the_crash() {
         .observe(CausalTracer::default())
         .build();
     e.run(400);
-    let topo = e.topology().clone();
+    // Hop distances between every pair of the ring's six processes.
+    let topo = e.topology();
+    let rows: Vec<Vec<u32>> = topo
+        .processes()
+        .map(|p| topo.distances_from(&[p]))
+        .collect();
+    let distance = |p: ProcessId, q: ProcessId| rows[p.index()][q.index()];
     let tracer = e.take_observer::<CausalTracer>().expect("tracer attached");
 
     // Parent edges connect closed neighborhoods.
@@ -238,9 +244,9 @@ fn traced_engine_blames_neighbor_deviations_on_the_crash() {
         for &p in &s.parents {
             let parent = tracer.span(p);
             assert!(
-                topo.distance(s.pid, parent.pid) <= 1,
+                distance(s.pid, parent.pid) <= 1,
                 "parent edge spans distance {} ({} -> {})",
-                topo.distance(s.pid, parent.pid),
+                distance(s.pid, parent.pid),
                 s.pid,
                 parent.pid
             );
@@ -257,7 +263,7 @@ fn traced_engine_blames_neighbor_deviations_on_the_crash() {
         if s.kind.is_fault() || s.step <= crash_step {
             continue;
         }
-        if topo.distance(s.pid, crash_pid) == 1 {
+        if distance(s.pid, crash_pid) == 1 {
             // A neighbor's post-crash span reads the frozen local
             // directly or through its own prior span: blame must land
             // within 2 hops, on the crash.
@@ -273,7 +279,7 @@ fn traced_engine_blames_neighbor_deviations_on_the_crash() {
             let root = tracer.span(chain.root());
             assert!(root.kind.is_fault());
             assert!(
-                topo.distance(s.pid, root.pid) <= 2,
+                distance(s.pid, root.pid) <= 2,
                 "blame chain escaped the locality bound"
             );
         }

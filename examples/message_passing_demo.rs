@@ -42,9 +42,10 @@ fn main() {
     std::thread::sleep(Duration::from_millis(400));
 
     println!("meal progress in the 400 ms after the crash settled:");
+    let to_victim = rt.topology().distances_from(&[victim]);
     for p in rt.topology().processes() {
         let delta = rt.meals_of(p) - mark[p.index()];
-        let d = rt.topology().distance(p, victim);
+        let d = to_victim[p.index()];
         let status = if rt.is_dead(p) {
             " [dead]".to_string()
         } else if delta == 0 {
@@ -57,7 +58,7 @@ fn main() {
 
     // Processes at distance >= 3 keep being served.
     for p in rt.topology().processes() {
-        if !rt.is_dead(p) && rt.topology().distance(p, victim) >= 3 {
+        if !rt.is_dead(p) && to_victim[p.index()] >= 3 {
             assert!(
                 rt.meals_of(p) > mark[p.index()],
                 "{p} starved though far from the crash"

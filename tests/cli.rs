@@ -1,5 +1,6 @@
 //! The `dinerlab` binary on malformed input: each case must exit 2 with a
-//! message on stderr, never panic (exit 101).
+//! message on stderr, never panic (exit 101). Valid runs, up to the size
+//! limit, exit 0.
 
 use std::process::Command;
 
@@ -59,4 +60,22 @@ fn a_small_run_succeeds() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("binary_tree(n=7)"), "{stdout}");
+}
+
+#[test]
+fn the_largest_legal_ring_runs_and_one_more_exits_2() {
+    let out = dinerlab(&["run", "--topo", "ring:16384", "--steps", "2000"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("ring(n=16384)"));
+    let out = dinerlab(&["run", "--topo", "ring:16385", "--steps", "2000"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("16385 processes, more than the limit of 16384"),
+        "{stderr}"
+    );
 }

@@ -28,6 +28,10 @@ use diners_sim::{AlertKind, Phase, Telemetry, TelemetryKind};
 
 use crate::snapshot::LocalSnapshot;
 
+/// The paper's failure locality `m = 2`: an SLO breach farther than this
+/// from every dead node is a locality breach.
+const FAILURE_LOCALITY: u32 = 2;
+
 /// A completed snapshot epoch: one local snapshot per live node, plus
 /// the membership the observer saw when it assembled the cut.
 #[derive(Clone, Debug)]
@@ -97,17 +101,11 @@ pub struct MonitorConfig {
     /// raised. Set generously above the topology's expected worst-case
     /// response so healthy runs stay quiet.
     pub slo_wait: u64,
-    /// The paper's failure-locality radius: SLO breaches farther than
-    /// this from every dead node are locality breaches.
-    pub locality_radius: u32,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
-        MonitorConfig {
-            slo_wait: 20_000,
-            locality_radius: 2,
-        }
+        MonitorConfig { slo_wait: 20_000 }
     }
 }
 
@@ -235,7 +233,7 @@ impl Monitor {
                     if !cut.dead.is_empty() {
                         let d =
                             to_dead.get_or_insert_with(|| self.topo.distances_from(&cut.dead))[i];
-                        if d > self.cfg.locality_radius {
+                        if d > FAILURE_LOCALITY {
                             self.raise(cut, s.pid, AlertKind::LocalityBreach { distance: d });
                         }
                     }
@@ -441,10 +439,7 @@ mod tests {
 
     #[test]
     fn slo_breach_throttles_per_episode_and_checks_locality() {
-        let cfg = MonitorConfig {
-            slo_wait: 100,
-            locality_radius: 2,
-        };
+        let cfg = MonitorConfig { slo_wait: 100 };
         let mut m = Monitor::new(Topology::line(6), cfg);
         let hungry_cut = |epoch, step| {
             cut(

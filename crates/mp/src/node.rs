@@ -25,7 +25,8 @@
 //! same logic runs under the deterministic [`crate::simnet::SimNet`] and
 //! the threaded [`crate::runtime::ThreadRuntime`].
 
-use diners_sim::graph::ProcessId;
+use diners_sim::fault::{restart_rng, Resurrection};
+use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::Phase;
 
 use crate::kstate::{Handshake, Role};
@@ -52,6 +53,18 @@ pub struct NodeConfig {
     pub neighbors: Vec<ProcessId>,
     /// The graph diameter `D`, known to every process (as in the paper).
     pub diameter: u32,
+}
+
+impl NodeConfig {
+    /// The configuration of process `id` of `topo`: its neighbors in the
+    /// topology's order and the topology's diameter.
+    pub(crate) fn new(topo: &Topology, id: ProcessId) -> Self {
+        NodeConfig {
+            id,
+            neighbors: topo.neighbors(id).to_vec(),
+            diameter: topo.diameter(),
+        }
+    }
 }
 
 /// An input to the node state machine.
@@ -169,6 +182,29 @@ impl Node {
             retransmits: 0,
             resyncs: 0,
         }
+    }
+
+    /// A node rebuilt after a crash, its local state re-seeded per
+    /// `state`: the initial state, the protocol state in `checkpoint`
+    /// ([`Node::snapshot_bytes`] output), or arbitrary state drawn from
+    /// [`restart_rng`]. A missing or malformed checkpoint degrades to a
+    /// fresh reboot, which stabilization makes safe.
+    pub(crate) fn restarted(
+        cfg: NodeConfig,
+        state: Resurrection,
+        checkpoint: Option<&[u8]>,
+    ) -> Self {
+        let mut node = Node::new(cfg);
+        match state {
+            Resurrection::Fresh => {}
+            Resurrection::Snapshot { .. } => {
+                if let Some(raw) = checkpoint {
+                    let _ = node.restore_bytes(raw);
+                }
+            }
+            Resurrection::Arbitrary { seed } => node.corrupt(&mut restart_rng(seed)),
+        }
+        node
     }
 
     /// Timer-driven retransmissions performed so far (first sends on a

@@ -9,9 +9,11 @@
 //! finish meals). Every node publishes its phase and meal count through
 //! atomics so a monitor can sample global state without locks.
 //!
-//! Crashes are injected by control message: a benign crash makes the
-//! thread exit silently; a malicious crash makes it spew arbitrary
-//! messages for a bounded number of turns first.
+//! Crashes are injected by control message: a benign crash halts the
+//! node silently; a malicious crash makes it spew arbitrary messages for
+//! a bounded number of turns first. A halted node's thread parks until a
+//! restart, which rebuilds the node with `Node::restarted`, or until
+//! shutdown.
 //!
 //! Network faults come from the same [`AdversaryPlan`] vocabulary the
 //! simulator uses ([`ThreadRuntime::spawn_with_adversary`]): each thread
@@ -73,10 +75,9 @@ enum Wire {
         /// Epoch the marker belongs to.
         epoch: u64,
     },
-    /// Halt silently (benign crash).
-    Crash,
-    /// Behave arbitrarily for this many turns, then halt.
-    MaliciousCrash(u32),
+    /// Behave arbitrarily for this many turns, then halt (0 turns: a
+    /// benign crash, which halts silently).
+    Crash(u32),
     /// Resurrect a halted node with the given state policy (a live
     /// recipient ignores this: restart is recovery, not preemption).
     Restart(Resurrection),
@@ -230,11 +231,7 @@ impl ThreadRuntime {
 
         let mut handles = Vec::new();
         for p in topo.processes() {
-            let cfg = NodeConfig {
-                id: p,
-                neighbors: topo.neighbors(p).to_vec(),
-                diameter: topo.diameter(),
-            };
+            let cfg = NodeConfig::new(&topo, p);
             let rx = channels[p.index()].1.clone();
             let peers: Vec<(ProcessId, Sender<Wire>)> = topo
                 .neighbors(p)
@@ -356,12 +353,12 @@ impl ThreadRuntime {
 
     /// Inject a benign crash.
     pub fn crash(&self, p: ProcessId) {
-        let _ = self.senders[p.index()].send(Wire::Crash);
+        let _ = self.senders[p.index()].send(Wire::Crash(0));
     }
 
     /// Inject a malicious crash with the given arbitrary-step budget.
     pub fn malicious_crash(&self, p: ProcessId, steps: u32) {
-        let _ = self.senders[p.index()].send(Wire::MaliciousCrash(steps));
+        let _ = self.senders[p.index()].send(Wire::Crash(steps));
     }
 
     /// Resurrect a halted node with the given state policy. Ignored by a
@@ -690,24 +687,10 @@ fn node_thread(
                 }
                 None
             }
-            Ok(Wire::Crash) => {
-                shared.dead[id.index()].store(true, Ordering::SeqCst);
-                match dead_wait(&rx) {
-                    Some(state) => {
-                        node = resurrect(&cfg, state, &shared);
-                        if let Some(a) = agent.as_mut() {
-                            a.abort();
-                        }
-                        rebirth(&node, &mut net, &shared, &publish);
-                        None
-                    }
-                    None => return,
-                }
-            }
-            Ok(Wire::MaliciousCrash(steps)) => {
-                // Arbitrary behavior within capability: spew garbage.
-                // The spew bypasses the adversary — a faulty process is
-                // its own fault model.
+            Ok(Wire::Crash(steps)) => {
+                // A malicious crash first behaves arbitrarily within its
+                // capability: it spews garbage. The spew bypasses the
+                // adversary — a faulty process is its own fault model.
                 for _ in 0..steps {
                     for (q, tx) in &net.peers {
                         use rand::Rng;
@@ -726,17 +709,17 @@ fn node_thread(
                     std::thread::sleep(tick / 4);
                 }
                 shared.dead[id.index()].store(true, Ordering::SeqCst);
-                match dead_wait(&rx) {
-                    Some(state) => {
-                        node = resurrect(&cfg, state, &shared);
-                        if let Some(a) = agent.as_mut() {
-                            a.abort();
-                        }
-                        rebirth(&node, &mut net, &shared, &publish);
-                        None
-                    }
-                    None => return,
+                let Some(state) = dead_wait(&rx) else { return };
+                let checkpoint = shared.snaps[id.index()]
+                    .lock()
+                    .expect("snapshot slot poisoned")
+                    .clone();
+                node = Node::restarted(cfg.clone(), state, checkpoint.as_deref());
+                if let Some(a) = agent.as_mut() {
+                    a.abort();
                 }
+                rebirth(&node, &mut net, &shared, &publish);
+                None
             }
             // A live node ignores restarts: recovery, not preemption.
             Ok(Wire::Restart(_)) => None,
@@ -818,29 +801,6 @@ fn dead_wait(rx: &Receiver<Wire>) -> Option<Resurrection> {
             Ok(_) => {}
         }
     }
-}
-
-/// Build the reborn node per the resurrection policy.
-fn resurrect(cfg: &NodeConfig, state: Resurrection, shared: &Shared) -> Node {
-    let mut node = Node::new(cfg.clone());
-    match state {
-        Resurrection::Fresh => {}
-        Resurrection::Snapshot { .. } => {
-            // A missing or malformed checkpoint degrades to a fresh
-            // reboot — stabilization makes that safe.
-            let slot = shared.snaps[cfg.id.index()]
-                .lock()
-                .expect("snapshot slot poisoned");
-            if let Some(raw) = slot.as_ref() {
-                let _ = node.restore_bytes(raw);
-            }
-        }
-        Resurrection::Arbitrary { seed } => {
-            let mut r = rng::rng(rng::subseed(seed, 0x5EED));
-            node.corrupt(&mut r);
-        }
-    }
-    node
 }
 
 /// Publish the rebirth: void held-back pre-crash traffic, tell every

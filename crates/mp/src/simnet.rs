@@ -3,10 +3,11 @@
 //! Reliable FIFO links (one queue per directed edge), a seeded scheduler
 //! that interleaves deliveries and node ticks fairly at random, the same
 //! process-fault vocabulary as the shared-memory engine (reusing
-//! [`FaultPlan`]): benign crash, malicious crash (the faulty node emits
-//! arbitrary messages for a budget of turns, then halts), global
-//! transient corruption, initially dead nodes, and arbitrary initial
-//! states — plus the full *link*-fault vocabulary of
+//! [`FaultPlan`], fired through the same [`FaultTimeline`]): benign
+//! crash, malicious crash (the faulty node emits arbitrary messages for
+//! a budget of turns, then halts), global transient corruption,
+//! initially dead nodes, and arbitrary initial states — plus the full
+//! *link*-fault vocabulary of
 //! [`crate::adversary`]: loss, duplication, bounded delay, reordering,
 //! healing partitions, and byzantine-adjacent corruption, all applied at
 //! the send boundary by a seeded [`LinkAdversary`].
@@ -16,7 +17,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use diners_sim::fault::{FaultKind, FaultPlan, Health, Resurrection};
+use diners_sim::fault::{FaultKind, FaultPlan, FaultTimeline, Health, Resurrection};
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::rng;
 use diners_sim::Phase;
@@ -71,8 +72,8 @@ pub struct MonitorSetup {
     pub epoch_every: u64,
     /// Continuous-hunger SLO threshold fed to the [`Monitor`].
     pub slo_wait: u64,
-    /// Retain every completed [`GlobalCut`] (tests; the default keeps
-    /// only the most recent one).
+    /// Retain every completed [`GlobalCut`] (tests; by default the
+    /// plane keeps none).
     pub keep_cuts: bool,
 }
 
@@ -124,7 +125,6 @@ struct MonitorPlane {
     live: Vec<bool>,
     next_epoch_at: u64,
     scratch: Vec<Delivery>,
-    last_cut: Option<GlobalCut>,
     cuts: Vec<GlobalCut>,
 }
 
@@ -136,7 +136,9 @@ pub struct SimNet {
     /// carries hi→lo.
     queues: Vec<VecDeque<Queued>>,
     health: Vec<Health>,
-    faults: FaultPlan,
+    /// The fault plan and the node checkpoints its snapshot restarts
+    /// restore.
+    faults: FaultTimeline<Vec<u8>>,
     adversary: LinkAdversary,
     /// Scratch buffer for adversary verdicts (avoids per-send allocation).
     deliveries: Vec<Delivery>,
@@ -160,18 +162,6 @@ pub struct SimNet {
     /// Snapshot + predicate monitoring side-car, when
     /// [`SimNet::enable_monitor`] was called.
     plane: Option<Box<MonitorPlane>>,
-    /// Checkpoints scheduled by plan-driven `Restart { Snapshot }`
-    /// events, captured `age` steps before the restart fires.
-    plan_snaps: Vec<PlanSnap>,
-}
-
-/// A plan-scheduled checkpoint for one `Restart { Snapshot }` event.
-#[derive(Clone, Debug)]
-struct PlanSnap {
-    capture_at: u64,
-    fire_at: u64,
-    target: ProcessId,
-    bytes: Option<Vec<u8>>,
 }
 
 impl SimNet {
@@ -194,13 +184,7 @@ impl SimNet {
         let n = topo.len();
         let mut nodes: Vec<Node> = topo
             .processes()
-            .map(|p| {
-                Node::new(NodeConfig {
-                    id: p,
-                    neighbors: topo.neighbors(p).to_vec(),
-                    diameter: topo.diameter(),
-                })
-            })
+            .map(|p| Node::new(NodeConfig::new(&topo, p)))
             .collect();
         let mut rng = rng::rng(rng::subseed(seed, 0x51E7));
         if faults.starts_arbitrary() {
@@ -212,26 +196,11 @@ impl SimNet {
         for &p in faults.initially_dead_processes() {
             health[p.index()] = Health::Dead;
         }
-        let plan_snaps = faults
-            .events()
-            .iter()
-            .filter_map(|ev| match ev.kind {
-                FaultKind::Restart {
-                    state: Resurrection::Snapshot { age },
-                } => Some(PlanSnap {
-                    capture_at: ev.at_step.saturating_sub(age),
-                    fire_at: ev.at_step,
-                    target: ev.target,
-                    bytes: None,
-                }),
-                _ => None,
-            })
-            .collect();
         SimNet {
             queues: vec![VecDeque::new(); topo.edge_count() * 2],
             nodes,
             health,
-            faults,
+            faults: FaultTimeline::new(faults),
             adversary: LinkAdversary::new(adversary, seed),
             deliveries: Vec::new(),
             rng,
@@ -246,7 +215,6 @@ impl SimNet {
             seed,
             supervisor: None,
             plane: None,
-            plan_snaps,
             topo,
         }
     }
@@ -270,7 +238,6 @@ impl SimNet {
             self.topo.clone(),
             MonitorConfig {
                 slo_wait: setup.slo_wait,
-                ..MonitorConfig::default()
             },
         );
         self.plane = Some(Box::new(MonitorPlane {
@@ -295,7 +262,6 @@ impl SimNet {
                 .collect(),
             next_epoch_at: self.step,
             scratch: Vec::new(),
-            last_cut: None,
             cuts: Vec::new(),
             setup,
         }));
@@ -310,11 +276,6 @@ impl SimNet {
     /// (0 when monitoring is off or no epoch has started).
     pub fn snapshot_epoch(&self) -> u64 {
         self.plane.as_deref().map_or(0, |pl| pl.epoch)
-    }
-
-    /// The most recently completed global cut, if any.
-    pub fn last_cut(&self) -> Option<&GlobalCut> {
-        self.plane.as_deref().and_then(|pl| pl.last_cut.as_ref())
     }
 
     /// Every completed cut (empty unless [`MonitorSetup::keep_cuts`]).
@@ -650,9 +611,8 @@ impl SimNet {
             };
             pl.monitor.observe_cut(&cut);
             if pl.setup.keep_cuts {
-                pl.cuts.push(cut.clone());
+                pl.cuts.push(cut);
             }
-            pl.last_cut = Some(cut);
             pl.active = false;
             pl.next_epoch_at = now + pl.setup.epoch_every;
             for q in &mut pl.markers {
@@ -738,17 +698,10 @@ impl SimNet {
     }
 
     fn apply_due_faults(&mut self) {
-        // Capture plan-scheduled checkpoints that fall due this step
-        // (before this step's faults, so a same-step crash cannot
-        // poison the checkpoint).
-        for i in 0..self.plan_snaps.len() {
-            if self.plan_snaps[i].capture_at == self.step && self.plan_snaps[i].bytes.is_none() {
-                let t = self.plan_snaps[i].target;
-                self.plan_snaps[i].bytes = Some(self.nodes[t.index()].snapshot_bytes());
-            }
-        }
-        let due: Vec<_> = self.faults.due_at(self.step).copied().collect();
-        for ev in due {
+        while let Some((ev, checkpoint)) = self
+            .faults
+            .next_due(self.step, |p| self.nodes[p.index()].snapshot_bytes())
+        {
             match ev.kind {
                 FaultKind::Crash => self.health[ev.target.index()] = Health::Dead,
                 FaultKind::MaliciousCrash { steps } => {
@@ -778,17 +731,7 @@ impl SimNet {
                     node.corrupt(&mut self.rng);
                     self.meals_seen[ev.target.index()] = node.meals();
                 }
-                FaultKind::Restart { state } => {
-                    let snap = match state {
-                        Resurrection::Snapshot { .. } => self
-                            .plan_snaps
-                            .iter_mut()
-                            .find(|s| s.fire_at == self.step && s.target == ev.target)
-                            .and_then(|s| s.bytes.take()),
-                        _ => None,
-                    };
-                    self.revive(ev.target, state, snap);
-                }
+                FaultKind::Restart { state } => self.revive(ev.target, state, checkpoint),
             }
         }
     }
@@ -828,9 +771,10 @@ impl SimNet {
         }
     }
 
-    /// Resurrect a dead node with `state`-seeded local memory. A no-op
-    /// unless the target is [`Health::Dead`]: live and byzantine
-    /// processes are still running and cannot be "restarted".
+    /// Resurrect a dead node with `state`-seeded local memory
+    /// ([`Node::restarted`]). A no-op unless the target is
+    /// [`Health::Dead`]: live and byzantine processes are still running
+    /// and cannot be "restarted".
     ///
     /// The reboot is an *epoch boundary* on every incident link: both
     /// directions' in-flight traffic (addressed to, or sent by, the dead
@@ -844,25 +788,7 @@ impl SimNet {
         if !self.health[p.index()].is_dead() {
             return;
         }
-        let mut node = Node::new(NodeConfig {
-            id: p,
-            neighbors: self.topo.neighbors(p).to_vec(),
-            diameter: self.topo.diameter(),
-        });
-        match state {
-            Resurrection::Fresh => {}
-            Resurrection::Snapshot { .. } => {
-                // A missing or corrupt checkpoint degrades to a fresh
-                // reboot — stabilization makes that safe.
-                if let Some(raw) = snapshot {
-                    let _ = node.restore_bytes(&raw);
-                }
-            }
-            Resurrection::Arbitrary { seed } => {
-                let mut r = rng::rng(rng::subseed(seed, 0x5EED));
-                node.corrupt(&mut r);
-            }
-        }
+        let node = Node::restarted(NodeConfig::new(&self.topo, p), state, snapshot.as_deref());
         self.health[p.index()] = Health::Live;
         self.meals_seen[p.index()] = node.meals();
         self.nodes[p.index()] = node;

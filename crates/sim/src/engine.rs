@@ -3,7 +3,7 @@
 //! [`Engine`] executes one [`DinerAlgorithm`] over one [`Topology`] under
 //! one [`Scheduler`] and one [`FaultPlan`]. Each step it
 //!
-//! 1. applies the faults due at the current step,
+//! 1. applies the faults its [`FaultTimeline`] fires at the current step,
 //! 2. brings the enabled set up to date: the enabled action instances of
 //!    every live process, plus one arbitrary-step pseudo-move per
 //!    maliciously crashing process,
@@ -59,7 +59,7 @@ use rand::rngs::StdRng;
 
 use crate::algorithm::{ActionId, DinerAlgorithm, Move, Phase, SystemState, View, Write};
 use crate::enabled::EnabledIndex;
-use crate::fault::{FaultKind, FaultPlan, Health, Resurrection};
+use crate::fault::{self, FaultKind, FaultPlan, FaultTimeline, Health, Resurrection};
 use crate::graph::{ProcessId, Topology};
 use crate::metrics::DinerMetrics;
 use crate::observe::{EventKind, StepEvent, StepObserver};
@@ -171,22 +171,6 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
             .map(|i| self.workload.needs(ProcessId(i), 0))
             .collect();
         let step_dependent_needs = self.workload.step_dependent();
-        // Schedule one checkpoint capture per snapshot restart, `age`
-        // steps before the restart fires (clamped at the run start).
-        let mut snap_schedule: Vec<(u64, usize)> = self
-            .faults
-            .events()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, ev)| match ev.kind {
-                FaultKind::Restart {
-                    state: Resurrection::Snapshot { age },
-                } => Some((ev.at_step.saturating_sub(age), i)),
-                _ => None,
-            })
-            .collect();
-        snap_schedule.sort_unstable();
-        let snapshots = vec![None; self.faults.events().len()];
         let mut engine = Engine {
             metrics: DinerMetrics::new(n),
             last_phase: (0..n)
@@ -198,13 +182,12 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
             health,
             workload: self.workload,
             sched: self.sched,
-            faults: self.faults,
+            faults: FaultTimeline::new(self.faults),
             seed: self.seed,
             step: 0,
             executed: 0,
             quiescent: 0,
             rng,
-            fault_cursor: 0,
             dirty_mask: vec![true; n],
             dirty: (0..n).collect(),
             index,
@@ -215,9 +198,6 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
             annotated: Vec::new(),
             scratch: Vec::new(),
             observers: self.observers,
-            snap_schedule,
-            snap_cursor: 0,
-            snapshots,
             write_violations: 0,
         };
         let (total, live) = engine.eating_pairs_scan();
@@ -239,15 +219,14 @@ pub struct Engine<A: DinerAlgorithm> {
     health: Vec<Health>,
     workload: Box<dyn Workload>,
     sched: Box<dyn Scheduler>,
-    faults: FaultPlan,
+    /// The fault plan and the checkpoints its snapshot restarts restore.
+    faults: FaultTimeline<A::Local>,
     step: u64,
     executed: u64,
     quiescent: u64,
     rng: StdRng,
     metrics: DinerMetrics,
     last_phase: Vec<Phase>,
-    /// Cursor into `faults.events()` — everything before it has fired.
-    fault_cursor: usize,
     /// Which processes need re-enumeration (mask + stack, no dup pushes).
     dirty_mask: Vec<bool>,
     dirty: Vec<usize>,
@@ -269,15 +248,6 @@ pub struct Engine<A: DinerAlgorithm> {
     seed: u64,
     /// Attached observers; with none, the engine builds no events.
     observers: Vec<Box<dyn StepObserver<A>>>,
-    /// Checkpoint schedule for snapshot restarts: `(capture_step, event
-    /// index)` pairs sorted by step. Derived from the fault plan at build
-    /// time, so each needed snapshot is captured exactly once.
-    snap_schedule: Vec<(u64, usize)>,
-    /// Cursor into `snap_schedule` — everything before it was captured.
-    snap_cursor: usize,
-    /// Captured local-state checkpoints, indexed like `faults.events()`
-    /// (filled only for snapshot-restart events).
-    snapshots: Vec<Option<A::Local>>,
     /// Writes rejected by the runtime write-contract check
     /// ([`crate::footprint::check_write`]): non-neighbor edge writes and
     /// malicious writes outside the capability. Such writes panic under
@@ -345,7 +315,7 @@ impl<A: DinerAlgorithm> Engine<A> {
 
     /// The fault plan the engine was built with (recording header).
     pub(crate) fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
+        self.faults.plan()
     }
 
     /// The algorithm under simulation.
@@ -685,21 +655,9 @@ impl<A: DinerAlgorithm> Engine<A> {
 
     fn apply_due_faults(&mut self) {
         let step = self.step;
-        // Capture any local-state checkpoints due at (or before) this
-        // step, ahead of the faults: a same-step kill must not scribble
-        // on the checkpoint a later restart restores.
-        while let Some(&(at, idx)) = self.snap_schedule.get(self.snap_cursor) {
-            if at > step {
-                break;
-            }
-            let target = self.faults.events()[idx].target;
-            self.snapshots[idx] = Some(self.state.local(target).clone());
-            self.snap_cursor += 1;
-        }
-        let (start, end) = self.faults.due_span(self.fault_cursor, step);
-        self.fault_cursor = end;
-        for i in start..end {
-            let ev = self.faults.events()[i];
+        while let Some((ev, checkpoint)) =
+            self.faults.next_due(step, |p| self.state.local(p).clone())
+        {
             let phase_before =
                 (!self.observers.is_empty()).then(|| self.alg.phase(self.state.local(ev.target)));
             let mut revived = false;
@@ -751,12 +709,12 @@ impl<A: DinerAlgorithm> Engine<A> {
                                     self.alg.init_local(&self.topo, ev.target);
                             }
                             Resurrection::Snapshot { .. } => {
-                                if let Some(snap) = self.snapshots[i].clone() {
+                                if let Some(snap) = checkpoint {
                                     *self.state.local_mut(ev.target) = snap;
                                 }
                             }
                             Resurrection::Arbitrary { seed } => {
-                                let mut r = rng::rng(rng::subseed(seed, 0x5EED));
+                                let mut r = fault::restart_rng(seed);
                                 self.state
                                     .corrupt_process(&self.alg, &self.topo, &mut r, ev.target);
                             }

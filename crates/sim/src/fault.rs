@@ -12,12 +12,18 @@
 //! * **Initially dead** — a special case of crash: the process never does
 //!   anything.
 //!
-//! A [`FaultPlan`] schedules any mix of these against a run; the engine
-//! executes the plan deterministically.
+//! A [`FaultPlan`] schedules any mix of these against a run. A
+//! [`FaultTimeline`] reads the plan as a clock: it is the one definition
+//! of which events fire at each step and which checkpoint each snapshot
+//! restart restores, used by both substrates that run a plan, the
+//! shared-memory engine and the message-passing `SimNet`.
 
 use std::fmt;
 
+use rand::rngs::StdRng;
+
 use crate::graph::ProcessId;
+use crate::rng;
 
 /// Liveness status of a process during a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -74,11 +80,20 @@ pub enum Resurrection {
         age: u64,
     },
     /// Restart with fully arbitrary local state drawn from a dedicated
-    /// RNG stream keyed by `seed` (the worst case stabilization covers).
+    /// RNG stream keyed by `seed` ([`restart_rng`]; the worst case
+    /// stabilization covers).
     Arbitrary {
         /// Seed of the corruption stream, independent of the run seed.
         seed: u64,
     },
+}
+
+/// The stream a [`Resurrection::Arbitrary`] restart with `seed` draws the
+/// reborn process's local state from, independent of the run seed. Every
+/// substrate that restarts a process draws from it, so one plan reboots a
+/// process into the same state under the engine and under `SimNet`.
+pub fn restart_rng(seed: u64) -> StdRng {
+    rng::rng(rng::subseed(seed, 0x5EED))
 }
 
 impl fmt::Display for Resurrection {
@@ -140,7 +155,8 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// A deterministic schedule of faults for one run.
+/// A deterministic schedule of faults for one run, fired step by step
+/// through a [`FaultTimeline`].
 ///
 /// # Examples
 ///
@@ -323,32 +339,6 @@ impl FaultPlan {
         &self.initially_dead
     }
 
-    /// Events striking exactly at `step`.
-    pub fn due_at(&self, step: u64) -> impl Iterator<Item = &FaultEvent> + '_ {
-        // events are sorted by step; a linear scan is fine at our scales.
-        self.events.iter().filter(move |e| e.at_step == step)
-    }
-
-    /// Allocation-free cursor variant of [`FaultPlan::due_at`] for callers
-    /// that visit steps in nondecreasing order (the engine hot path).
-    ///
-    /// Given a cursor into [`FaultPlan::events`] (initially `0`), returns
-    /// the half-open index range of events striking exactly at `step`,
-    /// skipping any already-passed events before it. Feed the returned
-    /// `end` back as the next call's cursor; in the common no-fault case
-    /// this is two comparisons and no allocation.
-    pub fn due_span(&self, cursor: usize, step: u64) -> (usize, usize) {
-        let mut start = cursor;
-        while start < self.events.len() && self.events[start].at_step < step {
-            start += 1;
-        }
-        let mut end = start;
-        while end < self.events.len() && self.events[end].at_step == step {
-            end += 1;
-        }
-        (start, end)
-    }
-
     /// Total number of processes this plan ever kills (initially dead +
     /// crash + malicious crash targets, deduplicated).
     pub fn kill_count(&self) -> usize {
@@ -386,6 +376,134 @@ fn kind_rank(k: FaultKind) -> u8 {
         // Restarts sort after kills at the same step, so a same-step
         // crash→restart pair nets out to an immediate resurrection.
         FaultKind::Restart { .. } => 4,
+    }
+}
+
+/// A [`FaultPlan`] read as a clock, checkpoints included.
+///
+/// Call [`FaultTimeline::next_due`] at every step, steps in increasing
+/// order, until it returns `None`. It yields the plan's events that fire
+/// at that step, in plan order. A `Restart { Snapshot { age } }` event
+/// comes with the checkpoint of its target taken `age` steps before it
+/// fires, clamped at step 0, before that step's events, one checkpoint
+/// per event. A step with nothing due costs a few comparisons and no
+/// allocation.
+///
+/// `C` is whatever the substrate checkpoints: the engine keeps the
+/// target's local state, `SimNet` its node's snapshot bytes. The
+/// substrate supplies it through the `capture` closure and applies each
+/// event itself.
+///
+/// # Examples
+///
+/// ```
+/// use diners_sim::fault::{FaultPlan, FaultTimeline};
+/// let plan = FaultPlan::new().crash(3, 1).restart_snapshot(5, 1, 4);
+/// let mut timeline = FaultTimeline::new(plan);
+/// let mut fired = Vec::new();
+/// for step in 0..8 {
+///     // The checkpoint records the step it was taken at.
+///     while let Some((ev, checkpoint)) = timeline.next_due(step, |_| step) {
+///         fired.push((ev.at_step, checkpoint));
+///     }
+/// }
+/// assert_eq!(fired, [(3, None), (5, Some(1))]);
+/// ```
+#[derive(Debug)]
+pub struct FaultTimeline<C> {
+    plan: FaultPlan,
+    /// Index into the plan's events of the next one to fire.
+    next_event: usize,
+    /// One checkpoint per snapshot restart, sorted by capture step, then
+    /// by event index.
+    captures: Vec<Capture<C>>,
+    /// Index into `captures` of the next checkpoint to take.
+    next_capture: usize,
+}
+
+#[derive(Debug)]
+struct Capture<C> {
+    at: u64,
+    event: usize,
+    checkpoint: Option<C>,
+}
+
+impl<C> FaultTimeline<C> {
+    /// The timeline of `plan`, before step 0.
+    pub fn new(plan: FaultPlan) -> Self {
+        let mut captures: Vec<Capture<C>> = plan
+            .events
+            .iter()
+            .enumerate()
+            .filter_map(|(event, ev)| match ev.kind {
+                FaultKind::Restart {
+                    state: Resurrection::Snapshot { age },
+                } => Some(Capture {
+                    at: ev.at_step.saturating_sub(age),
+                    event,
+                    checkpoint: None,
+                }),
+                _ => None,
+            })
+            .collect();
+        captures.sort_unstable_by_key(|c| (c.at, c.event));
+        FaultTimeline {
+            plan,
+            next_event: 0,
+            captures,
+            next_capture: 0,
+        }
+    }
+
+    /// The plan this timeline fires.
+    pub(crate) fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
+    /// The next event that fires at `step`, with the checkpoint it
+    /// restores if it is a snapshot restart (`None` for every other
+    /// kind), or `None` once the step has nothing left.
+    ///
+    /// The first call at a step first takes every checkpoint due by then,
+    /// calling `capture` with the process to checkpoint: a kill at that
+    /// step must not reach the state a restart restores. Events of steps
+    /// passed over are skipped, never fired.
+    pub fn next_due(
+        &mut self,
+        step: u64,
+        mut capture: impl FnMut(ProcessId) -> C,
+    ) -> Option<(FaultEvent, Option<C>)> {
+        while let Some(c) = self.captures.get_mut(self.next_capture) {
+            if c.at > step {
+                break;
+            }
+            c.checkpoint = Some(capture(self.plan.events[c.event].target));
+            self.next_capture += 1;
+        }
+        let events = &self.plan.events;
+        while events
+            .get(self.next_event)
+            .is_some_and(|e| e.at_step < step)
+        {
+            self.next_event += 1;
+        }
+        let i = self.next_event;
+        let ev = *events.get(i).filter(|e| e.at_step == step)?;
+        self.next_event += 1;
+        let checkpoint = match ev.kind {
+            FaultKind::Restart {
+                state: Resurrection::Snapshot { age },
+            } => {
+                let key = (ev.at_step.saturating_sub(age), i);
+                let slot = self
+                    .captures
+                    .binary_search_by_key(&key, |c| (c.at, c.event))
+                    .expect("every snapshot restart has a capture slot");
+                self.captures[slot].checkpoint.take()
+            }
+            _ => None,
+        };
+        Some((ev, checkpoint))
     }
 }
 
@@ -461,38 +579,121 @@ mod tests {
         assert!(smaller.events().iter().all(|e| e.at_step != 30));
     }
 
-    #[test]
-    fn due_at_filters() {
-        let p = FaultPlan::new().crash(10, 1).crash(10, 2).crash(20, 3);
-        assert_eq!(p.due_at(10).count(), 2);
-        assert_eq!(p.due_at(15).count(), 0);
-        assert_eq!(p.due_at(20).count(), 1);
+    /// Every event the timeline fires at `step`, with its checkpoint.
+    fn fire<C>(
+        timeline: &mut FaultTimeline<C>,
+        step: u64,
+        mut capture: impl FnMut(ProcessId) -> C,
+    ) -> Vec<(FaultEvent, Option<C>)> {
+        let mut fired = Vec::new();
+        while let Some(due) = timeline.next_due(step, &mut capture) {
+            fired.push(due);
+        }
+        fired
+    }
+
+    fn due_at(plan: &FaultPlan, step: u64) -> Vec<FaultEvent> {
+        plan.events()
+            .iter()
+            .filter(|e| e.at_step == step)
+            .copied()
+            .collect()
     }
 
     #[test]
-    fn due_span_matches_due_at_under_a_monotone_cursor() {
+    fn timeline_fires_each_steps_events() {
+        let p = FaultPlan::new().crash(10, 1).crash(10, 2).crash(20, 3);
+        let mut t = FaultTimeline::new(p);
+        assert_eq!(fire(&mut t, 10, |_| ()).len(), 2);
+        assert_eq!(fire(&mut t, 15, |_| ()).len(), 0);
+        assert_eq!(fire(&mut t, 20, |_| ()).len(), 1);
+    }
+
+    #[test]
+    fn timeline_matches_the_plan_filter_step_by_step() {
         let p = FaultPlan::new()
             .crash(10, 1)
             .crash(10, 2)
             .transient_global(12)
             .crash(20, 3);
-        let mut cursor = 0;
+        let mut t = FaultTimeline::new(p.clone());
         for step in 0..25u64 {
-            let (start, end) = p.due_span(cursor, step);
-            cursor = end;
-            let via_span: Vec<_> = p.events()[start..end].to_vec();
-            let via_filter: Vec<_> = p.due_at(step).copied().collect();
-            assert_eq!(via_span, via_filter, "step {step}");
+            let fired: Vec<FaultEvent> = fire(&mut t, step, |_| ())
+                .into_iter()
+                .map(|(e, _)| e)
+                .collect();
+            assert_eq!(fired, due_at(&p, step), "step {step}");
         }
-        // Cursor past the end stays in range and yields nothing.
-        assert_eq!(p.due_span(cursor, 99), (p.events().len(), p.events().len()));
+        // Past the last event the timeline stays empty.
+        assert!(t.next_due(99, |_| ()).is_none());
     }
 
     #[test]
-    fn due_span_skips_missed_steps() {
+    fn timeline_skips_missed_steps() {
         let p = FaultPlan::new().crash(5, 0).crash(9, 1);
+        let mut t = FaultTimeline::new(p.clone());
         // Jumping straight to step 9 passes over the step-5 event.
-        assert_eq!(p.due_span(0, 9), (1, 2));
+        let fired: Vec<FaultEvent> = fire(&mut t, 9, |_| ())
+            .into_iter()
+            .map(|(e, _)| e)
+            .collect();
+        assert_eq!(fired, p.events()[1..2]);
+    }
+
+    /// Seeded random plans, dense enough that kills and restarts of one
+    /// process share steps, with snapshot ages up to past the fire step.
+    /// At every step the timeline fires exactly the plan's events of that
+    /// step, in order, and each snapshot restart gets the checkpoint
+    /// taken at `at_step - age` (clamped at 0) before that step's events.
+    #[test]
+    fn timeline_matches_the_plan_on_random_plans() {
+        use rand::Rng;
+        use std::cell::Cell;
+        const STEPS: u64 = 48;
+        for seed in 0..300 {
+            let mut r = rng::rng(seed);
+            let mut plan = FaultPlan::new();
+            for _ in 0..r.gen_range(0..24) {
+                let at = r.gen_range(0..40u64);
+                let pid = r.gen_range(0..4usize);
+                let age = r.gen_range(0..64u64);
+                plan = match r.gen_range(0..8) {
+                    0 => plan.crash(at, pid),
+                    1 => plan.malicious_crash(at, pid, r.gen_range(0..3)),
+                    2 => plan.transient_global(at),
+                    3 => plan.transient_local(at, pid),
+                    4 => plan.restart_fresh(at, pid),
+                    5 => plan.restart_arbitrary(at, pid, r.gen()),
+                    6 => plan.restart_snapshot(at, pid, age),
+                    _ => plan.crash(at, pid).restart_snapshot(at, pid, age),
+                };
+            }
+            // A checkpoint is (step taken, process, events fired so far).
+            let mut t = FaultTimeline::new(plan.clone());
+            let so_far = Cell::new(0);
+            for step in 0..STEPS {
+                let mut fired = Vec::new();
+                while let Some(due) = t.next_due(step, |p| (step, p, so_far.get())) {
+                    so_far.set(so_far.get() + 1);
+                    fired.push(due);
+                }
+                let events: Vec<FaultEvent> = fired.iter().map(|(e, _)| *e).collect();
+                assert_eq!(events, due_at(&plan, step), "seed {seed} step {step}");
+                for (ev, checkpoint) in fired {
+                    let expected = match ev.kind {
+                        FaultKind::Restart {
+                            state: Resurrection::Snapshot { age },
+                        } => {
+                            let at = ev.at_step.saturating_sub(age);
+                            let earlier = plan.events().iter().filter(|e| e.at_step < at).count();
+                            Some((at, ev.target, earlier))
+                        }
+                        _ => None,
+                    };
+                    assert_eq!(checkpoint, expected, "seed {seed} {ev:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! * [`scheduler`] — weakly fair daemons: round-robin, least-recent,
 //!   random, bounded-adversarial, scripted.
 //! * [`fault::FaultPlan`] — deterministic fault schedules, including the
-//!   paper's malicious crash (k arbitrary steps, then halt).
+//!   paper's malicious crash (k arbitrary steps, then halt), fired step
+//!   by step through one [`fault::FaultTimeline`].
 //! * [`engine::Engine`] — deterministic interleaving execution with
 //!   service metrics and an exclusion monitor.
 //! * [`observe::StepObserver`] — the one seam through which observers
@@ -98,8 +99,7 @@ pub use record::{
 pub use scheduler::Scheduler;
 pub use symmetry::{Perm, SymmetryGroup};
 pub use telemetry::{
-    AlertKind, EventSink, Histogram, MetricsRegistry, RingSink, Telemetry, TelemetryEvent,
-    TelemetryKind,
+    AlertKind, Histogram, MetricsRegistry, RingSink, Telemetry, TelemetryEvent, TelemetryKind,
 };
 pub use trace::Trace;
 pub use tracing::{BlameChain, CausalTracer, Span, SpanId};

@@ -198,13 +198,8 @@ impl Scheduler for RandomScheduler {
 /// Hostile selection policies for [`AdversarialScheduler`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Adversary {
-    /// Avoid firing the given action kind for as long as fairness allows
-    /// (e.g. delay every `exit` to stretch eating sections).
-    AvoidKind(usize),
     /// Avoid scheduling the given process for as long as fairness allows.
     StarveProcess(ProcessId),
-    /// Prefer firing the given action kind whenever it is enabled.
-    PreferKind(usize),
     /// Always pick the *newest*-enabled move (LIFO), starving old moves
     /// up to the fairness bound.
     Newest,
@@ -254,81 +249,33 @@ impl Scheduler for AdversarialScheduler {
         {
             return i;
         }
-        let candidates: Vec<usize> = match &self.policy {
-            Adversary::AvoidKind(k) => {
-                let avoid: Vec<usize> = enabled
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.mv.action.kind != *k)
-                    .map(|(i, _)| i)
-                    .collect();
-                if avoid.is_empty() {
-                    (0..enabled.len()).collect()
-                } else {
-                    avoid
-                }
-            }
-            Adversary::StarveProcess(p) => {
-                let avoid: Vec<usize> = enabled
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.mv.pid != *p)
-                    .map(|(i, _)| i)
-                    .collect();
-                if avoid.is_empty() {
-                    (0..enabled.len()).collect()
-                } else {
-                    avoid
-                }
-            }
-            Adversary::PreferKind(k) => {
-                let pref: Vec<usize> = enabled
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.mv.action.kind == *k)
-                    .map(|(i, _)| i)
-                    .collect();
-                if pref.is_empty() {
-                    (0..enabled.len()).collect()
-                } else {
-                    pref
-                }
-            }
+        let mut candidates: Vec<usize> = match &self.policy {
+            Adversary::StarveProcess(p) => indices_where(enabled, |m| m.mv.pid != *p),
             Adversary::Newest => {
                 let min_age = enabled.iter().map(|m| m.age).min().unwrap_or(1);
-                enabled
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.age == min_age)
-                    .map(|(i, _)| i)
-                    .collect()
+                indices_where(enabled, |m| m.age == min_age)
             }
-            Adversary::KindOrder(order) => {
-                let mut chosen: Vec<usize> = Vec::new();
-                for &k in order {
-                    chosen = enabled
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, m)| m.mv.action.kind == k)
-                        .map(|(i, _)| i)
-                        .collect();
-                    if !chosen.is_empty() {
-                        break;
-                    }
-                }
-                if chosen.is_empty() {
-                    (0..enabled.len()).collect()
-                } else {
-                    chosen
-                }
-            }
+            Adversary::KindOrder(order) => order
+                .iter()
+                .map(|&k| indices_where(enabled, |m| m.mv.action.kind == k))
+                .find(|c| !c.is_empty())
+                .unwrap_or_default(),
         };
+        // A policy that rules out every enabled move falls back to all.
+        if candidates.is_empty() {
+            candidates = (0..enabled.len()).collect();
+        }
         candidates[self.rng.gen_range(0..candidates.len())]
     }
 
     fn name(&self) -> &str {
         "adversarial"
     }
+}
+
+/// The indices of the enabled moves that `keep` accepts.
+fn indices_where(enabled: &[EnabledMove], keep: impl Fn(&EnabledMove) -> bool) -> Vec<usize> {
+    (0..enabled.len()).filter(|&i| keep(&enabled[i])).collect()
 }
 
 /// Replays an exact schedule of moves; panics if a scripted move is not
@@ -552,35 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn adversary_avoids_kind_until_forced() {
-        let mut s = AdversarialScheduler::new(Adversary::AvoidKind(1), 5, 0);
-        let e = vec![
-            EnabledMove {
-                mv: mv(0, 0),
-                age: 1,
-            },
-            EnabledMove {
-                mv: mv(1, 1),
-                age: 1,
-            },
-        ];
-        for st in 0..10 {
-            assert_eq!(s.pick(st, &e), 0, "avoids kind 1 while fairness allows");
-        }
-        let overdue = vec![
-            EnabledMove {
-                mv: mv(0, 0),
-                age: 1,
-            },
-            EnabledMove {
-                mv: mv(1, 1),
-                age: 5,
-            },
-        ];
-        assert_eq!(s.pick(10, &overdue), 1, "fairness bound forces kind 1");
-    }
-
-    #[test]
     fn adversary_starves_process_until_forced() {
         let mut s = AdversarialScheduler::new(Adversary::StarveProcess(ProcessId(0)), 3, 1);
         let e = moves(&[0, 1]);
@@ -596,22 +514,6 @@ mod tests {
             },
         ];
         assert_eq!(overdue[s.pick(1, &overdue)].mv.pid, ProcessId(0));
-    }
-
-    #[test]
-    fn adversary_prefers_kind() {
-        let mut s = AdversarialScheduler::new(Adversary::PreferKind(2), 100, 2);
-        let e = vec![
-            EnabledMove {
-                mv: mv(0, 0),
-                age: 1,
-            },
-            EnabledMove {
-                mv: mv(1, 2),
-                age: 1,
-            },
-        ];
-        assert_eq!(s.pick(0, &e), 1);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! 1. A structured **event bus**: [`TelemetryEvent`]s (action firings,
 //!    phase transitions, fault injections, message-layer verdicts,
 //!    monitor alerts), each stamped with the engine step, the process id
-//!    and a monotonic logical clock, delivered to an [`EventSink`]
-//!    ([`RingSink`] keeps the last N in memory).
+//!    and a monotonic logical clock, kept in an optional [`RingSink`]
+//!    (the last N in memory).
 //! 2. A **metrics registry**: named counters, gauges and fixed-bucket
 //!    histograms addressed by integer handles so the hot path never does
 //!    a string lookup.
@@ -119,20 +119,9 @@ pub struct TelemetryEvent {
     pub kind: TelemetryKind,
 }
 
-/// Where events go. Sinks must be cheap: they run inside the engine's
-/// step loop whenever telemetry is attached.
-pub trait EventSink {
-    /// Consume one event.
-    fn emit(&mut self, ev: &TelemetryEvent);
-
-    /// Downcast hook so [`Telemetry::sink_as`] can recover the concrete
-    /// sink after a run. Implement as `Some(self)` to opt in.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
-}
-
-/// Bounded in-memory sink keeping the most recent `cap` events.
+/// Bounded in-memory sink keeping the most recent `cap` events. It runs
+/// inside the engine's step loop whenever telemetry with a sink is
+/// attached, so it must stay cheap.
 pub struct RingSink {
     cap: usize,
     buf: VecDeque<TelemetryEvent>,
@@ -163,19 +152,14 @@ impl RingSink {
     pub fn dropped(&self) -> u64 {
         self.total - self.buf.len() as u64
     }
-}
 
-impl EventSink for RingSink {
-    fn emit(&mut self, ev: &TelemetryEvent) {
+    /// Keep one event, evicting the oldest if the ring is full.
+    pub fn emit(&mut self, ev: &TelemetryEvent) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
         }
         self.buf.push_back(*ev);
         self.total += 1;
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -669,7 +653,7 @@ fn render_label_block(inner: &str) -> String {
 pub struct Telemetry {
     clock: u64,
     registry: MetricsRegistry,
-    sink: Option<Box<dyn EventSink>>,
+    sink: Option<RingSink>,
     /// Engine metric handles, registered when an engine is built with
     /// this telemetry attached.
     engine: Option<EngineHandles>,
@@ -707,9 +691,9 @@ impl Telemetry {
     }
 
     /// Metrics plus the given event sink.
-    pub fn with_sink(sink: impl EventSink + 'static) -> Self {
+    pub fn with_sink(sink: RingSink) -> Self {
         Telemetry {
-            sink: Some(Box::new(sink)),
+            sink: Some(sink),
             ..Self::default()
         }
     }
@@ -745,10 +729,10 @@ impl Telemetry {
         &mut self.registry
     }
 
-    /// Borrow the sink back as a concrete type (e.g. to read a
-    /// [`RingSink`]'s events after a run).
-    pub fn sink_as<S: EventSink + 'static>(&self) -> Option<&S> {
-        self.sink.as_deref()?.as_any()?.downcast_ref::<S>()
+    /// The event sink, if one is attached (e.g. to read its events
+    /// after a run).
+    pub fn ring(&self) -> Option<&RingSink> {
+        self.sink.as_ref()
     }
 }
 
@@ -942,7 +926,7 @@ mod tests {
         t.emit(0, ProcessId(0), TelemetryKind::MaliciousStep);
         t.emit(1, ProcessId(0), TelemetryKind::MaliciousStep);
         assert_eq!(t.clock(), 2);
-        let ring = t.sink_as::<RingSink>().expect("ring sink recoverable");
+        let ring = t.ring().expect("ring sink attached");
         assert_eq!(ring.total(), 2);
     }
 

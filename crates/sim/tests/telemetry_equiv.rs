@@ -271,7 +271,7 @@ fn observer_outputs_match_the_golden_files() {
         tele.registry().to_prometheus(),
         include_str!("golden/observers.prom")
     );
-    let ring = tele.sink_as::<RingSink>().expect("ring sink");
+    let ring = tele.ring().expect("ring sink");
     let events: String = ring.events().map(|ev| format!("{ev:?}\n")).collect();
     assert_eq!(events, include_str!("golden/observers.events.txt"));
     let trace = e.observer::<Trace>().expect("trace attached");

@@ -393,12 +393,7 @@ mod tests {
             let slot = t.slot_of(ProcessId(1), ProcessId(0));
             assert!(HygienicDiners.enabled(&v, ActionId::at_slot(HY_REQUEST, slot)));
             let w = HygienicDiners.execute(&v, ActionId::at_slot(HY_REQUEST, slot));
-            for wr in w {
-                if let Write::Edge { neighbor, value } = wr {
-                    let e = t.edge_between(ProcessId(1), neighbor).unwrap();
-                    *s.edge_mut(e) = value;
-                }
-            }
+            s.apply(&t, ProcessId(1), w);
         }
         let e = t.edge_between(ProcessId(0), ProcessId(1)).unwrap();
         assert_eq!(s.edge(e).req_at, ProcessId(0));
@@ -408,12 +403,7 @@ mod tests {
             let slot = t.slot_of(ProcessId(0), ProcessId(1));
             assert!(HygienicDiners.enabled(&v, ActionId::at_slot(HY_GRANT, slot)));
             let w = HygienicDiners.execute(&v, ActionId::at_slot(HY_GRANT, slot));
-            for wr in w {
-                if let Write::Edge { neighbor, value } = wr {
-                    let eid = t.edge_between(ProcessId(0), neighbor).unwrap();
-                    *s.edge_mut(eid) = value;
-                }
-            }
+            s.apply(&t, ProcessId(0), w);
         }
         assert_eq!(s.edge(e).fork_at, ProcessId(1));
         assert!(!s.edge(e).dirty);

@@ -345,7 +345,7 @@ fn explore_entries(json: &str) -> Vec<(String, f64)> {
 /// intersection is a failure, not a silent pass.
 ///
 /// The run's own scaling rows are gated against a fixed floor instead:
-/// incremental ring(1024) must reach [`SCALING_FLOOR`] of ring(16)'s
+/// incremental ring(1024) must reach `SCALING_FLOOR` of ring(16)'s
 /// steps/sec, which an engine step that grows with n cannot.
 pub fn check_against_baseline(current: &str, baseline: &str) -> Report {
     let mut report = compare_speedups(current, baseline);

@@ -90,7 +90,7 @@ fn quantile(xs: &[f64], q: f64) -> f64 {
 const CHUNK: u64 = 100;
 
 /// Steps/sec over one `slice` of a long-lived system that `step(n)`
-/// advances by `n` steps: chunks of [`CHUNK`] steps until `slice` has
+/// advances by `n` steps: chunks of `CHUNK` steps until `slice` has
 /// elapsed (always at least one chunk).
 pub fn slice_rate<R>(slice: Duration, mut step: impl FnMut(u64) -> R) -> f64 {
     let start = Instant::now();

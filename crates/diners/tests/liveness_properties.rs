@@ -43,7 +43,9 @@
 
 use diners_core::predicates::Invariant;
 use diners_core::MaliciousCrashDiners;
-use diners_sim::algorithm::{Algorithm, Phase, SystemState, View, Write as AlgWrite};
+use diners_sim::algorithm::{
+    enabled_actions, Algorithm, Phase, SystemState, View, Write as AlgWrite,
+};
 use diners_sim::explore::{Limits, Reduction};
 use diners_sim::fault::Health;
 use diners_sim::graph::{EdgeId, ProcessId, Topology};
@@ -270,45 +272,6 @@ fn symmetry_and_packed_sweeps_agree_on_certification() {
     );
 }
 
-/// Every action instance of `pid` (same helper as `paper_properties`).
-fn instances(
-    alg: &MaliciousCrashDiners,
-    topo: &Topology,
-    pid: ProcessId,
-) -> Vec<diners_sim::algorithm::ActionId> {
-    use diners_sim::algorithm::ActionId;
-    let mut out = Vec::new();
-    for (k, kind) in alg.kinds().iter().enumerate() {
-        if kind.per_neighbor {
-            for slot in 0..topo.neighbors(pid).len() {
-                out.push(ActionId::at_slot(k, slot));
-            }
-        } else {
-            out.push(ActionId::global(k));
-        }
-    }
-    out
-}
-
-fn apply_writes(
-    topo: &Topology,
-    state: &mut SystemState<MaliciousCrashDiners>,
-    pid: ProcessId,
-    writes: Vec<AlgWrite<MaliciousCrashDiners>>,
-) {
-    for w in writes {
-        match w {
-            AlgWrite::Local(l) => *state.local_mut(pid) = l,
-            AlgWrite::Edge { neighbor, value } => {
-                let e = topo
-                    .edge_between(pid, neighbor)
-                    .expect("write to non-neighbor edge");
-                *state.edge_mut(e) = value;
-            }
-        }
-    }
-}
-
 /// Machine-checked closure lemma: from every root of the certified
 /// acyclic sub-lattice, every enabled move yields a state whose
 /// orientation is still acyclic — the sub-lattice sweep really is
@@ -321,16 +284,10 @@ fn exit_preserves_acyclicity_from_every_sublattice_root() {
     let bound = topo.len() as u32;
     for state in lattice(&alg, &topo, bound + 1, true) {
         for pid in topo.processes() {
-            for a in instances(&alg, &topo, pid) {
-                let writes = {
-                    let view = View::new(&topo, &state, pid, true);
-                    if !alg.enabled(&view, a) {
-                        continue;
-                    }
-                    alg.execute(&view, a)
-                };
+            let view = View::new(&topo, &state, pid, true);
+            for a in enabled_actions(&alg, &view) {
                 let mut next = state.clone();
-                apply_writes(&topo, &mut next, pid, writes);
+                next.apply(&topo, pid, alg.execute(&view, a));
                 assert!(
                     !orientation_is_cyclic(&topo, &next),
                     "{pid} {a:?} left the acyclic region from locals {:?}",
@@ -364,17 +321,12 @@ fn cyclic_orientation_moves_are_exit_deepen_or_phase_only() {
         }
         cyclic_roots += 1;
         for pid in topo.processes() {
-            for a in instances(&alg, &topo, pid) {
-                let writes = {
-                    let view = View::new(&topo, &state, pid, true);
-                    if !alg.enabled(&view, a) {
-                        continue;
-                    }
-                    alg.execute(&view, a)
-                };
+            let view = View::new(&topo, &state, pid, true);
+            for a in enabled_actions(&alg, &view) {
+                let writes = alg.execute(&view, a);
                 let wrote_edges = writes.iter().any(|w| matches!(w, AlgWrite::Edge { .. }));
                 let mut next = state.clone();
-                apply_writes(&topo, &mut next, pid, writes);
+                next.apply(&topo, pid, writes);
                 let before = state.local(pid);
                 let after = next.local(pid);
                 if wrote_edges {
@@ -485,7 +437,7 @@ fn checker_finds_fair_phase_rotation_livelock_on_cyclic_ring() {
 fn step_checked(
     alg: &MaliciousCrashDiners,
     topo: &Topology,
-    state: SystemState<MaliciousCrashDiners>,
+    mut state: SystemState<MaliciousCrashDiners>,
     mv: diners_sim::algorithm::Move,
 ) -> SystemState<MaliciousCrashDiners> {
     let writes = {
@@ -493,7 +445,6 @@ fn step_checked(
         assert!(alg.enabled(&view, mv.action), "replayed move not enabled");
         alg.execute(&view, mv.action)
     };
-    let mut next = state;
-    apply_writes(topo, &mut next, mv.pid, writes);
-    next
+    state.apply(topo, mv.pid, writes);
+    state
 }

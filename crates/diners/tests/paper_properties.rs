@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use diners_core::harness::{crash_disturbance, service_shortfall};
 use diners_core::predicates::Invariant;
 use diners_core::MaliciousCrashDiners;
-use diners_sim::algorithm::{Algorithm, Phase, SystemState, View, Write};
+use diners_sim::algorithm::{enabled_actions, Algorithm, Phase, SystemState, View};
 use diners_sim::fault::{FaultKind, Health};
 use diners_sim::graph::{EdgeId, ProcessId, Topology};
 use diners_sim::predicate::{Snapshot, StatePredicate};
@@ -79,45 +79,6 @@ fn encode(topo: &Topology, state: &SystemState<MaliciousCrashDiners>) -> u64 {
     key
 }
 
-/// Every action instance of `pid` in canonical guard order.
-fn instances(
-    alg: &MaliciousCrashDiners,
-    topo: &Topology,
-    pid: ProcessId,
-) -> Vec<diners_sim::algorithm::ActionId> {
-    use diners_sim::algorithm::ActionId;
-    let mut out = Vec::new();
-    for (k, kind) in alg.kinds().iter().enumerate() {
-        if kind.per_neighbor {
-            for slot in 0..topo.neighbors(pid).len() {
-                out.push(ActionId::at_slot(k, slot));
-            }
-        } else {
-            out.push(ActionId::global(k));
-        }
-    }
-    out
-}
-
-fn apply(
-    topo: &Topology,
-    state: &mut SystemState<MaliciousCrashDiners>,
-    pid: ProcessId,
-    writes: Vec<Write<MaliciousCrashDiners>>,
-) {
-    for w in writes {
-        match w {
-            Write::Local(l) => *state.local_mut(pid) = l,
-            Write::Edge { neighbor, value } => {
-                let e = topo
-                    .edge_between(pid, neighbor)
-                    .expect("write to non-neighbor edge");
-                *state.edge_mut(e) = value;
-            }
-        }
-    }
-}
-
 /// The deterministic round-robin central daemon: starting at `cursor`,
 /// the first process (in wrap-around order) with an enabled action takes
 /// its first enabled action (`needs` is always true — the heaviest
@@ -132,18 +93,12 @@ fn rr_successor(
     let n = topo.len();
     for off in 0..n {
         let pid = ProcessId((cursor + off) % n);
-        let mut fire = None;
-        {
-            let view = View::new(topo, state, pid, true);
-            for a in instances(alg, topo, pid) {
-                if alg.enabled(&view, a) {
-                    fire = Some(alg.execute(&view, a));
-                    break;
-                }
-            }
-        }
+        let view = View::new(topo, state, pid, true);
+        let fire = enabled_actions(alg, &view)
+            .next()
+            .map(|a| alg.execute(&view, a));
         if let Some(writes) = fire {
-            apply(topo, state, pid, writes);
+            state.apply(topo, pid, writes);
             return Some(pid.index());
         }
     }
@@ -160,16 +115,10 @@ fn assert_closed(
     health: &[Health],
 ) {
     for pid in topo.processes() {
-        for a in instances(alg, topo, pid) {
-            let writes = {
-                let view = View::new(topo, state, pid, true);
-                if !alg.enabled(&view, a) {
-                    continue;
-                }
-                alg.execute(&view, a)
-            };
+        let view = View::new(topo, state, pid, true);
+        for a in enabled_actions(alg, &view) {
             let mut next = state.clone();
-            apply(topo, &mut next, pid, writes);
+            next.apply(topo, pid, alg.execute(&view, a));
             assert!(
                 invariant.holds(&Snapshot::new(topo, &next, health)),
                 "I not closed under {a:?} at {pid} from locals {:?}",

@@ -259,10 +259,10 @@ impl ThreadRuntime {
     /// [`Supervisor`] over the fleet: every node's publishes double as
     /// heartbeats, silence past the policy's `probe_timeout` (measured
     /// in watchdog ticks of `tick` each) triggers a capped-backoff
-    /// [`Wire::Restart`], and budget exhaustion abandons the node.
+    /// restart message, and budget exhaustion abandons the node.
     ///
     /// Snapshots here are the *threads' own* periodic self-checkpoints
-    /// (every [`SNAPSHOT_EVERY_TICKS`] ticks); the policy's
+    /// (every `SNAPSHOT_EVERY_TICKS` ticks); the policy's
     /// `snapshot_every` knob and the supervisor's checksummed custody
     /// are exercised by the deterministic [`crate::SimNet`] path.
     pub fn spawn_supervised(

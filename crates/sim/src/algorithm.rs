@@ -92,6 +92,39 @@ impl ActionId {
     }
 }
 
+/// Every action instance of a process with `degree` neighbors, in the
+/// model's one instance order: kinds in declaration order, a per-neighbor
+/// kind once per neighbor slot, ascending.
+///
+/// The engine, the explorer and the analyses enumerate moves only through
+/// here, and the order is a contract: the engine's enabled set is the
+/// process-major concatenation of each live process's [`enabled_actions`]
+/// (a maliciously crashing process offers only [`ActionId::MALICIOUS`]),
+/// rank `r` of its index is the `r`-th move a
+/// [`crate::scheduler::Scheduler`] sees, the age table's index rises along
+/// it, and explorer traces replay on the engine.
+pub fn action_instances(
+    kinds: &[ActionKind],
+    degree: usize,
+) -> impl Iterator<Item = ActionId> + '_ {
+    kinds.iter().enumerate().flat_map(move |(k, kind)| {
+        let slots = if kind.per_neighbor { degree } else { 1 };
+        (0..slots).map(move |s| ActionId {
+            kind: k,
+            slot: kind.per_neighbor.then_some(s),
+        })
+    })
+}
+
+/// The [`action_instances`] of `view`'s process whose guards hold, in
+/// that order.
+pub fn enabled_actions<'v, A: Algorithm>(
+    alg: &'v A,
+    view: &'v View<'v, A>,
+) -> impl Iterator<Item = ActionId> + 'v {
+    action_instances(alg.kinds(), view.neighbors().len()).filter(move |&a| alg.enabled(view, a))
+}
+
 /// A scheduled (process, action-instance) pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Move {
@@ -145,7 +178,8 @@ pub trait Algorithm {
     /// Algorithm name for reports.
     fn name(&self) -> &str;
 
-    /// The action kinds of every process, in guard-evaluation order.
+    /// The action kinds of every process. Their order is the declaration
+    /// order of [`action_instances`].
     fn kinds(&self) -> &[ActionKind];
 
     /// The legitimate initial local state of process `p`.
@@ -288,6 +322,26 @@ impl<A: Algorithm> SystemState<A> {
     /// for capability-restricted shared-variable corruption).
     pub fn corrupt_process(&mut self, alg: &A, topo: &Topology, rng: &mut StdRng, p: ProcessId) {
         self.locals[p.index()] = alg.corrupt_local(rng, topo, p);
+    }
+
+    /// Apply the write set of a move of `pid`: a local write replaces its
+    /// local state, an edge write the variable on its edge to `neighbor`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an edge write to a process that is not a neighbor of `pid`.
+    pub fn apply(&mut self, topo: &Topology, pid: ProcessId, writes: Vec<Write<A>>) {
+        for w in writes {
+            match w {
+                Write::Local(l) => self.locals[pid.index()] = l,
+                Write::Edge { neighbor, value } => {
+                    let e = topo.edge_between(pid, neighbor).unwrap_or_else(|| {
+                        panic!("edge write to {neighbor}, not a neighbor of {pid}")
+                    });
+                    self.edges[e.index()] = value;
+                }
+            }
+        }
     }
 
     /// The local state of `p`.
@@ -618,6 +672,44 @@ mod tests {
         let mut c = SystemState::initial(&Count, &t);
         c.corrupt_all(&Count, &t, &mut crate::rng::rng(10));
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn action_instances_pin_the_instance_order() {
+        let kinds = [
+            ActionKind {
+                name: "a",
+                per_neighbor: false,
+            },
+            ActionKind {
+                name: "b",
+                per_neighbor: true,
+            },
+            ActionKind {
+                name: "c",
+                per_neighbor: false,
+            },
+        ];
+        let order = |degree| action_instances(&kinds, degree).collect::<Vec<_>>();
+        let (g, s) = (ActionId::global, ActionId::at_slot);
+        assert_eq!(order(0), [g(0), g(2)]);
+        assert_eq!(order(1), [g(0), s(1, 0), g(2)]);
+        assert_eq!(order(3), [g(0), s(1, 0), s(1, 1), s(1, 2), g(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "p2, not a neighbor of p0")]
+    fn apply_rejects_an_edge_write_to_a_non_neighbor() {
+        let t = Topology::line(3);
+        let mut s = SystemState::initial(&Count, &t);
+        let writes = vec![
+            Write::Local(1),
+            Write::Edge {
+                neighbor: ProcessId(2),
+                value: (),
+            },
+        ];
+        s.apply(&t, ProcessId(0), writes);
     }
 
     #[test]

@@ -7,18 +7,17 @@
 //! process costs O(Δ + log n); naming the move at a given *rank* costs
 //! O(log n).
 //!
-//! **Rank order is the from-scratch enumeration order** (the order of
-//! `Engine::enabled_moves`): process-major, then kinds in declaration
-//! order, per-neighbor slots ascending, and the malicious pseudo-move
-//! (the only move of a maliciously crashing process). So rank `r` names
-//! exactly the move at index `r` of a from-scratch enumeration of the
-//! state — the slice [`EnabledView::as_slice`] hands to
-//! [`Scheduler::pick`] — and a daemon that picks by rank through
-//! [`EnabledView`] makes the same decisions as one that scans the slice.
+//! **Rank order is the from-scratch enumeration order** of
+//! `Engine::enabled_moves`, the process-major instance order defined by
+//! [`action_instances`]. So rank `r` names exactly the move at index `r`
+//! of a from-scratch enumeration of the state — the slice
+//! [`EnabledView::as_slice`] hands to [`Scheduler::pick`] — and a daemon
+//! that picks by rank through [`EnabledView`] makes the same decisions as
+//! one that scans the slice.
 //!
 //! [`Scheduler::pick`]: crate::scheduler::Scheduler::pick
 
-use crate::algorithm::{ActionKind, Move};
+use crate::algorithm::{action_instances, ActionKind, Move};
 use crate::graph::{ProcessId, Topology};
 use crate::scheduler::EnabledMove;
 
@@ -45,14 +44,16 @@ impl AgeTable {
         let n = topo.len();
         let k = kinds.len();
         let mut base = Vec::with_capacity(n + 1);
-        let mut kind_base = Vec::with_capacity(n * k);
+        let mut kind_base = vec![0; n * k];
         let mut off = 0usize;
         for p in 0..n {
             base.push(off);
-            let deg = topo.degree(ProcessId(p));
-            for kind in kinds {
-                kind_base.push(off);
-                off += if kind.per_neighbor { deg } else { 1 };
+            for a in action_instances(kinds, topo.degree(ProcessId(p))) {
+                // A kind's run starts at its first instance.
+                if a.slot.unwrap_or(0) == 0 {
+                    kind_base[p * k + a.kind] = off;
+                }
+                off += 1;
             }
             off += 1; // malicious pseudo-move
         }
@@ -345,25 +346,10 @@ mod tests {
                 pid,
                 action: ActionId::MALICIOUS,
             }],
-            _ => {
-                let mut out = Vec::new();
-                for (k, kind) in kinds.iter().enumerate() {
-                    let slots: Vec<Option<usize>> = if kind.per_neighbor {
-                        (0..topo.degree(pid)).map(Some).collect()
-                    } else {
-                        vec![None]
-                    };
-                    for slot in slots {
-                        if r.gen_bool(0.5) {
-                            out.push(Move {
-                                pid,
-                                action: ActionId { kind: k, slot },
-                            });
-                        }
-                    }
-                }
-                out
-            }
+            _ => action_instances(kinds, topo.degree(pid))
+                .filter(|_| r.gen_bool(0.5))
+                .map(|action| Move { pid, action })
+                .collect(),
         }
     }
 

@@ -57,7 +57,9 @@ use std::any::Any;
 
 use rand::rngs::StdRng;
 
-use crate::algorithm::{ActionId, DinerAlgorithm, Move, Phase, SystemState, View, Write};
+use crate::algorithm::{
+    enabled_actions, ActionId, DinerAlgorithm, Move, Phase, SystemState, View, Write,
+};
 use crate::enabled::EnabledIndex;
 use crate::fault::{self, FaultKind, FaultPlan, FaultTimeline, Health, Resurrection};
 use crate::graph::{ProcessId, Topology};
@@ -410,9 +412,8 @@ impl<A: DinerAlgorithm> Engine<A> {
         moves
     }
 
-    /// Append the enabled moves of `p` (in enumeration order: kinds in
-    /// declaration order, per-neighbor slots ascending, or the single
-    /// malicious pseudo-move) to `out`.
+    /// Append the enabled moves of `p` to `out`: its [`enabled_actions`]
+    /// if live, the single malicious pseudo-move if crashing maliciously.
     fn enumerate_process(&self, p: ProcessId, out: &mut Vec<Move>) {
         match self.health[p.index()] {
             Health::Dead => {}
@@ -423,21 +424,10 @@ impl<A: DinerAlgorithm> Engine<A> {
             Health::Live => {
                 let needs = self.workload.needs(p, self.step);
                 let view = View::new(&self.topo, &self.state, p, needs);
-                for (ki, kind) in self.alg.kinds().iter().enumerate() {
-                    if kind.per_neighbor {
-                        for slot in 0..self.topo.degree(p) {
-                            let a = ActionId::at_slot(ki, slot);
-                            if self.alg.enabled(&view, a) {
-                                out.push(Move { pid: p, action: a });
-                            }
-                        }
-                    } else {
-                        let a = ActionId::global(ki);
-                        if self.alg.enabled(&view, a) {
-                            out.push(Move { pid: p, action: a });
-                        }
-                    }
-                }
+                // `for_each`, not `extend`: extending from the filtered
+                // iterator ran engine-ring8k 4–8% slower in paired runs.
+                enabled_actions(&self.alg, &view)
+                    .for_each(|action| out.push(Move { pid: p, action }));
             }
         }
     }

@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::thread;
 
-use crate::algorithm::{Algorithm, Move, SystemState, View, Write};
+use crate::algorithm::{enabled_actions, Algorithm, Move, SystemState, View, Write};
 use crate::codec::{Codec, StateCodec};
 use crate::fault::Health;
 use crate::fingerprint::{fingerprint_words, FingerprintMap};
@@ -628,21 +628,8 @@ pub(crate) fn enabled_moves_into<A: Algorithm>(
             continue;
         }
         let view = View::new(topo, state, p, needs[p.index()]);
-        for (ki, kind) in alg.kinds().iter().enumerate() {
-            if kind.per_neighbor {
-                for slot in 0..topo.degree(p) {
-                    let a = crate::algorithm::ActionId::at_slot(ki, slot);
-                    if alg.enabled(&view, a) {
-                        moves.push(Move { pid: p, action: a });
-                    }
-                }
-            } else {
-                let a = crate::algorithm::ActionId::global(ki);
-                if alg.enabled(&view, a) {
-                    moves.push(Move { pid: p, action: a });
-                }
-            }
-        }
+        // `for_each`, as in `Engine::enumerate_process`.
+        enabled_actions(alg, &view).for_each(|action| moves.push(Move { pid: p, action }));
     }
 }
 
@@ -653,22 +640,9 @@ pub(crate) fn apply<A: Algorithm>(
     mv: Move,
     needs: &[bool],
 ) -> SystemState<A> {
+    let view = View::new(topo, state, mv.pid, needs[mv.pid.index()]);
     let mut next = state.clone();
-    let writes: Vec<Write<A>> = {
-        let view = View::new(topo, state, mv.pid, needs[mv.pid.index()]);
-        alg.execute(&view, mv.action)
-    };
-    for w in writes {
-        match w {
-            Write::Local(l) => *next.local_mut(mv.pid) = l,
-            Write::Edge { neighbor, value } => {
-                let e = topo
-                    .edge_between(mv.pid, neighbor)
-                    .expect("edge write to neighbor");
-                *next.edge_mut(e) = value;
-            }
-        }
-    }
+    next.apply(topo, mv.pid, alg.execute(&view, mv.action));
     next
 }
 

@@ -40,6 +40,8 @@
 //! applies (debug panic; rejected and counted in release), so fuzzing
 //! cross-checks the static verdicts. Deliberately ill-behaved fixtures
 //! live in [`testbad`]; each certifier must refute them.
+//!
+//! [`ActionKind`]: crate::algorithm::ActionKind
 
 pub mod testbad;
 
@@ -48,7 +50,9 @@ use std::collections::HashSet;
 use std::fmt;
 use std::time::Instant;
 
-use crate::algorithm::{ActionId, Algorithm, Move, SystemState, View, Write};
+use crate::algorithm::{
+    action_instances, enabled_actions, Algorithm, Move, SystemState, View, Write,
+};
 use crate::codec::{Codec, StateCodec};
 use crate::graph::{EdgeId, ProcessId, Topology};
 use crate::rng;
@@ -236,6 +240,8 @@ fn hops(topo: &Topology, p: ProcessId, q: ProcessId) -> u32 {
 
 /// The inferred footprint of one [`ActionKind`]: what its guard and its
 /// command read and write, aggregated over every corpus evaluation.
+///
+/// [`ActionKind`]: crate::algorithm::ActionKind
 #[derive(Clone, Debug)]
 pub struct KindFootprint {
     /// The kind's name.
@@ -631,16 +637,12 @@ pub fn build_corpus<A: StateCodec>(alg: &A, topo: &Topology, cfg: &AnalysisConfi
     let mut i = 0;
     while i < states.len().min(cfg.successor_states) && states.len() < cfg.max_states {
         for p in topo.processes() {
-            let succs: Vec<SystemState<A>> = instances(alg, topo, p)
-                .into_iter()
-                .filter_map(|a| {
-                    let view = View::traced(topo, &states[i], p, true, &scratch);
-                    alg.enabled(&view, a).then(|| {
-                        let mut s = states[i].clone();
-                        let writes = alg.execute(&view, a);
-                        apply_writes(topo, &mut s, p, &writes);
-                        s
-                    })
+            let view = View::traced(topo, &states[i], p, true, &scratch);
+            let succs: Vec<SystemState<A>> = enabled_actions(alg, &view)
+                .map(|a| {
+                    let mut s = states[i].clone();
+                    apply_writes(topo, &mut s, p, &alg.execute(&view, a));
+                    s
                 })
                 .collect();
             scratch.clear();
@@ -654,22 +656,6 @@ pub fn build_corpus<A: StateCodec>(alg: &A, topo: &Topology, cfg: &AnalysisConfi
         states,
         exhaustive: false,
     }
-}
-
-/// Every action instance of one process: global kinds once, per-neighbor
-/// kinds once per adjacency slot (the engine's enumeration order).
-pub fn instances<A: Algorithm>(alg: &A, topo: &Topology, p: ProcessId) -> Vec<ActionId> {
-    let mut out = Vec::new();
-    for (k, kind) in alg.kinds().iter().enumerate() {
-        if kind.per_neighbor {
-            for s in 0..topo.degree(p) {
-                out.push(ActionId::at_slot(k, s));
-            }
-        } else {
-            out.push(ActionId::global(k));
-        }
-    }
-    out
 }
 
 /// Apply a write set to a state, skipping writes that violate the write
@@ -839,7 +825,7 @@ pub fn analyze<A: StateCodec>(alg: &A, topo: &Topology, cfg: &AnalysisConfig) ->
         for needs in [true, false] {
             for p in topo.processes() {
                 let view = View::traced(topo, state, p, needs, &log);
-                for action in instances(alg, topo, p) {
+                for action in action_instances(kinds, topo.degree(p)) {
                     let name = kinds[action.kind].name;
                     log.clear();
                     let fired = alg.enabled(&view, action);
@@ -1022,6 +1008,7 @@ fn certify_equivariance<A: StateCodec>(
             witness: None,
         };
     }
+    let kinds = alg.kinds();
     let mut checked = 0u64;
     // Traced (permissive) views so ill-behaved fixtures are refuted
     // rather than tripping the untraced adjacency assertion.
@@ -1030,7 +1017,7 @@ fn certify_equivariance<A: StateCodec>(
         for perm in &group.perms()[1..] {
             let permuted = permute_state(alg, topo, perm, state);
             for p in topo.processes() {
-                for action in instances(alg, topo, p) {
+                for action in action_instances(kinds, topo.degree(p)) {
                     let m = Move { pid: p, action };
                     let pm = perm.permute_move(topo, m);
                     scratch.clear();
@@ -1039,7 +1026,7 @@ fn certify_equivariance<A: StateCodec>(
                     let e1 = alg.enabled(&v, action);
                     let e2 = alg.enabled(&pv, pm.action);
                     checked += 1;
-                    let name = alg.kinds()[action.kind].name;
+                    let name = kinds[action.kind].name;
                     if e1 != e2 {
                         return EquivarianceReport {
                             declared,

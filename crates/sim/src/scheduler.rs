@@ -47,7 +47,8 @@ pub struct EnabledMove {
 /// Both methods return an index into the enabled set, which is never
 /// empty when they are called. The engine calls [`Scheduler::pick_from`]
 /// with a view of its enabled index, whose rank `r` is the move at index
-/// `r` of the from-scratch enumeration order; the default hands
+/// `r` of the from-scratch enumeration (process-major, each process in
+/// [`crate::algorithm::action_instances`] order); the default hands
 /// [`Scheduler::pick`] the whole annotated slice in that order. A daemon
 /// that can decide from a few ranks overrides `pick_from` to skip the
 /// O(n) slice; it must then pick exactly what `pick` would over that

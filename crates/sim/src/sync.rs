@@ -21,7 +21,9 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::algorithm::{ActionId, DinerAlgorithm, Move, Phase, SystemState, View, Write};
+use crate::algorithm::{
+    enabled_actions, ActionId, DinerAlgorithm, Move, Phase, SystemState, View, Write,
+};
 use crate::graph::{ProcessId, Topology};
 use crate::rng;
 
@@ -86,22 +88,7 @@ impl<A: DinerAlgorithm> SyncEngine<A> {
         let mut selected: Vec<Move> = Vec::new();
         for p in self.topo.processes() {
             let view = View::new(&self.topo, &self.state, p, true);
-            let mut enabled: Vec<ActionId> = Vec::new();
-            for (ki, kind) in self.alg.kinds().iter().enumerate() {
-                if kind.per_neighbor {
-                    for slot in 0..self.topo.degree(p) {
-                        let a = ActionId::at_slot(ki, slot);
-                        if self.alg.enabled(&view, a) {
-                            enabled.push(a);
-                        }
-                    }
-                } else {
-                    let a = ActionId::global(ki);
-                    if self.alg.enabled(&view, a) {
-                        enabled.push(a);
-                    }
-                }
-            }
+            let enabled: Vec<ActionId> = enabled_actions(&self.alg, &view).collect();
             if !enabled.is_empty() {
                 let action = enabled[self.rng.gen_range(0..enabled.len())];
                 selected.push(Move { pid: p, action });

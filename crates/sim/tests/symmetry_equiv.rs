@@ -419,15 +419,7 @@ fn replay<A: Algorithm>(
             );
             alg.execute(&view, mv.action)
         };
-        for w in writes {
-            match w {
-                Write::Local(l) => *state.local_mut(mv.pid) = l,
-                Write::Edge { neighbor, value } => {
-                    let e = topo.edge_between(mv.pid, neighbor).unwrap();
-                    *state.edge_mut(e) = value;
-                }
-            }
-        }
+        state.apply(topo, mv.pid, writes);
     }
     state
 }

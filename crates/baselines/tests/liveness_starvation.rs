@@ -111,3 +111,69 @@ fn greedy_certifies_service_for_somebody() {
         }
     }
 }
+
+/// "Every process thinks" is a symmetric target that greedy can avoid
+/// forever: once someone is hungry, a weakly fair rotation of join,
+/// enter and exit keeps at least one process off `Thinking`. Under
+/// [`Reduction::Symmetry`] the quotient's SCC is judged through its
+/// |G|-fold cover, so this is the cover path with a non-trivial group:
+/// both reductions must find the same lasso, and it must replay on a
+/// real engine with the target never holding inside the cycle.
+#[test]
+fn greedy_keeps_someone_off_thinking_under_both_reductions() {
+    // (topology, group order, quotient states, exact states, stem, cycle)
+    for (topo, order, sym_states, packed_states, stem, cycle) in [
+        (Topology::line(2), 2, 5, 8, 1, 6),
+        (Topology::ring(3), 6, 7, 20, 1, 9),
+    ] {
+        let n = topo.len();
+        let all_think = |locals: &[Phase]| locals.iter().all(|&p| p == Phase::Thinking);
+        for (reduction, states) in [
+            (Reduction::Symmetry, sym_states),
+            (Reduction::Packed, packed_states),
+        ] {
+            let label = format!("{} {reduction:?}", topo.name());
+            let report = check_liveness(
+                &GreedyDiners,
+                &topo,
+                SystemState::initial(&GreedyDiners, &topo),
+                &vec![Health::Live; n],
+                &vec![true; n],
+                |snap| all_think(snap.state.locals()),
+                LivenessConfig {
+                    reduction,
+                    ..Default::default()
+                },
+            );
+            let expected_order = if reduction == Reduction::Symmetry {
+                order
+            } else {
+                1
+            };
+            assert_eq!(report.group_order, expected_order, "{label}");
+            assert_eq!(report.states, states, "{label}");
+            assert!(!report.truncated, "{label}");
+            let lasso = report.livelock.as_ref().expect("a lasso");
+            assert_eq!(
+                (lasso.stem.len(), lasso.cycle.len()),
+                (stem, cycle),
+                "{label}"
+            );
+
+            // Stem + 3 laps under a strict scripted daemon: every move
+            // fires, and no state inside the cycle has everyone thinking.
+            let mut script = lasso.stem.clone();
+            for _ in 0..3 {
+                script.extend_from_slice(&lasso.cycle);
+            }
+            let mut engine = Engine::builder(GreedyDiners, topo.clone())
+                .scheduler(ScriptedScheduler::new(script.clone()))
+                .build();
+            assert_eq!(engine.run(stem as u64).executed, stem as u64, "{label}");
+            for _ in stem..script.len() {
+                assert!(!all_think(engine.state().locals()), "{label}");
+                assert_eq!(engine.run(1).executed, 1, "{label}");
+            }
+        }
+    }
+}

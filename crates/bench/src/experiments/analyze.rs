@@ -8,8 +8,6 @@
 //! violates a contract, if any declared `respects_symmetry` is refuted,
 //! if toy's pid tie-break is *not* rediscovered with a witness, or if
 //! any deliberately ill-behaved `testbad` fixture escapes refutation.
-//! The independence matrices (the enabling artifact for partial-order
-//! reduction) are exported inside `BENCH_analysis.json`.
 
 use diners_sim::footprint::testbad::{
     FalselySymmetric, FarWriter, FlickerGuard, PeekingGuard, RogueMalicious,
@@ -112,10 +110,8 @@ fn case_json(label: &str, r: &ContractReport) -> String {
             "\"equivariance_decidable\":{},\"equivariance_declared\":{},",
             "\"equivariance_inferred\":{},\"equivariance_checked\":{},",
             "\"equivariance_witness\":{},",
-            "\"independence_density\":{:.4},",
             "\"corpus_ms\":{:.2},\"contracts_ms\":{:.2},\"equivariance_ms\":{:.2},",
-            "\"certified\":{},",
-            "\"independence\":{}}}"
+            "\"certified\":{}}}"
         ),
         label,
         r.algorithm,
@@ -131,12 +127,10 @@ fn case_json(label: &str, r: &ContractReport) -> String {
         r.equivariance.inferred,
         r.equivariance.checked,
         witness,
-        r.independence.density(),
         r.corpus_ms,
         r.contracts_ms,
         r.equivariance_ms,
         r.certified(),
-        r.independence.to_json(),
     )
 }
 
@@ -273,12 +267,6 @@ pub fn run(scale: &Scale) -> Report {
                 r.equivariance.witness.as_deref().unwrap_or("")
             ));
         }
-        if !r.independence.sound {
-            failures.push(format!(
-                "{}: independence matrix derived from violated locality",
-                c.label
-            ));
-        }
     }
     for f in &refutations {
         if !f.refuted {
@@ -293,7 +281,7 @@ pub fn run(scale: &Scale) -> Report {
 
     // ---- tables ------------------------------------------------------
     let mut contracts = Table::new(
-        "T17: contract certification (locality / purity / equivariance / independence)".to_string(),
+        "T17: contract certification (locality / purity / equivariance)".to_string(),
         [
             "case",
             "corpus",
@@ -301,7 +289,6 @@ pub fn run(scale: &Scale) -> Report {
             "locality",
             "purity",
             "equivariance",
-            "indep density",
             "total ms",
         ],
     );
@@ -321,7 +308,6 @@ pub fn run(scale: &Scale) -> Report {
             if r.locality.ok() { "ok" } else { "VIOLATED" }.to_string(),
             if r.purity.ok() { "ok" } else { "VIOLATED" }.to_string(),
             eq,
-            fmt_f64(r.independence.density(), 3),
             fmt_f64(r.corpus_ms + r.contracts_ms + r.equivariance_ms, 1),
         ]);
     }
@@ -471,10 +457,7 @@ mod tests {
                 "\"locality_ok\":true",
                 "\"purity_ok\":true",
                 "\"equivariance_witness\":",
-                "\"independence_density\":",
-                "\"independence\":",
                 "\"corpus_ms\":",
-                "\"pairs\":",
             ],
         );
         // toy's witness made it into the artifact.

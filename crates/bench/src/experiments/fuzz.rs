@@ -141,7 +141,8 @@ fn throughput_case(label: &str, alg: &MaliciousCrashDiners, topo: &Topology) -> 
                     reduction: Reduction::Packed,
                 },
             );
-            lasso.insert(report).states_per_sec()
+            let report = lasso.insert(report);
+            report.states as f64 / report.elapsed.as_secs_f64()
         }
     });
     let (bfs, lasso) = (bfs.expect("sampled"), lasso.expect("sampled"));

@@ -97,31 +97,3 @@ fn mca_footprints_match_figure_1() {
         assert!(f.fires > 0, "{} never fired over the corpus", f.name);
     }
 }
-
-#[test]
-fn mca_independence_matrix_is_sound_and_exported() {
-    let r = analyze(
-        &MaliciousCrashDiners::paper(),
-        &Topology::ring(4),
-        &AnalysisConfig::quick(),
-    );
-    let m = &r.independence;
-    assert!(m.sound);
-    assert_eq!(m.kinds.len(), 6, "5 kinds + malicious");
-    // Everything commutes at distance ≥ 2 under certified locality.
-    for i in 0..m.kinds.len() {
-        for j in 0..m.kinds.len() {
-            assert!(
-                m.independent_at(i, j, 2),
-                "{} × {} must be independent at distance 2",
-                m.kinds[i],
-                m.kinds[j]
-            );
-        }
-    }
-    // Neighboring exits both write the shared edge: dependent.
-    let exit = m.kinds.iter().position(|k| k == "exit").unwrap();
-    assert!(!m.independent_at(exit, exit, 1));
-    let d = m.density();
-    assert!(d > 0.0 && d < 1.0, "density {d}");
-}

@@ -46,11 +46,14 @@ use diners_core::MaliciousCrashDiners;
 use diners_sim::algorithm::{
     enabled_actions, Algorithm, Phase, SystemState, View, Write as AlgWrite,
 };
+use diners_sim::engine::Engine;
 use diners_sim::explore::{Limits, Reduction};
 use diners_sim::fault::Health;
 use diners_sim::graph::{EdgeId, ProcessId, Topology};
 use diners_sim::liveness::{check_liveness_multi, LivenessConfig, LivenessReport};
 use diners_sim::predicate::StatePredicate;
+use diners_sim::scheduler::ScriptedScheduler;
+use diners_sim::workload::AlwaysHungry;
 
 fn phase_of(i: u64) -> Phase {
     match i {
@@ -447,4 +450,134 @@ fn step_checked(
     };
     state.apply(topo, mv.pid, writes);
     state
+}
+
+// ---------------------------------------------------------------------
+// The paper's `depth > D` exit on graphs that are not trees.
+// ---------------------------------------------------------------------
+
+/// The lasso search for "`victim` eats" from the initial state, every
+/// process live and always hungry, over the exact (unreduced) graph.
+fn serve(alg: &MaliciousCrashDiners, topo: &Topology, victim: ProcessId) -> LivenessReport {
+    let n = topo.len();
+    diners_sim::liveness::check_liveness(
+        alg,
+        topo,
+        SystemState::initial(alg, topo),
+        &vec![Health::Live; n],
+        &vec![true; n],
+        |snap| snap.state.local(victim).phase == Phase::Eating,
+        LivenessConfig {
+            limits: Limits::default(),
+            reduction: Reduction::Packed,
+        },
+    )
+}
+
+/// Replay a lasso's stem and `laps` laps of its cycle on a real engine,
+/// every process always hungry, under a strict scripted daemon (which
+/// panics on a scripted move that is not enabled). Returns the engine
+/// after every scripted move has fired.
+fn replay_laps(
+    alg: &MaliciousCrashDiners,
+    topo: &Topology,
+    lasso: &diners_sim::liveness::Lasso,
+    laps: usize,
+) -> Engine<MaliciousCrashDiners> {
+    let mut script = lasso.stem.clone();
+    for _ in 0..laps {
+        script.extend_from_slice(&lasso.cycle);
+    }
+    let steps = script.len() as u64;
+    let mut engine = Engine::builder(*alg, topo.clone())
+        .workload(AlwaysHungry)
+        .scheduler(ScriptedScheduler::new(script))
+        .build();
+    let summary = engine.run(steps);
+    assert_eq!(summary.executed, steps, "every scripted move must fire");
+    engine
+}
+
+/// On ring(4) the paper's bound (`D` = 2) starves p0 with no fault at
+/// all: p0 joins, `fixdepth` carries depth 3 > `D` along the acyclic
+/// chain p2 → p1 → p0, p0 exits while hungry, and the other three eat.
+/// The search is complete, the lasso is weakly fair, and 100 laps on a
+/// real engine give p0 no meal while every other process eats once per
+/// lap.
+#[test]
+fn paper_bound_starves_p0_on_ring4_without_a_fault() {
+    let topo = Topology::ring(4);
+    let alg = MaliciousCrashDiners::paper();
+    let report = serve(&alg, &topo, ProcessId(0));
+    assert!(!report.truncated);
+    assert_eq!(report.states, 19_264);
+    assert_eq!(report.transitions, 92_720);
+    assert_eq!(report.sccs, 13);
+    assert!(report.stuck.is_none());
+    let lasso = report.livelock.as_ref().expect("a starvation lasso");
+    assert_eq!(
+        (lasso.root, lasso.stem.len(), lasso.cycle.len()),
+        (0, 0, 15)
+    );
+
+    let engine = replay_laps(&alg, &topo, lasso, 100);
+    assert_eq!(engine.step_count(), 1_500);
+    assert_eq!(engine.metrics().eats_of(ProcessId(0)), 0);
+    for p in 1..4 {
+        assert_eq!(engine.metrics().eats_of(ProcessId(p)), 100, "p{p}");
+    }
+    assert_eq!(engine.metrics().violation_step_count(), 0);
+}
+
+/// On complete(4) the paper's bound (`D` = 1) starves every process in
+/// turn: depth 2 > `D` is enough. One complete search per victim, each
+/// with a lasso that replays for 100 laps with the victim never eating.
+#[test]
+fn paper_bound_starves_every_process_on_complete4_without_a_fault() {
+    let topo = Topology::complete(4);
+    let alg = MaliciousCrashDiners::paper();
+    for p in 0..4 {
+        let victim = ProcessId(p);
+        let report = serve(&alg, &topo, victim);
+        assert!(!report.truncated, "p{p}");
+        assert_eq!(report.states, 27_648, "p{p}");
+        assert_eq!(report.transitions, 160_320, "p{p}");
+        assert_eq!(report.sccs, 1, "p{p}");
+        assert!(report.stuck.is_none(), "p{p}");
+        let lasso = report.livelock.as_ref().expect("a starvation lasso");
+        assert_eq!(lasso.cycle.len(), if p < 3 { 13 } else { 15 }, "p{p}");
+
+        let engine = replay_laps(&alg, &topo, lasso, 100);
+        assert_eq!(engine.metrics().eats_of(victim), 0, "p{p}");
+        assert_eq!(engine.metrics().violation_step_count(), 0, "p{p}");
+    }
+}
+
+/// The corrected bound (`n`) certifies the same queries: from the
+/// initial state every weakly fair execution feeds p0 on ring(4) and
+/// every process on complete(4).
+#[test]
+fn corrected_bound_certifies_ring4_and_complete4_without_a_fault() {
+    let alg = MaliciousCrashDiners::corrected();
+    let ring = Topology::ring(4);
+    let report = serve(&alg, &ring, ProcessId(0));
+    assert!(report.certified(), "ring(4) p0: {:?}", report.livelock);
+    assert_eq!(
+        (report.states, report.transitions, report.sccs),
+        (19_264, 88_848, 424)
+    );
+    let complete = Topology::complete(4);
+    for p in 0..4 {
+        let report = serve(&alg, &complete, ProcessId(p));
+        assert!(
+            report.certified(),
+            "complete(4) p{p}: {:?}",
+            report.livelock
+        );
+        assert_eq!(
+            (report.states, report.transitions, report.sccs),
+            (27_648, 141_120, 184),
+            "p{p}"
+        );
+    }
 }

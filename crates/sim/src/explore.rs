@@ -38,15 +38,21 @@
 //!
 //! # One driver
 //!
-//! The BFS is *layered*: the frontier at depth `d` is fully expanded
-//! (moves enumerated, successors packed and fingerprinted — the expensive
-//! part), then merged sequentially in frontier order into the visited
-//! set. Layering leaves the discovery order, transition counts, deadlock
-//! counts, and early-exit points identical to the classic FIFO-queue
-//! formulation, and makes the expansion embarrassingly parallel: a
-//! frontier of at least `threads * 4` states is sharded across scoped
-//! worker threads and the shards' results are concatenated in shard
-//! order, so the report is bit-identical at every thread count.
+//! One BFS driver grows every packed search. It has two clients:
+//! [`explore_with`], which checks a safety predicate in each newly
+//! discovered state, and the lasso search of [`crate::liveness`], which
+//! records each expanded state's out-edges and enabled processes. The
+//! BFS is *layered*: the frontier at depth `d` is expanded (moves
+//! enumerated, successors packed and fingerprinted — the expensive part)
+//! a bounded slice at a time, each slice merged sequentially in frontier
+//! order into the visited set before the next is expanded. Slicing
+//! bounds the successors held in memory whatever the frontier's size;
+//! it and the layering leave the discovery order, transition counts,
+//! deadlock counts, and early-exit points identical to the classic
+//! FIFO-queue formulation, and make the expansion embarrassingly
+//! parallel: a slice of at least `threads * 4` states is sharded across
+//! scoped worker threads and the shards' results are concatenated in
+//! shard order, so the report is bit-identical at every thread count.
 //! [`ExploreConfig::threads`] is clamped to `[1, available_parallelism]`:
 //! the default `0` means sequential, and a single-core host never spawns
 //! a worker.
@@ -55,6 +61,7 @@
 //! well-defined: each process either always or never "needs" to eat
 //! (the per-process `needs` mask).
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use crossbeam::thread;
@@ -70,11 +77,11 @@ use crate::symmetry::{canonicalize_into, Perm, SymmetryGroup};
 /// Exploration bounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Limits {
-    /// State cap. [`explore_with`] visits at most this many distinct
-    /// states and stops as truncated on discovering one more. The lasso
-    /// search of [`crate::liveness`] stops as truncated once its graph
-    /// holds more than this many, after interning every successor of the
-    /// state it was expanding.
+    /// State cap. A search ([`explore_with`] and the lasso search of
+    /// [`crate::liveness`]) stops as truncated when it discovers a new
+    /// state while holding this many, so it holds at most this many
+    /// distinct states, or its roots if they are more (roots are always
+    /// interned).
     pub max_states: usize,
 }
 
@@ -145,7 +152,7 @@ pub struct ExplorationReport {
     pub bytes_interned: usize,
     /// High-water mark of simultaneously materialized states: interned
     /// states plus the largest batch of successor candidates held during
-    /// any layer merge.
+    /// any slice merge (see the [module docs](self)).
     pub peak_states: usize,
 }
 
@@ -232,37 +239,63 @@ where
 {
     assert_eq!(needs.len(), topo.len(), "needs mask size mismatch");
     assert_eq!(health.len(), topo.len(), "health vector size mismatch");
+    let start = Instant::now();
     let threads = config.threads.clamp(1, available_parallelism());
     let codec = Codec::new(alg, topo);
     let group = effective_group(alg, topo, needs, health, config.reduction);
     let template = initial.clone();
     let new_expander = || PackedExpander::new(alg, &codec, &group, health, needs, template.clone());
     let mut inline = new_expander();
-    search_loop_packed(
-        &codec,
-        &group,
-        initial,
-        health,
-        safety,
-        config.limits,
-        threads,
-        |frontier, arena| {
-            // Small frontiers are not worth a spawn: expand them inline.
-            // Either way the result is the same sequence.
-            if threads == 1 || frontier.len() < threads * 4 {
-                frontier.iter().map(|&i| inline.expand(arena, i)).collect()
-            } else {
-                expand_sharded(frontier, arena, threads, &new_expander)
-            }
-        },
-    )
+    let mut search = PackedSearch::new(codec.words());
+    inline.intern_root(&mut search, &initial);
+    let holds = |state: &SystemState<A>| safety(&Snapshot::new(topo, state, health));
+    let mut violation = None;
+    // The initial state is checked in its *original* frame, before any
+    // canonicalization: a violation at depth 0 reports the empty trace of
+    // the unpermuted system.
+    let mut report = if holds(&initial) {
+        // `initial` is recycled as the decode scratch for safety checks.
+        let mut state = initial;
+        search_packed(
+            &mut search,
+            config.limits,
+            SLICE * threads,
+            |slice, arena| {
+                // Small slices are not worth a spawn: expand them inline.
+                // Either way the result is the same sequence.
+                if threads == 1 || slice.len() < threads * 4 {
+                    slice.map(|i| inline.expand(arena, i)).collect()
+                } else {
+                    expand_sharded(slice, arena, threads, &new_expander)
+                }
+            },
+            &mut |search: &PackedSearch, _: Move, _: u32, to: usize, new: bool| {
+                if !new {
+                    return true;
+                }
+                codec.decode_into(search.window(to), &mut state);
+                if holds(&state) {
+                    return true;
+                }
+                violation = Some(rehydrate_path(topo, &group, search, to).1);
+                false
+            },
+        )
+    } else {
+        violation = Some(Vec::new());
+        ExplorationReport::seeded(&search)
+    };
+    report.violation = violation;
+    report.threads = threads;
+    report.elapsed = start.elapsed();
+    report
 }
 
-/// Expand `frontier` on `threads` scoped workers, one contiguous shard
-/// and one expander each, joining the workers in shard order so the
+/// Expand `slice` on `threads` scoped workers, one contiguous shard and
+/// one expander each, joining the workers in shard order so the
 /// concatenated result equals an inline expansion's.
 fn expand_sharded<'a, A, N>(
-    frontier: &[usize],
+    slice: Range<usize>,
     arena: &[u64],
     threads: usize,
     new_expander: &N,
@@ -271,17 +304,16 @@ where
     A: StateCodec + 'a,
     N: Fn() -> PackedExpander<'a, A> + Sync,
 {
-    let shard = frontier.len().div_ceil(threads);
+    let shard = slice.len().div_ceil(threads);
     thread::scope(|s| {
-        let workers: Vec<_> = frontier
-            .chunks(shard)
-            .map(|chunk| {
+        let workers: Vec<_> = slice
+            .clone()
+            .step_by(shard)
+            .map(|lo| {
+                let chunk = lo..(lo + shard).min(slice.end);
                 s.spawn(move |_| {
                     let mut expander = new_expander();
-                    chunk
-                        .iter()
-                        .map(|&i| expander.expand(arena, i))
-                        .collect::<Vec<_>>()
+                    chunk.map(|i| expander.expand(arena, i)).collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -402,137 +434,157 @@ impl<'a, A: StateCodec> PackedExpander<'a, A> {
                     }
                 }
             }
-            let (fp, pi) = if self.group.is_trivial() {
-                (fingerprint_words(&self.succ), 0u32)
-            } else {
-                let pi = canonicalize_into(
-                    self.codec,
-                    self.group,
-                    &self.succ,
-                    &mut self.canon,
-                    &mut self.scratch,
-                );
-                self.succ.copy_from_slice(&self.canon);
-                (fingerprint_words(&self.succ), pi)
-            };
+            let (fp, pi) = self.seal();
             out.moves.push((mv, fp, pi));
             out.words.extend_from_slice(&self.succ);
         }
         self.moves_buf = moves_buf;
         out
     }
-}
 
-/// The layered BFS driver. `expand_layer` turns a frontier (indices into
-/// the arena) into one [`PackedExpansion`] per frontier state, *in
-/// frontier order*; the merge below is sequential whatever the expansion
-/// did, which is what makes every thread count produce the same report.
-/// States are decoded only for the safety check (and on fingerprint
-/// collisions, inside `intern`'s window compare).
-#[allow(clippy::too_many_arguments)]
-fn search_loop_packed<A, F, E>(
-    codec: &Codec<'_, A>,
-    group: &SymmetryGroup,
-    initial: SystemState<A>,
-    health: &[Health],
-    safety: F,
-    limits: Limits,
-    threads: usize,
-    mut expand_layer: E,
-) -> ExplorationReport
-where
-    A: StateCodec,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-    E: FnMut(&[usize], &[u64]) -> Vec<PackedExpansion>,
-{
-    let topo = codec.topology();
-    let start = Instant::now();
-    let stride = codec.words();
-    let mut report = ExplorationReport {
-        states: 1,
-        transitions: 0,
-        deadlocks: 0,
-        violation: None,
-        truncated: false,
-        elapsed: Duration::ZERO,
-        threads,
-        layers: 0,
-        peak_frontier: 0,
-        dedup_hits: 0,
-        bytes_interned: stride * 8,
-        peak_states: 1,
-    };
-
-    let check = |state: &SystemState<A>| -> bool {
-        let snap = Snapshot::new(topo, state, health);
-        safety(&snap)
-    };
-
-    // The initial state is checked in its *original* frame, before any
-    // canonicalization: a violation at depth 0 reports the empty trace of
-    // the unpermuted system.
-    if !check(&initial) {
-        report.violation = Some(Vec::new());
-        report.elapsed = start.elapsed();
-        return report;
+    /// Intern `state` as a root of `search`: packed, canonicalized under
+    /// the group, with no parent. Returns whether it was new.
+    pub(crate) fn intern_root(
+        &mut self,
+        search: &mut PackedSearch,
+        state: &SystemState<A>,
+    ) -> bool {
+        self.codec.encode_into(state, &mut self.succ);
+        let (fp, pi) = self.seal();
+        search.intern(&self.succ, fp, None, pi).1
     }
 
-    let mut search = PackedSearch::new(stride);
-    let packed = codec.encode(&initial);
-    let mut canon = vec![0u64; stride];
-    let mut scratch = vec![0u64; stride];
-    let root_perm = if group.is_trivial() {
-        canon.copy_from_slice(&packed);
-        0
-    } else {
-        canonicalize_into(codec, group, &packed, &mut canon, &mut scratch)
-    };
-    search.intern(&canon, fingerprint_words(&canon), None, root_perm);
-    // `initial` is recycled as the decode scratch for safety checks.
-    let mut check_state = initial;
-    let mut frontier = vec![0usize];
+    /// Canonicalize the packed window in `succ` in place (under a
+    /// non-trivial group) and fingerprint it. Returns the fingerprint and
+    /// the index of the canonicalizing permutation.
+    fn seal(&mut self) -> (u64, u32) {
+        if self.group.is_trivial() {
+            return (fingerprint_words(&self.succ), 0);
+        }
+        let pi = canonicalize_into(
+            self.codec,
+            self.group,
+            &self.succ,
+            &mut self.canon,
+            &mut self.scratch,
+        );
+        self.succ.copy_from_slice(&self.canon);
+        (fingerprint_words(&self.succ), pi)
+    }
+}
 
-    'bfs: while !frontier.is_empty() {
+/// States per worker in one slice of the explorer's queue: enough that
+/// each worker's shard outweighs its spawn, while the successors held
+/// until the slice is merged stay bounded whatever the frontier.
+const SLICE: usize = 1 << 14;
+
+/// A client of [`search_packed`]. Both hooks run on the merging thread,
+/// in discovery order. A closure is a client that needs only
+/// [`Visitor::merged`].
+pub(crate) trait Visitor {
+    /// State `exp.parent`, packed as `window`, was expanded into `exp`;
+    /// its transitions are merged next.
+    fn expanded(&mut self, _window: &[u64], _exp: &PackedExpansion) {}
+
+    /// A transition by move `mv` was merged: its successor, canonicalized
+    /// by permutation `perm`, is state `to`, which it discovered if `new`.
+    /// Returning `false` stops the search.
+    fn merged(&mut self, search: &PackedSearch, mv: Move, perm: u32, to: usize, new: bool) -> bool;
+}
+
+impl<F: FnMut(&PackedSearch, Move, u32, usize, bool) -> bool> Visitor for F {
+    fn merged(&mut self, search: &PackedSearch, mv: Move, perm: u32, to: usize, new: bool) -> bool {
+        self(search, mv, perm, to, new)
+    }
+}
+
+impl ExplorationReport {
+    /// The report of a search holding only `search`'s roots.
+    fn seeded(search: &PackedSearch) -> ExplorationReport {
+        ExplorationReport {
+            states: search.len(),
+            transitions: 0,
+            deadlocks: 0,
+            violation: None,
+            truncated: false,
+            elapsed: Duration::ZERO,
+            threads: 1,
+            layers: 0,
+            peak_frontier: 0,
+            dedup_hits: 0,
+            bytes_interned: search.words.len() * 8,
+            peak_states: search.len(),
+        }
+    }
+}
+
+/// The one BFS driver: grows `search` from the roots it holds, in FIFO
+/// order, until the graph is complete, a state beyond
+/// [`Limits::max_states`] is discovered, or `visit` stops it.
+///
+/// The search is layered: the states discovered from layer `d` (a
+/// contiguous index range, since states are interned in discovery order)
+/// form layer `d + 1`. Each layer is expanded in slices of at most
+/// `slice` states, whose successors are held until merged (so `slice`
+/// bounds the expansion memory): `expand` turns a slice into one
+/// [`PackedExpansion`] per state, *in index order*, and the merge below
+/// is sequential whatever the expansion did, which is what makes every
+/// thread count produce the same report. States are decoded only by
+/// `visit` (and on fingerprint collisions, inside `intern`'s window
+/// compare). The report's `violation`, `elapsed` and `threads` are the
+/// caller's to fill.
+pub(crate) fn search_packed<E, V>(
+    search: &mut PackedSearch,
+    limits: Limits,
+    slice: usize,
+    mut expand: E,
+    visit: &mut V,
+) -> ExplorationReport
+where
+    E: FnMut(Range<usize>, &[u64]) -> Vec<PackedExpansion>,
+    V: Visitor,
+{
+    let stride = search.stride;
+    let mut report = ExplorationReport::seeded(search);
+    let mut layer = 0..search.len();
+    'bfs: while !layer.is_empty() {
         report.layers += 1;
-        report.peak_frontier = report.peak_frontier.max(frontier.len());
-        let expansions = expand_layer(&frontier, &search.words);
-        let in_flight: usize = expansions.iter().map(|e| e.moves.len()).sum();
-        report.peak_states = report.peak_states.max(search.len() + in_flight);
-        let mut next_frontier = Vec::new();
-        for exp in expansions {
-            if exp.moves.is_empty() {
-                report.deadlocks += 1;
-                continue;
-            }
-            for (k, &(mv, fp, pi)) in exp.moves.iter().enumerate() {
-                report.transitions += 1;
-                let cand = &exp.words[k * stride..(k + 1) * stride];
-                if search.len() >= limits.max_states && search.find(cand, fp).is_none() {
-                    // A state beyond the bound: the space is larger than
-                    // the search may visit.
-                    report.truncated = true;
-                    break 'bfs;
-                }
-                let (idx, is_new) = search.intern(cand, fp, Some((exp.parent, mv)), pi);
-                if !is_new {
-                    report.dedup_hits += 1;
+        report.peak_frontier = report.peak_frontier.max(layer.len());
+        for lo in layer.clone().step_by(slice) {
+            let expansions = expand(lo..(lo + slice).min(layer.end), &search.words);
+            let in_flight: usize = expansions.iter().map(|e| e.moves.len()).sum();
+            report.peak_states = report.peak_states.max(search.len() + in_flight);
+            for exp in expansions {
+                visit.expanded(search.window(exp.parent), &exp);
+                if exp.moves.is_empty() {
+                    report.deadlocks += 1;
                     continue;
                 }
-                codec.decode_into(cand, &mut check_state);
-                if !check(&check_state) {
-                    report.violation = Some(rehydrate_path(topo, group, &search, idx).1);
-                    break 'bfs;
+                for (k, &(mv, fp, pi)) in exp.moves.iter().enumerate() {
+                    report.transitions += 1;
+                    let cand = &exp.words[k * stride..(k + 1) * stride];
+                    if search.len() >= limits.max_states && search.find(cand, fp).is_none() {
+                        // A state beyond the bound: the space is larger
+                        // than the search may visit.
+                        report.truncated = true;
+                        break 'bfs;
+                    }
+                    let (to, new) = search.intern(cand, fp, Some((exp.parent, mv)), pi);
+                    if !new {
+                        report.dedup_hits += 1;
+                    }
+                    if !visit.merged(search, mv, pi, to, new) {
+                        break 'bfs;
+                    }
                 }
-                next_frontier.push(idx);
             }
         }
-        frontier = next_frontier;
+        layer = layer.end..search.len();
     }
 
     report.states = search.len();
     report.bytes_interned = search.words.len() * 8;
     report.peak_states = report.peak_states.max(report.states);
-    report.elapsed = start.elapsed();
     report
 }
 
@@ -561,6 +613,11 @@ impl PackedSearch {
 
     pub(crate) fn len(&self) -> usize {
         self.parents.len()
+    }
+
+    /// The packed window of state `idx`.
+    pub(crate) fn window(&self, idx: usize) -> &[u64] {
+        &self.words[idx * self.stride..(idx + 1) * self.stride]
     }
 
     /// The index of an interned window, if any.

@@ -20,7 +20,7 @@
 //! algorithm over a systematic state corpus ([`build_corpus`]: the full
 //! corruption lattice when it is small enough, seeded `corrupt_all`
 //! sweeps plus one-step successors otherwise) infers per-[`ActionKind`]
-//! read/write footprints with radius bounds and feeds four certifiers:
+//! read/write footprints with radius bounds and feeds three certifiers:
 //!
 //! 1. **locality** — every guard/command read stays in the closed
 //!    neighborhood, every command write targets the process's own local
@@ -31,10 +31,7 @@
 //!    double-evaluation differentials;
 //! 3. **equivariance** — decides [`StateCodec::respects_symmetry`]
 //!    empirically by checking step-vs-automorphism commutation over the
-//!    corpus, refuting with a concrete witness;
-//! 4. **independence** — a per-(kind × kind × distance) commutativity
-//!    matrix derived from footprint disjointness, the enabling artifact
-//!    for partial-order reduction.
+//!    corpus, refuting with a concrete witness.
 //!
 //! The same [`check_write`] classifier gates every write the engine
 //! applies (debug panic; rejected and counted in release), so fuzzing
@@ -342,80 +339,6 @@ impl EquivarianceReport {
     /// refutation exists.
     pub fn matches_declaration(&self) -> bool {
         !(self.decidable && self.declared && !self.inferred)
-    }
-}
-
-/// Distances at which the independence matrix is tabulated: 0 (same
-/// process), 1 (neighbors) and 2 (the last index stands for "2 or more").
-pub const INDEPENDENCE_DISTANCES: usize = 3;
-
-/// Per-(kind × kind × distance) commutativity matrix derived from
-/// footprint disjointness: two action instances at graph distance `d` are
-/// *independent* when neither's write set can intersect the other's read
-/// or write set. Row/column `kinds.len() - 1` is the malicious
-/// pseudo-action.
-#[derive(Clone, Debug)]
-pub struct IndependenceMatrix {
-    /// Kind names; the last entry is `"malicious"`.
-    pub kinds: Vec<String>,
-    /// `independent[i][j][d]`: instances of kind `i` and kind `j` at
-    /// distance `d` (index 2 = "≥ 2") commute by footprint disjointness.
-    pub independent: Vec<Vec<[bool; INDEPENDENCE_DISTANCES]>>,
-    /// Whether the derivation is sound: it assumed the locality contract,
-    /// so this is the locality certifier's verdict.
-    pub sound: bool,
-}
-
-impl IndependenceMatrix {
-    /// Whether kinds `i` and `j` are independent at distance `d` (`d` is
-    /// clamped into the tabulated range).
-    pub fn independent_at(&self, i: usize, j: usize, d: u32) -> bool {
-        self.independent[i][j][(d as usize).min(INDEPENDENCE_DISTANCES - 1)]
-    }
-
-    /// Fraction of (kind, kind, distance) cells that are independent.
-    pub fn density(&self) -> f64 {
-        let mut total = 0u64;
-        let mut indep = 0u64;
-        for row in &self.independent {
-            for cell in row {
-                for &b in cell {
-                    total += 1;
-                    indep += b as u64;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            indep as f64 / total as f64
-        }
-    }
-
-    /// Machine-readable JSON export (the enabling artifact for future
-    /// partial-order reduction).
-    pub fn to_json(&self) -> String {
-        let kinds = self
-            .kinds
-            .iter()
-            .map(|k| format!("\"{k}\""))
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut pairs = Vec::new();
-        for (i, row) in self.independent.iter().enumerate() {
-            for (j, cell) in row.iter().enumerate() {
-                pairs.push(format!(
-                    "{{\"a\":\"{}\",\"b\":\"{}\",\"independent_at\":[{},{},{}]}}",
-                    self.kinds[i], self.kinds[j], cell[0], cell[1], cell[2]
-                ));
-            }
-        }
-        format!(
-            "{{\"kinds\":[{kinds}],\"sound\":{},\"density\":{:.4},\"pairs\":[{}]}}",
-            self.sound,
-            self.density(),
-            pairs.join(",")
-        )
     }
 }
 
@@ -777,8 +700,6 @@ pub struct ContractReport {
     pub purity: CertifierVerdict,
     /// Certifier 3: the `respects_symmetry` decision.
     pub equivariance: EquivarianceReport,
-    /// Certifier 4: the commutativity matrix.
-    pub independence: IndependenceMatrix,
     /// Corpus construction wall-clock (ms).
     pub corpus_ms: f64,
     /// Locality + purity + footprint pass wall-clock (ms).
@@ -968,8 +889,6 @@ pub fn analyze<A: StateCodec>(alg: &A, topo: &Topology, cfg: &AnalysisConfig) ->
     let equivariance = certify_equivariance(alg, topo, &corpus, cfg.equivariance_cap);
     let equivariance_ms = t2.elapsed().as_secs_f64() * 1e3;
 
-    let independence = derive_independence(&footprints, &malicious, locality.ok());
-
     ContractReport {
         algorithm: alg.name().to_string(),
         topology: topo.name().to_string(),
@@ -980,7 +899,6 @@ pub fn analyze<A: StateCodec>(alg: &A, topo: &Topology, cfg: &AnalysisConfig) ->
         locality,
         purity,
         equivariance,
-        independence,
         corpus_ms,
         contracts_ms,
         equivariance_ms,
@@ -1080,85 +998,6 @@ fn certify_equivariance<A: StateCodec>(
         decidable: checked > 0,
         checked,
         witness: None,
-    }
-}
-
-/// Effective variable sets of one kind, guard ∪ command.
-#[derive(Clone, Copy, Default)]
-struct EffectiveAccess {
-    r_own: bool,
-    r_neighbor: bool,
-    r_edge: bool,
-    w_local: bool,
-    w_edge: bool,
-}
-
-impl EffectiveAccess {
-    fn of_kind(f: &KindFootprint) -> Self {
-        EffectiveAccess {
-            r_own: f.guard.reads_own_local || f.command.reads_own_local,
-            r_neighbor: f.guard.reads_neighbor_local || f.command.reads_neighbor_local,
-            r_edge: f.guard.reads_edge || f.command.reads_edge,
-            w_local: f.command.writes_local,
-            w_edge: f.command.writes_edge,
-        }
-    }
-
-    fn of_malicious(m: &AccessSummary) -> Self {
-        EffectiveAccess {
-            r_own: m.reads_own_local,
-            r_neighbor: m.reads_neighbor_local,
-            r_edge: m.reads_edge,
-            w_local: m.writes_local,
-            w_edge: m.writes_edge,
-        }
-    }
-}
-
-/// Whether instances of `a` and `b` at distance `d` can touch a common
-/// variable, given the certified locality bounds: locals intersect at
-/// d = 0 (own) or d = 1 (a writes its local which b's guard reads);
-/// incident-edge sets intersect only at d ≤ 1 (the shared edge {p, q}).
-fn conflicts(a: &EffectiveAccess, b: &EffectiveAccess, d: usize) -> bool {
-    let write_read = |x: &EffectiveAccess, y: &EffectiveAccess| {
-        (x.w_local && ((d == 0 && y.r_own) || (d == 1 && y.r_neighbor)))
-            || (x.w_edge && y.r_edge && d <= 1)
-    };
-    write_read(a, b)
-        || write_read(b, a)
-        || (a.w_local && b.w_local && d == 0)
-        || (a.w_edge && b.w_edge && d <= 1)
-}
-
-/// Derive the independence matrix from the inferred footprints (plus the
-/// malicious pseudo-action as the last row/column).
-fn derive_independence(
-    footprints: &[KindFootprint],
-    malicious: &AccessSummary,
-    sound: bool,
-) -> IndependenceMatrix {
-    let mut kinds: Vec<String> = footprints.iter().map(|f| f.name.clone()).collect();
-    kinds.push("malicious".to_string());
-    let mut effs: Vec<EffectiveAccess> = footprints.iter().map(EffectiveAccess::of_kind).collect();
-    effs.push(EffectiveAccess::of_malicious(malicious));
-    let independent = effs
-        .iter()
-        .map(|a| {
-            effs.iter()
-                .map(|b| {
-                    let mut cell = [false; INDEPENDENCE_DISTANCES];
-                    for (d, slot) in cell.iter_mut().enumerate() {
-                        *slot = !conflicts(a, b, d);
-                    }
-                    cell
-                })
-                .collect()
-        })
-        .collect();
-    IndependenceMatrix {
-        kinds,
-        independent,
-        sound,
     }
 }
 
@@ -1287,28 +1126,6 @@ mod tests {
         assert_eq!(enter.command.write_radius, 0);
         // Malicious default: corrupts the local only, reads nothing.
         assert!(report.malicious.writes_local && !report.malicious.writes_edge);
-    }
-
-    #[test]
-    fn toy_independence_matrix_has_the_expected_shape() {
-        let topo = Topology::ring(5);
-        let report = analyze(&ToyDiners, &topo, &AnalysisConfig::quick());
-        let m = &report.independence;
-        assert!(m.sound);
-        assert_eq!(m.kinds.len(), 4, "3 kinds + malicious");
-        // Same process: enter writes the local that enter reads.
-        assert!(!m.independent_at(TOY_ENTER, TOY_ENTER, 0));
-        // Neighbors: enter reads neighbor locals which enter writes.
-        assert!(!m.independent_at(TOY_ENTER, TOY_ENTER, 1));
-        // Distance ≥ 2: footprints disjoint.
-        assert!(m.independent_at(TOY_ENTER, TOY_ENTER, 2));
-        // join never reads neighbors: independent of a neighbor's join.
-        assert!(m.independent_at(TOY_JOIN, TOY_JOIN, 1));
-        let d = m.density();
-        assert!(d > 0.0 && d < 1.0, "density {d}");
-        let json = m.to_json();
-        assert!(json.contains("\"kinds\"") && json.contains("\"pairs\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use engine::{Engine, RunSummary, StepOutcome};
 pub use explore::{ExploreConfig, Reduction};
 pub use expose::MetricsServer;
 pub use fault::{FaultKind, FaultPlan, Health, Resurrection};
-pub use footprint::{analyze, AnalysisConfig, ContractReport, IndependenceMatrix};
+pub use footprint::{analyze, AnalysisConfig, ContractReport};
 pub use graph::{EdgeId, Family, ProcessId, Topology};
 pub use liveness::{check_liveness, check_liveness_multi, Lasso, LivenessConfig, LivenessReport};
 pub use observe::{EventKind, StepEvent, StepObserver};

@@ -139,26 +139,3 @@ fn falsely_symmetric_declaration_mismatch_is_flagged() {
     assert!(!r.certified());
     assert!(r.equivariance.witness.is_some());
 }
-
-#[test]
-fn independence_is_conservative_for_ill_behaved_algorithms() {
-    // The matrix derivation assumes locality; when locality is violated
-    // the export must be marked unsound.
-    let r = analyze(&PeekingGuard, &Topology::line(3), &AnalysisConfig::quick());
-    assert!(!r.independence.sound);
-    let json = r.independence.to_json();
-    assert!(json.contains("\"sound\":false"));
-}
-
-#[test]
-fn independence_json_round_trips_structurally() {
-    let r = analyze(&ToyDiners, &Topology::ring(5), &AnalysisConfig::quick());
-    let json = r.independence.to_json();
-    assert!(json.contains("\"kinds\""));
-    assert!(json.contains("\"malicious\""));
-    assert!(json.contains("\"independent_at\""));
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert_eq!(json.matches('[').count(), json.matches(']').count());
-    // 4 kinds (3 + malicious) → 16 ordered pairs.
-    assert_eq!(json.matches("\"a\":").count(), 16);
-}

@@ -17,7 +17,10 @@ use diners_sim::engine::Engine;
 use diners_sim::explore::Reduction;
 use diners_sim::fault::Health;
 use diners_sim::graph::{ProcessId, Topology};
-use diners_sim::liveness::{check_liveness, LivenessConfig};
+use std::time::Duration;
+
+use diners_sim::liveness::{check_liveness, check_liveness_multi, LivenessConfig, LivenessReport};
+use diners_sim::predicate::Snapshot;
 use diners_sim::scheduler::ScriptedScheduler;
 
 /// `I` = "the victim eats" is avoidable forever on a line(2) under weak
@@ -176,4 +179,61 @@ fn greedy_keeps_someone_off_thinking_under_both_reductions() {
             }
         }
     }
+}
+
+/// One `check_liveness_multi` call answers several targets on one graph,
+/// and each answer is the single-target call's, field for field except
+/// `elapsed`. On ring(3) under its dihedral group (|G| = 6), "every
+/// process thinks" has a fair lasso found through the cover, and
+/// "someone eats" is certified; asked together, then one at a time.
+#[test]
+fn two_targets_in_one_call_match_two_single_target_calls_under_symmetry() {
+    let topo = Topology::ring(3);
+    let n = topo.len();
+    let targets: [fn(&Snapshot<'_, GreedyDiners>) -> bool; 2] = [
+        |snap| snap.state.locals().iter().all(|&p| p == Phase::Thinking),
+        |snap| snap.state.locals().contains(&Phase::Eating),
+    ];
+    let (health, needs) = (vec![Health::Live; n], vec![true; n]);
+    let initial = SystemState::initial(&GreedyDiners, &topo);
+    let config = LivenessConfig {
+        reduction: Reduction::Symmetry,
+        ..Default::default()
+    };
+    let together = check_liveness_multi(
+        &GreedyDiners,
+        &topo,
+        [initial.clone()],
+        &health,
+        &needs,
+        &targets,
+        config,
+    );
+    assert_eq!(together.len(), 2);
+    for (&target, multi) in targets.iter().zip(&together) {
+        let single = check_liveness(
+            &GreedyDiners,
+            &topo,
+            initial.clone(),
+            &health,
+            &needs,
+            target,
+            config,
+        );
+        assert_eq!(without_elapsed(multi), without_elapsed(&single));
+    }
+    assert_eq!(together[0].group_order, 6);
+    assert!(together[0].livelock.is_some());
+    assert!(together[1].certified(), "{:?}", together[1]);
+}
+
+/// Every field of `report` but `elapsed`, as text.
+fn without_elapsed(report: &LivenessReport) -> String {
+    format!(
+        "{:?}",
+        LivenessReport {
+            elapsed: Duration::ZERO,
+            ..report.clone()
+        }
+    )
 }

@@ -86,7 +86,7 @@ pub fn chaos_run(
     let starved: Vec<ProcessId> = net
         .topology()
         .processes()
-        .filter(|&p| net.meals_in_window(p, since, net.step_count()) == 0)
+        .filter(|&p| net.last_meal(p) < Some(since))
         .collect();
     ChaosOutcome {
         violations: net.violation_steps(),

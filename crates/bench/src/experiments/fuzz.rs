@@ -46,7 +46,7 @@ use diners_core::algorithm::{ENTER, EXIT, FIXDEPTH, JOIN, LEAVE};
 use diners_core::predicates::Invariant;
 use diners_core::MaliciousCrashDiners;
 
-use super::{json_object, json_rows, Report};
+use super::{json_object, json_objects, json_rows, Report};
 use crate::common::Scale;
 use crate::timing::{self, Timed};
 
@@ -642,6 +642,100 @@ pub fn run(scale: &Scale) -> Report {
     }
 }
 
+/// The fields of each `BENCH_liveness.json` section that a run must
+/// reproduce exactly: `(section, label key, fields)`. Rates and ratios
+/// are timing, not compared; the run enforces its own ratio floor.
+const DETERMINISTIC: [(&str, &str, &[&str]); 3] = [
+    ("throughput", "case", &["states", "certified"]),
+    ("fuzz", "target", &["scenarios", "findings", "shrunk"]),
+    (
+        "shrunk",
+        "label",
+        &[
+            "digest",
+            "fault_events",
+            "schedule_moves",
+            "processes",
+            "locally_minimal",
+        ],
+    ),
+];
+
+/// Baseline gate for `exp fuzz --check`: every deterministic field of
+/// the run (see `DETERMINISTIC`) must equal the committed file's, row
+/// for row and in the same order. Skipped, with the reason in its
+/// table, when the run's scale (`quick`) differs from the baseline's.
+pub fn check_against_baseline(current: &str, baseline: &str) -> Report {
+    let mut report = Report::default();
+    let mut table = Table::new(
+        "T15 regression check: deterministic fields vs baseline (exact)".to_string(),
+        ["section", "row", "verdict"],
+    );
+    let quick = |json: &str| json_token(json, "quick").map(str::to_string);
+    if quick(current) != quick(baseline) {
+        table.row([
+            "all".to_string(),
+            "-".to_string(),
+            format!(
+                "skipped (baseline quick={}, run quick={})",
+                quick(baseline).unwrap_or_default(),
+                quick(current).unwrap_or_default()
+            ),
+        ]);
+        report.tables.push(table);
+        return report;
+    }
+    for (section, key, fields) in DETERMINISTIC {
+        let rows = |json| section_of(json, section).map_or_else(Vec::new, |s| json_objects(s, key));
+        let (base, cur) = (rows(baseline), rows(current));
+        let labels =
+            |rows: &[(String, &str)]| rows.iter().map(|(l, _)| l.clone()).collect::<Vec<_>>();
+        if labels(&base) != labels(&cur) {
+            let verdict = format!("rows {:?} != baseline {:?}", labels(&cur), labels(&base));
+            report.failures.push(format!("{section}: {verdict}"));
+            table.row([section.to_string(), "-".to_string(), verdict]);
+            continue;
+        }
+        for ((label, b), (_, c)) in base.iter().zip(&cur) {
+            let diffs: Vec<String> = fields
+                .iter()
+                .filter(|f| json_token(b, f) != json_token(c, f))
+                .map(|f| {
+                    let show = |o| json_token(o, f).unwrap_or("missing");
+                    format!("{f} {} != baseline {}", show(c), show(b))
+                })
+                .collect();
+            let verdict = if diffs.is_empty() {
+                "ok".to_string()
+            } else {
+                report
+                    .failures
+                    .push(format!("{section} {label}: {}", diffs.join(", ")));
+                diffs.join(", ")
+            };
+            table.row([section.to_string(), label.clone(), verdict]);
+        }
+    }
+    report.tables.push(table);
+    report
+}
+
+/// The text of `json`'s top-level array `section`.
+fn section_of<'a>(json: &'a str, section: &str) -> Option<&'a str> {
+    let start = json.find(&format!("\"{section}\": ["))?;
+    let rest = &json[start..];
+    Some(&rest[..rest.find(']')?])
+}
+
+/// The raw value text stored under `key` in a flat JSON object: a
+/// number, a boolean, or a quoted string with its quotes.
+fn json_token<'a>(json: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let tail = json[json.find(&pat)? + pat.len()..].trim_start();
+    let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
+    Some(tail[..end].trim_end())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,6 +786,46 @@ mod tests {
                 "{file}: replay digest {digest} drifted from the report"
             );
         }
+    }
+
+    #[test]
+    fn baseline_gate_compares_deterministic_fields_exactly() {
+        let file = |quick: bool, states: u32, rate: f64, digest: &str| {
+            format!(
+                concat!(
+                    "{{\n  \"quick\": {},\n  \"throughput\": [\n",
+                    "    {{\"case\":\"mca-paper-line(n=3)\",\"states\":{},",
+                    "\"bfs_states_per_sec\":{:.1},\"ratio\":0.9,\"certified\":true}}\n  ],\n",
+                    "  \"fuzz\": [\n    {{\"target\":\"greedy-planted\",\"scenarios\":40,",
+                    "\"findings\":2,\"shrunk\":1,\"elapsed_sec\":0.1}}\n  ],\n",
+                    "  \"shrunk\": [\n    {{\"label\":\"fuzz-greedy-7\",\"digest\":\"{}\",",
+                    "\"fault_events\":0,\"schedule_moves\":4,\"processes\":3,",
+                    "\"locally_minimal\":true}}\n  ]\n}}\n"
+                ),
+                quick, states, rate, digest
+            )
+        };
+        let base = file(false, 120, 1000.0, "0xab");
+        // Timing fields may move; the gate passes and shows every row.
+        let ok = check_against_baseline(&file(false, 120, 5.0, "0xab"), &base);
+        assert!(ok.failures.is_empty(), "{:?}", ok.failures);
+        assert_eq!(ok.tables[0].len(), 3);
+        // A changed state count or digest fails, naming the field.
+        let bad = check_against_baseline(&file(false, 121, 1000.0, "0xac"), &base);
+        assert_eq!(bad.failures.len(), 2, "{:?}", bad.failures);
+        assert!(bad.failures[0].contains("states 121 != baseline 120"));
+        assert!(bad.failures[1].contains("digest \"0xac\" != baseline \"0xab\""));
+        // A different scale skips, saying why.
+        let skipped = check_against_baseline(&file(true, 7, 1.0, "0x1"), &base);
+        assert!(skipped.failures.is_empty());
+        assert!(skipped.tables[0]
+            .render()
+            .contains("skipped (baseline quick=false, run quick=true)"));
+        // The committed baseline passes against itself.
+        let committed = include_str!("../../../../BENCH_liveness.json");
+        assert!(check_against_baseline(committed, committed)
+            .failures
+            .is_empty());
     }
 
     #[test]

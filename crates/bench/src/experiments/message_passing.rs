@@ -46,7 +46,7 @@ pub fn scenario(
         .topology()
         .processes()
         .filter(|&p| !net.is_dead(p))
-        .filter(|&p| net.meals_in_window(p, since, net.step_count()) == 0)
+        .filter(|&p| net.last_meal(p) < Some(since))
         .collect();
     let radius = if dead.is_empty() {
         None

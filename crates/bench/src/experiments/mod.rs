@@ -117,7 +117,10 @@ pub const REGISTRY: &[Experiment] = &[
     },
     entry("recovery", "T13", recovery::run),
     entry("codec", "T14", codec::run),
-    entry("fuzz", "T15", fuzz::run),
+    Experiment {
+        baseline: Some(fuzz::check_against_baseline),
+        ..entry("fuzz", "T15", fuzz::run)
+    },
     Experiment {
         cli: Some((monitor::CLI_USAGE, monitor::cli)),
         ..entry("monitor", "T16", monitor::run)

@@ -223,7 +223,7 @@ fn storm_section(scale: &Scale, json: &mut Vec<String>) -> (Table, u64, u64) {
                 let hungry: Vec<ProcessId> = net
                     .topology()
                     .processes()
-                    .filter(|&p| net.meals_in_window(p, settled, net.step_count()) == 0)
+                    .filter(|&p| net.last_meal(p) < Some(settled))
                     .collect();
                 starved += hungry.len() as u64;
                 if late > 0
@@ -294,7 +294,7 @@ fn budget_section(quick: bool, json: &mut Vec<String>) -> (Table, u64) {
         let distant: Vec<ProcessId> = [3, 4, 5]
             .into_iter()
             .map(ProcessId)
-            .filter(|&p| net.meals_in_window(p, settled, net.step_count()) > 0)
+            .filter(|&p| net.last_meal(p) >= Some(settled))
             .collect();
         let ok = restarts == max_restarts && giveups == 1 && abandoned && distant.len() == 3;
         if !ok {

@@ -51,7 +51,7 @@ use diners_sim::explore::{Limits, Reduction};
 use diners_sim::fault::Health;
 use diners_sim::graph::{EdgeId, ProcessId, Topology};
 use diners_sim::liveness::{check_liveness_multi, LivenessConfig, LivenessReport};
-use diners_sim::predicate::StatePredicate;
+use diners_sim::predicate::{Snapshot, StatePredicate};
 use diners_sim::scheduler::ScriptedScheduler;
 use diners_sim::workload::AlwaysHungry;
 
@@ -152,14 +152,15 @@ fn certify(
         lattice(&alg, topo, depth_max, acyclic_only),
         &health,
         &needs,
-        |snap| invariant.holds(snap),
+        &[|snap: &Snapshot<'_, MaliciousCrashDiners>| invariant.holds(snap)],
         LivenessConfig {
             limits: Limits {
                 max_states: 30_000_000,
             },
             reduction,
         },
-    );
+    )
+    .remove(0);
     assert!(
         report.certified(),
         "{} {}: livelock={:?} stuck={:?} truncated={}",
@@ -456,17 +457,26 @@ fn step_checked(
 // The paper's `depth > D` exit on graphs that are not trees.
 // ---------------------------------------------------------------------
 
-/// The lasso search for "`victim` eats" from the initial state, every
-/// process live and always hungry, over the exact (unreduced) graph.
-fn serve(alg: &MaliciousCrashDiners, topo: &Topology, victim: ProcessId) -> LivenessReport {
+/// The lasso searches for "p eats", for each p of `victims`, from the
+/// initial state, every process live and always hungry, over the exact
+/// (unreduced) graph, which one call builds once for every victim.
+fn serve(alg: &MaliciousCrashDiners, topo: &Topology, victims: &[usize]) -> Vec<LivenessReport> {
     let n = topo.len();
-    diners_sim::liveness::check_liveness(
+    let targets: Vec<_> = victims
+        .iter()
+        .map(|&p| {
+            move |snap: &Snapshot<'_, MaliciousCrashDiners>| {
+                snap.state.local(ProcessId(p)).phase == Phase::Eating
+            }
+        })
+        .collect();
+    check_liveness_multi(
         alg,
         topo,
-        SystemState::initial(alg, topo),
+        std::iter::once(SystemState::initial(alg, topo)),
         &vec![Health::Live; n],
         &vec![true; n],
-        |snap| snap.state.local(victim).phase == Phase::Eating,
+        &targets,
         LivenessConfig {
             limits: Limits::default(),
             reduction: Reduction::Packed,
@@ -508,7 +518,7 @@ fn replay_laps(
 fn paper_bound_starves_p0_on_ring4_without_a_fault() {
     let topo = Topology::ring(4);
     let alg = MaliciousCrashDiners::paper();
-    let report = serve(&alg, &topo, ProcessId(0));
+    let report = &serve(&alg, &topo, &[0])[0];
     assert!(!report.truncated);
     assert_eq!(report.states, 19_264);
     assert_eq!(report.transitions, 92_720);
@@ -530,15 +540,15 @@ fn paper_bound_starves_p0_on_ring4_without_a_fault() {
 }
 
 /// On complete(4) the paper's bound (`D` = 1) starves every process in
-/// turn: depth 2 > `D` is enough. One complete search per victim, each
-/// with a lasso that replays for 100 laps with the victim never eating.
+/// turn: depth 2 > `D` is enough. One complete search answers every
+/// victim, each with a lasso that replays for 100 laps with the victim
+/// never eating.
 #[test]
 fn paper_bound_starves_every_process_on_complete4_without_a_fault() {
     let topo = Topology::complete(4);
     let alg = MaliciousCrashDiners::paper();
-    for p in 0..4 {
+    for (p, report) in serve(&alg, &topo, &[0, 1, 2, 3]).iter().enumerate() {
         let victim = ProcessId(p);
-        let report = serve(&alg, &topo, victim);
         assert!(!report.truncated, "p{p}");
         assert_eq!(report.states, 27_648, "p{p}");
         assert_eq!(report.transitions, 160_320, "p{p}");
@@ -560,15 +570,14 @@ fn paper_bound_starves_every_process_on_complete4_without_a_fault() {
 fn corrected_bound_certifies_ring4_and_complete4_without_a_fault() {
     let alg = MaliciousCrashDiners::corrected();
     let ring = Topology::ring(4);
-    let report = serve(&alg, &ring, ProcessId(0));
+    let report = &serve(&alg, &ring, &[0])[0];
     assert!(report.certified(), "ring(4) p0: {:?}", report.livelock);
     assert_eq!(
         (report.states, report.transitions, report.sccs),
         (19_264, 88_848, 424)
     );
     let complete = Topology::complete(4);
-    for p in 0..4 {
-        let report = serve(&alg, &complete, ProcessId(p));
+    for (p, report) in serve(&alg, &complete, &[0, 1, 2, 3]).iter().enumerate() {
         assert!(
             report.certified(),
             "complete(4) p{p}: {:?}",

@@ -144,8 +144,9 @@ pub struct SimNet {
     deliveries: Vec<Delivery>,
     rng: StdRng,
     step: u64,
-    meal_log: Vec<(u64, ProcessId)>,
-    meals_seen: Vec<u64>,
+    /// Per node, the meals seen so far and the step at which the last
+    /// one completed (`None` before the first).
+    meals_seen: Vec<(u64, Option<u64>)>,
     violation_steps: u64,
     last_violation: Option<u64>,
     /// Adversary verdicts tallied at the send boundary.
@@ -205,8 +206,7 @@ impl SimNet {
             deliveries: Vec::new(),
             rng,
             step: 0,
-            meal_log: Vec::new(),
-            meals_seen: vec![0; n],
+            meals_seen: vec![(0, None); n],
             violation_steps: 0,
             last_violation: None,
             net_stats: NetStats::default(),
@@ -398,12 +398,11 @@ impl SimNet {
         self.nodes[p.index()].meals()
     }
 
-    /// Meals completed by `p` at steps in `[from, to)`.
-    pub fn meals_in_window(&self, p: ProcessId, from: u64, to: u64) -> u64 {
-        self.meal_log
-            .iter()
-            .filter(|(s, q)| *q == p && *s >= from && *s < to)
-            .count() as u64
+    /// The step at which `p` last completed a meal, if it ever did: `p`
+    /// ate at a step in `[since, step_count())` iff
+    /// `last_meal(p) >= Some(since)`.
+    pub fn last_meal(&self, p: ProcessId) -> Option<u64> {
+        self.meals_seen[p.index()].1
     }
 
     /// Steps at which two non-dead neighbors were simultaneously eating.
@@ -464,13 +463,13 @@ impl SimNet {
             self.last_violation = Some(self.step);
         }
 
-        // Meal log.
+        // Meals completed this step.
         for p in self.topo.processes() {
             let m = self.nodes[p.index()].meals();
-            let seen = &mut self.meals_seen[p.index()];
-            while *seen < m {
-                self.meal_log.push((self.step, p));
-                *seen += 1;
+            let (seen, last) = &mut self.meals_seen[p.index()];
+            if *seen < m {
+                *seen = m;
+                *last = Some(self.step);
             }
         }
 
@@ -721,15 +720,15 @@ impl SimNet {
                         q.clear();
                     }
                     // Refresh meal baselines: corruption does not change
-                    // counters, but keep the log consistent anyway.
+                    // counters, but keep them consistent anyway.
                     for p in self.topo.processes() {
-                        self.meals_seen[p.index()] = self.nodes[p.index()].meals();
+                        self.meals_seen[p.index()].0 = self.nodes[p.index()].meals();
                     }
                 }
                 FaultKind::TransientLocal => {
                     let node = &mut self.nodes[ev.target.index()];
                     node.corrupt(&mut self.rng);
-                    self.meals_seen[ev.target.index()] = node.meals();
+                    self.meals_seen[ev.target.index()].0 = node.meals();
                 }
                 FaultKind::Restart { state } => self.revive(ev.target, state, checkpoint),
             }
@@ -790,7 +789,7 @@ impl SimNet {
         }
         let node = Node::restarted(NodeConfig::new(&self.topo, p), state, snapshot.as_deref());
         self.health[p.index()] = Health::Live;
-        self.meals_seen[p.index()] = node.meals();
+        self.meals_seen[p.index()].0 = node.meals();
         self.nodes[p.index()] = node;
         let neighbors = self.topo.neighbors(p).to_vec();
         for q in neighbors {
@@ -1058,7 +1057,7 @@ mod tests {
         // Distant nodes keep eating.
         for p in [3, 4, 5] {
             assert!(
-                net.meals_in_window(ProcessId(p), since, net.step_count()) > 0,
+                net.last_meal(ProcessId(p)) >= Some(since),
                 "p{p} starved though far from the crash"
             );
         }
@@ -1075,12 +1074,12 @@ mod tests {
         if let Some(last) = net.last_violation() {
             assert!(last < 25_000, "violation at {last} long after transient");
         }
-        let final_window: u64 = net
-            .topology()
-            .processes()
-            .map(|p| net.meals_in_window(p, 30_000, net.step_count()))
-            .sum();
-        assert!(final_window > 0, "service resumed after the transient");
+        assert!(
+            net.topology()
+                .processes()
+                .any(|p| net.last_meal(p) >= Some(30_000)),
+            "service resumed after the transient"
+        );
     }
 
     #[test]
@@ -1290,7 +1289,7 @@ mod tests {
         assert_eq!(net.violation_steps(), 0, "partition broke exclusion");
         for p in net.topology().processes() {
             assert!(
-                net.meals_in_window(p, healed_at, net.step_count()) > 0,
+                net.last_meal(p) >= Some(healed_at),
                 "{p} starved after the partition healed"
             );
         }
@@ -1316,7 +1315,7 @@ mod tests {
         // settle, every node is in service.
         for p in net.topology().processes() {
             assert!(
-                net.meals_in_window(p, 40_000, net.step_count()) > 0,
+                net.last_meal(p) >= Some(40_000),
                 "{p} starved after recovery"
             );
         }
@@ -1361,7 +1360,7 @@ mod tests {
             assert!(!net.is_dead(ProcessId(1)));
             for p in net.topology().processes() {
                 assert!(
-                    net.meals_in_window(p, settled, net.step_count()) > 0,
+                    net.last_meal(p) >= Some(settled),
                     "seed {seed}: {p} starved after arbitrary-state rebirth"
                 );
             }
@@ -1410,7 +1409,7 @@ mod tests {
         net.run(40_000);
         for p in net.topology().processes() {
             assert!(
-                net.meals_in_window(p, since, net.step_count()) > 0,
+                net.last_meal(p) >= Some(since),
                 "{p} starved after supervised recovery"
             );
         }
@@ -1478,7 +1477,7 @@ mod tests {
         net.run(40_000);
         for p in [3, 4, 5] {
             assert!(
-                net.meals_in_window(ProcessId(p), since, net.step_count()) > 0,
+                net.last_meal(ProcessId(p)) >= Some(since),
                 "p{p} starved though far from the abandoned node"
             );
         }

@@ -14,12 +14,15 @@
 //!
 //! # Representation
 //!
-//! The visited set is a flat `Vec<u64>` arena of fixed-stride bit-packed
-//! states ([`crate::codec`]); states are decoded only for the safety
-//! check and for their own expansion. States are identified by a 64-bit
-//! [`crate::fingerprint`] of their packed words; fingerprint collisions
-//! are resolved by comparing windows word for word within the
-//! fingerprint's bucket, so deduplication is exact, not probabilistic.
+//! A search grows one state graph: a flat `Vec<u64>` arena of
+//! fixed-stride bit-packed states ([`crate::codec`]), decoded only for
+//! the safety check and for their own expansion. States are identified by
+//! a 64-bit [`crate::fingerprint`] of their packed words: the index maps
+//! each distinct fingerprint to a `u32` state, and each state links to
+//! the previous one with its fingerprint, so collisions are resolved by
+//! comparing windows word for word along that chain and deduplication is
+//! exact, not probabilistic. A parent link is a `u32` parent and a move
+//! packed into 32 bits, the graph's one move format.
 //! [`Reduction`] picks the dedup rule:
 //!
 //! * [`Reduction::Packed`] (the default) — one arena entry per concrete
@@ -40,9 +43,12 @@
 //!
 //! One BFS driver grows every packed search. It has two clients:
 //! [`explore_with`], which checks a safety predicate in each newly
-//! discovered state, and the lasso search of [`crate::liveness`], which
-//! records each expanded state's out-edges and enabled processes. The
-//! BFS is *layered*: the frontier at depth `d` is expanded (moves
+//! discovered state and stores no edges, and the lasso search of
+//! [`crate::liveness`], for which the driver records, in the graph
+//! itself, each expanded state's enabled processes and its out-edges in
+//! one compressed sparse row table (per edge a `u32` target and a packed
+//! move, plus a `u32` permutation index only under a non-trivial group).
+//! The BFS is *layered*: the frontier at depth `d` is expanded (moves
 //! enumerated, successors packed and fingerprinted — the expensive part)
 //! a bounded slice at a time, each slice merged sequentially in frontier
 //! order into the visited set before the next is expanded. Slicing
@@ -66,11 +72,11 @@ use std::time::{Duration, Instant};
 
 use crossbeam::thread;
 
-use crate::algorithm::{enabled_actions, Algorithm, Move, SystemState, View, Write};
+use crate::algorithm::{enabled_actions, ActionId, Algorithm, Move, SystemState, View, Write};
 use crate::codec::{Codec, StateCodec};
 use crate::fault::Health;
 use crate::fingerprint::{fingerprint_words, FingerprintMap};
-use crate::graph::Topology;
+use crate::graph::{ProcessId, Topology};
 use crate::predicate::Snapshot;
 use crate::symmetry::{canonicalize_into, Perm, SymmetryGroup};
 
@@ -246,8 +252,8 @@ where
     let template = initial.clone();
     let new_expander = || PackedExpander::new(alg, &codec, &group, health, needs, template.clone());
     let mut inline = new_expander();
-    let mut search = PackedSearch::new(codec.words());
-    inline.intern_root(&mut search, &initial);
+    let mut graph = StateGraph::new(&codec, &group, false);
+    inline.intern_root(&mut graph, &initial);
     let holds = |state: &SystemState<A>| safety(&Snapshot::new(topo, state, health));
     let mut violation = None;
     // The initial state is checked in its *original* frame, before any
@@ -257,7 +263,7 @@ where
         // `initial` is recycled as the decode scratch for safety checks.
         let mut state = initial;
         search_packed(
-            &mut search,
+            &mut graph,
             config.limits,
             SLICE * threads,
             |slice, arena| {
@@ -269,21 +275,18 @@ where
                     expand_sharded(slice, arena, threads, &new_expander)
                 }
             },
-            &mut |search: &PackedSearch, _: Move, _: u32, to: usize, new: bool| {
-                if !new {
-                    return true;
-                }
-                codec.decode_into(search.window(to), &mut state);
+            |graph, to| {
+                codec.decode_into(graph.window(to), &mut state);
                 if holds(&state) {
                     return true;
                 }
-                violation = Some(rehydrate_path(topo, &group, search, to).1);
+                violation = Some(rehydrate_path(topo, &group, graph, to).1);
                 false
             },
         )
     } else {
         violation = Some(Vec::new());
-        ExplorationReport::seeded(&search)
+        ExplorationReport::seeded(&graph)
     };
     report.violation = violation;
     report.threads = threads;
@@ -347,11 +350,11 @@ pub(crate) fn effective_group<A: StateCodec>(
 /// (and, under symmetry, canonicalized) successor windows back to back;
 /// `moves[k]` pairs the raw move (in the canonical parent's frame) with
 /// the successor's fingerprint and the index of the permutation that
-/// canonicalized it. Plain `u64`/`Move` data — nothing algorithm-typed
+/// canonicalized it. Plain integer data — nothing algorithm-typed
 /// crosses the thread boundary.
 pub(crate) struct PackedExpansion {
     pub(crate) parent: usize,
-    pub(crate) moves: Vec<(Move, u64, u32)>,
+    pub(crate) moves: Vec<(PackedMove, u64, u32)>,
     pub(crate) words: Vec<u64>,
 }
 
@@ -435,23 +438,19 @@ impl<'a, A: StateCodec> PackedExpander<'a, A> {
                 }
             }
             let (fp, pi) = self.seal();
-            out.moves.push((mv, fp, pi));
+            out.moves.push((PackedMove::pack(mv), fp, pi));
             out.words.extend_from_slice(&self.succ);
         }
         self.moves_buf = moves_buf;
         out
     }
 
-    /// Intern `state` as a root of `search`: packed, canonicalized under
+    /// Intern `state` as a root of `graph`: packed, canonicalized under
     /// the group, with no parent. Returns whether it was new.
-    pub(crate) fn intern_root(
-        &mut self,
-        search: &mut PackedSearch,
-        state: &SystemState<A>,
-    ) -> bool {
+    pub(crate) fn intern_root(&mut self, graph: &mut StateGraph, state: &SystemState<A>) -> bool {
         self.codec.encode_into(state, &mut self.succ);
         let (fp, pi) = self.seal();
-        search.intern(&self.succ, fp, None, pi).1
+        graph.intern(&self.succ, fp, None, pi).1
     }
 
     /// Canonicalize the packed window in `succ` in place (under a
@@ -478,31 +477,11 @@ impl<'a, A: StateCodec> PackedExpander<'a, A> {
 /// until the slice is merged stay bounded whatever the frontier.
 const SLICE: usize = 1 << 14;
 
-/// A client of [`search_packed`]. Both hooks run on the merging thread,
-/// in discovery order. A closure is a client that needs only
-/// [`Visitor::merged`].
-pub(crate) trait Visitor {
-    /// State `exp.parent`, packed as `window`, was expanded into `exp`;
-    /// its transitions are merged next.
-    fn expanded(&mut self, _window: &[u64], _exp: &PackedExpansion) {}
-
-    /// A transition by move `mv` was merged: its successor, canonicalized
-    /// by permutation `perm`, is state `to`, which it discovered if `new`.
-    /// Returning `false` stops the search.
-    fn merged(&mut self, search: &PackedSearch, mv: Move, perm: u32, to: usize, new: bool) -> bool;
-}
-
-impl<F: FnMut(&PackedSearch, Move, u32, usize, bool) -> bool> Visitor for F {
-    fn merged(&mut self, search: &PackedSearch, mv: Move, perm: u32, to: usize, new: bool) -> bool {
-        self(search, mv, perm, to, new)
-    }
-}
-
 impl ExplorationReport {
-    /// The report of a search holding only `search`'s roots.
-    fn seeded(search: &PackedSearch) -> ExplorationReport {
+    /// The report of a search holding only `graph`'s roots.
+    fn seeded(graph: &StateGraph) -> ExplorationReport {
         ExplorationReport {
-            states: search.len(),
+            states: graph.len(),
             transitions: 0,
             deadlocks: 0,
             violation: None,
@@ -512,15 +491,15 @@ impl ExplorationReport {
             layers: 0,
             peak_frontier: 0,
             dedup_hits: 0,
-            bytes_interned: search.words.len() * 8,
-            peak_states: search.len(),
+            bytes_interned: graph.words.len() * 8,
+            peak_states: graph.len(),
         }
     }
 }
 
-/// The one BFS driver: grows `search` from the roots it holds, in FIFO
+/// The one BFS driver: grows `graph` from the roots it holds, in FIFO
 /// order, until the graph is complete, a state beyond
-/// [`Limits::max_states`] is discovered, or `visit` stops it.
+/// [`Limits::max_states`] is discovered, or `discovered` stops it.
 ///
 /// The search is layered: the states discovered from layer `d` (a
 /// contiguous index range, since states are interned in discovery order)
@@ -529,33 +508,40 @@ impl ExplorationReport {
 /// bounds the expansion memory): `expand` turns a slice into one
 /// [`PackedExpansion`] per state, *in index order*, and the merge below
 /// is sequential whatever the expansion did, which is what makes every
-/// thread count produce the same report. States are decoded only by
-/// `visit` (and on fingerprint collisions, inside `intern`'s window
-/// compare). The report's `violation`, `elapsed` and `threads` are the
-/// caller's to fill.
-pub(crate) fn search_packed<E, V>(
-    search: &mut PackedSearch,
+/// thread count produce the same report. `discovered` runs on each newly
+/// interned state, in discovery order; returning `false` stops the
+/// search. When `graph` records transitions, each expanded state's
+/// enabled processes and merged out-edges are appended to them. States
+/// are decoded only by `discovered` (and on fingerprint collisions,
+/// inside `intern`'s window compare). The report's `violation`,
+/// `elapsed` and `threads` are the caller's to fill.
+pub(crate) fn search_packed<E, D>(
+    graph: &mut StateGraph,
     limits: Limits,
     slice: usize,
     mut expand: E,
-    visit: &mut V,
+    mut discovered: D,
 ) -> ExplorationReport
 where
     E: FnMut(Range<usize>, &[u64]) -> Vec<PackedExpansion>,
-    V: Visitor,
+    D: FnMut(&StateGraph, usize) -> bool,
 {
-    let stride = search.stride;
-    let mut report = ExplorationReport::seeded(search);
-    let mut layer = 0..search.len();
+    let stride = graph.stride;
+    let mut report = ExplorationReport::seeded(graph);
+    let mut layer = 0..graph.len();
     'bfs: while !layer.is_empty() {
         report.layers += 1;
         report.peak_frontier = report.peak_frontier.max(layer.len());
         for lo in layer.clone().step_by(slice) {
-            let expansions = expand(lo..(lo + slice).min(layer.end), &search.words);
+            let expansions = expand(lo..(lo + slice).min(layer.end), &graph.words);
             let in_flight: usize = expansions.iter().map(|e| e.moves.len()).sum();
-            report.peak_states = report.peak_states.max(search.len() + in_flight);
+            report.peak_states = report.peak_states.max(graph.len() + in_flight);
             for exp in expansions {
-                visit.expanded(search.window(exp.parent), &exp);
+                if graph.record {
+                    graph.out.open();
+                    let enabled = exp.moves.iter().fold(0, |m, (mv, ..)| m | 1u64 << mv.pid());
+                    graph.enabled.push(enabled);
+                }
                 if exp.moves.is_empty() {
                     report.deadlocks += 1;
                     continue;
@@ -563,51 +549,89 @@ where
                 for (k, &(mv, fp, pi)) in exp.moves.iter().enumerate() {
                     report.transitions += 1;
                     let cand = &exp.words[k * stride..(k + 1) * stride];
-                    if search.len() >= limits.max_states && search.find(cand, fp).is_none() {
+                    if graph.len() >= limits.max_states && graph.find(cand, fp).is_none() {
                         // A state beyond the bound: the space is larger
                         // than the search may visit.
                         report.truncated = true;
                         break 'bfs;
                     }
-                    let (to, new) = search.intern(cand, fp, Some((exp.parent, mv)), pi);
+                    let (to, new) = graph.intern(cand, fp, Some((exp.parent, mv)), pi);
+                    if graph.record {
+                        graph.out.edges.push(Edge { to: to as u32, mv });
+                        if let Some(perms) = &mut graph.edge_perms {
+                            perms.push(pi);
+                        }
+                    }
                     if !new {
                         report.dedup_hits += 1;
-                    }
-                    if !visit.merged(search, mv, pi, to, new) {
+                    } else if !discovered(graph, to) {
                         break 'bfs;
                     }
                 }
             }
         }
-        layer = layer.end..search.len();
+        layer = layer.end..graph.len();
     }
 
-    report.states = search.len();
-    report.bytes_interned = search.words.len() * 8;
+    report.states = graph.len();
+    report.bytes_interned = graph.words.len() * 8;
     report.peak_states = report.peak_states.max(report.states);
     report
 }
 
-/// The visited set: a flat fixed-stride word arena plus a fingerprint
-/// index, parent links and (under symmetry) the permutation that
-/// canonicalized each state.
-pub(crate) struct PackedSearch {
-    pub(crate) stride: usize,
-    pub(crate) ids: FingerprintMap<Vec<usize>>,
-    pub(crate) parents: Vec<Option<(usize, Move)>>,
-    /// Index (into the group's perms) of π with `stored = π · raw`.
-    pub(crate) perms: Vec<u32>,
-    pub(crate) words: Vec<u64>,
+/// Ends a collision chain, and is a root's parent.
+const NONE: u32 = u32::MAX;
+
+/// The state graph of a packed search (see the [module docs](self)).
+pub(crate) struct StateGraph {
+    stride: usize,
+    words: Vec<u64>,
+    /// The last state interned with each distinct fingerprint; `next`
+    /// links each state to the previous one with its fingerprint.
+    index: FingerprintMap<u32>,
+    next: Vec<u32>,
+    /// Per state, its parent (`NONE` for a root) and the move from it.
+    parents: Vec<(u32, PackedMove)>,
+    /// Per state, the index (into the group's perms) of π with
+    /// `stored = π · raw`.
+    perms: Vec<u32>,
+    /// Whether the search records, per expanded state in index order,
+    /// its enabled processes (`enabled`, as a mask) and its out-edges in
+    /// merge order (`out`), with each edge's canonicalizing permutation
+    /// in `edge_perms` unless the group is trivial.
+    record: bool,
+    pub(crate) enabled: Vec<u64>,
+    pub(crate) out: Csr,
+    edge_perms: Option<Vec<u32>>,
 }
 
-impl PackedSearch {
-    pub(crate) fn new(stride: usize) -> Self {
-        PackedSearch {
-            stride,
-            ids: FingerprintMap::default(),
+impl StateGraph {
+    /// An empty graph of `codec`'s states under `group`, recording the
+    /// transitions of the search that grows it if `record`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every move of the codec's algorithm on its topology
+    /// fits a [`PackedMove`].
+    pub(crate) fn new<A: StateCodec>(
+        codec: &Codec<'_, A>,
+        group: &SymmetryGroup,
+        record: bool,
+    ) -> Self {
+        let topo = codec.topology();
+        let degree = topo.processes().map(|p| topo.degree(p)).max();
+        PackedMove::check([topo.len(), codec.alg().kinds().len(), degree.unwrap_or(0)]);
+        StateGraph {
+            stride: codec.words(),
+            words: Vec::new(),
+            index: FingerprintMap::default(),
+            next: Vec::new(),
             parents: Vec::new(),
             perms: Vec::new(),
-            words: Vec::new(),
+            record,
+            enabled: Vec::new(),
+            out: Csr::default(),
+            edge_perms: (record && !group.is_trivial()).then(Vec::new),
         }
     }
 
@@ -620,44 +644,150 @@ impl PackedSearch {
         &self.words[idx * self.stride..(idx + 1) * self.stride]
     }
 
-    /// The index of an interned window, if any.
-    pub(crate) fn find(&self, cand: &[u64], fp: u64) -> Option<usize> {
-        let bucket = self.ids.get(&fp)?;
-        find_in(bucket, &self.words, self.stride, cand)
+    /// State `idx`'s parent and the move from it, or `None` for a root.
+    pub(crate) fn parent(&self, idx: usize) -> Option<(usize, Move)> {
+        let (parent, mv) = self.parents[idx];
+        (parent != NONE).then(|| (parent as usize, mv.unpack()))
     }
 
-    /// Intern a packed window: exact dedup by word-for-word compare
-    /// within the fingerprint's bucket.
+    /// The index of the permutation that canonicalized state `idx`.
+    pub(crate) fn perm(&self, idx: usize) -> usize {
+        self.perms[idx] as usize
+    }
+
+    /// The index of the permutation that canonicalized edge `e`'s target.
+    pub(crate) fn edge_perm(&self, e: usize) -> usize {
+        self.edge_perms.as_ref().map_or(0, |p| p[e] as usize)
+    }
+
+    /// The index of an interned window, if any: exact, by word-for-word
+    /// compare along the fingerprint's collision chain.
+    pub(crate) fn find(&self, cand: &[u64], fp: u64) -> Option<usize> {
+        let mut at = self.index.get(&fp).copied().unwrap_or(NONE);
+        while at != NONE {
+            if self.window(at as usize) == cand {
+                return Some(at as usize);
+            }
+            at = self.next[at as usize];
+        }
+        None
+    }
+
+    /// Intern a packed window; returns its index and whether it was new.
     pub(crate) fn intern(
         &mut self,
         cand: &[u64],
         fp: u64,
-        parent: Option<(usize, Move)>,
+        parent: Option<(usize, PackedMove)>,
         perm: u32,
     ) -> (usize, bool) {
         debug_assert_eq!(cand.len(), self.stride);
-        let bucket = self.ids.entry(fp).or_default();
-        if let Some(i) = find_in(bucket, &self.words, self.stride, cand) {
+        if let Some(i) = self.find(cand, fp) {
             return (i, false);
         }
-        let idx = self.parents.len();
-        bucket.push(idx);
-        self.parents.push(parent);
+        let idx = u32::try_from(self.len())
+            .ok()
+            .filter(|&i| i != NONE)
+            .expect("a state graph holds fewer than 2^32 - 1 states");
+        // The new state heads its fingerprint's chain.
+        self.next.push(self.index.insert(fp, idx).unwrap_or(NONE));
+        self.parents
+            .push(parent.map_or((NONE, PackedMove(0)), |(p, mv)| (p as u32, mv)));
         self.perms.push(perm);
         self.words.extend_from_slice(cand);
-        (idx, true)
+        (idx as usize, true)
     }
 }
 
-/// The index, among a fingerprint bucket's entries, of the stored window
-/// equal to `cand`: one lookup routine for `find` and `intern`, which
-/// holds the bucket through the map's entry so a new state costs a
-/// single probe.
-fn find_in(bucket: &[usize], words: &[u64], stride: usize, cand: &[u64]) -> Option<usize> {
-    bucket
-        .iter()
-        .copied()
-        .find(|&i| &words[i * stride..(i + 1) * stride] == cand)
+/// A graph in compressed sparse row form: [`Csr::open`] starts a node,
+/// whose out-edges are the ones pushed to `edges` until the next node
+/// starts.
+#[derive(Default)]
+pub(crate) struct Csr {
+    pub(crate) edges: Vec<Edge>,
+    start: Vec<usize>,
+}
+
+impl Csr {
+    /// Nodes started.
+    pub(crate) fn len(&self) -> usize {
+        self.start.len()
+    }
+
+    /// The edge indices of node `v`.
+    pub(crate) fn range(&self, v: usize) -> Range<usize> {
+        self.start[v]..self.start.get(v + 1).copied().unwrap_or(self.edges.len())
+    }
+
+    pub(crate) fn out(&self, v: usize) -> &[Edge] {
+        &self.edges[self.range(v)]
+    }
+
+    pub(crate) fn open(&mut self) {
+        self.start.push(self.edges.len());
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.edges.clear();
+        self.start.clear();
+    }
+}
+
+/// One stored transition: its target node and its move.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Edge {
+    pub(crate) to: u32,
+    pub(crate) mv: PackedMove,
+}
+
+/// A [`Move`] in 32 bits, the one move format of a [`StateGraph`]'s
+/// parent links and edges: the process id in bits 0..14, the neighbor
+/// slot plus one (0 for a global action) in bits 14..28, the action kind
+/// in bits 28..32.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PackedMove(u32);
+
+impl PackedMove {
+    /// The processes, action kinds and neighbor slots the format holds:
+    /// every process and slot of a topology within
+    /// [`crate::graph::MAX_PROCESSES`], and 16 kinds.
+    pub(crate) const LIMITS: [(usize, &'static str); 3] = [
+        (1 << 14, "processes"),
+        (1 << 4, "action kinds"),
+        ((1 << 14) - 1, "neighbor slots"),
+    ];
+
+    /// Panics unless `[processes, action kinds, largest degree]` are
+    /// within [`PackedMove::LIMITS`], so that every move packs.
+    pub(crate) fn check(sizes: [usize; 3]) {
+        for (size, (limit, what)) in sizes.into_iter().zip(Self::LIMITS) {
+            assert!(
+                size <= limit,
+                "a packed move holds at most {limit} {what}, not {size}"
+            );
+        }
+    }
+
+    pub(crate) fn pack(mv: Move) -> Self {
+        let slot = mv.action.slot.map_or(0, |s| s + 1) as u32;
+        PackedMove(mv.pid.index() as u32 | slot << 14 | (mv.action.kind as u32) << 28)
+    }
+
+    /// The moving process's index.
+    pub(crate) fn pid(self) -> usize {
+        (self.0 & 0x3fff) as usize
+    }
+
+    pub(crate) fn unpack(self) -> Move {
+        let action = ActionId {
+            kind: (self.0 >> 28) as usize,
+            slot: ((self.0 >> 14 & 0x3fff) as usize).checked_sub(1),
+        };
+        Move {
+            pid: ProcessId(self.pid()),
+            action,
+        }
+    }
 }
 
 pub(crate) fn enabled_moves<A: Algorithm>(
@@ -704,8 +834,8 @@ pub(crate) fn apply<A: Algorithm>(
 }
 
 /// Rehydrate the parent-link path that ends at `idx` into a concrete
-/// trace of the original system. Returns the index of the path's root,
-/// the concrete moves from that root, and the frame map `σ` at `idx`.
+/// trace of the original system. Returns the index of the path's root
+/// and the concrete moves from that root.
 ///
 /// Each stored state `C` satisfies `C = ρ · S`, where `S` is the raw
 /// successor reached from its canonical parent by the stored move and
@@ -722,29 +852,28 @@ pub(crate) fn apply<A: Algorithm>(
 pub(crate) fn rehydrate_path(
     topo: &Topology,
     group: &SymmetryGroup,
-    search: &PackedSearch,
+    graph: &StateGraph,
     idx: usize,
-) -> (usize, Vec<Move>, Perm) {
+) -> (usize, Vec<Move>) {
     let mut chain = Vec::new();
     let mut root = idx;
-    while let Some((parent, mv)) = search.parents[root] {
+    while let Some((parent, mv)) = graph.parent(root) {
         chain.push((root, mv));
         root = parent;
     }
     chain.reverse();
 
     if group.is_trivial() {
-        let moves = chain.into_iter().map(|(_, mv)| mv).collect();
-        return (root, moves, Perm::identity(topo));
+        return (root, chain.into_iter().map(|(_, mv)| mv).collect());
     }
     let inverses: Vec<Perm> = group.perms().iter().map(|p| p.inverse(topo)).collect();
-    let mut sigma = inverses[search.perms[root] as usize].clone();
+    let mut sigma = inverses[graph.perm(root)].clone();
     let mut moves = Vec::with_capacity(chain.len());
     for (i, mv) in chain {
         moves.push(sigma.permute_move(topo, mv));
-        sigma = sigma.compose(topo, &inverses[search.perms[i] as usize]);
+        sigma = sigma.compose(topo, &inverses[graph.perm(i)]);
     }
-    (root, moves, sigma)
+    (root, moves)
 }
 
 #[cfg(test)]
@@ -902,18 +1031,51 @@ mod tests {
 
     #[test]
     fn packed_interning_resolves_forced_fingerprint_collisions() {
-        let mut search = PackedSearch::new(1);
-        let (ia, new_a) = search.intern(&[3], 42, None, 0);
-        let (ib, new_b) = search.intern(&[5], 42, None, 0);
+        let topo = Topology::line(2);
+        let codec = Codec::new(&ToyDiners, &topo);
+        assert_eq!(codec.words(), 1);
+        let mut graph = StateGraph::new(&codec, &SymmetryGroup::identity(&topo), false);
+        let (ia, new_a) = graph.intern(&[3], 42, None, 0);
+        let (ib, new_b) = graph.intern(&[5], 42, None, 0);
         assert!(new_a && new_b);
         assert_ne!(ia, ib);
-        let (ia2, new_a2) = search.intern(&[3], 42, None, 0);
+        let (ia2, new_a2) = graph.intern(&[3], 42, None, 0);
         assert_eq!(ia2, ia);
         assert!(!new_a2);
-        assert_eq!(search.len(), 2);
-        assert_eq!(search.find(&[5], 42), Some(ib));
-        assert_eq!(search.find(&[7], 42), None);
-        assert_eq!(search.find(&[3], 43), None);
+        assert_eq!(graph.len(), 2);
+        assert_eq!(graph.find(&[5], 42), Some(ib));
+        assert_eq!(graph.find(&[3], 42), Some(ia));
+        assert_eq!(graph.find(&[7], 42), None);
+        assert_eq!(graph.find(&[3], 43), None);
+    }
+
+    #[test]
+    fn packed_moves_round_trip_at_the_format_limits_and_no_further() {
+        let [(processes, _), (kinds, _), (slots, _)] = PackedMove::LIMITS;
+        let largest = |action| Move {
+            pid: ProcessId(processes - 1),
+            action,
+        };
+        for mv in [
+            largest(ActionId::at_slot(kinds - 1, slots - 1)),
+            largest(ActionId::global(kinds - 1)),
+            Move {
+                pid: ProcessId(0),
+                action: ActionId::at_slot(0, 0),
+            },
+        ] {
+            assert_eq!(PackedMove::pack(mv).unpack(), mv);
+            assert_eq!(PackedMove::pack(mv).pid(), mv.pid.index());
+        }
+        PackedMove::check([processes, kinds, slots]);
+        for k in 0..3 {
+            let mut past = [1; 3];
+            past[k] = PackedMove::LIMITS[k].0 + 1;
+            let panic = std::panic::catch_unwind(|| PackedMove::check(past))
+                .expect_err("one past the limit must panic");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.contains(PackedMove::LIMITS[k].1), "{message}");
+        }
     }
 
     /// Reports must agree field-for-field (modulo wall-clock and thread

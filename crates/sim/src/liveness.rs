@@ -26,13 +26,15 @@
 //!
 //! # Algorithm
 //!
-//! The reachable graph is built by the explorer's one packed BFS driver
-//! (the same FIFO order, [`crate::codec`] interning, [`crate::symmetry`]
-//! canonicalization and truncation rule as [`crate::explore`]), from
-//! every root at once. A per-state hook records whether the state
-//! violates the target, the set of processes with at least one enabled
-//! move, and the outgoing edges, in one flat array indexed by per-state
-//! offsets. The `¬I`-induced subgraph is then decomposed into strongly
+//! The reachable graph is built once per call by the explorer's one
+//! packed BFS driver (the same FIFO order, [`crate::codec`] interning,
+//! [`crate::symmetry`] canonicalization and truncation rule as
+//! [`crate::explore`]), from every root at once. The driver records, in
+//! the state graph itself, each expanded state's enabled processes and
+//! its out-edges in one compressed sparse row table. One build answers
+//! every target predicate of a [`check_liveness_multi`] call: for each
+//! target the expanded states are decoded once to flag those violating
+//! it, and the `¬I`-induced subgraph is then decomposed into strongly
 //! connected components (iterative Tarjan); a cyclic SCC admits a weakly
 //! fair cycle iff every live process either moves on some internal edge
 //! or is disabled in some internal state (then the cycle can be routed
@@ -54,8 +56,8 @@
 //! matches the BFS parent chain, making the stem a genuine execution
 //! from a supplied root. In the corner case where a fair cover SCC
 //! contains no chain-anchored node (possible only when the root set is
-//! not closed under the group), the search falls back to an exact
-//! identity-group run.
+//! not closed under the group), that target is answered on an exact
+//! identity-group graph instead, grown once for every such target.
 //!
 //! Witness search also runs on truncated graphs: a lasso or stuck state
 //! found inside the explored fragment is a valid divergence witness even
@@ -68,8 +70,8 @@ use std::time::{Duration, Instant};
 use crate::algorithm::{Move, SystemState};
 use crate::codec::{Codec, StateCodec};
 use crate::explore::{
-    apply, effective_group, enabled_moves, rehydrate_path, search_packed, Limits, PackedExpander,
-    PackedExpansion, PackedSearch, Reduction, Visitor,
+    apply, effective_group, enabled_moves, rehydrate_path, search_packed, Csr, Edge,
+    ExplorationReport, Limits, PackedExpander, PackedMove, Reduction, StateGraph,
 };
 use crate::fault::Health;
 use crate::graph::{ProcessId, Topology};
@@ -144,7 +146,8 @@ pub struct LivenessReport {
     pub stuck: Option<StuckTrace>,
     /// Whether the search hit [`Limits::max_states`] before completing.
     pub truncated: bool,
-    /// Wall-clock time of the whole search (graph + SCC + witness).
+    /// Wall-clock time of the graph's build plus this predicate's own
+    /// analysis (SCC + witness).
     pub elapsed: Duration,
     /// Order of the symmetry group actually used (1 = no reduction).
     pub group_order: usize,
@@ -159,97 +162,10 @@ impl LivenessReport {
     }
 }
 
-/// One recorded transition of the explored graph, in the canonical
-/// parent's frame.
-#[derive(Clone, Copy, Debug)]
-struct EdgeRec {
-    mv: Move,
-    /// Index (into the group's perms) of the permutation that
-    /// canonicalized this edge's raw successor.
-    perm: u32,
-    to: usize,
-}
-
-/// A graph in compressed sparse row form: node `v`'s out-edges are
-/// `edges[start[v]..start[v + 1]]`. A node is opened by pushing the
-/// current edge count to `start`; [`Csr::close`] ends the last one.
-#[derive(Default)]
-struct Csr {
-    edges: Vec<EdgeRec>,
-    start: Vec<usize>,
-}
-
-impl Csr {
-    /// Nodes with out-edges recorded (after [`Csr::close`]).
-    fn len(&self) -> usize {
-        self.start.len().saturating_sub(1)
-    }
-
-    fn out(&self, v: usize) -> &[EdgeRec] {
-        &self.edges[self.start[v]..self.start[v + 1]]
-    }
-
-    fn close(&mut self) {
-        self.start.push(self.edges.len());
-    }
-
-    fn clear(&mut self) {
-        self.edges.clear();
-        self.start.clear();
-    }
-}
-
-/// The lasso search's client of the explorer's driver: per expanded
-/// state, in discovery order, whether it violates the target, which
-/// processes are enabled, and its out-edges.
-struct LassoGraph<'a, A: StateCodec, F> {
-    codec: &'a Codec<'a, A>,
-    health: &'a [Health],
-    legit: &'a F,
-    /// The state under evaluation (decode scratch).
-    state: SystemState<A>,
-    bad: Vec<bool>,
-    enabled: Vec<u64>,
-    out: Csr,
-    stuck_states: usize,
-    stuck: Option<usize>,
-}
-
-impl<A, F> Visitor for LassoGraph<'_, A, F>
-where
-    A: StateCodec,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-{
-    fn expanded(&mut self, window: &[u64], exp: &PackedExpansion) {
-        self.codec.decode_into(window, &mut self.state);
-        let bad = !(self.legit)(&Snapshot::new(
-            self.codec.topology(),
-            &self.state,
-            self.health,
-        ));
-        if exp.moves.is_empty() && bad {
-            self.stuck_states += 1;
-            self.stuck.get_or_insert(exp.parent);
-        }
-        self.bad.push(bad);
-        self.enabled.push(
-            exp.moves
-                .iter()
-                .fold(0, |mask, (mv, _, _)| mask | 1u64 << mv.pid.index()),
-        );
-        self.out.start.push(self.out.edges.len());
-    }
-
-    fn merged(&mut self, _: &PackedSearch, mv: Move, perm: u32, to: usize, _: bool) -> bool {
-        self.out.edges.push(EdgeRec { mv, perm, to });
-        true
-    }
-}
-
 /// Check convergence-to-`legit` under weak fairness from one root state.
 ///
-/// See [`check_liveness_multi`]; this is the single-root convenience
-/// wrapper.
+/// See [`check_liveness_multi`]; this is the single-root, single-target
+/// convenience wrapper.
 pub fn check_liveness<A, F>(
     alg: &A,
     topo: &Topology,
@@ -269,30 +185,41 @@ where
         std::iter::once(initial),
         health,
         needs,
-        legit,
+        std::slice::from_ref(&legit),
         config,
     )
+    .pop()
+    .expect("one report per target")
 }
 
-/// Check convergence-to-`legit` under weak fairness from *every* root
-/// state in `initials`, sharing one state graph (the roots seed the BFS
-/// frontier together, so overlapping reachable sets are explored once).
+/// Check convergence to each predicate of `targets` under weak fairness
+/// from *every* root state in `initials`, returning one report per
+/// target, in order.
+///
+/// The call builds one state graph (the roots seed the BFS frontier
+/// together, so overlapping reachable sets are explored once) and judges
+/// every target on it. Each report equals that of a single-target call
+/// except for `elapsed`, which counts the build plus that target's own
+/// analysis. A target whose quotient holds a fair cycle with no concrete
+/// realization from the supplied roots is answered on an exact
+/// (identity-group) graph grown from their originals, built once for all
+/// such targets.
 ///
 /// Supports at most 64 processes (process sets are tracked as bit
 /// masks); health and needs are fixed for the whole search, exactly like
-/// the safety explorer. Under [`Reduction::Symmetry`] the `legit`
-/// predicate must be *symmetric* (invariant under the topology's
-/// automorphisms) — the same contract the explorer imposes on safety
-/// predicates — because it is evaluated on canonical representatives.
+/// the safety explorer. Under [`Reduction::Symmetry`] every target must
+/// be *symmetric* (invariant under the topology's automorphisms) — the
+/// same contract the explorer imposes on safety predicates — because it
+/// is evaluated on canonical representatives.
 pub fn check_liveness_multi<A, F, I>(
     alg: &A,
     topo: &Topology,
     initials: I,
     health: &[Health],
     needs: &[bool],
-    legit: F,
+    targets: &[F],
     config: LivenessConfig,
-) -> LivenessReport
+) -> Vec<LivenessReport>
 where
     A: StateCodec,
     F: Fn(&Snapshot<'_, A>) -> bool,
@@ -302,157 +229,215 @@ where
         topo.len() <= 64,
         "liveness checking tracks process sets in u64 masks (n <= 64)"
     );
-    let mut roots = initials.into_iter().enumerate();
-    match run(
-        alg,
-        topo,
-        &mut roots,
-        health,
-        needs,
-        &legit,
-        config.limits,
-        config.reduction,
-    ) {
-        Ok(report) => report,
-        Err(fallback_roots) => {
-            // A quotient fairness candidate had no concrete realization:
-            // re-run exactly, from the reconstructed originals of every
-            // quotient root (ordinals preserved).
-            let mut roots = fallback_roots.into_iter();
-            run(
-                alg,
-                topo,
-                &mut roots,
-                health,
-                needs,
-                &legit,
-                config.limits,
-                Reduction::Packed,
-            )
-            .expect("identity-group liveness search cannot demand a fallback")
-        }
-    }
-}
-
-/// The search proper. Returns `Err(reconstructed roots)` only when a
-/// symmetry-mode fairness candidate failed concrete validation and the
-/// caller should re-run without reduction.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn run<A, F>(
-    alg: &A,
-    topo: &Topology,
-    roots: &mut dyn Iterator<Item = (usize, SystemState<A>)>,
-    health: &[Health],
-    needs: &[bool],
-    legit: &F,
-    limits: Limits,
-    reduction: Reduction,
-) -> Result<LivenessReport, Vec<(usize, SystemState<A>)>>
-where
-    A: StateCodec,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-{
-    let start = Instant::now();
-    let codec = Codec::new(alg, topo);
-    let group = effective_group(alg, topo, needs, health, reduction);
-    let template = SystemState::initial(alg, topo);
-    let mut expander = PackedExpander::new(alg, &codec, &group, health, needs, template.clone());
-    let mut search = PackedSearch::new(codec.words());
-    // Ordinal (caller index) of the first initial that produced each
-    // interned root, in root order.
-    let root_ordinal: Vec<usize> = roots
-        .filter_map(|(ordinal, init)| expander.intern_root(&mut search, &init).then_some(ordinal))
-        .collect();
-    let mut graph = LassoGraph {
-        codec: &codec,
-        health,
-        legit,
-        state: template,
-        bad: Vec::new(),
-        enabled: Vec::new(),
-        out: Csr::default(),
-        stuck_states: 0,
-        stuck: None,
+    let grow = |roots: &mut dyn Iterator<Item = (usize, SystemState<A>)>, reduction| {
+        Grown::new(alg, topo, roots, health, needs, config.limits, reduction)
     };
-    // One state per slice: its successors are merged while still in
-    // cache, and a query seeded with a million roots holds one state's
-    // successors, not its first layer's.
-    let grown = search_packed(
-        &mut search,
-        limits,
-        1,
-        |slice, arena| slice.map(|i| expander.expand(arena, i)).collect(),
-        &mut graph,
-    );
-    graph.out.close();
-
-    // Witnesses are found even on truncated graphs: a witness inside the
-    // explored fragment is valid regardless of what lies beyond the
-    // horizon (only certification is blocked by truncation).
-    let stuck = graph.stuck.map(|idx| {
-        let (root, trace, _) = rehydrate_path(topo, &group, &search, idx);
-        StuckTrace {
-            root: root_ordinal[root],
-            trace,
+    let quotient = grow(&mut initials.into_iter().enumerate(), config.reduction);
+    let mut reports = quotient.judge(targets.iter());
+    if reports.iter().any(Option::is_none) {
+        // A quotient fairness candidate had no concrete realization: grow
+        // the exact graph from the reconstructed originals of every
+        // quotient root (ordinals preserved) and answer those targets
+        // there.
+        let originals: Vec<_> = (0..quotient.root_ordinal.len())
+            .map(|r| (quotient.root_ordinal[r], quotient.original(r)))
+            .collect();
+        drop(quotient);
+        let exact = grow(&mut originals.into_iter(), Reduction::Packed);
+        let pending = targets.iter().zip(&reports).filter(|(_, r)| r.is_none());
+        let mut answers = exact.judge(pending.map(|(t, _)| t)).into_iter();
+        for report in reports.iter_mut().filter(|r| r.is_none()) {
+            *report = answers.next().expect("one answer per pending target");
         }
-    });
-    let mut cover = Cover::new(topo, &group, &search, health, graph.out.len());
-    let (mut sccs, mut livelock) = (0, None);
-    for scc in cyclic_sccs(&graph.out, |v| graph.bad[v]) {
-        sccs += 1;
-        match cover.judge(&graph, &scc) {
-            CoverOutcome::Unfair => {}
-            CoverOutcome::Fair { entry, cycle } => {
-                let lasso = realize_lasso(
-                    alg, topo, &codec, &group, &search, health, needs, legit, entry, cycle,
-                );
-                let mut lasso = lasso.expect("cover-validated lasso failed concrete replay");
-                lasso.root = root_ordinal[lasso.root];
-                livelock = Some(lasso);
-                break;
-            }
-            CoverOutcome::FairUnanchored => {
-                // A fair cover cycle exists but no cover node is anchored
-                // to a BFS parent chain (root set not orbit-closed): hand
-                // back exact roots for an identity-group rerun.
-                return Err(root_ordinal
-                    .iter()
-                    .enumerate()
-                    .map(|(r, &ordinal)| (ordinal, original(&codec, &group, &search, r)))
-                    .collect());
-            }
+    }
+    reports
+        .into_iter()
+        .map(|r| r.expect("an identity-group liveness search cannot demand a fallback"))
+        .collect()
+}
+
+/// A state graph grown for the lasso search, recording its transitions,
+/// with everything a target's analysis reads besides the target.
+struct Grown<'a, A: StateCodec> {
+    codec: Codec<'a, A>,
+    group: SymmetryGroup,
+    health: &'a [Health],
+    needs: &'a [bool],
+    graph: StateGraph,
+    /// Ordinal (caller index) of the first initial that produced each
+    /// interned root, in root order.
+    root_ordinal: Vec<usize>,
+    /// The driver's counts.
+    counts: ExplorationReport,
+    /// Wall-clock time of the build.
+    built_in: Duration,
+}
+
+impl<'a, A: StateCodec> Grown<'a, A> {
+    fn new(
+        alg: &'a A,
+        topo: &'a Topology,
+        roots: &mut dyn Iterator<Item = (usize, SystemState<A>)>,
+        health: &'a [Health],
+        needs: &'a [bool],
+        limits: Limits,
+        reduction: Reduction,
+    ) -> Self {
+        let start = Instant::now();
+        let codec = Codec::new(alg, topo);
+        let group = effective_group(alg, topo, needs, health, reduction);
+        let mut graph = StateGraph::new(&codec, &group, true);
+        let template = SystemState::initial(alg, topo);
+        let mut expander = PackedExpander::new(alg, &codec, &group, health, needs, template);
+        let root_ordinal = roots
+            .filter_map(|(ordinal, init)| {
+                expander.intern_root(&mut graph, &init).then_some(ordinal)
+            })
+            .collect();
+        // One state per slice: its successors are merged while still in
+        // cache, and a query seeded with a million roots holds one state's
+        // successors, not its first layer's.
+        let counts = search_packed(
+            &mut graph,
+            limits,
+            1,
+            |slice, arena| slice.map(|i| expander.expand(arena, i)).collect(),
+            |_, _| true,
+        );
+        drop(expander);
+        Grown {
+            codec,
+            group,
+            health,
+            needs,
+            graph,
+            root_ordinal,
+            counts,
+            built_in: start.elapsed(),
         }
     }
 
-    Ok(LivenessReport {
-        states: grown.states,
-        transitions: grown.transitions,
-        roots: root_ordinal.len(),
-        bad_states: graph.bad.iter().filter(|&&b| b).count(),
-        deadlocks: grown.deadlocks,
-        stuck_states: graph.stuck_states,
-        sccs,
-        fair_sccs: usize::from(livelock.is_some()),
-        livelock,
-        stuck,
-        truncated: grown.truncated,
-        elapsed: start.elapsed(),
-        group_order: group.order(),
-    })
-}
+    /// Judge each of `targets` on this graph, in order: `None` for a
+    /// target whose quotient holds a fair cycle with no chain-anchored
+    /// cover node (see [`CoverOutcome::FairUnanchored`]).
+    fn judge<'t, F>(&self, targets: impl Iterator<Item = &'t F>) -> Vec<Option<LivenessReport>>
+    where
+        F: Fn(&Snapshot<'_, A>) -> bool + 't,
+    {
+        let (topo, graph) = (self.codec.topology(), &self.graph);
+        let mut cover = Cover::new(topo, &self.group, graph, self.health);
+        let mut state = SystemState::initial(self.codec.alg(), topo);
+        let judge = |target: &F| {
+            let start = Instant::now();
+            // ¬target per expanded state, each decoded once.
+            let bad: Vec<bool> = (0..graph.enabled.len())
+                .map(|v| {
+                    self.codec.decode_into(graph.window(v), &mut state);
+                    !target(&Snapshot::new(topo, &state, self.health))
+                })
+                .collect();
+            // Witnesses are found even on truncated graphs: a witness
+            // inside the explored fragment is valid regardless of what
+            // lies beyond the horizon (only certification is blocked).
+            let mut stuck = (0..bad.len()).filter(|&v| bad[v] && graph.enabled[v] == 0);
+            let first_stuck = stuck.next();
+            let stuck_states = first_stuck.map_or(0, |_| 1 + stuck.count());
+            let (mut sccs, mut livelock) = (0, None);
+            for scc in cyclic_sccs(&graph.out, |v| bad[v]) {
+                sccs += 1;
+                match cover.judge(&scc) {
+                    CoverOutcome::Unfair => {}
+                    CoverOutcome::Fair { entry, cycle } => {
+                        let mut lasso = self
+                            .realize_lasso(target, entry, cycle)
+                            .expect("cover-validated lasso failed concrete replay");
+                        lasso.root = self.root_ordinal[lasso.root];
+                        livelock = Some(lasso);
+                        break;
+                    }
+                    CoverOutcome::FairUnanchored => return None,
+                }
+            }
+            Some(LivenessReport {
+                states: self.counts.states,
+                transitions: self.counts.transitions,
+                roots: self.root_ordinal.len(),
+                bad_states: bad.iter().filter(|&&b| b).count(),
+                deadlocks: self.counts.deadlocks,
+                stuck_states,
+                sccs,
+                fair_sccs: usize::from(livelock.is_some()),
+                livelock,
+                stuck: first_stuck.map(|idx| {
+                    let (root, trace) = rehydrate_path(topo, &self.group, graph, idx);
+                    StuckTrace {
+                        root: self.root_ordinal[root],
+                        trace,
+                    }
+                }),
+                truncated: self.counts.truncated,
+                elapsed: self.built_in + start.elapsed(),
+                group_order: self.group.order(),
+            })
+        };
+        targets.map(judge).collect()
+    }
 
-/// The original (unpermuted) state of root `r`: its stored window is
-/// `ρ · S`, so `S = ρ⁻¹ · stored`.
-fn original<A: StateCodec>(
-    codec: &Codec<'_, A>,
-    group: &SymmetryGroup,
-    search: &PackedSearch,
-    r: usize,
-) -> SystemState<A> {
-    let rho_inv = group.perms()[search.perms[r] as usize].inverse(codec.topology());
-    let mut buf = vec![0u64; search.stride];
-    permute_packed(codec, &rho_inv, search.window(r), &mut buf);
-    codec.decode(&buf)
+    /// The original (unpermuted) state of root `r`: its stored window is
+    /// `ρ · S`, so `S = ρ⁻¹ · stored`.
+    fn original(&self, r: usize) -> SystemState<A> {
+        let rho_inv = self.group.perms()[self.graph.perm(r)].inverse(self.codec.topology());
+        let mut buf = vec![0u64; self.codec.words()];
+        permute_packed(&self.codec, &rho_inv, self.graph.window(r), &mut buf);
+        self.codec.decode(&buf)
+    }
+
+    /// Validate a concrete stem+cycle candidate end-to-end: the stem
+    /// (rehydrated from `entry`'s parent chain) replays from the
+    /// reconstructed concrete root, every cycle state violates `legit`,
+    /// every cycle move is enabled, the cycle closes exactly, and weak
+    /// fairness holds concretely (every live process moves in the cycle
+    /// or is disabled somewhere in it). The `cycle` moves are already
+    /// concrete: for a trivial group they are the stored walk moves, for
+    /// a quotient they come from the frame-carrying cover, whose entry
+    /// node is anchored to `entry`'s parent chain. Returns `None` if any
+    /// check fails (an internal-invariant violation). The returned
+    /// `Lasso.root` is the *internal* root index; the caller maps it to
+    /// the caller ordinal.
+    fn realize_lasso<F>(&self, legit: &F, entry: usize, cycle: Vec<Move>) -> Option<Lasso>
+    where
+        F: Fn(&Snapshot<'_, A>) -> bool,
+    {
+        let (alg, topo) = (self.codec.alg(), self.codec.topology());
+        let (health, needs) = (self.health, self.needs);
+        let (root, stem) = rehydrate_path(topo, &self.group, &self.graph, entry);
+        let mut state = self.original(root);
+        for &mv in &stem {
+            if !enabled_moves(alg, topo, &state, health, needs).contains(&mv) {
+                return None;
+            }
+            state = apply(alg, topo, &state, mv, needs);
+        }
+        let entry_words = self.codec.encode(&state);
+        // Replay the cycle with full concrete checks.
+        let (mut moved, mut disabled) = (0u64, 0u64);
+        for &mv in &cycle {
+            let enabled = enabled_moves(alg, topo, &state, health, needs);
+            if legit(&Snapshot::new(topo, &state, health)) || !enabled.contains(&mv) {
+                return None;
+            }
+            disabled |= !enabled.iter().fold(0, |m, e| m | 1u64 << e.pid.index());
+            moved |= 1u64 << mv.pid.index();
+            state = apply(alg, topo, &state, mv, needs);
+        }
+        let starved =
+            (0..topo.len()).any(|p| health[p].is_live() && (moved | disabled) & 1u64 << p == 0);
+        (self.codec.encode(&state) == entry_words && !starved).then_some(Lasso {
+            root,
+            stem,
+            cycle,
+        })
+    }
 }
 
 /// Outcome of the cover analysis of one quotient SCC.
@@ -474,22 +459,23 @@ enum CoverOutcome {
 const OUTSIDE: u32 = u32::MAX;
 
 /// The `|G|`-fold cover of one quotient SCC, rebuilt in place for each
-/// SCC, and the group's frame table, built once per search.
+/// SCC, and the group's frame table, built once per graph.
 struct Cover<'a> {
     topo: &'a Topology,
     group: &'a SymmetryGroup,
-    search: &'a PackedSearch,
+    /// The quotient: its transitions, parent chains and state frames.
+    quotient: &'a StateGraph,
     /// `compose[g * |G| + r]`: the index of `perms[g] ∘ perms[r]⁻¹`, the
     /// frame reached from frame `g` by an edge canonicalized by
     /// `perms[r]`.
     compose: Vec<usize>,
     /// The live processes, as a mask.
     live: u64,
-    /// Per explored quotient state, its position in the SCC under
+    /// Per expanded quotient state, its position in the SCC under
     /// analysis (`OUTSIDE` otherwise); reset after each SCC.
     local: Vec<u32>,
     /// Cover node `si * |G| + g` is the SCC's `si`-th state in frame
-    /// `perms[g]`.
+    /// `perms[g]`; its edges carry concrete moves.
     graph: Csr,
     /// Concrete enabled-process mask per cover node.
     enabled: Vec<u64>,
@@ -501,9 +487,8 @@ impl<'a> Cover<'a> {
     fn new(
         topo: &'a Topology,
         group: &'a SymmetryGroup,
-        search: &'a PackedSearch,
+        quotient: &'a StateGraph,
         health: &[Health],
-        explored: usize,
     ) -> Cover<'a> {
         let perms = group.perms();
         let index_of = |p: Perm| {
@@ -523,12 +508,12 @@ impl<'a> Cover<'a> {
         Cover {
             topo,
             group,
-            search,
+            quotient,
             compose,
             live: (0..topo.len())
                 .filter(|&p| health[p].is_live())
                 .fold(0, |mask, p| mask | 1 << p),
-            local: vec![OUTSIDE; explored],
+            local: vec![OUTSIDE; quotient.enabled.len()],
             graph: Csr::default(),
             enabled: Vec::new(),
             inside: Vec::new(),
@@ -542,42 +527,41 @@ impl<'a> Cover<'a> {
     /// concrete `¬I` cycle lifts to a cover cycle with identical
     /// enabled/mover sets, so this is sound *and* complete (no orbit
     /// approximation). With the identity group the cover is the SCC.
-    fn judge<A: StateCodec, F>(
-        &mut self,
-        quotient: &LassoGraph<'_, A, F>,
-        scc: &[usize],
-    ) -> CoverOutcome {
-        let (topo, order) = (self.topo, self.group.order());
+    fn judge(&mut self, scc: &[usize]) -> CoverOutcome {
+        let (topo, order, quotient) = (self.topo, self.group.order(), self.quotient);
+        assert!(
+            u32::try_from(scc.len() * order).is_ok(),
+            "a cover holds at most 2^32 nodes"
+        );
         for (si, &s) in scc.iter().enumerate() {
             self.local[s] = si as u32;
         }
         self.graph.clear();
         self.enabled.clear();
         for &s in scc {
+            let mask = quotient.enabled[s];
             for (g, perm) in self.group.perms().iter().enumerate() {
                 // Canonical process p enabled at s means concrete process
                 // σ(p) enabled at σ(s).
-                let mask = quotient.enabled[s];
                 self.enabled.push(
                     (0..topo.len())
                         .filter(|&p| mask & 1 << p != 0)
                         .fold(0, |m, p| m | 1 << perm.apply(ProcessId(p)).index()),
                 );
-                // Cover edges carry concrete moves; `perm` is unused.
-                self.graph.start.push(self.graph.edges.len());
-                for e in quotient.out.out(s) {
-                    let Some(&t) = self.local.get(e.to).filter(|&&t| t != OUTSIDE) else {
+                self.graph.open();
+                for e in quotient.out.range(s) {
+                    let Edge { to, mv } = quotient.out.edges[e];
+                    let Some(&t) = self.local.get(to as usize).filter(|&&t| t != OUTSIDE) else {
                         continue;
                     };
-                    self.graph.edges.push(EdgeRec {
-                        mv: perm.permute_move(topo, e.mv),
-                        perm: 0,
-                        to: t as usize * order + self.compose[g * order + e.perm as usize],
+                    self.graph.edges.push(Edge {
+                        to: (t as usize * order + self.compose[g * order + quotient.edge_perm(e)])
+                            as u32,
+                        mv: PackedMove::pack(perm.permute_move(topo, mv.unpack())),
                     });
                 }
             }
         }
-        self.graph.close();
         for &s in scc {
             self.local[s] = OUTSIDE;
         }
@@ -607,7 +591,7 @@ impl<'a> Cover<'a> {
                     cycle: self
                         .service_walk(entry, moved)
                         .iter()
-                        .map(|e| e.mv)
+                        .map(|e| e.mv.unpack())
                         .collect(),
                 })
             };
@@ -630,12 +614,12 @@ impl<'a> Cover<'a> {
     /// `σ ← σ∘ρ⁻¹` down each edge. The identity is the group's element 0.
     fn chain_frame(&self, s: usize) -> usize {
         let mut chain = vec![s];
-        while let Some((parent, _)) = self.search.parents[chain[chain.len() - 1]] {
+        while let Some((parent, _)) = self.quotient.parent(chain[chain.len() - 1]) {
             chain.push(parent);
         }
         let order = self.group.order();
         chain.iter().rev().fold(0, |sigma, &i| {
-            self.compose[sigma * order + self.search.perms[i] as usize]
+            self.compose[sigma * order + self.quotient.perm(i)]
         })
     }
 
@@ -646,35 +630,36 @@ impl<'a> Cover<'a> {
     /// disabled. The walk is non-empty and returns to the entry state.
     /// The graph is a cover (whose nodes carry frames), so service is per
     /// process, never per orbit.
-    fn service_walk(&self, entry: usize, moved: u64) -> Vec<EdgeRec> {
+    fn service_walk(&self, entry: usize, moved: u64) -> Vec<Edge> {
         let (graph, enabled) = (&self.graph, &self.enabled);
-        let internal = |t: usize| self.inside[t];
+        let internal = |e: &Edge| self.inside[e.to as usize];
 
         // BFS inside the SCC from `from`, stopping at the first state where
         // `accept` holds. Carries (source, edge) per visited state so the
         // path can be rebuilt. Deterministic (stored edge order) and total
         // within an SCC. The BFS deliberately refuses to *pass through*
-        // `from` again (`e.to == from` is skipped) so closing paths are
-        // found by the dedicated closing step instead.
-        let bfs_path = |from: usize, accept: &dyn Fn(usize) -> bool| -> Vec<EdgeRec> {
+        // `from` again (an edge back to `from` is skipped) so closing
+        // paths are found by the dedicated closing step instead.
+        let bfs_path = |from: usize, accept: &dyn Fn(usize) -> bool| -> Vec<Edge> {
             if accept(from) {
                 return Vec::new();
             }
-            let mut prev: HashMap<usize, (usize, EdgeRec)> = HashMap::new();
+            let mut prev: HashMap<usize, (usize, Edge)> = HashMap::new();
             let mut queue = VecDeque::new();
             queue.push_back(from);
             let mut goal = None;
             'outer: while let Some(u) = queue.pop_front() {
                 for e in graph.out(u) {
-                    if !internal(e.to) || e.to == from || prev.contains_key(&e.to) {
+                    let to = e.to as usize;
+                    if !internal(e) || to == from || prev.contains_key(&to) {
                         continue;
                     }
-                    prev.insert(e.to, (u, *e));
-                    if accept(e.to) {
-                        goal = Some(e.to);
+                    prev.insert(to, (u, *e));
+                    if accept(to) {
+                        goal = Some(to);
                         break 'outer;
                     }
-                    queue.push_back(e.to);
+                    queue.push_back(to);
                 }
             }
             let mut path = Vec::new();
@@ -690,7 +675,7 @@ impl<'a> Cover<'a> {
 
         // Route through each service point, tracking what the walk so far
         // has served.
-        let mut walk: Vec<EdgeRec> = Vec::new();
+        let mut walk: Vec<Edge> = Vec::new();
         let mut cur = entry;
         let mut served = !enabled[entry];
         for q in (0..64).filter(|&q| self.live & 1 << q != 0) {
@@ -698,11 +683,11 @@ impl<'a> Cover<'a> {
             if served & bit != 0 {
                 continue;
             }
-            let moves_q = |e: &EdgeRec| internal(e.to) && e.mv.pid.index() == q;
+            let moves_q = |e: &Edge| internal(e) && e.mv.pid() == q;
             let path = if moved & bit != 0 {
                 // Go to a state with an internal edge moving q, then take it.
                 let mut path = bfs_path(cur, &|s: usize| graph.out(s).iter().any(moves_q));
-                let at = path.last().map_or(cur, |e| e.to);
+                let at = path.last().map_or(cur, |e| e.to as usize);
                 path.push(
                     *graph
                         .out(at)
@@ -716,8 +701,8 @@ impl<'a> Cover<'a> {
                 bfs_path(cur, &|s: usize| enabled[s] & bit == 0)
             };
             for e in &path {
-                served |= 1 << e.mv.pid.index() | !enabled[e.to];
-                cur = e.to;
+                served |= 1 << e.mv.pid() | !enabled[e.to as usize];
+                cur = e.to as usize;
             }
             walk.extend_from_slice(&path);
             served |= bit;
@@ -730,9 +715,9 @@ impl<'a> Cover<'a> {
                 let e = *graph
                     .out(entry)
                     .iter()
-                    .find(|e| internal(e.to))
+                    .find(|e| internal(e))
                     .expect("cyclic SCC has an internal edge");
-                cur = e.to;
+                cur = e.to as usize;
                 walk.push(e);
             }
             if cur != entry {
@@ -753,8 +738,8 @@ fn service(graph: &Csr, enabled: &[u64], scc: &[usize], inside: &[bool]) -> (u64
         let movers = graph
             .out(v)
             .iter()
-            .filter(|e| inside[e.to])
-            .fold(0, |m, e| m | 1u64 << e.mv.pid.index());
+            .filter(|e| inside[e.to as usize])
+            .fold(0, |m, e| m | 1u64 << e.mv.pid());
         (moved | movers, disabled | !enabled[v])
     })
 }
@@ -779,7 +764,7 @@ fn cyclic_sccs(graph: &Csr, keep: impl Fn(usize) -> bool) -> Vec<Vec<usize>> {
         graph
             .out(v)
             .get(k)
-            .map(|e| e.to)
+            .map(|e| e.to as usize)
             .filter(|&t| t < nodes && keep(t))
     };
 
@@ -824,7 +809,7 @@ fn cyclic_sccs(graph: &Csr, keep: impl Fn(usize) -> bool) -> Vec<Vec<usize>> {
                         }
                     }
                     scc.sort_unstable();
-                    let cyclic = scc.len() > 1 || graph.out(v).iter().any(|e| e.to == v);
+                    let cyclic = scc.len() > 1 || graph.out(v).iter().any(|e| e.to as usize == v);
                     if cyclic {
                         out.push(scc);
                     }
@@ -833,84 +818,6 @@ fn cyclic_sccs(graph: &Csr, keep: impl Fn(usize) -> bool) -> Vec<Vec<usize>> {
         }
     }
     out
-}
-
-/// Validate a concrete stem+cycle candidate end-to-end: the stem
-/// (rehydrated from `entry`'s parent chain) replays from the
-/// reconstructed concrete root, every cycle state violates the
-/// predicate, every cycle move is enabled, the cycle closes exactly, and
-/// weak fairness holds concretely (every live process moves in the cycle
-/// or is disabled somewhere in it). The `cycle` moves are already
-/// concrete: for a trivial group they are the stored walk moves, for a
-/// quotient they come from the frame-carrying cover, whose entry node is
-/// anchored to `entry`'s parent chain. Returns `None` if any check fails
-/// (an internal-invariant violation). The returned `Lasso.root` is the
-/// *internal* root index; the caller maps it to the caller ordinal.
-#[allow(clippy::too_many_arguments)]
-fn realize_lasso<A, F>(
-    alg: &A,
-    topo: &Topology,
-    codec: &Codec<'_, A>,
-    group: &SymmetryGroup,
-    search: &PackedSearch,
-    health: &[Health],
-    needs: &[bool],
-    legit: &F,
-    entry: usize,
-    cycle: Vec<Move>,
-) -> Option<Lasso>
-where
-    A: StateCodec,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-{
-    let stride = codec.words();
-    let n = topo.len();
-    let (root, stem, _) = rehydrate_path(topo, group, search, entry);
-    let mut state = original(codec, group, search, root);
-
-    // Replay the stem.
-    for &mv in &stem {
-        if !enabled_moves(alg, topo, &state, health, needs).contains(&mv) {
-            return None;
-        }
-        state = apply(alg, topo, &state, mv, needs);
-    }
-    let mut entry_words = vec![0u64; stride];
-    codec.encode_into(&state, &mut entry_words);
-    let mut buf = vec![0u64; stride];
-
-    // Replay the cycle with full concrete checks.
-    let mut moved = 0u64;
-    let mut disabled = 0u64;
-    for &mv in &cycle {
-        {
-            let snap = Snapshot::new(topo, &state, health);
-            if legit(&snap) {
-                return None;
-            }
-        }
-        let enabled = enabled_moves(alg, topo, &state, health, needs);
-        if !enabled.contains(&mv) {
-            return None;
-        }
-        let mut mask = 0u64;
-        for m in &enabled {
-            mask |= 1u64 << m.pid.index();
-        }
-        disabled |= !mask;
-        moved |= 1u64 << mv.pid.index();
-        state = apply(alg, topo, &state, mv, needs);
-    }
-    codec.encode_into(&state, &mut buf);
-    if buf != entry_words {
-        return None;
-    }
-    for (p, h) in health.iter().enumerate().take(n) {
-        if h.is_live() && moved & (1u64 << p) == 0 && disabled & (1u64 << p) == 0 {
-            return None;
-        }
-    }
-    Some(Lasso { root, stem, cycle })
 }
 
 #[cfg(test)]
@@ -1040,9 +947,10 @@ mod tests {
             initials,
             &live(2),
             &[true, true],
-            |snap| *snap.state.local(ProcessId(1)) == Phase::Eating,
+            &[|snap: &Snapshot<'_, ToyDiners>| *snap.state.local(ProcessId(1)) == Phase::Eating],
             LivenessConfig::default(),
-        );
+        )
+        .remove(0);
         assert_eq!(report.roots, 9);
         assert_eq!(report.states, 9, "line(2) toy graph is the full 3×3");
         assert!(report.livelock.is_some());
@@ -1078,9 +986,10 @@ mod tests {
             std::iter::empty(),
             &live(2),
             &[true, true],
-            |_| true,
+            &[|_: &Snapshot<'_, ToyDiners>| true],
             LivenessConfig::default(),
-        );
+        )
+        .remove(0);
         assert_eq!(report.states, 0);
         assert!(
             report.certified(),

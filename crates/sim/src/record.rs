@@ -435,8 +435,8 @@ impl Recording {
     /// first problem: missing or malformed header (including an edge list
     /// that is not a simple connected graph, or a fault target outside
     /// `0..n`), unknown format version, unframed/truncated lines, trailing
-    /// garbage, unknown line kinds, missing fields, or a non-contiguous
-    /// decision stream.
+    /// garbage, unknown line kinds, missing fields, a fault line whose
+    /// target is outside `0..n`, or a non-contiguous decision stream.
     pub fn parse(text: &str) -> Result<Recording, String> {
         let mut rec: Option<Recording> = None;
         for (i, raw) in text.lines().enumerate() {
@@ -522,9 +522,16 @@ impl Recording {
                     if rec.version < 2 && matches!(kind, FaultKind::Restart { .. }) {
                         return Err(err("restart events require format version 2"));
                     }
+                    let pid = num("pid")?;
+                    let n = rec.topology.len();
+                    if pid >= n as u64 {
+                        return Err(err(&format!(
+                            "fault target {pid} out of range for {n} processes"
+                        )));
+                    }
                     rec.fault_log.push(RecordedFault {
                         step: num("step")?,
-                        target: ProcessId(num("pid")? as usize),
+                        target: ProcessId(pid as usize),
                         kind,
                     });
                 }
@@ -798,9 +805,49 @@ impl Scheduler for ReplayScheduler {
     }
 }
 
+/// Replay's check of the fault log: each fault the replay fires must be
+/// the log's next entry, and no entry may be passed without firing. The
+/// first divergence goes to the message the replay scheduler shares.
+struct FaultLogCheck {
+    log: Vec<RecordedFault>,
+    next: usize,
+    diverged: Rc<RefCell<Option<String>>>,
+}
+
+impl FaultLogCheck {
+    fn diverge(&self, msg: impl FnOnce() -> String) {
+        self.diverged.borrow_mut().get_or_insert_with(msg);
+    }
+}
+
+impl<A: DinerAlgorithm> StepObserver<A> for FaultLogCheck {
+    fn on_event(&mut self, ev: &StepEvent, _view: &Snapshot<'_, A>) {
+        let EventKind::Fault(kind) = ev.kind else {
+            return;
+        };
+        let fired = RecordedFault {
+            step: ev.step,
+            target: ev.pid,
+            kind,
+        };
+        let want = self.log.get(self.next).copied();
+        if want != Some(fired) {
+            self.diverge(|| format!("step {}: fault {fired:?} fired, recorded {want:?}", ev.step));
+        }
+        self.next += 1;
+    }
+
+    fn on_step_end(&mut self, steps: u64, _outcome: StepOutcome, _view: &Snapshot<'_, A>) {
+        if let Some(want) = self.log.get(self.next).filter(|f| f.step < steps) {
+            self.diverge(|| format!("step {}: recorded fault {want:?} did not fire", want.step));
+        }
+    }
+}
+
 /// Drives a fresh engine through a [`Recording`], verifying lockstep
-/// equality: every step's outcome must match the recorded decision and
-/// every covered checkpoint digest must match the live state.
+/// equality: every step's outcome must match the recorded decision, every
+/// fault it fires must match the fault log, and every covered checkpoint
+/// digest must match the live state.
 ///
 /// The caller supplies the algorithm and workload values (the recording
 /// stores only their labels); everything else — topology, seed,
@@ -831,12 +878,18 @@ impl Replayer {
             decisions: Rc::clone(&decisions),
             diverged: Rc::clone(&diverged),
         };
+        let faults = FaultLogCheck {
+            log: rec.fault_log.clone(),
+            next: 0,
+            diverged: Rc::clone(&diverged),
+        };
         let builder = Engine::builder(alg, rec.topology().clone())
             .workload(workload)
             .scheduler(sched)
             .faults(rec.faults.clone())
             .seed(rec.seed)
-            .observe(Trace::new());
+            .observe(Trace::new())
+            .observe(faults);
         let replayer = Replayer {
             decisions,
             checkpoints: rec.checkpoints.clone(),
@@ -873,7 +926,8 @@ impl Replayer {
 
     /// Step `engine` until it has executed `upto` steps (clamped to the
     /// recording length), verifying each step outcome against the
-    /// recorded decision and each covered checkpoint digest.
+    /// recorded decision, each fired fault against the fault log, and
+    /// each covered checkpoint digest.
     ///
     /// # Errors
     ///
@@ -1027,6 +1081,35 @@ mod tests {
     }
 
     #[test]
+    fn tampered_fault_log_is_detected() {
+        let rec = recorded_run(200);
+        let n = rec.topology().len();
+        let mut retargeted = rec.clone();
+        let f = &mut retargeted.fault_log[0];
+        f.target = ProcessId((f.target.index() + 1) % n);
+        let mut dropped = rec.clone();
+        dropped.fault_log.remove(0);
+        let mut extra = rec.clone();
+        let last = *extra.fault_log.last().expect("faults fired");
+        extra.fault_log.push(RecordedFault {
+            step: last.step + 1,
+            ..last
+        });
+        for (tampered, want) in [
+            (retargeted, "fired, recorded"),
+            (dropped, "fired, recorded"),
+            (extra, "did not fire"),
+        ] {
+            // Through the serialized form, as a file on disk would be.
+            let parsed = Recording::parse(&tampered.to_jsonl()).expect("still well-formed");
+            let err = Replayer::run(&parsed, ToyDiners, AlwaysHungry)
+                .err()
+                .expect("a tampered fault log must diverge");
+            assert!(err.contains(want), "{err}");
+        }
+    }
+
+    #[test]
     fn tampered_checkpoint_is_detected() {
         let mut rec = recorded_run(200);
         let last = rec.checkpoints.len() - 1;
@@ -1098,6 +1181,12 @@ mod tests {
             (
                 header.replace("\"initially_dead\":[]", "\"initially_dead\":[6]"),
                 "line 1: initially-dead process 6 out of range for 6 processes",
+            ),
+            (
+                format!(
+                    "{header}\n{{\"kind\":\"fault\",\"step\":3,\"pid\":6,\"fault\":\"crash\"}}"
+                ),
+                "line 2: fault target 6 out of range for 6 processes",
             ),
         ];
         for (bad, want) in &cases {

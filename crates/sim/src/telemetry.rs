@@ -295,24 +295,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// `(upper_edge, count)` for every non-empty bucket; the overflow
-    /// bucket reports the observed max as its edge.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let edge = if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    self.max
-                };
-                (edge, c)
-            })
-            .collect()
-    }
 }
 
 /// Named counters, gauges and histograms behind integer handles: the hot
@@ -375,15 +357,6 @@ impl MetricsRegistry {
         self.gauges[id.0].1 = value;
     }
 
-    /// Raise a gauge to `value` if larger (high-watermark semantics).
-    #[inline]
-    pub fn set_max(&mut self, id: GaugeId, value: f64) {
-        let g = &mut self.gauges[id.0].1;
-        if value > *g {
-            *g = value;
-        }
-    }
-
     /// Current gauge value (`None` if the name was never registered).
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
@@ -391,15 +364,10 @@ impl MetricsRegistry {
 
     /// Register (or look up) a histogram with power-of-two buckets.
     pub fn histogram(&mut self, name: &str) -> HistogramId {
-        self.histogram_with(name, Histogram::pow2)
-    }
-
-    /// Register (or look up) a histogram built by `make` on first use.
-    pub fn histogram_with(&mut self, name: &str, make: impl FnOnce() -> Histogram) -> HistogramId {
         if let Some(i) = self.histograms.iter().position(|(n, _)| n == name) {
             return HistogramId(i);
         }
-        self.histograms.push((name.to_string(), make()));
+        self.histograms.push((name.to_string(), Histogram::pow2()));
         HistogramId(self.histograms.len() - 1)
     }
 
@@ -422,80 +390,9 @@ impl MetricsRegistry {
         self.counters.iter().map(|(n, v)| (n.as_str(), *v))
     }
 
-    /// All gauges in registration order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(n, v)| (n.as_str(), *v))
-    }
-
     /// All histograms in registration order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(n, h)| (n.as_str(), h))
-    }
-
-    /// Fold every metric of `other` into `self`, registering any name
-    /// `self` has not seen: counters add, gauges keep the maximum
-    /// (high-watermark semantics — the only merge that is meaningful
-    /// without knowing what the gauge measures), histograms merge
-    /// bucket-wise via [`Histogram::merge`].
-    pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            let id = self.counter(name);
-            self.add(id, *v);
-        }
-        for (name, v) in &other.gauges {
-            let id = self.gauge(name);
-            self.set_max(id, *v);
-        }
-        for (name, h) in &other.histograms {
-            let id = self.histogram_with(name, || Histogram::with_bounds(h.bounds.clone()));
-            self.histograms[id.0].1.merge(h);
-        }
-    }
-
-    /// Render the whole registry as one JSON object (hand-rolled, same
-    /// style as `BENCH_engine.json`). Metric names are escaped as JSON
-    /// strings, so quotes, backslashes and control characters in
-    /// free-form names cannot corrupt the document.
-    pub fn to_json(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(n, v)| format!("\"{}\":{v}", json_escape(n)))
-            .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(n, v)| format!("\"{}\":{v:.3}", json_escape(n)))
-            .collect();
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(n, h)| {
-                let buckets: Vec<String> = h
-                    .nonzero_buckets()
-                    .iter()
-                    .map(|(edge, c)| format!("[{edge},{c}]"))
-                    .collect();
-                format!(
-                    concat!(
-                        "\"{}\":{{\"count\":{},\"mean\":{:.3},",
-                        "\"min\":{},\"max\":{},\"buckets\":[{}]}}"
-                    ),
-                    json_escape(n),
-                    h.count(),
-                    h.mean(),
-                    h.min().unwrap_or(0),
-                    h.max().unwrap_or(0),
-                    buckets.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-            counters.join(","),
-            gauges.join(","),
-            hists.join(",")
-        )
     }
 
     /// Render the whole registry in the Prometheus text exposition
@@ -868,7 +765,6 @@ mod tests {
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(100));
         assert!((h.mean() - 128.0 / 6.0).abs() < 1e-9);
-        assert_eq!(h.nonzero_buckets(), vec![(1, 2), (4, 1), (16, 1), (100, 2)]);
         assert_eq!(h.quantile(0.5), Some(4));
         assert_eq!(h.quantile(1.0), Some(100));
         assert_eq!(Histogram::pow2().quantile(0.5), None);
@@ -888,9 +784,6 @@ mod tests {
         assert_eq!(reg.counter_value("nope"), None);
 
         let g = reg.gauge("explore.peak_frontier");
-        reg.set_max(g, 10.0);
-        reg.set_max(g, 4.0);
-        assert_eq!(reg.gauge_value("explore.peak_frontier"), Some(10.0));
         reg.set(g, 1.5);
         assert_eq!(reg.gauge_value("explore.peak_frontier"), Some(1.5));
 
@@ -898,17 +791,6 @@ mod tests {
         reg.record(h, 3);
         reg.record(h, 900);
         assert_eq!(reg.histogram_value("latency").unwrap().count(), 2);
-
-        let json = reg.to_json();
-        for key in [
-            "engine.actions",
-            "explore.peak_frontier",
-            "latency",
-            "\"count\":2",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
@@ -1078,46 +960,28 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_from_aggregates_all_kinds() {
-        let mut a = MetricsRegistry::new();
-        let c = a.counter("cuts");
-        a.add(c, 3);
-        let g = a.gauge("epoch");
-        a.set(g, 5.0);
-        let h = a.histogram("wait");
-        a.record(h, 4);
-
-        let mut b = MetricsRegistry::new();
-        let c = b.counter("cuts");
-        b.add(c, 2);
-        let c2 = b.counter("aborts");
-        b.inc(c2);
-        let g = b.gauge("epoch");
-        b.set(g, 7.0);
-        let h = b.histogram("wait");
-        b.record(h, 9);
-
-        a.merge_from(&b);
-        assert_eq!(a.counter_value("cuts"), Some(5), "counters add");
-        assert_eq!(a.counter_value("aborts"), Some(1), "missing names register");
-        assert_eq!(a.gauge_value("epoch"), Some(7.0), "gauges high-watermark");
-        let w = a.histogram_value("wait").unwrap();
-        assert_eq!((w.count(), w.min(), w.max()), (2, Some(4), Some(9)));
-    }
-
-    #[test]
     fn hostile_metric_names_are_escaped_and_sanitized() {
         let mut reg = MetricsRegistry::new();
         let c = reg.counter("9 bad \"name\"\\");
         reg.inc(c);
         let g = reg.gauge("wei rd{node=\"a\\b\"}");
         reg.set(g, 1.0);
-        let h = reg.histogram_with("2tail{q=\"p\"99\"}", || Histogram::with_bounds(vec![1]));
+        let h = reg.histogram("2tail{q=\"p\"99\"}");
         reg.record(h, 1);
 
-        // JSON: quotes and backslashes in names cannot break the
-        // document — still balanced, and every raw quote is escaped.
-        let json = reg.to_json();
+        // JSON: quotes and backslashes in names cannot break a document
+        // that embeds them escaped — still balanced, and every raw quote
+        // is escaped.
+        let names = [
+            "9 bad \"name\"\\",
+            "wei rd{node=\"a\\b\"}",
+            "2tail{q=\"p\"99\"}",
+        ];
+        let fields: Vec<String> = names
+            .iter()
+            .map(|n| format!("\"{}\":1", json_escape(n)))
+            .collect();
+        let json = format!("{{{}}}", fields.join(","));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("9 bad \\\"name\\\"\\\\"), "{json}");
         let mut prev = ' ';
@@ -1161,9 +1025,7 @@ mod tests {
     fn labeled_series_share_one_type_header() {
         let mut reg = MetricsRegistry::new();
         for node in 0..3 {
-            let h = reg.histogram_with(&format!("mp.wait{{node=\"{node}\"}}"), || {
-                Histogram::with_bounds(vec![8])
-            });
+            let h = reg.histogram(&format!("mp.wait{{node=\"{node}\"}}"));
             reg.record(h, node);
         }
         let text = reg.to_prometheus();
@@ -1195,7 +1057,7 @@ mod tests {
         reg.add(c, 5);
         let g = reg.gauge("explore.peak_frontier");
         reg.set(g, 2.5);
-        let h = reg.histogram_with("wait.steps", || Histogram::with_bounds(vec![1, 4]));
+        let h = reg.histogram("wait.steps");
         for v in [0, 2, 9] {
             reg.record(h, v);
         }

@@ -15,7 +15,7 @@ use diners_core::MaliciousCrashDiners;
 use diners_sim::engine::Engine;
 use diners_sim::fault::{FaultPlan, Resurrection};
 use diners_sim::graph::Topology;
-use diners_sim::record::FlightRecorder;
+use diners_sim::record::{FlightRecorder, Recording, Replayer};
 use diners_sim::scheduler::RandomScheduler;
 use diners_sim::workload::BernoulliWorkload;
 
@@ -57,4 +57,12 @@ fn every_fault_kind_records_the_golden_run() {
     e.run(128);
     let recording = e.recording().expect("recorder attached").to_jsonl();
     assert_eq!(recording, include_str!("golden/faults.recording.jsonl"));
+    // The file replays: every decision, fault and checkpoint verifies.
+    let golden = Recording::parse(&recording).expect("the golden recording parses");
+    Replayer::run(
+        &golden,
+        MaliciousCrashDiners::paper(),
+        BernoulliWorkload::new(17, 2, 3),
+    )
+    .expect("the golden recording replays");
 }

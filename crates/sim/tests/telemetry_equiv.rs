@@ -20,7 +20,7 @@ use diners_sim::fault::FaultPlan;
 use diners_sim::graph::Topology;
 use diners_sim::observe::{EventKind, StepEvent, StepObserver};
 use diners_sim::predicate::Snapshot;
-use diners_sim::record::FlightRecorder;
+use diners_sim::record::{FlightRecorder, Recording, Replayer};
 use diners_sim::scheduler::{LeastRecentScheduler, RandomScheduler};
 use diners_sim::telemetry::{RingSink, Telemetry};
 use diners_sim::toy::ToyDiners;
@@ -261,6 +261,9 @@ fn observer_outputs_match_the_golden_files() {
 
     let recording = e.recording().expect("recorder attached").to_jsonl();
     assert_eq!(recording, include_str!("golden/observers.recording.jsonl"));
+    let golden = Recording::parse(&recording).expect("the golden recording parses");
+    Replayer::run(&golden, ToyDiners, QuotaWorkload::uniform(4, 2))
+        .expect("the golden recording replays");
     let tracer = e.observer::<CausalTracer>().expect("tracer attached");
     assert_eq!(
         tracer.to_chrome_trace(),

@@ -32,7 +32,7 @@ fn simnet_stabilizes_from_arbitrary_states() {
         let served = net
             .topology()
             .processes()
-            .filter(|&p| net.meals_in_window(p, 40_000, net.step_count()) > 0)
+            .filter(|&p| net.last_meal(p) >= Some(40_000))
             .count();
         assert_eq!(served, 6, "seed {seed}: {served}/6 served after settling");
     }
@@ -51,7 +51,7 @@ fn simnet_contains_malicious_crashes() {
     assert!(net.is_dead(ProcessId(0)));
     for p in 3..7 {
         assert!(
-            net.meals_in_window(ProcessId(p), since, net.step_count()) > 0,
+            net.last_meal(ProcessId(p)) >= Some(since),
             "p{p} starved though at distance >= 3"
         );
     }

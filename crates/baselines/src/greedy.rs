@@ -194,7 +194,7 @@ mod tests {
                 continue;
             }
             assert!(
-                e.metrics().eats_in_window(p, since, e.step_count()) > 0,
+                e.metrics().last_eat_of(p) >= Some(since),
                 "{p} starved though not adjacent to the crash"
             );
         }

@@ -169,8 +169,7 @@ pub fn measure_adversarial(
 ) -> (Option<u64>, Option<u64>) {
     let mut engine = engine_for(alg, l, adversary(seed), seed);
     let broken = engine.convergence_step(&NoLiveCycles, horizon);
-    let first_meal = engine.metrics().eat_log().first().map(|(s, _)| *s);
-    (broken, first_meal)
+    (broken, engine.metrics().first_eat())
 }
 
 /// Run the sweep and produce the result table.

@@ -291,7 +291,7 @@ fn gen_mca_scenario(seed: u64, scale: &CampaignScale) -> McaScenario {
 fn mca_oracle(engine: &Engine<MaliciousCrashDiners>, judge_from: u64, window: u64) -> bool {
     use diners_sim::algorithm::Phase;
     let m = engine.metrics();
-    if m.violation_steps().iter().any(|&s| s >= judge_from) {
+    if m.last_violation_step() >= Some(judge_from) {
         return true;
     }
     let end = engine.step_count();
@@ -301,7 +301,7 @@ fn mca_oracle(engine: &Engine<MaliciousCrashDiners>, judge_from: u64, window: u6
     topo.processes().any(|p| {
         to_dead[p.index()] > 2
             && engine.phase_of(p) == Phase::Hungry
-            && m.eats_in_window(p, from, end) == 0
+            && m.last_eat_of(p) < Some(from)
     })
 }
 

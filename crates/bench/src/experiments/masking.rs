@@ -38,6 +38,7 @@ pub fn service_ratios(n: usize, seed: u64, window: u64) -> Vec<(u32, f64)> {
         .seed(seed)
         .build();
     engine.run(window); // "before" window: victim alive (eating)
+    let meals_before = engine.metrics().eats().to_vec();
     engine.run(window); // "after" window: victim crashed
     let to_victim = topo.distances_from(&[victim]);
     let mut out = Vec::new();
@@ -45,8 +46,8 @@ pub fn service_ratios(n: usize, seed: u64, window: u64) -> Vec<(u32, f64)> {
         if p == victim {
             continue;
         }
-        let before = engine.metrics().eats_in_window(p, 0, window) as f64;
-        let after = engine.metrics().eats_in_window(p, window, 2 * window) as f64;
+        let before = meals_before[p.index()] as f64;
+        let after = (engine.metrics().eats_of(p) - meals_before[p.index()]) as f64;
         let ratio = if before == 0.0 {
             if after == 0.0 {
                 1.0

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use diners_mp::{SimNet, ThreadRuntime};
+use diners_mp::{AdversaryPlan, SimNet, ThreadRuntime};
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::table::Table;
@@ -131,7 +131,12 @@ pub fn run(scale: &Scale) -> Report {
     }
 
     // Thread-runtime smoke: real concurrency, sampled exclusion.
-    let rt = ThreadRuntime::spawn(Topology::ring(6), Duration::from_micros(200), 5);
+    let rt = ThreadRuntime::spawn(
+        Topology::ring(6),
+        Duration::from_micros(200),
+        AdversaryPlan::none(),
+        5,
+    );
     let violations = rt.observe(Duration::from_millis(300), Duration::from_micros(100));
     let starved = rt
         .topology()

@@ -502,7 +502,8 @@ fn watch(chunks: u64, server: Option<MetricsServer>) {
         println!(
             "{:>8}  {:>6}  {:>5}  {:>6}  {:>5}  {:>5}  {:>4}  {:>8}  {:>8}",
             net.step_count(),
-            net.snapshot_epoch(),
+            // The epoch of the last completed cut.
+            mon.registry().gauge_value("monitor.epoch").unwrap_or(0.0) as u64,
             mon.cuts(),
             mon.aborts(),
             mon.hard_alerts(),

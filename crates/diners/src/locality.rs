@@ -23,12 +23,11 @@ use diners_sim::graph::ProcessId;
 /// wants to eat (e.g. `AlwaysHungry`); under sparser workloads a
 /// non-starved process may simply not have been hungry.
 pub fn starved_since<A: DinerAlgorithm>(engine: &Engine<A>, since: u64) -> Vec<ProcessId> {
-    let now = engine.step_count();
     engine
         .topology()
         .processes()
         .filter(|&p| !engine.is_dead(p))
-        .filter(|&p| engine.metrics().eats_in_window(p, since, now) == 0)
+        .filter(|&p| engine.metrics().last_eat_of(p) < Some(since))
         .collect()
 }
 
@@ -118,7 +117,7 @@ mod tests {
     }
 
     #[test]
-    fn starved_since_reflects_eat_log() {
+    fn starved_since_reflects_the_last_meal() {
         let mut e = engine(Topology::line(3), FaultPlan::none(), 3);
         e.run(2_000);
         // Everyone has eaten at least once by now.

@@ -78,11 +78,10 @@ impl McaChecker {
             .processes()
             .filter(|&p| !engine.is_dead(p) && to_dead[p.index()] > self.m)
             .collect();
-        let now = engine.step_count();
         let starved_protected: Vec<ProcessId> = protected
             .iter()
             .copied()
-            .filter(|&p| engine.metrics().eats_in_window(p, window_start, now) == 0)
+            .filter(|&p| engine.metrics().last_eat_of(p) < Some(window_start))
             .collect();
         let safety_violation_steps = engine.metrics().violation_step_count() - violations_before;
         let satisfied = starved_protected.is_empty() && safety_violation_steps == 0;

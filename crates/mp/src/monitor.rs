@@ -18,13 +18,13 @@
 //! * **Self-check** — a cut failing vector-clock consistency means the
 //!   snapshot protocol itself broke ([`AlertKind::InconsistentCut`]).
 //!
-//! Alerts are emitted as structured events on the `sim::telemetry` bus
-//! (retained in a ring sink) and mirrored into the metrics registry, so
-//! `exp monitor --watch` can both print them and serve them over `/metrics`.
+//! Alerts are kept once, in order ([`Monitor::alerts`]), and counted in
+//! the monitor's metrics registry, so `exp monitor --watch` can both
+//! print them and serve them over `/metrics`.
 
 use diners_sim::graph::{ProcessId, Topology};
-use diners_sim::telemetry::{CounterId, GaugeId, Histogram, HistogramId, RingSink};
-use diners_sim::{AlertKind, Phase, Telemetry, TelemetryKind};
+use diners_sim::telemetry::{CounterId, GaugeId, Histogram, HistogramId};
+use diners_sim::{AlertKind, MetricsRegistry, Phase};
 
 use crate::snapshot::LocalSnapshot;
 
@@ -110,11 +110,11 @@ impl Default for MonitorConfig {
 }
 
 /// The observer: assembles per-epoch cuts into verdicts, metrics and
-/// structured alert events.
+/// alerts.
 pub struct Monitor {
     topo: Topology,
     cfg: MonitorConfig,
-    tele: Telemetry,
+    reg: MetricsRegistry,
     hungry_since: Vec<Option<u64>>,
     slo_open: Vec<bool>,
     meals_seen: Vec<u64>,
@@ -134,13 +134,10 @@ fn wait_metric_name(i: usize) -> String {
 }
 
 impl Monitor {
-    /// A monitor for `topo` with the given thresholds. Alert events are
-    /// retained in a 512-entry ring sink reachable via
-    /// [`Monitor::telemetry`].
+    /// A monitor for `topo` with the given thresholds.
     pub fn new(topo: Topology, cfg: MonitorConfig) -> Self {
         let n = topo.len();
-        let mut tele = Telemetry::with_sink(RingSink::new(512));
-        let reg = tele.registry_mut();
+        let mut reg = MetricsRegistry::new();
         let m_cuts = reg.counter("monitor.cuts");
         let m_aborts = reg.counter("monitor.aborts");
         let m_alerts = reg.counter("monitor.alerts");
@@ -152,7 +149,7 @@ impl Monitor {
         Monitor {
             topo,
             cfg,
-            tele,
+            reg,
             hungry_since: vec![None; n],
             slo_open: vec![false; n],
             meals_seen: vec![0; n],
@@ -172,11 +169,9 @@ impl Monitor {
     /// liveness SLO and failure locality, in that order.
     pub fn observe_cut(&mut self, cut: &GlobalCut) {
         self.cuts += 1;
-        let (m_cuts, g_epoch, h_inflight) = (self.m_cuts, self.g_epoch, self.h_inflight);
-        let reg = self.tele.registry_mut();
-        reg.inc(m_cuts);
-        reg.set(g_epoch, cut.epoch as f64);
-        reg.record(h_inflight, cut.in_flight());
+        self.reg.inc(self.m_cuts);
+        self.reg.set(self.g_epoch, cut.epoch as f64);
+        self.reg.record(self.h_inflight, cut.in_flight());
 
         if !cut.consistent() {
             // Blame the observer that saw too much: the first pid whose
@@ -218,8 +213,7 @@ impl Monitor {
             if s.meals > self.meals_seen[i] {
                 if let Some(since) = self.hungry_since[i].take() {
                     let wait = cut.step.saturating_sub(since);
-                    let id = self.wait_ids[i];
-                    self.tele.registry_mut().record(id, wait);
+                    self.reg.record(self.wait_ids[i], wait);
                 }
                 self.meals_seen[i] = s.meals;
                 self.slo_open[i] = false;
@@ -246,16 +240,13 @@ impl Monitor {
     }
 
     /// Record an aborted epoch (crash or rebirth mid-round).
-    pub fn on_abort(&mut self, _step: u64) {
+    pub fn on_abort(&mut self) {
         self.aborts += 1;
-        let id = self.m_aborts;
-        self.tele.registry_mut().inc(id);
+        self.reg.inc(self.m_aborts);
     }
 
     fn raise(&mut self, cut: &GlobalCut, pid: ProcessId, kind: AlertKind) {
-        self.tele.emit(cut.step, pid, TelemetryKind::Alert(kind));
-        let id = self.m_alerts;
-        self.tele.registry_mut().inc(id);
+        self.reg.inc(self.m_alerts);
         self.alerts.push(Alert {
             step: cut.step,
             epoch: cut.epoch,
@@ -289,28 +280,21 @@ impl Monitor {
         self.aborts
     }
 
-    /// The telemetry handle (alert ring sink + metrics registry).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tele
-    }
-
     /// The metrics registry (for exposition).
-    pub fn registry(&self) -> &diners_sim::MetricsRegistry {
-        self.tele.registry()
+    pub fn registry(&self) -> &MetricsRegistry {
+        &self.reg
     }
 
     /// Per-node hunger→eat latency histogram observed through cuts.
     pub fn wait_histogram(&self, p: ProcessId) -> Option<&Histogram> {
-        self.tele
-            .registry()
-            .histogram_value(&wait_metric_name(p.index()))
+        self.reg.histogram_value(&wait_metric_name(p.index()))
     }
 
     /// Cluster-wide hunger→eat latency: every per-node shard merged.
     pub fn cluster_waits(&self) -> Histogram {
         let mut all = Histogram::pow2();
         for i in 0..self.topo.len() {
-            if let Some(h) = self.tele.registry().histogram_value(&wait_metric_name(i)) {
+            if let Some(h) = self.reg.histogram_value(&wait_metric_name(i)) {
                 all.merge(h);
             }
         }

@@ -116,8 +116,6 @@ struct MonitorPlane {
     init_at: Vec<u64>,
     /// Step of each node's last marker broadcast in the open epoch.
     marker_sent_at: Vec<u64>,
-    /// Marker source set armed per node for the open epoch.
-    expected: Vec<Vec<ProcessId>>,
     /// Markers currently in flight across all shadow queues (lets idle
     /// and marker-free active steps skip the queue scan).
     marker_count: usize,
@@ -241,7 +239,12 @@ impl SimNet {
             },
         );
         self.plane = Some(Box::new(MonitorPlane {
-            agents: (0..n).map(|i| SnapAgent::new(ProcessId(i), n)).collect(),
+            // No members yet: `arm_epoch` names every live agent's set
+            // before any agent records, so no stamp is red before then,
+            // and set-up allocates only the vector clocks.
+            agents: (0..n)
+                .map(|i| SnapAgent::new(ProcessId(i), n, &[]))
+                .collect(),
             markers: vec![VecDeque::new(); self.topo.edge_count() * 2],
             marker_adv: LinkAdversary::new(
                 self.adversary.plan().clone(),
@@ -253,7 +256,6 @@ impl SimNet {
             started_at: 0,
             init_at: vec![0; n],
             marker_sent_at: vec![0; n],
-            expected: vec![Vec::new(); n],
             marker_count: 0,
             live: self
                 .health
@@ -270,12 +272,6 @@ impl SimNet {
     /// The attached predicate monitor, if any.
     pub fn monitor(&self) -> Option<&Monitor> {
         self.plane.as_deref().map(|pl| &pl.monitor)
-    }
-
-    /// The snapshot epoch currently open or most recently assigned
-    /// (0 when monitoring is off or no epoch has started).
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.plane.as_deref().map_or(0, |pl| pl.epoch)
     }
 
     /// Every completed cut (empty unless [`MonitorSetup::keep_cuts`]).
@@ -521,7 +517,7 @@ impl SimNet {
                 q.clear();
             }
             pl.marker_count = 0;
-            pl.monitor.on_abort(now);
+            pl.monitor.on_abort();
             pl.active = false;
             pl.next_epoch_at = now + 1;
             for (l, h) in pl.live.iter_mut().zip(&self.health) {
@@ -545,14 +541,7 @@ impl SimNet {
                     let mf = pl.markers[qi].remove(pos).expect("index in bounds");
                     pl.marker_count -= 1;
                     if pl.live[to.index()] {
-                        let expected = std::mem::take(&mut pl.expected[to.index()]);
-                        pl.agents[to.index()].on_marker(
-                            from,
-                            mf.epoch,
-                            &expected,
-                            &self.nodes[to.index()],
-                        );
-                        pl.expected[to.index()] = expected;
+                        pl.agents[to.index()].on_marker(from, mf.epoch, &self.nodes[to.index()]);
                     }
                 }
             }
@@ -575,8 +564,8 @@ impl SimNet {
                 || now.saturating_sub(pl.marker_sent_at[i]) >= MARKER_RESEND;
             if pl.agents[i].recorded() && due {
                 pl.marker_sent_at[i] = now;
-                let peers = pl.expected[i].clone();
-                for q in peers {
+                for k in 0..pl.agents[i].members().len() {
+                    let q = pl.agents[i].members()[k];
                     self.send_marker(&mut pl, ProcessId(i), q, now);
                 }
             }
@@ -637,19 +626,15 @@ impl SimNet {
             if !pl.live[i] {
                 continue;
             }
-            // Reuse the expected-peer buffers across rounds: arming is
-            // per-epoch work and must not churn the allocator on big
-            // rings.
-            pl.expected[i].clear();
             let live = &pl.live;
-            pl.expected[i].extend(
+            pl.agents[i].expect(
+                pl.epoch,
                 self.topo
                     .neighbors(ProcessId(i))
                     .iter()
                     .copied()
                     .filter(|q| live[q.index()]),
             );
-            pl.agents[i].expect(pl.epoch, &pl.expected[i]);
             pl.init_at[i] = now + (i as u64 * 5 + pl.epoch) % STAGGER;
             pl.marker_sent_at[i] = u64::MAX;
         }
@@ -834,15 +819,12 @@ impl SimNet {
                         // processes the message: a red stamp must force
                         // the recording first (see `crate::snapshot`).
                         if let (Some(pl), Some(snap)) = (self.plane.as_deref_mut(), &queued.snap) {
-                            let expected = std::mem::take(&mut pl.expected[to.index()]);
                             pl.agents[to.index()].on_deliver(
                                 from,
                                 &queued.msg,
                                 snap,
-                                &expected,
                                 &self.nodes[to.index()],
                             );
-                            pl.expected[to.index()] = expected;
                         }
                         let resyncs_before = self
                             .tracer

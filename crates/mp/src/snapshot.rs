@@ -30,8 +30,12 @@
 //! The agent is runtime-agnostic: [`crate::SimNet`] drives it from the
 //! deterministic step loop (shadow marker queues, a dedicated
 //! `LinkAdversary` for marker faults) and [`crate::ThreadRuntime`]
-//! drives it from real threads (markers as wire messages). Consistency
-//! of every completed cut is checked downstream with
+//! drives it from real threads (markers as wire messages). Either way
+//! the agent owns its marker source set ([`SnapAgent::members`]): the
+//! set it was built with (a thread starts with its node's neighbors)
+//! until an initiation names the live ones, armed by every later epoch
+//! and used as the targets of the node's own markers. Consistency of
+//! every completed cut is checked downstream with
 //! [`VectorClock::cut_consistent`]-style pid-aware dominance — see
 //! [`crate::monitor`].
 
@@ -100,6 +104,10 @@ pub struct SnapAgent {
     pid: ProcessId,
     clock: VectorClock,
     color: u64,
+    /// Marker sources the next arming expects, and the targets of this
+    /// node's own markers: the construction set until
+    /// [`SnapAgent::expect`] names the live ones.
+    members: Vec<ProcessId>,
     pending: Option<PendingEpoch>,
 }
 
@@ -114,12 +122,16 @@ impl std::fmt::Debug for PendingEpoch {
 }
 
 impl SnapAgent {
-    /// A fresh agent for node `pid` in an `n`-node system.
-    pub fn new(pid: ProcessId, n: usize) -> Self {
+    /// A fresh agent for node `pid` in an `n`-node system. `members` is
+    /// the marker source set an arming uses until [`SnapAgent::expect`]
+    /// names one: a node that can meet a red stamp before its first
+    /// initiation passes its neighbors.
+    pub fn new(pid: ProcessId, n: usize, members: &[ProcessId]) -> Self {
         SnapAgent {
             pid,
             clock: VectorClock::new(n),
             color: 0,
+            members: members.to_vec(),
             pending: None,
         }
     }
@@ -144,17 +156,32 @@ impl SnapAgent {
         self.pending.as_ref().is_some_and(|p| p.snap.is_some())
     }
 
-    /// Arm `epoch`, expecting markers from `expected`. Replaces any
-    /// older armed epoch; ignores arming an epoch not newer than the
-    /// current one (duplicate initiations are idempotent).
-    pub fn expect(&mut self, epoch: u64, expected: &[ProcessId]) {
+    /// The marker source set: whom the next arming expects markers
+    /// from, and whom this node's markers go to.
+    pub fn members(&self) -> &[ProcessId] {
+        &self.members
+    }
+
+    /// Name the live `members` and arm `epoch`, expecting markers from
+    /// them. The set is kept even when the epoch does not arm: every
+    /// later arming (by a red stamp or a marker) uses it.
+    pub fn expect(&mut self, epoch: u64, members: impl IntoIterator<Item = ProcessId>) {
+        self.members.clear();
+        self.members.extend(members);
+        self.arm(epoch);
+    }
+
+    /// Arm `epoch` on the member set. Replaces any older armed epoch;
+    /// ignores arming an epoch not newer than the current one
+    /// (duplicate initiations are idempotent).
+    fn arm(&mut self, epoch: u64) {
         if epoch <= self.color || self.pending.as_ref().is_some_and(|p| p.epoch >= epoch) {
             return;
         }
         self.pending = Some(PendingEpoch {
             epoch,
-            marker_seen: vec![false; expected.len()],
-            expected: expected.to_vec(),
+            marker_seen: vec![false; self.members.len()],
+            expected: self.members.clone(),
             snap: None,
         });
     }
@@ -194,20 +221,13 @@ impl SnapAgent {
     /// red stamp (future color) forces the recording *first*, which is
     /// what keeps completed cuts consistent under reordering. White
     /// messages landing after the recording are captured as channel
-    /// state until `from`'s marker arrives. `expected` is the marker
-    /// source set used if the red stamp has to arm the epoch itself.
-    pub fn on_deliver(
-        &mut self,
-        from: ProcessId,
-        msg: &LinkMsg,
-        stamp: &SnapStamp,
-        expected: &[ProcessId],
-        node: &Node,
-    ) {
+    /// state until `from`'s marker arrives. A red stamp that has to arm
+    /// the epoch itself arms it on the member set.
+    pub fn on_deliver(&mut self, from: ProcessId, msg: &LinkMsg, stamp: &SnapStamp, node: &Node) {
         if stamp.color > self.color && self.pending.is_none() {
             // First sign of a new epoch is a red data message (the
             // initiation or marker is still in flight / lost).
-            self.expect(stamp.color, expected);
+            self.arm(stamp.color);
         }
         if let Some(p) = &self.pending {
             if p.snap.is_none() && stamp.color >= p.epoch {
@@ -232,10 +252,10 @@ impl SnapAgent {
     }
 
     /// A marker for `epoch` arrived from `from`. Records the local
-    /// state if this is the first sign of the epoch (arming it with
-    /// `expected` if necessary), closes channel capture on that link,
+    /// state if this is the first sign of the epoch (arming it on the
+    /// member set if necessary), closes channel capture on that link,
     /// and ignores stale or duplicate markers.
-    pub fn on_marker(&mut self, from: ProcessId, epoch: u64, expected: &[ProcessId], node: &Node) {
+    pub fn on_marker(&mut self, from: ProcessId, epoch: u64, node: &Node) {
         match &self.pending {
             Some(p) if p.epoch > epoch => return,
             Some(p) if p.epoch == epoch => {}
@@ -243,7 +263,7 @@ impl SnapAgent {
                 if epoch <= self.color {
                     return;
                 }
-                self.expect(epoch, expected);
+                self.arm(epoch);
             }
         }
         if !self.recorded() {
@@ -305,24 +325,24 @@ mod tests {
     #[test]
     fn two_agents_complete_a_round_and_cut_is_consistent() {
         let (n0, n1) = (node(0, &[1]), node(1, &[0]));
-        let mut a0 = SnapAgent::new(p(0), 2);
-        let mut a1 = SnapAgent::new(p(1), 2);
+        let mut a0 = SnapAgent::new(p(0), 2, &[p(1)]);
+        let mut a1 = SnapAgent::new(p(1), 2, &[p(0)]);
 
         // Some pre-epoch traffic builds causal history.
         let s = white(&mut a0);
-        a1.on_deliver(p(0), &LinkMsg::probe(p(0)), &s, &[p(0)], &n1);
+        a1.on_deliver(p(0), &LinkMsg::probe(p(0)), &s, &n1);
 
-        a0.expect(1, &[p(1)]);
-        a1.expect(1, &[p(0)]);
+        a0.expect(1, [p(1)]);
+        a1.expect(1, [p(0)]);
         a0.record(&n0);
         a1.record(&n1);
         assert!(a0.recorded() && a1.recorded());
         assert!(!a0.is_complete(), "markers still outstanding");
 
-        a0.on_marker(p(1), 1, &[p(1)], &n0);
-        a1.on_marker(p(0), 1, &[p(0)], &n1);
+        a0.on_marker(p(1), 1, &n0);
+        a1.on_marker(p(0), 1, &n1);
         // Duplicate markers are idempotent.
-        a1.on_marker(p(0), 1, &[p(0)], &n1);
+        a1.on_marker(p(0), 1, &n1);
 
         let s0 = a0.take_completed().expect("complete");
         let s1 = a1.take_completed().expect("complete");
@@ -341,16 +361,16 @@ mod tests {
         // p0's post-record tick — an inconsistent cut. The implicit-
         // marker rule must record p1 first.
         let (n0, n1) = (node(0, &[1]), node(1, &[0]));
-        let mut a0 = SnapAgent::new(p(0), 2);
-        let mut a1 = SnapAgent::new(p(1), 2);
+        let mut a0 = SnapAgent::new(p(0), 2, &[p(1)]);
+        let mut a1 = SnapAgent::new(p(1), 2, &[p(0)]);
 
-        a0.expect(1, &[p(1)]);
-        a1.expect(1, &[p(0)]);
+        a0.expect(1, [p(1)]);
+        a1.expect(1, [p(0)]);
         a0.record(&n0);
         let red = a0.on_send(); // color 1
         assert_eq!(red.color, 1);
 
-        a1.on_deliver(p(0), &LinkMsg::probe(p(0)), &red, &[p(0)], &n1);
+        a1.on_deliver(p(0), &LinkMsg::probe(p(0)), &red, &n1);
         assert!(a1.recorded(), "red stamp is an implicit marker");
         let c1 = a1
             .pending
@@ -370,38 +390,66 @@ mod tests {
         // The initiation marker was lost; the first sign of epoch 3 is
         // a red data message. The receiver arms and records on the spot.
         let n1 = node(1, &[0]);
-        let mut a0 = SnapAgent::new(p(0), 2);
-        let mut a1 = SnapAgent::new(p(1), 2);
-        a0.expect(3, &[p(1)]);
+        let mut a0 = SnapAgent::new(p(0), 2, &[p(1)]);
+        let mut a1 = SnapAgent::new(p(1), 2, &[p(0)]);
+        a0.expect(3, [p(1)]);
         a0.record(&node(0, &[1]));
         let red = a0.on_send();
 
-        a1.on_deliver(p(0), &LinkMsg::probe(p(0)), &red, &[p(0)], &n1);
+        a1.on_deliver(p(0), &LinkMsg::probe(p(0)), &red, &n1);
         assert_eq!(a1.epoch_in_progress(), Some(3));
         assert!(a1.recorded());
         assert_eq!(a1.color(), 3);
     }
 
     #[test]
+    fn arming_uses_the_last_named_member_set() {
+        // p1 sits between p0 and p2. Before any initiation, a red stamp
+        // arms the epoch on all of p1's neighbors.
+        let n1 = node(1, &[0, 2]);
+        let mut a0 = SnapAgent::new(p(0), 3, &[p(1)]);
+        let mut a1 = SnapAgent::new(p(1), 3, &[p(0), p(2)]);
+        a0.expect(1, [p(1)]);
+        a0.record(&node(0, &[1]));
+        let red = a0.on_send();
+        a1.on_deliver(p(0), &LinkMsg::probe(p(0)), &red, &n1);
+        assert_eq!(a1.epoch_in_progress(), Some(1));
+        assert_eq!(a1.members(), &[p(0), p(2)]);
+        a1.on_marker(p(0), 1, &n1);
+        assert!(!a1.is_complete(), "p2's marker is still expected");
+        a1.on_marker(p(2), 1, &n1);
+        assert!(a1.take_completed().is_some());
+
+        // A late initiation of the finished epoch arms nothing, but its
+        // smaller member set (p2 died) is what the next arming uses.
+        a1.expect(1, [p(0)]);
+        assert!(a1.epoch_in_progress().is_none(), "epoch 1 is done");
+        assert_eq!(a1.members(), &[p(0)]);
+        a1.on_marker(p(0), 2, &n1);
+        assert_eq!(a1.epoch_in_progress(), Some(2));
+        assert!(a1.is_complete(), "only p0's marker was expected");
+    }
+
+    #[test]
     fn whites_are_captured_until_marker_then_counted_late() {
         let (n0, n1) = (node(0, &[1]), node(1, &[0]));
-        let mut a0 = SnapAgent::new(p(0), 2);
-        let mut a1 = SnapAgent::new(p(1), 2);
+        let mut a0 = SnapAgent::new(p(0), 2, &[p(1)]);
+        let mut a1 = SnapAgent::new(p(1), 2, &[p(0)]);
 
         // p0 sends two whites before recording (in-flight at the cut).
         let w1 = white(&mut a0);
         let w2 = white(&mut a0);
-        a0.expect(1, &[p(1)]);
-        a1.expect(1, &[p(0)]);
+        a0.expect(1, [p(1)]);
+        a1.expect(1, [p(0)]);
         a0.record(&n0);
         a1.record(&n1);
 
         // First white lands inside the capture window.
-        a1.on_deliver(p(0), &LinkMsg::probe(p(0)), &w1, &[p(0)], &n1);
+        a1.on_deliver(p(0), &LinkMsg::probe(p(0)), &w1, &n1);
         // Marker closes the p0→p1 channel.
-        a1.on_marker(p(0), 1, &[p(0)], &n1);
+        a1.on_marker(p(0), 1, &n1);
         // Second white was reordered past the marker: late.
-        a1.on_deliver(p(0), &LinkMsg::probe(p(0)), &w2, &[p(0)], &n1);
+        a1.on_deliver(p(0), &LinkMsg::probe(p(0)), &w2, &n1);
 
         let s1 = a1.take_completed().expect("complete");
         assert_eq!(s1.channels, vec![(p(0), vec![LinkMsg::probe(p(0))])]);
@@ -411,32 +459,32 @@ mod tests {
     #[test]
     fn stale_future_and_duplicate_arming_is_safe() {
         let n0 = node(0, &[1]);
-        let mut a = SnapAgent::new(p(0), 2);
-        a.expect(2, &[p(1)]);
+        let mut a = SnapAgent::new(p(0), 2, &[p(1)]);
+        a.expect(2, [p(1)]);
         // Arming an older or equal epoch is ignored.
-        a.expect(1, &[p(1)]);
-        a.expect(2, &[p(1)]);
+        a.expect(1, [p(1)]);
+        a.expect(2, [p(1)]);
         assert_eq!(a.epoch_in_progress(), Some(2));
         // Stale marker (epoch 1) is ignored; nothing records.
-        a.on_marker(p(1), 1, &[p(1)], &n0);
+        a.on_marker(p(1), 1, &n0);
         assert!(!a.recorded());
         // A newer epoch replaces an armed-but-unrecorded round.
-        a.expect(5, &[p(1)]);
+        a.expect(5, [p(1)]);
         assert_eq!(a.epoch_in_progress(), Some(5));
         // Marker for a fully finished epoch is ignored too.
         a.record(&n0);
-        a.on_marker(p(1), 5, &[p(1)], &n0);
+        a.on_marker(p(1), 5, &n0);
         assert!(a.take_completed().is_some());
-        a.on_marker(p(1), 5, &[p(1)], &n0);
+        a.on_marker(p(1), 5, &n0);
         assert!(a.epoch_in_progress().is_none(), "done epochs stay done");
     }
 
     #[test]
     fn abort_discards_partial_round_but_keeps_clock() {
         let n0 = node(0, &[1]);
-        let mut a = SnapAgent::new(p(0), 2);
+        let mut a = SnapAgent::new(p(0), 2, &[p(1)]);
         let _ = a.on_send();
-        a.expect(1, &[p(1)]);
+        a.expect(1, [p(1)]);
         a.record(&n0);
         let clock_before = a.clock().clone();
         a.abort();
@@ -445,9 +493,9 @@ mod tests {
         // The aborted epoch stays recorded in the color: a re-run must
         // use a fresh (bumped) epoch number.
         assert_eq!(a.color(), 1);
-        a.expect(1, &[p(1)]);
+        a.expect(1, [p(1)]);
         assert!(a.epoch_in_progress().is_none(), "stale epoch rejected");
-        a.expect(2, &[p(1)]);
+        a.expect(2, [p(1)]);
         assert_eq!(a.epoch_in_progress(), Some(2));
     }
 
@@ -455,8 +503,8 @@ mod tests {
     fn isolated_node_completes_immediately() {
         // All neighbors dead: no markers expected; record completes it.
         let n0 = node(0, &[1]);
-        let mut a = SnapAgent::new(p(0), 2);
-        a.expect(1, &[]);
+        let mut a = SnapAgent::new(p(0), 2, &[p(1)]);
+        a.expect(1, []);
         a.record(&n0);
         assert!(a.is_complete());
         let s = a.take_completed().unwrap();

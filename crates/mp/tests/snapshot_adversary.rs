@@ -198,8 +198,7 @@ fn thread_runtime_cuts_stay_consistent_under_hostile_links() {
                 .reorder(120),
         ),
     ] {
-        let rt =
-            ThreadRuntime::spawn_monitored(Topology::ring(5), Duration::from_micros(200), plan, 41);
+        let rt = ThreadRuntime::spawn(Topology::ring(5), Duration::from_micros(200), plan, 41);
         std::thread::sleep(Duration::from_millis(40));
         let mut done = 0;
         for epoch in 1..=30u64 {
@@ -226,7 +225,7 @@ fn thread_runtime_cuts_stay_consistent_under_hostile_links() {
 
 #[test]
 fn thread_runtime_crash_mid_round_fails_cleanly_then_resumes() {
-    let rt = ThreadRuntime::spawn_monitored(
+    let rt = ThreadRuntime::spawn(
         Topology::ring(4),
         Duration::from_micros(300),
         AdversaryPlan::none(),

@@ -1,10 +1,12 @@
 //! Service metrics for diners runs.
 //!
-//! Tracks, per process: completed meals (transitions into `Eating`),
-//! response times (hungry → eating latency), and time spent in each phase;
-//! plus the system-wide exclusion-violation record (steps at which some
-//! pair of live neighbors ate simultaneously — the quantity Theorem 3 says
-//! must not increase once the invariant holds).
+//! Tracks, per process: completed meals (transitions into `Eating`), the
+//! step of the last one, and response times (hungry → eating latency);
+//! plus the step of the run's first meal and the system-wide
+//! exclusion-violation counters (how many steps some pair of live
+//! neighbors ate simultaneously, and the last such step — the quantity
+//! Theorem 3 says must not increase once the invariant holds). Every
+//! field is a counter or a latest value: nothing grows with the run.
 
 use crate::algorithm::Phase;
 use crate::graph::ProcessId;
@@ -18,14 +20,13 @@ use crate::graph::ProcessId;
 pub struct DinerMetrics {
     n: usize,
     eats: Vec<u64>,
-    eat_log: Vec<(u64, ProcessId)>,
+    /// Step of each process's last meal (`None` before its first).
+    last_eat: Vec<Option<u64>>,
+    first_eat: Option<u64>,
     hungry_since: Vec<Option<u64>>,
     response_count: Vec<u64>,
     response_sum: Vec<u64>,
     response_max: Vec<u64>,
-    /// Steps at which at least one live neighbor pair was simultaneously
-    /// eating (bounded log).
-    violation_steps: Vec<u64>,
     violation_step_count: u64,
     max_violation_pairs: usize,
     last_violation_step: Option<u64>,
@@ -37,12 +38,12 @@ impl DinerMetrics {
         DinerMetrics {
             n,
             eats: vec![0; n],
-            eat_log: Vec::new(),
+            last_eat: vec![None; n],
+            first_eat: None,
             hungry_since: vec![None; n],
             response_count: vec![0; n],
             response_sum: vec![0; n],
             response_max: vec![0; n],
-            violation_steps: Vec::new(),
             violation_step_count: 0,
             max_violation_pairs: 0,
             last_violation_step: None,
@@ -58,7 +59,8 @@ impl DinerMetrics {
             Phase::Hungry => self.hungry_since[pid.index()] = Some(step),
             Phase::Eating => {
                 self.eats[pid.index()] += 1;
-                self.eat_log.push((step, pid));
+                self.last_eat[pid.index()] = Some(step);
+                self.first_eat.get_or_insert(step);
                 if let Some(h) = self.hungry_since[pid.index()].take() {
                     let rt = step.saturating_sub(h);
                     let i = pid.index();
@@ -85,9 +87,6 @@ impl DinerMetrics {
         self.violation_step_count += 1;
         self.max_violation_pairs = self.max_violation_pairs.max(pairs);
         self.last_violation_step = Some(step);
-        if self.violation_steps.len() < 4096 {
-            self.violation_steps.push(step);
-        }
     }
 
     /// Number of processes tracked.
@@ -115,26 +114,15 @@ impl DinerMetrics {
         &self.eats
     }
 
-    /// The `(step, pid)` log of every meal, in order.
-    pub fn eat_log(&self) -> &[(u64, ProcessId)] {
-        &self.eat_log
-    }
-
-    /// Meals completed by `pid` at steps in `[from, to)`.
-    pub fn eats_in_window(&self, pid: ProcessId, from: u64, to: u64) -> u64 {
-        self.eat_log
-            .iter()
-            .filter(|(s, p)| *p == pid && *s >= from && *s < to)
-            .count() as u64
-    }
-
-    /// Step of the last meal completed by `pid`, if any.
+    /// Step of the last meal completed by `pid`, if any: `pid` ate at a
+    /// step in `[since, now)` iff `last_eat_of(pid) >= Some(since)`.
     pub fn last_eat_of(&self, pid: ProcessId) -> Option<u64> {
-        self.eat_log
-            .iter()
-            .rev()
-            .find(|(_, p)| *p == pid)
-            .map(|(s, _)| *s)
+        self.last_eat[pid.index()]
+    }
+
+    /// Step of the run's first meal, by any process.
+    pub fn first_eat(&self) -> Option<u64> {
+        self.first_eat
     }
 
     /// Maximum hungry→eating latency observed for `pid`.
@@ -169,7 +157,9 @@ impl DinerMetrics {
         self.violation_step_count
     }
 
-    /// The most recent step with an exclusion violation, if any.
+    /// The most recent step with an exclusion violation, if any: some
+    /// step in `[since, now)` violated exclusion iff
+    /// `last_violation_step() >= Some(since)`.
     pub fn last_violation_step(&self) -> Option<u64> {
         self.last_violation_step
     }
@@ -177,11 +167,6 @@ impl DinerMetrics {
     /// Largest number of simultaneously-violating pairs seen in one step.
     pub fn max_violation_pairs(&self) -> usize {
         self.max_violation_pairs
-    }
-
-    /// The recorded violation steps (bounded log, oldest first).
-    pub fn violation_steps(&self) -> &[u64] {
-        &self.violation_steps
     }
 
     /// Jain's fairness index over per-process meal counts
@@ -237,16 +222,22 @@ mod tests {
     }
 
     #[test]
-    fn eats_in_window_filters() {
-        let mut m = DinerMetrics::new(1);
-        let p = ProcessId(0);
+    fn last_and_first_eat_track_meals() {
+        let mut m = DinerMetrics::new(2);
+        let (p, q) = (ProcessId(0), ProcessId(1));
+        assert_eq!((m.first_eat(), m.last_eat_of(p)), (None, None));
         for step in [5u64, 15, 25] {
             m.on_phase_change(p, Phase::Hungry, Phase::Eating, step);
             m.on_phase_change(p, Phase::Eating, Phase::Thinking, step + 1);
         }
-        assert_eq!(m.eats_in_window(p, 0, 10), 1);
-        assert_eq!(m.eats_in_window(p, 10, 30), 2);
-        assert_eq!(m.eats_in_window(p, 26, 100), 0);
+        m.on_phase_change(q, Phase::Hungry, Phase::Eating, 30);
+        assert_eq!(m.first_eat(), Some(5));
+        assert_eq!(m.last_eat_of(p), Some(25));
+        assert_eq!(m.last_eat_of(q), Some(30));
+        // "Ate in [since, now)" reads the last meal.
+        assert!(m.last_eat_of(p) >= Some(10));
+        assert!(m.last_eat_of(p) >= Some(25));
+        assert!(m.last_eat_of(p) < Some(26));
     }
 
     #[test]
@@ -259,7 +250,13 @@ mod tests {
         assert_eq!(m.violation_step_count(), 2);
         assert_eq!(m.max_violation_pairs(), 2);
         assert_eq!(m.last_violation_step(), Some(2));
-        assert_eq!(m.violation_steps(), &[1, 2]);
+        // The latest violation is seen however many came before it.
+        for step in 3..5_003 {
+            m.on_exclusion_check(step, 1);
+        }
+        m.on_exclusion_check(10_000, 1);
+        assert_eq!(m.violation_step_count(), 5_003);
+        assert_eq!(m.last_violation_step(), Some(10_000));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! layers:
 //!
 //! 1. A structured **event bus**: [`TelemetryEvent`]s (action firings,
-//!    phase transitions, fault injections, message-layer verdicts,
-//!    monitor alerts), each stamped with the engine step, the process id
-//!    and a monotonic logical clock, kept in an optional [`RingSink`]
-//!    (the last N in memory).
+//!    malicious steps, fault injections, phase transitions), each
+//!    stamped with the engine step, the process id and a monotonic
+//!    logical clock, kept in an optional [`RingSink`] (the last N in
+//!    memory).
 //! 2. A **metrics registry**: named counters, gauges and fixed-bucket
 //!    histograms addressed by integer handles so the hot path never does
 //!    a string lookup.
@@ -20,8 +20,9 @@
 //! once when the engine is built and maps each [`StepEvent`] to counter
 //! updates and bus events. It never touches the engine's RNG, scheduler
 //! or state, so attaching it cannot perturb a run; T11 measures what it
-//! costs when attached. The message-passing runtimes and the online
-//! monitor use the same handle directly.
+//! costs when attached. The online monitor (`diners_mp::monitor`) keeps
+//! its alerts in a list of its own and counts them in a
+//! [`MetricsRegistry`].
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -37,8 +38,7 @@ use crate::predicate::Snapshot;
 // ---------------------------------------------------------------------------
 
 /// A verdict raised by the online monitor (`diners_mp::monitor`) about
-/// one assembled global cut. Defined here so alerts ride the same event
-/// bus and sinks as engine events.
+/// one assembled global cut.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlertKind {
     /// Two neighboring live processes were both eating in one
@@ -79,8 +79,8 @@ impl AlertKind {
 }
 
 /// What happened. Mirrors (and extends) the engine's
-/// [`EventKind`] with the phase-transition and alert kinds that
-/// the bounded trace does not record.
+/// [`EventKind`] with the phase-transition kind that the bounded trace
+/// does not record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TelemetryKind {
     /// A program action fired.
@@ -101,8 +101,6 @@ pub enum TelemetryKind {
         /// Phase after the action.
         to: Phase,
     },
-    /// An online-monitor verdict about a global cut (see [`AlertKind`]).
-    Alert(AlertKind),
 }
 
 /// One observed occurrence, stamped with where and when.
@@ -800,7 +798,10 @@ mod tests {
         t.emit(
             5,
             ProcessId(1),
-            TelemetryKind::Alert(AlertKind::InconsistentCut),
+            TelemetryKind::PhaseChange {
+                from: Phase::Thinking,
+                to: Phase::Hungry,
+            },
         );
         assert_eq!(t.clock(), 2);
 

@@ -25,7 +25,7 @@ fn main() {
         topo.name(),
         plan.describe()
     );
-    let rt = ThreadRuntime::spawn_with_adversary(topo, Duration::from_micros(200), plan, 1);
+    let rt = ThreadRuntime::spawn(topo, Duration::from_micros(200), plan, 1);
 
     println!("process-fault-free for 300 ms, sampling exclusion every 100 µs ...");
     let violations = rt.observe(Duration::from_millis(300), Duration::from_micros(100));

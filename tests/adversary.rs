@@ -109,12 +109,7 @@ fn simnet_partition_heals() {
 /// and every node served by the end.
 fn runtime_fault_check(plan: AdversaryPlan, seed: u64) {
     let describe = plan.describe();
-    let rt = ThreadRuntime::spawn_with_adversary(
-        Topology::ring(4),
-        Duration::from_micros(200),
-        plan,
-        seed,
-    );
+    let rt = ThreadRuntime::spawn(Topology::ring(4), Duration::from_micros(200), plan, seed);
     let violations = rt.observe(Duration::from_millis(500), Duration::from_micros(100));
     assert_eq!(violations, 0, "{describe}: sampled exclusion broken");
     for p in rt.topology().processes() {

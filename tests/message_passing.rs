@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use malicious_diners::mp::{SimNet, ThreadRuntime};
+use malicious_diners::mp::{AdversaryPlan, SimNet, ThreadRuntime};
 use malicious_diners::sim::graph::{ProcessId, Topology};
 use malicious_diners::sim::FaultPlan;
 
@@ -59,7 +59,12 @@ fn simnet_contains_malicious_crashes() {
 
 #[test]
 fn thread_runtime_agrees_with_simnet() {
-    let rt = ThreadRuntime::spawn(Topology::ring(5), Duration::from_micros(200), 9);
+    let rt = ThreadRuntime::spawn(
+        Topology::ring(5),
+        Duration::from_micros(200),
+        AdversaryPlan::none(),
+        9,
+    );
     let violations = rt.observe(Duration::from_millis(300), Duration::from_micros(100));
     assert_eq!(violations, 0, "sampled live-pair eating");
     for p in rt.topology().processes() {
@@ -70,7 +75,12 @@ fn thread_runtime_agrees_with_simnet() {
 
 #[test]
 fn thread_runtime_survives_benign_crash() {
-    let rt = ThreadRuntime::spawn(Topology::line(4), Duration::from_micros(200), 10);
+    let rt = ThreadRuntime::spawn(
+        Topology::line(4),
+        Duration::from_micros(200),
+        AdversaryPlan::none(),
+        10,
+    );
     std::thread::sleep(Duration::from_millis(50));
     rt.crash(ProcessId(0));
     std::thread::sleep(Duration::from_millis(50));

@@ -22,7 +22,7 @@
 //! snapshot-vs-arbitrary comparison the supervisor design rests on, and
 //! land in `BENCH_recovery.json` for CI to archive.
 
-use diners_core::harness::{plan_disturbance, recovery_incident, service_shortfall};
+use diners_core::harness::{plan_disturbance, recovery_incident};
 use diners_core::MaliciousCrashDiners;
 use diners_mp::{RestartPolicy, SimNet};
 use diners_sim::fault::{FaultPlan, Resurrection};
@@ -125,7 +125,7 @@ fn incident_section(scale: &Scale, json: &mut Vec<String>) -> (Table, u32, u64) 
                     site,
                     plan,
                     dist_steps,
-                    &service_shortfall(slack),
+                    slack,
                     seed,
                 );
                 mode_radius = mode_radius.max(report.radius);

@@ -13,17 +13,18 @@
 
 use std::time::Duration;
 
-use diners_core::harness::{crash_disturbance, service_shortfall, stabilization_with_telemetry};
+use diners_core::harness::{crash_disturbance, stabilization_with_telemetry};
 use diners_core::MaliciousCrashDiners;
 use diners_mp::{AdversaryPlan, SimNet};
 use diners_sim::algorithm::SystemState;
 use diners_sim::engine::Engine;
 use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig};
-use diners_sim::fault::{FaultKind, FaultPlan, Health};
+use diners_sim::fault::{FaultEvent, FaultKind, FaultPlan, Health};
 use diners_sim::graph::Topology;
 use diners_sim::table::{fmt_f64, fmt_opt, Table};
-use diners_sim::telemetry::{Histogram, RingSink, Telemetry};
+use diners_sim::telemetry::{Histogram, Telemetry};
 use diners_sim::toy::ToyDiners;
+use diners_sim::trace::Trace;
 
 use super::perf::bench_engine;
 use super::{json_object, json_rows, overhead, Report};
@@ -115,14 +116,17 @@ fn disturbance_section(quick: bool, json: &mut Vec<String>) -> (Table, u32) {
             let mut topo_radius = 0u32;
             let mut disturbed = 0usize;
             for site in topo.processes() {
+                let crash = FaultEvent {
+                    at_step: crash_step,
+                    target: site,
+                    kind,
+                };
                 let report = crash_disturbance(
                     MaliciousCrashDiners::corrected(),
                     &topo,
-                    site,
-                    kind,
-                    crash_step,
+                    crash,
                     steps,
-                    &service_shortfall(slack),
+                    slack,
                     7,
                 );
                 topo_radius = topo_radius.max(report.radius);
@@ -265,17 +269,17 @@ pub fn run(scale: &Scale) -> Report {
     let explorer = explorer_section(quick, &mut exp_json);
     // The registry-only row bounds the disabled path's cost from above.
     let topo = Topology::ring(if quick { 64 } else { 256 });
-    let observed = |t| bench_engine(&topo).observe(t).build();
+    let registry = || bench_engine(&topo).observe(Telemetry::new());
     let (overhead, ovh_json, _) = overhead(
         "T11: telemetry overhead, incremental",
         &topo,
         (60, Duration::from_millis(10)),
         vec![
             ("none attached".into(), bench_engine(&topo).build()),
-            ("registry only".into(), observed(Telemetry::new())),
+            ("registry only".into(), registry().build()),
             (
-                "registry + ring sink".into(),
-                observed(Telemetry::with_sink(RingSink::new(4096))),
+                "registry + trace".into(),
+                registry().observe(Trace::with_capacity(4096)).build(),
             ),
         ],
         Engine::run,

@@ -126,9 +126,7 @@ fn replay_cell(topo: &Topology, si: usize, plan: &FaultPlan, steps: u64) -> Resu
     if replayed.metrics() != live.metrics() {
         return Err("metric counters differ".into());
     }
-    if replayed.observer::<Trace>().map(Trace::events)
-        != live.observer::<Trace>().map(Trace::events)
-    {
+    if replayed.observer::<Trace>() != live.observer::<Trace>() {
         return Err("violation/event traces differ".into());
     }
     Ok(verified)
@@ -238,7 +236,7 @@ fn blame_scenario(topo: &Topology, victim: ProcessId, steps: u64) -> (u64, Blame
         hops: Histogram::pow2(),
     };
     for s in tracer.spans() {
-        if s.kind.is_fault() || s.step <= crash_step {
+        if s.event.kind.is_fault() || s.event.step <= crash_step {
             continue;
         }
         // The locality witness: a chain found within the 2-hop budget
@@ -247,7 +245,7 @@ fn blame_scenario(topo: &Topology, victim: ProcessId, steps: u64) -> (u64, Blame
         if let Some(chain) = tracer.blame_within(s.id, 2) {
             debug_assert_eq!(chain.root(), fault_span);
             stats.rooted += 1;
-            stats.max_distance = stats.max_distance.max(to_victim[s.pid.index()]);
+            stats.max_distance = stats.max_distance.max(to_victim[s.event.pid.index()]);
         }
         // The unbounded depth distribution: how far causality actually
         // reaches, with spans causally independent of the crash counted

@@ -216,18 +216,12 @@ fn cmd_seek(path: &str, step: u64) -> Result<(), String> {
     })
 }
 
+/// A span's event name, with a per-neighbor action's slot appended as
+/// `[slot]`.
 fn span_label(s: &Span) -> String {
-    match s.kind {
-        EventKind::Action {
-            name, slot: None, ..
-        } => name.to_string(),
-        EventKind::Action {
-            name,
-            slot: Some(q),
-            ..
-        } => format!("{name}[{q}]"),
-        EventKind::MaliciousStep => "malicious-step".to_string(),
-        EventKind::Fault(k) => format!("fault:{k}"),
+    match s.event.kind {
+        EventKind::Action { slot: Some(q), .. } => format!("{}[{q}]", s.event.kind),
+        kind => kind.to_string(),
     }
 }
 
@@ -238,7 +232,7 @@ fn default_span(tracer: &CausalTracer) -> Option<SpanId> {
         .spans()
         .iter()
         .rev()
-        .find(|s| !s.kind.is_fault() && tracer.blame_within(s.id, 2).is_some())
+        .find(|s| !s.event.kind.is_fault() && tracer.blame_within(s.id, 2).is_some())
         .map(|s| s.id)
         .or_else(|| tracer.spans().last().map(|s| s.id))
 }
@@ -265,15 +259,15 @@ fn cmd_blame(path: &str, span: Option<u32>) -> Result<(), String> {
             None => default_span(&tracer).ok_or("trace is empty — nothing to blame")?,
         };
         let s = tracer.span(id);
-        println!("span {}: {} by {} at step {}", id.0, span_label(s), s.pid, s.step);
+        println!("span {}: {} by {} at step {}", id.0, span_label(s), s.event.pid, s.event.step);
         match tracer.blame_within(id, 2) {
             Some(chain) => {
                 let root = tracer.span(chain.root());
                 println!(
                     "  caused by {} of {} at step {}, {} hop{} away",
                     span_label(root),
-                    root.pid,
-                    root.step,
+                    root.event.pid,
+                    root.event.step,
                     chain.hops(),
                     if chain.hops() == 1 { "" } else { "s" },
                 );
@@ -284,8 +278,8 @@ fn cmd_blame(path: &str, span: Option<u32>) -> Result<(), String> {
                         if i == 0 { "chain:" } else { "    <-" },
                         hop.0,
                         span_label(h),
-                        h.pid,
-                        h.step,
+                        h.event.pid,
+                        h.event.step,
                     );
                 }
             }
@@ -294,7 +288,7 @@ fn cmd_blame(path: &str, span: Option<u32>) -> Result<(), String> {
                     let root = tracer.span(chain.root());
                     println!(
                         "  no fault within the 2-hop locality budget; nearest is {} of {} at step {}, {} hops away",
-                        span_label(root), root.pid, root.step, chain.hops(),
+                        span_label(root), root.event.pid, root.event.step, chain.hops(),
                     );
                 }
                 None => println!("  no fault ancestor: this span is causally independent of every fault"),

@@ -3,11 +3,10 @@
 
 use diners_sim::algorithm::DinerAlgorithm;
 use diners_sim::engine::Engine;
-use diners_sim::fault::{FaultKind, FaultPlan, Resurrection};
+use diners_sim::fault::{FaultEvent, FaultKind, FaultPlan, Resurrection};
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::scheduler::{LeastRecentScheduler, RandomScheduler};
 use diners_sim::telemetry::Telemetry;
-use diners_sim::trace::Trace;
 
 use crate::algorithm::MaliciousCrashDiners;
 use crate::predicates::Invariant;
@@ -79,187 +78,102 @@ pub struct DisturbanceReport {
     /// The crashed process.
     pub crash_site: ProcessId,
     /// Max conflict-graph distance from the crash site at which a
-    /// non-faulty process deviated; 0 when nobody but the crash site did.
+    /// non-faulty process was disturbed; 0 when nobody but the crash
+    /// site was.
     pub radius: u32,
-    /// Every deviating non-faulty process with its distance to the
+    /// Every disturbed non-faulty process with its distance to the
     /// crash site.
     pub deviating: Vec<(ProcessId, u32)>,
 }
 
-/// What counts as a per-process deviation between the faulty run and
-/// its fault-free twin.
+/// The disturbance a fault leaves, measured in meals: a process other
+/// than `site` is disturbed when it ate more than `slack` fewer meals
+/// in the faulty run than in the fault-free one.
 ///
-/// A crash removes its victim from the daemon's pick competition, which
-/// shifts the *global* interleaving: under any fair scheduler, every
-/// process's raw action sequence eventually drifts from the baseline's,
-/// no matter how far it sits from the crash. The paper's locality claim
-/// is about *service* — a process outside the containment radius keeps
-/// being served — so locality measurements must project the trace down
-/// to service events and only count a *shortfall*.
-#[derive(Clone, Debug)]
-pub enum Deviation {
-    /// Compare full per-process action-name sequences: a mismatch
-    /// anywhere in the common prefix, or a length drift beyond `slack`
-    /// actions, is a deviation. Schedule-sensitive (see above) — useful
-    /// for lockstep determinism checks, not for locality measurement.
-    Trace {
-        /// Tolerated end-of-run action-count drift.
-        slack: usize,
-    },
-    /// Compare per-process counts of the named service actions; a
-    /// process deviates only if the faulty run falls short of the
-    /// baseline by more than `slack` occurrences. A process that is
-    /// served *more* (the crashed process's steps are redistributed)
-    /// has not been disturbed in the paper's sense.
-    Shortfall {
-        /// Action names that constitute service (e.g. the transition
-        /// into eating).
-        actions: &'static [&'static str],
-        /// Tolerated service-count shortfall.
-        slack: u64,
-    },
-}
-
-/// Untimed per-process action projection of a trace: the sequence of
-/// action names `pid` executed, ignoring global interleaving.
-fn projection(trace: &Trace, pid: ProcessId) -> Vec<&'static str> {
-    trace
-        .actions_of(pid)
-        .into_iter()
-        .map(|(_, name)| name)
-        .collect()
-}
-
-impl Deviation {
-    fn deviates(&self, base: &[&'static str], faulty: &[&'static str]) -> bool {
-        match *self {
-            Deviation::Trace { slack } => {
-                let common = base.len().min(faulty.len());
-                if base[..common] != faulty[..common] {
-                    return true;
-                }
-                base.len().abs_diff(faulty.len()) > slack
-            }
-            Deviation::Shortfall { actions, slack } => {
-                let count = |names: &[&'static str]| {
-                    names.iter().filter(|n| actions.contains(n)).count() as u64
-                };
-                count(base).saturating_sub(count(faulty)) > slack
-            }
-        }
-    }
-}
-
-/// Compute the empirical disturbance radius of a crash at `crash_site`:
-/// compare the traces of a faulty run and a fault-free twin (identical
-/// topology, workload, scheduler, seed, run for the same number of
-/// steps) and report the farthest non-faulty process that deviates under
-/// `rule`. The paper's locality-2 theorem predicts radius ≤ 2 under
-/// [`Deviation::Shortfall`] over the service actions.
-pub fn disturbance_radius(
+/// The paper's locality claim is about *service*: a process outside the
+/// containment radius keeps being served. Raw action sequences are no
+/// measure of that, because a crash removes its victim from the daemon's
+/// competition and so shifts every process's interleaving, however far
+/// it sits from the crash; and a process served *more* (the crashed
+/// process's steps are redistributed) has not been disturbed.
+fn meal_shortfall(
     topo: &Topology,
-    baseline: &Trace,
-    faulty: &Trace,
-    crash_site: ProcessId,
-    rule: &Deviation,
+    site: ProcessId,
+    base: &[u64],
+    faulty: &[u64],
+    slack: u64,
 ) -> DisturbanceReport {
-    let to_site = topo.distances_from(&[crash_site]);
-    let mut deviating = Vec::new();
-    for p in topo.processes() {
-        if p == crash_site {
-            continue;
-        }
-        let base = projection(baseline, p);
-        let fault = projection(faulty, p);
-        if rule.deviates(&base, &fault) {
-            deviating.push((p, to_site[p.index()]));
-        }
-    }
+    let to_site = topo.distances_from(&[site]);
+    let deviating: Vec<(ProcessId, u32)> = topo
+        .processes()
+        .filter(|&p| p != site && base[p.index()].saturating_sub(faulty[p.index()]) > slack)
+        .map(|p| (p, to_site[p.index()]))
+        .collect();
     let radius = deviating.iter().map(|&(_, d)| d).max().unwrap_or(0);
     DisturbanceReport {
-        crash_site,
+        crash_site: site,
         radius,
         deviating,
     }
 }
 
-/// The action names that constitute *service* for the diners algorithms:
-/// the transition into eating. Used as the projection for
-/// [`Deviation::Shortfall`] locality measurements.
-pub const SERVICE_ACTIONS: &[&str] = &["enter"];
-
-/// The default deviation rule for diner locality measurements: a process
-/// is disturbed only if the crash costs it more than `slack` meals
-/// relative to the fault-free twin run.
-pub fn service_shortfall(slack: u64) -> Deviation {
-    Deviation::Shortfall {
-        actions: SERVICE_ACTIONS,
-        slack,
-    }
-}
-
 /// Measure the empirical disturbance radius of one crash: run the
 /// algorithm twice under the deterministic least-recent daemon — once
-/// fault-free, once with `kind` striking `crash_site` at `crash_step` —
-/// and compare per-process action projections under `rule` (see
-/// [`disturbance_radius`]).
-///
-/// Use [`service_shortfall`] as the rule for locality claims: the
-/// paper's failure-locality-2 theorem predicts a radius ≤ 2 in meal
-/// shortfall, while raw trace comparison registers the global schedule
-/// shift the crash induces and over-reports.
+/// fault-free, once with `crash` — and report the farthest process that
+/// lost more than `slack` meals (see [`plan_disturbance`]). The paper's
+/// failure-locality-2 theorem predicts a radius ≤ 2.
 ///
 /// # Panics
 ///
-/// Panics if `kind` is not a crash fault (transient faults have no
+/// Panics if `crash` is not a crash fault (transient faults have no
 /// crash site to measure from).
-#[allow(clippy::too_many_arguments)]
 pub fn crash_disturbance<A: DinerAlgorithm + Clone>(
     alg: A,
     topo: &Topology,
-    crash_site: ProcessId,
-    kind: FaultKind,
-    crash_step: u64,
+    crash: FaultEvent,
     steps: u64,
-    rule: &Deviation,
+    slack: u64,
     seed: u64,
 ) -> DisturbanceReport {
-    let faults = match kind {
-        FaultKind::Crash => FaultPlan::new().crash(crash_step, crash_site),
-        FaultKind::MaliciousCrash { steps } => {
-            FaultPlan::new().malicious_crash(crash_step, crash_site, steps)
-        }
-        other => panic!("crash_disturbance measures crash locality, got {other}"),
-    };
-    plan_disturbance(alg, topo, crash_site, faults, steps, rule, seed)
+    assert!(
+        matches!(
+            crash.kind,
+            FaultKind::Crash | FaultKind::MaliciousCrash { .. }
+        ),
+        "crash_disturbance measures crash locality, got {}",
+        crash.kind
+    );
+    let faults = FaultPlan::from_events([crash]);
+    plan_disturbance(alg, topo, crash.target, faults, steps, slack, seed)
 }
 
 /// Measure the empirical disturbance radius of an arbitrary fault plan
-/// around `site`: the same fault-free-twin comparison as
-/// [`crash_disturbance`], but the faulty run executes `faults` verbatim
-/// — so a crash *and its restart* count as one incident, and the radius
-/// reflects the whole crash→recovery episode. Use [`service_shortfall`]
-/// as the rule for locality claims.
+/// around `site`: run the algorithm for `steps` steps under the
+/// deterministic least-recent daemon once fault-free and once executing
+/// `faults` verbatim (identical topology, workload, scheduler and seed),
+/// and report every process other than `site` that ate more than `slack`
+/// fewer meals in the faulty run. A crash *and its restart* count as one
+/// incident, so the radius reflects the whole crash→recovery episode.
 pub fn plan_disturbance<A: DinerAlgorithm + Clone>(
     alg: A,
     topo: &Topology,
     site: ProcessId,
     faults: FaultPlan,
     steps: u64,
-    rule: &Deviation,
+    slack: u64,
     seed: u64,
 ) -> DisturbanceReport {
-    let run = |plan: FaultPlan| {
+    let meals = |plan: FaultPlan| {
         let mut engine = Engine::builder(alg.clone(), topo.clone())
             .scheduler(LeastRecentScheduler::new())
             .faults(plan)
             .seed(seed)
-            .observe(Trace::new())
             .build();
         engine.run(steps);
-        engine.take_observer::<Trace>().expect("trace attached")
+        engine.metrics().eats().to_vec()
     };
-    disturbance_radius(topo, &run(FaultPlan::none()), &run(faults), site, rule)
+    let base = meals(FaultPlan::none());
+    meal_shortfall(topo, site, &base, &meals(faults), slack)
 }
 
 /// One crash→restart incident, measured.
@@ -354,67 +268,24 @@ pub fn service_stats<A: DinerAlgorithm>(engine: &mut Engine<A>, steps: u64) -> S
 mod tests {
     use super::*;
     use diners_sim::graph::Topology;
-    use diners_sim::observe::EventKind;
-    use diners_sim::trace::Event;
 
     #[test]
-    fn disturbance_radius_localizes_to_deviating_processes() {
+    fn meal_shortfall_localizes_to_starved_processes() {
         let topo = Topology::line(5);
-        let mut base = Trace::new();
-        let mut fault = Trace::new();
-        let action = |step: u64, p: usize, name: &'static str| Event {
-            step,
-            pid: ProcessId(p),
-            kind: EventKind::Action {
-                kind: 0,
-                slot: None,
-                name,
-            },
-        };
-        // Everyone does join,enter in both runs...
-        for step in 0..2u64 {
-            for p in 0..5 {
-                let name = if step == 0 { "join" } else { "enter" };
-                base.record(action(step, p, name));
-                fault.record(action(step, p, name));
-            }
-        }
-        // ...but in the faulty run p1 (distance 1 from crash at p0)
-        // diverges in content and p2 (distance 2) stalls hard.
-        base.record(action(2, 1, "exit"));
-        fault.record(action(2, 1, "leave"));
-        for step in 3..10u64 {
-            base.record(action(step, 2, "enter"));
-        }
-        let rule = Deviation::Trace { slack: 2 };
-        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
+        let base = [10, 10, 10, 10, 10];
+        // The crash site p0 starves, p1 (distance 1) loses 3 meals, p2
+        // (distance 2) loses 7 and p4 eats more than in the base run.
+        let faulty = [0, 7, 3, 10, 14];
+        let report = meal_shortfall(&topo, ProcessId(0), &base, &faulty, 2);
         assert_eq!(report.radius, 2);
-        let pids: Vec<usize> = report.deviating.iter().map(|&(p, _)| p.index()).collect();
-        assert_eq!(pids, [1, 2]);
+        assert_eq!(report.deviating, [(ProcessId(1), 1), (ProcessId(2), 2)]);
 
-        // Slack swallows small length drift: with slack 8 the stall at p2
-        // is within tolerance and only the content mismatch at p1 counts.
-        let rule = Deviation::Trace { slack: 8 };
-        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
-        assert_eq!(report.radius, 1);
-        assert_eq!(report.deviating.len(), 1);
-
-        // Service shortfall only sees p2's lost meals: p1's content swap
-        // (exit vs leave) does not touch the "enter" count, and a
-        // generous slack swallows the stall too.
-        let rule = Deviation::Shortfall {
-            actions: &["enter"],
-            slack: 2,
-        };
-        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
-        assert_eq!(report.radius, 2);
-        assert_eq!(report.deviating.len(), 1);
-        let rule = Deviation::Shortfall {
-            actions: &["enter"],
-            slack: 16,
-        };
-        let report = disturbance_radius(&topo, &base, &fault, ProcessId(0), &rule);
+        // Slack swallows small shortfalls: with slack 3 only p2 counts.
+        let report = meal_shortfall(&topo, ProcessId(0), &base, &faulty, 3);
+        assert_eq!(report.deviating, [(ProcessId(2), 2)]);
+        let report = meal_shortfall(&topo, ProcessId(0), &base, &faulty, 16);
         assert_eq!(report.radius, 0);
+        assert!(report.deviating.is_empty());
     }
 
     #[test]
@@ -467,7 +338,7 @@ mod tests {
             site,
             plan,
             steps,
-            &service_shortfall(steps / 256),
+            steps / 256,
             11,
         );
         assert!(

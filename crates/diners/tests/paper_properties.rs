@@ -25,11 +25,11 @@
 
 use std::collections::HashMap;
 
-use diners_core::harness::{crash_disturbance, service_shortfall};
+use diners_core::harness::crash_disturbance;
 use diners_core::predicates::Invariant;
 use diners_core::MaliciousCrashDiners;
 use diners_sim::algorithm::{enabled_actions, Algorithm, Phase, SystemState, View};
-use diners_sim::fault::{FaultKind, Health};
+use diners_sim::fault::{FaultEvent, FaultKind, Health};
 use diners_sim::graph::{EdgeId, ProcessId, Topology};
 use diners_sim::predicate::{Snapshot, StatePredicate};
 use diners_sim::telemetry::Histogram;
@@ -377,14 +377,17 @@ fn disturbance_radius_at_most_two_for_every_single_crash() {
     for topo in topos {
         for kind in [FaultKind::Crash, FaultKind::MaliciousCrash { steps: 4 }] {
             for site in topo.processes() {
+                let crash = FaultEvent {
+                    at_step: 300,
+                    target: site,
+                    kind,
+                };
                 let report = crash_disturbance(
                     MaliciousCrashDiners::corrected(),
                     &topo,
-                    site,
-                    kind,
-                    300,
+                    crash,
                     steps,
-                    &service_shortfall(slack),
+                    slack,
                     7,
                 );
                 assert!(

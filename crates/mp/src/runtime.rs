@@ -413,13 +413,23 @@ impl ThreadRuntime {
         violations
     }
 
-    /// Shut every thread down and join them.
-    pub fn shutdown(mut self) {
+    /// Shut every thread down and join them (dropping the runtime does
+    /// the same).
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for ThreadRuntime {
+    /// Stop the watchdog, tell every node to shut down and join them:
+    /// each node holds its peers' senders, so no channel ever
+    /// disconnects on its own.
+    fn drop(&mut self) {
         self.stop_watchdog();
         for s in &self.senders {
             let _ = s.send(Wire::Shutdown);
         }
-        for h in self.handles {
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
@@ -827,6 +837,20 @@ mod tests {
         );
         std::thread::sleep(Duration::from_millis(20));
         rt.shutdown();
+    }
+
+    #[test]
+    fn dropping_a_runtime_stops_its_threads() {
+        for supervised in [false, true] {
+            let mut rt = clean(Topology::ring(8), 4);
+            if supervised {
+                rt.supervise(watchdog_policy());
+            }
+            let shared = Arc::clone(&rt.shared);
+            drop(rt);
+            // Every node thread and the watchdog held a clone.
+            assert_eq!(Arc::strong_count(&shared), 1, "supervised: {supervised}");
+        }
     }
 
     #[test]

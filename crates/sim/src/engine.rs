@@ -945,7 +945,6 @@ mod tests {
             .observer::<Trace>()
             .unwrap()
             .events()
-            .iter()
             .filter(|ev| matches!(ev.kind, EventKind::MaliciousStep))
             .count();
         assert_eq!(malicious, 3);

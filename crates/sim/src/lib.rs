@@ -98,9 +98,7 @@ pub use record::{
 };
 pub use scheduler::Scheduler;
 pub use symmetry::{Perm, SymmetryGroup};
-pub use telemetry::{
-    AlertKind, Histogram, MetricsRegistry, RingSink, Telemetry, TelemetryEvent, TelemetryKind,
-};
+pub use telemetry::{AlertKind, Histogram, MetricsRegistry, Telemetry};
 pub use trace::Trace;
 pub use tracing::{BlameChain, CausalTracer, Span, SpanId};
 pub use workload::Workload;

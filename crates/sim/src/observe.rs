@@ -7,12 +7,15 @@
 //! [`CausalTracer`](crate::tracing::CausalTracer). The engine reports to
 //! its observers at four points — once when it is built, after each
 //! applied fault, after each fired move, and at the end of each step —
-//! and each observer maps the [`StepEvent`] to its own format; the engine
+//! and the [`StepEvent`] it reports is the one event record: the trace
+//! keeps it as is, the causal tracer wraps it in a span, telemetry
+//! counts it and the recorder logs the decisions behind it; the engine
 //! knows none of them. Observers see the run through a read-only
 //! [`Snapshot`], so attaching one cannot perturb it, and an engine with
 //! none attached builds no events at all.
 
 use std::any::Any;
+use std::fmt;
 
 use crate::algorithm::{DinerAlgorithm, Phase};
 use crate::engine::StepOutcome;
@@ -42,6 +45,18 @@ impl EventKind {
     /// Whether this is a fault injection (a blame-chain root).
     pub fn is_fault(self) -> bool {
         matches!(self, EventKind::Fault(_))
+    }
+}
+
+/// The event's name: the action's name, `malicious-step`, or
+/// `fault:<kind>` (a per-neighbor action's slot is not part of it).
+impl fmt::Display for EventKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EventKind::Action { name, .. } => f.write_str(name),
+            EventKind::MaliciousStep => f.write_str("malicious-step"),
+            EventKind::Fault(k) => write!(f, "fault:{k}"),
+        }
     }
 }
 

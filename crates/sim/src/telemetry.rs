@@ -1,41 +1,27 @@
-//! Zero-cost-when-disabled observability: structured events + metrics.
+//! Zero-cost-when-disabled metrics.
 //!
 //! The paper's two headline guarantees — stabilization to `I` and crash
 //! failure locality 2 — are pass/fail properties, but *how* a run
 //! converges (which actions fired, how long hungry processes waited) is
-//! invisible without instrumentation. This module provides it in two
-//! layers:
-//!
-//! 1. A structured **event bus**: [`TelemetryEvent`]s (action firings,
-//!    malicious steps, fault injections, phase transitions), each
-//!    stamped with the engine step, the process id and a monotonic
-//!    logical clock, kept in an optional [`RingSink`] (the last N in
-//!    memory).
-//! 2. A **metrics registry**: named counters, gauges and fixed-bucket
-//!    histograms addressed by integer handles so the hot path never does
-//!    a string lookup.
+//! invisible without instrumentation. This module provides a **metrics
+//! registry**: named counters, gauges and fixed-bucket histograms
+//! addressed by integer handles so the hot path never does a string
+//! lookup.
 //!
 //! [`Telemetry`] is an engine [`StepObserver`]: attached with
 //! `EngineBuilder::observe`, it registers the engine's metric handles
 //! once when the engine is built and maps each [`StepEvent`] to counter
-//! updates and bus events. It never touches the engine's RNG, scheduler
-//! or state, so attaching it cannot perturb a run; T11 measures what it
-//! costs when attached. The online monitor (`diners_mp::monitor`) keeps
-//! its alerts in a list of its own and counts them in a
-//! [`MetricsRegistry`].
+//! and histogram updates; the events themselves are kept, when wanted,
+//! by the [`Trace`](crate::trace::Trace). It never touches the engine's
+//! RNG, scheduler or state, so attaching it cannot perturb a run; T11
+//! measures what it costs when attached. The online monitor
+//! (`diners_mp::monitor`) keeps its alerts in a list of its own and
+//! counts them in a [`MetricsRegistry`].
 
-use std::collections::VecDeque;
-use std::fmt;
-
-use crate::algorithm::{DinerAlgorithm, Phase};
-use crate::fault::FaultKind;
+use crate::algorithm::DinerAlgorithm;
 use crate::graph::ProcessId;
 use crate::observe::{EventKind, StepEvent, StepObserver};
 use crate::predicate::Snapshot;
-
-// ---------------------------------------------------------------------------
-// Events
-// ---------------------------------------------------------------------------
 
 /// A verdict raised by the online monitor (`diners_mp::monitor`) about
 /// one assembled global cut.
@@ -75,89 +61,6 @@ impl AlertKind {
             AlertKind::SloBreach { .. } => "slo-breach",
             AlertKind::LocalityBreach { .. } => "locality-breach",
         }
-    }
-}
-
-/// What happened. Mirrors (and extends) the engine's
-/// [`EventKind`] with the phase-transition kind that the bounded trace
-/// does not record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TelemetryKind {
-    /// A program action fired.
-    Action {
-        /// Action name from the algorithm's kind table (`"join"`, …).
-        name: &'static str,
-        /// Neighbor slot for per-neighbor actions.
-        slot: Option<usize>,
-    },
-    /// One arbitrary step of a maliciously crashing process.
-    MaliciousStep,
-    /// A fault struck the target process.
-    Fault(FaultKind),
-    /// The process's diner phase changed.
-    PhaseChange {
-        /// Phase before the action.
-        from: Phase,
-        /// Phase after the action.
-        to: Phase,
-    },
-}
-
-/// One observed occurrence, stamped with where and when.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TelemetryEvent {
-    /// Monotonic logical clock, unique per [`Telemetry`] instance:
-    /// totally orders events even when several fire at the same step.
-    pub clock: u64,
-    /// Engine (or net) step at which the event occurred.
-    pub step: u64,
-    /// The process the event is about.
-    pub pid: ProcessId,
-    /// What happened.
-    pub kind: TelemetryKind,
-}
-
-/// Bounded in-memory sink keeping the most recent `cap` events. It runs
-/// inside the engine's step loop whenever telemetry with a sink is
-/// attached, so it must stay cheap.
-pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<TelemetryEvent>,
-    total: u64,
-}
-
-impl RingSink {
-    /// A ring keeping the last `cap` events (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        RingSink {
-            cap: cap.max(1),
-            buf: VecDeque::with_capacity(cap.clamp(1, 4096)),
-            total: 0,
-        }
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TelemetryEvent> {
-        self.buf.iter()
-    }
-
-    /// Total events ever emitted (including evicted ones).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.total - self.buf.len() as u64
-    }
-
-    /// Keep one event, evicting the oldest if the ring is full.
-    pub fn emit(&mut self, ev: &TelemetryEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(*ev);
-        self.total += 1;
     }
 }
 
@@ -298,7 +201,7 @@ impl Histogram {
 /// Named counters, gauges and histograms behind integer handles: the hot
 /// path pays one bounds-checked index + add, never a string lookup.
 /// Registration is idempotent per name.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
@@ -540,15 +443,12 @@ fn render_label_block(inner: &str) -> String {
 // Façade
 // ---------------------------------------------------------------------------
 
-/// The observability handle an engine (or net runtime) carries: a
-/// monotonic logical clock, a metrics registry and an optional event
-/// sink. Construct, attach via `EngineBuilder::observe`, and read back
+/// The metrics an engine carries: a registry plus the handles its events
+/// update. Construct, attach via `EngineBuilder::observe`, and read back
 /// with `Engine::observer::<Telemetry>()` after the run.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Telemetry {
-    clock: u64,
     registry: MetricsRegistry,
-    sink: Option<RingSink>,
     /// Engine metric handles, registered when an engine is built with
     /// this telemetry attached.
     engine: Option<EngineHandles>,
@@ -556,6 +456,7 @@ pub struct Telemetry {
 
 /// The metric handles the engine's events update, registered once at
 /// build time so each event pays an index, not a lookup.
+#[derive(Debug)]
 struct EngineHandles {
     /// Fire counter per action kind (indexed like `Algorithm::kinds`).
     action_fires: Vec<CounterId>,
@@ -570,48 +471,10 @@ struct EngineHandles {
     hungry_to_eat: HistogramId,
 }
 
-impl fmt::Debug for Telemetry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("clock", &self.clock)
-            .field("sink", &self.sink.is_some())
-            .finish()
-    }
-}
-
 impl Telemetry {
-    /// Metrics only, no event sink.
+    /// An empty registry; the engine registers its metrics at build.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Metrics plus the given event sink.
-    pub fn with_sink(sink: RingSink) -> Self {
-        Telemetry {
-            sink: Some(sink),
-            ..Self::default()
-        }
-    }
-
-    /// Record one event: stamps the logical clock and forwards to the
-    /// sink if one is attached.
-    #[inline]
-    pub fn emit(&mut self, step: u64, pid: ProcessId, kind: TelemetryKind) {
-        self.clock += 1;
-        if let Some(sink) = &mut self.sink {
-            let ev = TelemetryEvent {
-                clock: self.clock,
-                step,
-                pid,
-                kind,
-            };
-            sink.emit(&ev);
-        }
-    }
-
-    /// Events recorded so far (clock of the last event).
-    pub fn clock(&self) -> u64 {
-        self.clock
     }
 
     /// The metrics registry.
@@ -622,12 +485,6 @@ impl Telemetry {
     /// Mutable access to the metrics registry.
     pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.registry
-    }
-
-    /// The event sink, if one is attached (e.g. to read its events
-    /// after a run).
-    pub fn ring(&self) -> Option<&RingSink> {
-        self.sink.as_ref()
     }
 }
 
@@ -653,48 +510,28 @@ impl<A: DinerAlgorithm> StepObserver<A> for Telemetry {
         let Telemetry {
             registry,
             engine: Some(h),
-            ..
         } = self
         else {
             return;
         };
-        let kind = match ev.kind {
-            EventKind::Action { kind, slot, name } => {
-                registry.inc(h.action_fires[kind]);
-                TelemetryKind::Action { name, slot }
-            }
-            EventKind::MaliciousStep => {
-                registry.inc(h.malicious_steps);
-                TelemetryKind::MaliciousStep
-            }
-            EventKind::Fault(fault) => {
+        match ev.kind {
+            EventKind::Action { kind, .. } => registry.inc(h.action_fires[kind]),
+            EventKind::MaliciousStep => registry.inc(h.malicious_steps),
+            EventKind::Fault(_) => {
                 registry.inc(h.faults);
                 if ev.revived {
                     registry.inc(h.restarts);
                 }
-                TelemetryKind::Fault(fault)
             }
-        };
+        }
         registry.add(h.write_violations, ev.rejected_writes);
         // Phase changes are counted for moves only: a fault's effect on
         // the phase is the fault event itself.
-        let phase_change = !ev.kind.is_fault() && ev.phase_before != ev.phase_after;
-        if phase_change {
+        if !ev.kind.is_fault() && ev.phase_before != ev.phase_after {
             registry.inc(h.phase_changes);
             if let Some(waited) = ev.waited {
                 registry.record(h.hungry_to_eat, waited);
             }
-        }
-        self.emit(ev.step, ev.pid, kind);
-        if phase_change {
-            self.emit(
-                ev.step,
-                ev.pid,
-                TelemetryKind::PhaseChange {
-                    from: ev.phase_before,
-                    to: ev.phase_after,
-                },
-            );
         }
     }
 }
@@ -702,15 +539,6 @@ impl<A: DinerAlgorithm> StepObserver<A> for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(clock: u64, step: u64, pid: usize, kind: TelemetryKind) -> TelemetryEvent {
-        TelemetryEvent {
-            clock,
-            step,
-            pid: ProcessId(pid),
-            kind,
-        }
-    }
 
     #[test]
     fn engine_counters_track_restarts_and_write_violations() {
@@ -739,18 +567,6 @@ mod tests {
             .build();
         e.run(500);
         assert_eq!(counter(&e, "engine.write_violations"), Some(0));
-    }
-
-    #[test]
-    fn ring_sink_keeps_last_cap_events() {
-        let mut ring = RingSink::new(3);
-        for i in 0..5 {
-            ring.emit(&ev(i + 1, i, 0, TelemetryKind::MaliciousStep));
-        }
-        assert_eq!(ring.total(), 5);
-        assert_eq!(ring.dropped(), 2);
-        let clocks: Vec<u64> = ring.events().map(|e| e.clock).collect();
-        assert_eq!(clocks, [3, 4, 5]);
     }
 
     #[test]
@@ -789,65 +605,6 @@ mod tests {
         reg.record(h, 3);
         reg.record(h, 900);
         assert_eq!(reg.histogram_value("latency").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn telemetry_clock_is_monotonic_and_sink_optional() {
-        let mut t = Telemetry::new();
-        t.emit(0, ProcessId(0), TelemetryKind::MaliciousStep);
-        t.emit(
-            5,
-            ProcessId(1),
-            TelemetryKind::PhaseChange {
-                from: Phase::Thinking,
-                to: Phase::Hungry,
-            },
-        );
-        assert_eq!(t.clock(), 2);
-
-        let mut t = Telemetry::with_sink(RingSink::new(8));
-        t.emit(0, ProcessId(0), TelemetryKind::MaliciousStep);
-        t.emit(1, ProcessId(0), TelemetryKind::MaliciousStep);
-        assert_eq!(t.clock(), 2);
-        let ring = t.ring().expect("ring sink attached");
-        assert_eq!(ring.total(), 2);
-    }
-
-    #[test]
-    fn ring_sink_accounting_at_capacity_boundaries() {
-        // Pin total()/dropped() semantics exactly at the capacity edge
-        // and across wraparound: dropped() must stay 0 up to and
-        // including the fill that reaches capacity, then grow by exactly
-        // one per further emit, with total() always = emits so far.
-        let cap = 4;
-        let mut ring = RingSink::new(cap);
-        assert_eq!((ring.total(), ring.dropped()), (0, 0));
-        for i in 0..cap as u64 {
-            ring.emit(&ev(i + 1, i, 0, TelemetryKind::MaliciousStep));
-            assert_eq!(ring.total(), i + 1, "total after emit {}", i + 1);
-            assert_eq!(ring.dropped(), 0, "no eviction below capacity");
-        }
-        assert_eq!(ring.events().count(), cap);
-        // Wraparound: each further emit evicts exactly one.
-        for extra in 1..=2 * cap as u64 {
-            ring.emit(&ev(cap as u64 + extra, 0, 0, TelemetryKind::MaliciousStep));
-            assert_eq!(ring.total(), cap as u64 + extra);
-            assert_eq!(ring.dropped(), extra, "one eviction per overflow emit");
-            assert_eq!(ring.events().count(), cap, "ring stays exactly full");
-        }
-        // Retained window is the most recent `cap` clocks.
-        let clocks: Vec<u64> = ring.events().map(|e| e.clock).collect();
-        let last = 3 * cap as u64;
-        let want: Vec<u64> = (last - cap as u64 + 1..=last).collect();
-        assert_eq!(clocks, want);
-
-        // cap=1 degenerate ring: always holds exactly the last event.
-        let mut one = RingSink::new(1);
-        for i in 0..3 {
-            one.emit(&ev(i + 1, i, 0, TelemetryKind::MaliciousStep));
-        }
-        assert_eq!((one.total(), one.dropped()), (3, 2));
-        assert_eq!(one.events().map(|e| e.clock).collect::<Vec<_>>(), [3]);
     }
 
     #[test]

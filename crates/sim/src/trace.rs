@@ -1,62 +1,33 @@
-//! Execution traces: a replayable record of what fired when.
+//! Execution traces: the engine's own event records, newest last.
 //!
 //! Traces serve three purposes: debugging (render the last `k` events),
 //! scenario assertions (the Figure 2 reproduction checks the exact event
 //! sequence), and post-hoc analysis (counting how often each action kind
 //! fired during an experiment).
 
-use std::fmt;
+use std::collections::{vec_deque, VecDeque};
 
 use crate::algorithm::DinerAlgorithm;
 use crate::graph::ProcessId;
 use crate::observe::{EventKind, StepEvent, StepObserver};
 use crate::predicate::Snapshot;
 
-/// One trace entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Event {
-    /// Engine step at which the event occurred.
-    pub step: u64,
-    /// The process involved.
-    pub pid: ProcessId,
-    /// What happened.
-    pub kind: EventKind,
-}
-
-impl fmt::Display for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            EventKind::Action { name, slot, .. } => match slot {
-                Some(s) => write!(f, "[{:>6}] {} {}(slot {})", self.step, self.pid, name, s),
-                None => write!(f, "[{:>6}] {} {}", self.step, self.pid, name),
-            },
-            EventKind::MaliciousStep => {
-                write!(f, "[{:>6}] {} <malicious step>", self.step, self.pid)
-            }
-            EventKind::Fault(k) => write!(f, "[{:>6}] {} !fault {}", self.step, self.pid, k),
-        }
-    }
-}
-
-/// A bounded in-memory event log.
+/// A bounded in-memory log of [`StepEvent`]s.
 ///
 /// Attach one to an engine with `EngineBuilder::observe` to record every
-/// fault and fired move. When the capacity is reached, further events are
-/// counted but not stored.
-#[derive(Clone, Debug)]
+/// fault and fired move. It keeps the newest `cap` events (default
+/// 2²⁰; see [`Trace::with_capacity`]): each event past the capacity
+/// evicts the oldest, which is counted in [`Trace::dropped`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
-    events: Vec<Event>,
-    capacity: usize,
+    events: VecDeque<StepEvent>,
+    cap: usize,
     dropped: u64,
 }
 
 impl Default for Trace {
     fn default() -> Self {
-        Trace {
-            events: Vec::new(),
-            capacity: 1 << 20,
-            dropped: 0,
-        }
+        Self::with_capacity(1 << 20)
     }
 }
 
@@ -66,24 +37,26 @@ impl Trace {
         Self::default()
     }
 
-    /// Limit the number of stored events (further events are dropped and
-    /// counted).
-    pub fn set_capacity(&mut self, cap: usize) {
-        self.capacity = cap;
-    }
-
-    /// Record an event.
-    pub fn record(&mut self, ev: Event) {
-        if self.events.len() < self.capacity {
-            self.events.push(ev);
-        } else {
-            self.dropped += 1;
+    /// An empty trace keeping the newest `cap` events (at least one).
+    pub fn with_capacity(cap: usize) -> Self {
+        Trace {
+            events: VecDeque::new(),
+            cap: cap.max(1),
+            dropped: 0,
         }
     }
 
-    /// All stored events, oldest first.
-    pub fn events(&self) -> &[Event] {
-        &self.events
+    fn record(&mut self, ev: StepEvent) {
+        if self.events.len() == self.cap {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(ev);
+    }
+
+    /// The stored events, oldest first.
+    pub fn events(&self) -> vec_deque::Iter<'_, StepEvent> {
+        self.events.iter()
     }
 
     /// Number of stored events.
@@ -96,7 +69,7 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Events dropped after capacity was reached.
+    /// Events evicted to keep the newest `cap`.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -128,49 +101,64 @@ impl Trace {
         counts
     }
 
-    /// Render the last `k` events, one per line.
+    /// Render the last `k` stored events, one per line.
     pub fn render_tail(&self, k: usize) -> String {
         let start = self.events.len().saturating_sub(k);
         let mut out = String::new();
-        for e in &self.events[start..] {
-            out.push_str(&e.to_string());
+        for e in self.events.range(start..) {
+            out.push_str(&line(e));
             out.push('\n');
         }
         out
     }
+}
 
-    /// Drop all stored events.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
+/// One rendered trace line: `[  step] pid what`.
+fn line(e: &StepEvent) -> String {
+    let StepEvent { step, pid, .. } = *e;
+    match e.kind {
+        EventKind::Action { name, slot, .. } => match slot {
+            Some(s) => format!("[{step:>6}] {pid} {name}(slot {s})"),
+            None => format!("[{step:>6}] {pid} {name}"),
+        },
+        EventKind::MaliciousStep => format!("[{step:>6}] {pid} <malicious step>"),
+        EventKind::Fault(k) => format!("[{step:>6}] {pid} !fault {k}"),
     }
 }
 
 impl<A: DinerAlgorithm> StepObserver<A> for Trace {
     fn on_event(&mut self, ev: &StepEvent, _view: &Snapshot<'_, A>) {
-        self.record(Event {
-            step: ev.step,
-            pid: ev.pid,
-            kind: ev.kind,
-        });
+        self.record(*ev);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::Phase;
     use crate::fault::FaultKind;
 
-    fn action(step: u64, pid: usize, name: &'static str) -> Event {
-        Event {
+    fn event(step: u64, pid: usize, kind: EventKind) -> StepEvent {
+        StepEvent {
             step,
             pid: ProcessId(pid),
-            kind: EventKind::Action {
-                kind: 0,
-                slot: None,
-                name,
-            },
+            kind,
+            needs: false,
+            phase_before: Phase::Thinking,
+            phase_after: Phase::Thinking,
+            rejected_writes: 0,
+            revived: false,
+            waited: None,
         }
+    }
+
+    fn action(step: u64, pid: usize, name: &'static str) -> StepEvent {
+        let kind = EventKind::Action {
+            kind: 0,
+            slot: None,
+            name,
+        };
+        event(step, pid, kind)
     }
 
     #[test]
@@ -179,30 +167,28 @@ mod tests {
         t.record(action(0, 0, "join"));
         t.record(action(1, 1, "enter"));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.events()[0].step, 0);
-        assert_eq!(t.events()[1].step, 1);
+        let steps: Vec<u64> = t.events().map(|e| e.step).collect();
+        assert_eq!(steps, [0, 1]);
     }
 
     #[test]
-    fn capacity_drops_and_counts() {
-        let mut t = Trace::new();
-        t.set_capacity(2);
-        for i in 0..5 {
+    fn capacity_keeps_the_newest_events() {
+        let mut t = Trace::with_capacity(4);
+        for i in 1..=10 {
             t.record(action(i, 0, "join"));
         }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 3);
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.dropped(), 6);
+        let steps: Vec<u64> = t.events().map(|e| e.step).collect();
+        assert_eq!(steps, [7, 8, 9, 10]);
+        assert_eq!(t.render_tail(2), "[     9] p0 join\n[    10] p0 join\n");
     }
 
     #[test]
     fn actions_of_filters_by_pid_and_kind() {
         let mut t = Trace::new();
         t.record(action(0, 0, "join"));
-        t.record(Event {
-            step: 1,
-            pid: ProcessId(0),
-            kind: EventKind::MaliciousStep,
-        });
+        t.record(event(1, 0, EventKind::MaliciousStep));
         t.record(action(2, 1, "enter"));
         t.record(action(3, 0, "enter"));
         assert_eq!(t.actions_of(ProcessId(0)), vec![(0, "join"), (3, "enter")]);
@@ -228,37 +214,16 @@ mod tests {
     }
 
     #[test]
-    fn event_display_variants() {
-        let e = Event {
-            step: 1,
-            pid: ProcessId(2),
-            kind: EventKind::Fault(FaultKind::Crash),
+    fn line_variants() {
+        let crash = event(1, 2, EventKind::Fault(FaultKind::Crash));
+        assert!(line(&crash).contains("!fault crash"));
+        let m = event(1, 2, EventKind::MaliciousStep);
+        assert!(line(&m).contains("<malicious step>"));
+        let kind = EventKind::Action {
+            kind: 4,
+            slot: Some(1),
+            name: "fixdepth",
         };
-        assert!(e.to_string().contains("!fault crash"));
-        let m = Event {
-            step: 1,
-            pid: ProcessId(2),
-            kind: EventKind::MaliciousStep,
-        };
-        assert!(m.to_string().contains("<malicious step>"));
-        let s = Event {
-            step: 1,
-            pid: ProcessId(2),
-            kind: EventKind::Action {
-                kind: 4,
-                slot: Some(1),
-                name: "fixdepth",
-            },
-        };
-        assert!(s.to_string().contains("fixdepth(slot 1)"));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t = Trace::new();
-        t.record(action(0, 0, "join"));
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
+        assert!(line(&event(1, 2, kind)).contains("fixdepth(slot 1)"));
     }
 }

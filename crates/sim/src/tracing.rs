@@ -1,12 +1,12 @@
 //! Span-based causal tracing with blame chains.
 //!
-//! Every executed action becomes a [`Span`] carrying the actor's view of
-//! its guard inputs (its phase before/after and the workload `needs` bit)
-//! and *happens-before* edges to the spans that last wrote the variables
-//! the guard read. Fault injections become spans too, so corruption has a
-//! position in the causal graph and a deviation can be walked back to the
-//! fault it descends from — a per-incident form of the paper's
-//! failure-locality argument.
+//! Every executed action becomes a [`Span`] carrying the engine's
+//! [`StepEvent`] for it (the actor, its phase before/after and the
+//! workload `needs` bit its guard saw) and *happens-before* edges to the
+//! spans that last wrote the variables the guard read. Fault injections
+//! become spans too, so corruption has a position in the causal graph
+//! and a deviation can be walked back to the fault it descends from — a
+//! per-incident form of the paper's failure-locality argument.
 //!
 //! # Happens-before rules
 //!
@@ -45,9 +45,9 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::algorithm::{DinerAlgorithm, Phase};
+use crate::algorithm::DinerAlgorithm;
 use crate::fault::FaultKind;
-use crate::graph::{ProcessId, Topology};
+use crate::graph::Topology;
 use crate::observe::{EventKind, StepEvent, StepObserver};
 use crate::predicate::Snapshot;
 
@@ -68,19 +68,8 @@ impl SpanId {
 pub struct Span {
     /// This span's id.
     pub id: SpanId,
-    /// Engine step at which the event occurred.
-    pub step: u64,
-    /// The acting (or afflicted) process.
-    pub pid: ProcessId,
-    /// Event kind.
-    pub kind: EventKind,
-    /// The workload `needs` bit the guard evaluation saw (false for
-    /// malicious steps and faults).
-    pub needs: bool,
-    /// The actor's diner phase before the event.
-    pub phase_before: Phase,
-    /// The actor's diner phase after the event.
-    pub phase_after: Phase,
+    /// The engine's record of the event.
+    pub event: StepEvent,
     /// Happens-before edges: spans that last wrote the variables this
     /// event read (empty for faults). Sorted ascending, deduplicated.
     pub parents: Vec<SpanId>,
@@ -144,99 +133,42 @@ impl CausalTracer {
 
     /// Spans recording fault injections.
     pub fn fault_spans(&self) -> impl Iterator<Item = &Span> + '_ {
-        self.spans.iter().filter(|s| s.kind.is_fault())
+        self.spans.iter().filter(|s| s.event.kind.is_fault())
     }
 
-    fn push(&mut self, mut span: Span) -> SpanId {
-        let id = SpanId(self.spans.len() as u32);
-        span.id = id;
-        span.parents.sort_unstable();
-        span.parents.dedup();
-        self.spans.push(span);
-        id
-    }
-
-    /// Record an executed action (or malicious step) at `pid`.
+    /// Record one event as a span.
     ///
-    /// Parents are the last writers of the guard's read footprint —
-    /// every local in `pid`'s closed neighborhood and every incident
-    /// edge; the new span then becomes the last writer of `pid`'s write
-    /// footprint (its local and incident edges).
-    #[allow(clippy::too_many_arguments)]
-    fn record_action(
-        &mut self,
-        topo: &Topology,
-        step: u64,
-        pid: ProcessId,
-        kind: EventKind,
-        needs: bool,
-        phase_before: Phase,
-        phase_after: Phase,
-    ) -> SpanId {
+    /// An action (or malicious step) at `pid` takes as parents the last
+    /// writers of its guard's read footprint — every local in `pid`'s
+    /// closed neighborhood and every incident edge — and then becomes
+    /// the last writer of its write footprint (`pid`'s local and
+    /// incident edges). A fault has no parents and becomes the last
+    /// writer of its target's local, or of every variable for a global
+    /// transient.
+    fn record(&mut self, topo: &Topology, event: StepEvent) -> SpanId {
+        let id = SpanId(self.spans.len() as u32);
+        let pid = event.pid;
         let mut parents = Vec::new();
-        for &q in topo.closed_neighborhood(pid) {
-            if let Some(w) = self.last_local[q.index()] {
-                parents.push(w);
+        match event.kind {
+            EventKind::Fault(FaultKind::TransientGlobal) => {
+                self.last_local.fill(Some(id));
+                self.last_edge.fill(Some(id));
             }
-        }
-        for &e in topo.incident_edges(pid) {
-            if let Some(w) = self.last_edge[e.index()] {
-                parents.push(w);
-            }
-        }
-        let id = self.push(Span {
-            id: SpanId(0),
-            step,
-            pid,
-            kind,
-            needs,
-            phase_before,
-            phase_after,
-            parents,
-        });
-        self.last_local[pid.index()] = Some(id);
-        for &e in topo.incident_edges(pid) {
-            self.last_edge[e.index()] = Some(id);
-        }
-        id
-    }
-
-    /// Record a fault injection at `target` (ignored for global
-    /// transients, which hit everyone).
-    fn record_fault(
-        &mut self,
-        step: u64,
-        target: ProcessId,
-        kind: FaultKind,
-        phase_before: Phase,
-        phase_after: Phase,
-    ) -> SpanId {
-        let id = self.push(Span {
-            id: SpanId(0),
-            step,
-            pid: target,
-            kind: EventKind::Fault(kind),
-            needs: false,
-            phase_before,
-            phase_after,
-            parents: Vec::new(),
-        });
-        match kind {
-            FaultKind::Crash
-            | FaultKind::MaliciousCrash { .. }
-            | FaultKind::TransientLocal
-            | FaultKind::Restart { .. } => {
-                self.last_local[target.index()] = Some(id);
-            }
-            FaultKind::TransientGlobal => {
-                for w in &mut self.last_local {
-                    *w = Some(id);
+            EventKind::Fault(_) => self.last_local[pid.index()] = Some(id),
+            EventKind::Action { .. } | EventKind::MaliciousStep => {
+                for &q in topo.closed_neighborhood(pid) {
+                    parents.extend(self.last_local[q.index()]);
                 }
-                for w in &mut self.last_edge {
-                    *w = Some(id);
+                for &e in topo.incident_edges(pid) {
+                    parents.extend(self.last_edge[e.index()]);
+                    self.last_edge[e.index()] = Some(id);
                 }
+                self.last_local[pid.index()] = Some(id);
+                parents.sort_unstable();
+                parents.dedup();
             }
         }
+        self.spans.push(Span { id, event, parents });
         id
     }
 
@@ -248,7 +180,7 @@ impl CausalTracer {
     /// `h` hops reaches at most graph distance `h`; querying with budget
     /// 2 checks the paper's failure-locality bound per incident.
     pub fn blame_within(&self, from: SpanId, max_hops: usize) -> Option<BlameChain> {
-        if self.span(from).kind.is_fault() {
+        if self.span(from).event.kind.is_fault() {
             return Some(BlameChain { path: vec![from] });
         }
         let mut prev: HashMap<SpanId, SpanId> = HashMap::new();
@@ -264,7 +196,7 @@ impl CausalTracer {
                     continue;
                 }
                 prev.insert(p, at);
-                if self.span(p).kind.is_fault() {
+                if self.span(p).event.kind.is_fault() {
                     // Reconstruct from the root back to the query.
                     let mut path = vec![p];
                     let mut cur = at;
@@ -300,11 +232,7 @@ impl CausalTracer {
             if i > 0 {
                 out.push(',');
             }
-            let name = match s.kind {
-                EventKind::Action { name, .. } => name.to_string(),
-                EventKind::MaliciousStep => "malicious-step".to_string(),
-                EventKind::Fault(k) => format!("fault:{k}"),
-            };
+            let ev = &s.event;
             let parents: Vec<String> = s.parents.iter().map(|p| p.0.to_string()).collect();
             out.push_str(&format!(
                 concat!(
@@ -312,13 +240,13 @@ impl CausalTracer {
                     "\"pid\":0,\"tid\":{},\"args\":{{\"span\":{},",
                     "\"parents\":[{}],\"phase\":\"{:?}->{:?}\"}}}}"
                 ),
-                name,
-                s.step,
-                s.pid.index(),
+                ev.kind,
+                ev.step,
+                ev.pid.index(),
                 s.id.0,
                 parents.join(","),
-                s.phase_before,
-                s.phase_after,
+                ev.phase_before,
+                ev.phase_after,
             ));
         }
         out.push_str("]}");
@@ -333,75 +261,70 @@ impl<A: DinerAlgorithm> StepObserver<A> for CausalTracer {
     }
 
     fn on_event(&mut self, ev: &StepEvent, view: &Snapshot<'_, A>) {
-        let (before, after) = (ev.phase_before, ev.phase_after);
-        match ev.kind {
-            EventKind::Fault(kind) => {
-                self.record_fault(ev.step, ev.pid, kind, before, after);
-            }
-            kind => {
-                self.record_action(view.topo, ev.step, ev.pid, kind, ev.needs, before, after);
-            }
-        }
+        self.record(view.topo, *ev);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::Phase;
+    use crate::graph::ProcessId;
 
-    fn action(name: &'static str) -> EventKind {
-        EventKind::Action {
+    fn event(step: u64, pid: usize, kind: EventKind) -> StepEvent {
+        StepEvent {
+            step,
+            pid: ProcessId(pid),
+            kind,
+            needs: true,
+            phase_before: Phase::Thinking,
+            phase_after: Phase::Hungry,
+            rejected_writes: 0,
+            revived: false,
+            waited: None,
+        }
+    }
+
+    /// Record that `pid` fired the action `name` at `step`.
+    fn act(
+        t: &mut CausalTracer,
+        topo: &Topology,
+        step: u64,
+        pid: usize,
+        name: &'static str,
+    ) -> SpanId {
+        let kind = EventKind::Action {
             kind: 0,
             slot: None,
             name,
-        }
+        };
+        t.record(topo, event(step, pid, kind))
+    }
+
+    /// Record that `kind` struck `pid` at `step`.
+    fn fault(
+        t: &mut CausalTracer,
+        topo: &Topology,
+        step: u64,
+        pid: usize,
+        kind: FaultKind,
+    ) -> SpanId {
+        t.record(topo, event(step, pid, EventKind::Fault(kind)))
     }
 
     #[test]
     fn parents_are_last_writers_in_the_closed_neighborhood() {
         let topo = Topology::line(4); // 0-1-2-3
         let mut t = CausalTracer::new(&topo);
-        let a0 = t.record_action(
-            &topo,
-            0,
-            ProcessId(0),
-            action("join"),
-            true,
-            Phase::Thinking,
-            Phase::Hungry,
-        );
-        let a3 = t.record_action(
-            &topo,
-            1,
-            ProcessId(3),
-            action("join"),
-            true,
-            Phase::Thinking,
-            Phase::Hungry,
-        );
+        let a0 = act(&mut t, &topo, 0, 0, "join");
+        let a3 = act(&mut t, &topo, 1, 3, "join");
         // p1 reads locals {0,1,2} and edges {01,12}: only p0's span is a
         // last writer; p3 is outside the neighborhood.
-        let a1 = t.record_action(
-            &topo,
-            2,
-            ProcessId(1),
-            action("join"),
-            true,
-            Phase::Thinking,
-            Phase::Hungry,
-        );
+        let a1 = act(&mut t, &topo, 2, 1, "join");
         assert_eq!(t.span(a1).parents, vec![a0]);
         // p2 now sees p1 (local + shared edge 12) and p3 — deduplicated,
         // sorted by span id (a3 was recorded before a1).
-        let a2 = t.record_action(
-            &topo,
-            3,
-            ProcessId(2),
-            action("enter"),
-            true,
-            Phase::Hungry,
-            Phase::Eating,
-        );
+        let a2 = act(&mut t, &topo, 3, 2, "enter");
         assert_eq!(t.span(a2).parents, vec![a3, a1]);
     }
 
@@ -409,32 +332,10 @@ mod tests {
     fn blame_walks_back_to_the_crash() {
         let topo = Topology::line(4);
         let mut t = CausalTracer::new(&topo);
-        let f = t.record_fault(
-            5,
-            ProcessId(0),
-            FaultKind::Crash,
-            Phase::Eating,
-            Phase::Eating,
-        );
+        let f = fault(&mut t, &topo, 5, 0, FaultKind::Crash);
         // p1 acts (reads p0's frozen local) then p2 acts (reads p1).
-        let a1 = t.record_action(
-            &topo,
-            6,
-            ProcessId(1),
-            action("leave"),
-            true,
-            Phase::Eating,
-            Phase::Thinking,
-        );
-        let a2 = t.record_action(
-            &topo,
-            7,
-            ProcessId(2),
-            action("leave"),
-            true,
-            Phase::Eating,
-            Phase::Thinking,
-        );
+        let a1 = act(&mut t, &topo, 6, 1, "leave");
+        let a2 = act(&mut t, &topo, 7, 2, "leave");
 
         let c1 = t.blame_within(a1, 2).expect("p1 blames the crash");
         assert_eq!(c1.path, vec![a1, f]);
@@ -446,15 +347,7 @@ mod tests {
         assert_eq!(c2.hops(), 2);
 
         // p3 is 3 hops from the crash: not blamable within budget 2 …
-        let a3 = t.record_action(
-            &topo,
-            8,
-            ProcessId(3),
-            action("leave"),
-            true,
-            Phase::Eating,
-            Phase::Thinking,
-        );
+        let a3 = act(&mut t, &topo, 8, 3, "leave");
         assert!(t.blame_within(a3, 2).is_none());
         // … but the unbounded walk finds it 3 hops out.
         let c3 = t.blame(a3).expect("deep ancestry still reachable");
@@ -466,13 +359,7 @@ mod tests {
     fn blame_on_a_fault_span_is_the_span_itself() {
         let topo = Topology::line(2);
         let mut t = CausalTracer::new(&topo);
-        let f = t.record_fault(
-            0,
-            ProcessId(1),
-            FaultKind::TransientLocal,
-            Phase::Thinking,
-            Phase::Eating,
-        );
+        let f = fault(&mut t, &topo, 0, 1, FaultKind::TransientLocal);
         let c = t.blame_within(f, 0).expect("a fault blames itself");
         assert_eq!(c.path, vec![f]);
         assert_eq!(c.hops(), 0);
@@ -482,15 +369,7 @@ mod tests {
     fn blame_without_fault_ancestry_is_none() {
         let topo = Topology::line(3);
         let mut t = CausalTracer::new(&topo);
-        let a = t.record_action(
-            &topo,
-            0,
-            ProcessId(1),
-            action("join"),
-            true,
-            Phase::Thinking,
-            Phase::Hungry,
-        );
+        let a = act(&mut t, &topo, 0, 1, "join");
         assert!(t.blame(a).is_none());
     }
 
@@ -498,23 +377,9 @@ mod tests {
     fn transient_global_becomes_everyones_last_writer() {
         let topo = Topology::ring(5);
         let mut t = CausalTracer::new(&topo);
-        let f = t.record_fault(
-            3,
-            ProcessId(0),
-            FaultKind::TransientGlobal,
-            Phase::Thinking,
-            Phase::Thinking,
-        );
+        let f = fault(&mut t, &topo, 3, 0, FaultKind::TransientGlobal);
         // Any later action anywhere has the fault as a direct parent.
-        let a = t.record_action(
-            &topo,
-            4,
-            ProcessId(3),
-            action("join"),
-            true,
-            Phase::Thinking,
-            Phase::Hungry,
-        );
+        let a = act(&mut t, &topo, 4, 3, "join");
         assert_eq!(t.span(a).parents, vec![f]);
     }
 
@@ -524,31 +389,9 @@ mod tests {
         // edge to the crash; BFS must return the 1-hop chain.
         let topo = Topology::line(3);
         let mut t = CausalTracer::new(&topo);
-        let a_old = t.record_action(
-            &topo,
-            0,
-            ProcessId(1),
-            action("join"),
-            true,
-            Phase::Thinking,
-            Phase::Hungry,
-        );
-        let f = t.record_fault(
-            1,
-            ProcessId(2),
-            FaultKind::Crash,
-            Phase::Thinking,
-            Phase::Thinking,
-        );
-        let a = t.record_action(
-            &topo,
-            2,
-            ProcessId(1),
-            action("enter"),
-            true,
-            Phase::Hungry,
-            Phase::Eating,
-        );
+        let a_old = act(&mut t, &topo, 0, 1, "join");
+        let f = fault(&mut t, &topo, 1, 2, FaultKind::Crash);
+        let a = act(&mut t, &topo, 2, 1, "enter");
         // Parents of `a` include both a_old (own local) and f (neighbor).
         assert!(t.span(a).parents.contains(&a_old));
         assert!(t.span(a).parents.contains(&f));
@@ -560,22 +403,8 @@ mod tests {
     fn chrome_trace_is_balanced_json() {
         let topo = Topology::line(3);
         let mut t = CausalTracer::new(&topo);
-        t.record_fault(
-            0,
-            ProcessId(0),
-            FaultKind::Crash,
-            Phase::Thinking,
-            Phase::Thinking,
-        );
-        t.record_action(
-            &topo,
-            1,
-            ProcessId(1),
-            action("join"),
-            true,
-            Phase::Thinking,
-            Phase::Hungry,
-        );
+        fault(&mut t, &topo, 0, 0, FaultKind::Crash);
+        act(&mut t, &topo, 1, 1, "join");
         let j = t.to_chrome_trace();
         assert!(j.starts_with("{\"traceEvents\":["));
         let braces: i64 = j

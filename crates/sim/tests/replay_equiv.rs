@@ -33,9 +33,9 @@ use diners_sim::workload::AlwaysHungry;
 use diners_sim::ProcessId;
 use reference_engine::ReferenceEngine;
 
-/// The events of the trace attached to `e`.
-fn trace<A: DinerAlgorithm>(e: &Engine<A>) -> &[diners_sim::trace::Event] {
-    e.observer::<Trace>().expect("trace attached").events()
+/// The trace attached to `e`.
+fn trace<A: DinerAlgorithm>(e: &Engine<A>) -> &Trace {
+    e.observer::<Trace>().expect("trace attached")
 }
 
 fn topologies() -> Vec<Topology> {
@@ -242,13 +242,11 @@ fn traced_engine_blames_neighbor_deviations_on_the_crash() {
     // Parent edges connect closed neighborhoods.
     for s in tracer.spans() {
         for &p in &s.parents {
-            let parent = tracer.span(p);
+            let (pid, parent) = (s.event.pid, tracer.span(p).event.pid);
             assert!(
-                distance(s.pid, parent.pid) <= 1,
-                "parent edge spans distance {} ({} -> {})",
-                distance(s.pid, parent.pid),
-                s.pid,
-                parent.pid
+                distance(pid, parent) <= 1,
+                "parent edge spans distance {} ({pid} -> {parent})",
+                distance(pid, parent),
             );
         }
     }
@@ -260,10 +258,11 @@ fn traced_engine_blames_neighbor_deviations_on_the_crash() {
         .id;
     let mut rooted = 0;
     for s in tracer.spans() {
-        if s.kind.is_fault() || s.step <= crash_step {
+        let ev = s.event;
+        if ev.kind.is_fault() || ev.step <= crash_step {
             continue;
         }
-        if distance(s.pid, crash_pid) == 1 {
+        if distance(ev.pid, crash_pid) == 1 {
             // A neighbor's post-crash span reads the frozen local
             // directly or through its own prior span: blame must land
             // within 2 hops, on the crash.
@@ -276,10 +275,10 @@ fn traced_engine_blames_neighbor_deviations_on_the_crash() {
         // Universally: any chain found within 2 hops points at a fault
         // no farther than graph distance 2.
         if let Some(chain) = tracer.blame_within(s.id, 2) {
-            let root = tracer.span(chain.root());
+            let root = tracer.span(chain.root()).event;
             assert!(root.kind.is_fault());
             assert!(
-                distance(s.pid, root.pid) <= 2,
+                distance(ev.pid, root.pid) <= 2,
                 "blame chain escaped the locality bound"
             );
         }

@@ -3,7 +3,8 @@
 //! observable way, the counters telemetry keeps must agree with the
 //! ground-truth trace, an observer defined outside `diners-sim` must see
 //! every fault and move in order, and the four built-in observers must
-//! render exactly the bytes pinned in `tests/golden/`.
+//! render exactly the bytes pinned in `tests/golden/` from one shared
+//! event record.
 //!
 //! Observers never touch the engine's RNG, scheduler, or state, so
 //! equality here is *bit-identical*, step for step — the same bar the
@@ -22,7 +23,7 @@ use diners_sim::observe::{EventKind, StepEvent, StepObserver};
 use diners_sim::predicate::Snapshot;
 use diners_sim::record::{FlightRecorder, Recording, Replayer};
 use diners_sim::scheduler::{LeastRecentScheduler, RandomScheduler};
-use diners_sim::telemetry::{RingSink, Telemetry};
+use diners_sim::telemetry::Telemetry;
 use diners_sim::toy::ToyDiners;
 use diners_sim::trace::Trace;
 use diners_sim::tracing::CausalTracer;
@@ -101,12 +102,12 @@ fn telemetry_never_perturbs_the_run() {
         600,
         "reference+telemetry vs bare",
     );
-    // A sink that records every event is still invisible to the run.
+    // A trace that keeps every event is still invisible to the run.
     assert_lockstep(
         build(|b| b),
-        build(|b| b.observe(Telemetry::with_sink(RingSink::new(1 << 16)))),
+        build(|b| b.observe(Telemetry::new()).observe(Trace::new())),
         600,
-        "bare vs ring sink",
+        "bare vs telemetry+trace",
     );
 }
 
@@ -253,7 +254,7 @@ fn observer_outputs_match_the_golden_files() {
         )
         .seed(3)
         .observe(Trace::new())
-        .observe(Telemetry::with_sink(RingSink::new(1 << 12)))
+        .observe(Telemetry::new())
         .observe(FlightRecorder::new("toy").checkpoint_every(16))
         .observe(CausalTracer::default())
         .build();
@@ -270,16 +271,27 @@ fn observer_outputs_match_the_golden_files() {
         include_str!("golden/observers.chrome.json")
     );
     let tele = e.observer::<Telemetry>().expect("telemetry attached");
-    assert_eq!(
-        tele.registry().to_prometheus(),
-        include_str!("golden/observers.prom")
-    );
-    let ring = tele.ring().expect("ring sink");
-    let events: String = ring.events().map(|ev| format!("{ev:?}\n")).collect();
-    assert_eq!(events, include_str!("golden/observers.events.txt"));
+    let prom = tele.registry().to_prometheus();
+    assert_eq!(prom, include_str!("golden/observers.prom"));
     let trace = e.observer::<Trace>().expect("trace attached");
+    let events: String = trace.events().map(|ev| format!("{ev:?}\n")).collect();
+    assert_eq!(events, include_str!("golden/observers.events.txt"));
     assert_eq!(
         trace.render_tail(1000),
         include_str!("golden/observers.trace.txt")
+    );
+
+    // The trace and the tracer keep the same records, in order.
+    let spans: Vec<_> = tracer.spans().iter().map(|s| s.event).collect();
+    assert_eq!(trace.events().copied().collect::<Vec<_>>(), spans);
+    // And the moves that changed a phase are what telemetry counted.
+    let phase_changes = trace
+        .events()
+        .filter(|ev| !ev.kind.is_fault() && ev.phase_before != ev.phase_after)
+        .count();
+    assert_eq!(phase_changes, 20);
+    assert!(
+        prom.contains(&format!("engine_phase_changes {phase_changes}\n")),
+        "{prom}"
     );
 }

@@ -49,7 +49,6 @@ fn main() {
     let trace = engine.observer::<Trace>().expect("trace attached");
     let malicious_steps = trace
         .events()
-        .iter()
         .filter(|e| e.kind == EventKind::MaliciousStep)
         .count();
     println!("\ntraced: p{victim} took {malicious_steps} malicious steps, then halted");
